@@ -38,11 +38,13 @@ type Mapper interface {
 	Unmap(d DDR) uint64
 }
 
-// checkLine panics if line is outside the module; mapping an address that
-// does not exist is a simulator bug, not a runtime condition.
-func checkLine(g dram.Geometry, line uint64) {
-	if line >= g.TotalLines() {
-		panic(fmt.Sprintf("addr: line %d out of range [0,%d)", line, g.TotalLines()))
+// checkLine panics if line is not below lines, the module's line count;
+// mapping an address that does not exist is a simulator bug, not a
+// runtime condition. Mappers cache Geometry.TotalLines at construction so
+// the per-request check is one compare.
+func checkLine(line, lines uint64) {
+	if line >= lines {
+		panic(fmt.Sprintf("addr: line %d out of range [0,%d)", line, lines))
 	}
 }
 
@@ -61,11 +63,12 @@ func checkLine(g dram.Geometry, line uint64) {
 // is a pure function of its frame number and domains can be confined to
 // disjoint banks — at the cost of bank-level parallelism for streams.
 type RowRegion struct {
-	geom dram.Geometry
+	geom  dram.Geometry
+	lines uint64
 }
 
 // NewRowRegion returns a RowRegion mapper for g.
-func NewRowRegion(g dram.Geometry) *RowRegion { return &RowRegion{geom: g} }
+func NewRowRegion(g dram.Geometry) *RowRegion { return &RowRegion{geom: g, lines: g.TotalLines()} }
 
 // Name implements Mapper.
 func (m *RowRegion) Name() string { return "row-region" }
@@ -75,7 +78,7 @@ func (m *RowRegion) Geometry() dram.Geometry { return m.geom }
 
 // Map implements Mapper.
 func (m *RowRegion) Map(line uint64) DDR {
-	checkLine(m.geom, line)
+	checkLine(line, m.lines)
 	c := uint64(m.geom.ColumnsPerRow)
 	r := uint64(m.geom.RowsPerBank())
 	return DDR{
@@ -104,11 +107,14 @@ func (m *RowRegion) Unmap(d DDR) uint64 {
 // banks, so physical frame number determines the row (and therefore the
 // subarray) — the property subarray-aware allocation relies on.
 type LineInterleave struct {
-	geom dram.Geometry
+	geom  dram.Geometry
+	lines uint64
 }
 
 // NewLineInterleave returns a LineInterleave mapper for g.
-func NewLineInterleave(g dram.Geometry) *LineInterleave { return &LineInterleave{geom: g} }
+func NewLineInterleave(g dram.Geometry) *LineInterleave {
+	return &LineInterleave{geom: g, lines: g.TotalLines()}
+}
 
 // Name implements Mapper.
 func (m *LineInterleave) Name() string { return "line-interleave" }
@@ -118,7 +124,7 @@ func (m *LineInterleave) Geometry() dram.Geometry { return m.geom }
 
 // Map implements Mapper.
 func (m *LineInterleave) Map(line uint64) DDR {
-	checkLine(m.geom, line)
+	checkLine(line, m.lines)
 	b := uint64(m.geom.Banks)
 	c := uint64(m.geom.ColumnsPerRow)
 	return DDR{
@@ -140,7 +146,8 @@ func (m *LineInterleave) Unmap(d DDR) uint64 {
 // strided traffic. Because XOR with the row is an involution at fixed row,
 // the scheme stays a bijection.
 type XORInterleave struct {
-	geom dram.Geometry
+	geom  dram.Geometry
+	lines uint64
 }
 
 // NewXORInterleave returns an XORInterleave mapper for g. The bank count
@@ -149,7 +156,7 @@ func NewXORInterleave(g dram.Geometry) (*XORInterleave, error) {
 	if g.Banks&(g.Banks-1) != 0 {
 		return nil, fmt.Errorf("addr: xor-interleave needs power-of-two banks, got %d", g.Banks)
 	}
-	return &XORInterleave{geom: g}, nil
+	return &XORInterleave{geom: g, lines: g.TotalLines()}, nil
 }
 
 // Name implements Mapper.
@@ -160,7 +167,7 @@ func (m *XORInterleave) Geometry() dram.Geometry { return m.geom }
 
 // Map implements Mapper.
 func (m *XORInterleave) Map(line uint64) DDR {
-	checkLine(m.geom, line)
+	checkLine(line, m.lines)
 	b := uint64(m.geom.Banks)
 	c := uint64(m.geom.ColumnsPerRow)
 	d := DDR{

@@ -39,14 +39,6 @@ func DefaultConfig() Config {
 	return Config{Sets: 2048, Ways: 16, MaxLockedWays: 4}
 }
 
-type way struct {
-	line   uint64
-	valid  bool
-	dirty  bool
-	locked bool
-	lru    uint64 // last-touch tick; larger = more recent
-}
-
 // Result describes the outcome of one cache access.
 type Result struct {
 	// Hit is true when the line was present.
@@ -62,10 +54,21 @@ type Result struct {
 }
 
 // Cache is a set-associative LLC model. Not safe for concurrent use.
+//
+// Way state is flat and set-major: way w of set i lives at index
+// i*Ways+w of each array. A tag holds line+1, with 0 marking an invalid
+// way, so the hit scan compares one contiguous run of uint64s (line
+// indices are below the module size, never MaxUint64). lru is the way's
+// last-touch tick (larger = more recent).
 type Cache struct {
 	cfg  Config
-	sets [][]way
+	pow2 bool // Sets is a power of two: the set index is line & (Sets-1)
 	tick uint64
+
+	tag    []uint64
+	lru    []uint64
+	dirty  []bool
+	locked []bool
 
 	hits, misses, flushes, writebacks uint64
 	lockedLines                       map[uint64]bool
@@ -82,10 +85,16 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.MaxLockedWays < 0 || cfg.MaxLockedWays > cfg.Ways {
 		return nil, fmt.Errorf("cache: locked-way budget %d out of [0,%d]", cfg.MaxLockedWays, cfg.Ways)
 	}
-	c := &Cache{cfg: cfg, sets: make([][]way, cfg.Sets), lockedLines: make(map[uint64]bool)}
-	for i := range c.sets {
-		c.sets[i] = make([]way, cfg.Ways)
+	n := cfg.Sets * cfg.Ways
+	c := &Cache{
+		cfg:         cfg,
+		tag:         make([]uint64, n),
+		lru:         make([]uint64, n),
+		dirty:       make([]bool, n),
+		locked:      make([]bool, n),
+		lockedLines: make(map[uint64]bool),
 	}
+	c.pow2 = cfg.Sets&(cfg.Sets-1) == 0
 	return c, nil
 }
 
@@ -108,64 +117,88 @@ func (c *Cache) nowCycle() uint64 {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) setOf(line uint64) []way { return c.sets[line%uint64(c.cfg.Sets)] }
+// setOf returns the index range [lo, hi) of line's set in the way arrays.
+func (c *Cache) setOf(line uint64) (lo, hi int) {
+	var set uint64
+	if c.pow2 {
+		set = line & uint64(c.cfg.Sets-1)
+	} else {
+		set = line % uint64(c.cfg.Sets)
+	}
+	lo = int(set) * c.cfg.Ways
+	return lo, lo + c.cfg.Ways
+}
+
+// find returns the way index holding line in [lo, hi), or -1.
+func (c *Cache) find(line uint64, lo, hi int) int {
+	t := line + 1
+	for i, tag := range c.tag[lo:hi] {
+		if tag == t {
+			return lo + i
+		}
+	}
+	return -1
+}
+
+// victim picks the way a fill of [lo, hi) replaces: the first invalid
+// way, else the least recently used unlocked way, else -1 (every way
+// locked).
+func (c *Cache) victim(lo, hi int) int {
+	v := -1
+	oldest := ^uint64(0)
+	for i := lo; i < hi; i++ {
+		if c.tag[i] == 0 {
+			return i
+		}
+		if !c.locked[i] && c.lru[i] < oldest {
+			oldest = c.lru[i]
+			v = i
+		}
+	}
+	return v
+}
+
+// fill installs line in way i.
+func (c *Cache) fill(i int, line uint64, dirty, locked bool) {
+	c.tag[i] = line + 1
+	c.lru[i] = c.tick
+	c.dirty[i] = dirty
+	c.locked[i] = locked
+}
 
 // Access looks up line, updating LRU state; on miss it allocates, evicting
 // the LRU unlocked way. write marks the line dirty.
 func (c *Cache) Access(line uint64, write bool) Result {
 	c.tick++
-	set := c.setOf(line)
-	for i := range set {
-		if set[i].valid && set[i].line == line {
-			set[i].lru = c.tick
-			if write {
-				set[i].dirty = true
-			}
-			c.hits++
-			return Result{Hit: true}
+	lo, hi := c.setOf(line)
+	if i := c.find(line, lo, hi); i >= 0 {
+		c.lru[i] = c.tick
+		if write {
+			c.dirty[i] = true
 		}
+		c.hits++
+		return Result{Hit: true}
 	}
 	c.misses++
-	// Miss: pick an invalid way, else LRU among unlocked ways.
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		var oldest uint64 = ^uint64(0)
-		for i := range set {
-			if !set[i].locked && set[i].lru < oldest {
-				oldest = set[i].lru
-				victim = i
-			}
-		}
-	}
-	if victim < 0 {
+	v := c.victim(lo, hi)
+	if v < 0 {
 		// Every way locked: serve from memory without allocating.
 		return Result{Bypassed: true}
 	}
 	res := Result{Filled: true}
-	if set[victim].valid && set[victim].dirty {
+	if c.tag[v] != 0 && c.dirty[v] {
 		res.Writeback = true
-		res.WritebackLine = set[victim].line
+		res.WritebackLine = c.tag[v] - 1
 		c.writebacks++
 	}
-	set[victim] = way{line: line, valid: true, dirty: write, lru: c.tick}
+	c.fill(v, line, write, false)
 	return res
 }
 
 // Contains reports whether line is currently cached.
 func (c *Cache) Contains(line uint64) bool {
-	set := c.setOf(line)
-	for i := range set {
-		if set[i].valid && set[i].line == line {
-			return true
-		}
-	}
-	return false
+	lo, hi := c.setOf(line)
+	return c.find(line, lo, hi) >= 0
 }
 
 // Flush invalidates line (CLFLUSH). It returns true with the dirty flag
@@ -173,22 +206,18 @@ func (c *Cache) Contains(line uint64) bool {
 // lockdown mechanism (§4.2) exists precisely so an attacker's own flushes
 // cannot force the line back to DRAM; the flush is absorbed.
 func (c *Cache) Flush(line uint64) (present, dirty bool) {
-	set := c.setOf(line)
-	for i := range set {
-		if set[i].valid && set[i].line == line {
-			if set[i].locked {
-				return false, false
-			}
-			present, dirty = true, set[i].dirty
-			set[i] = way{}
-			c.flushes++
-			if dirty {
-				c.writebacks++
-			}
-			return present, dirty
-		}
+	lo, hi := c.setOf(line)
+	i := c.find(line, lo, hi)
+	if i < 0 || c.locked[i] {
+		return false, false
 	}
-	return false, false
+	dirty = c.dirty[i]
+	c.tag[i], c.lru[i], c.dirty[i] = 0, 0, false
+	c.flushes++
+	if dirty {
+		c.writebacks++
+	}
+	return true, dirty
 }
 
 // Lock pins line into its set (inserting it if absent) so it can never be
@@ -199,25 +228,21 @@ func (c *Cache) Lock(line uint64) error {
 	if c.cfg.MaxLockedWays == 0 {
 		return fmt.Errorf("cache: locking disabled: %w", ErrLockBudget)
 	}
-	set := c.setOf(line)
+	lo, hi := c.setOf(line)
 	locked := 0
-	idx := -1
-	for i := range set {
-		if set[i].locked {
+	for _, l := range c.locked[lo:hi] {
+		if l {
 			locked++
 		}
-		if set[i].valid && set[i].line == line {
-			idx = i
-		}
 	}
-	if idx >= 0 {
-		if set[idx].locked {
+	if i := c.find(line, lo, hi); i >= 0 {
+		if c.locked[i] {
 			return nil
 		}
 		if locked >= c.cfg.MaxLockedWays {
 			return fmt.Errorf("cache: line %#x: %w", line, ErrLockBudget)
 		}
-		set[idx].locked = true
+		c.locked[i] = true
 		c.lockedLines[line] = true
 		c.emitLock(obs.KindLineLock, line)
 		return nil
@@ -227,26 +252,11 @@ func (c *Cache) Lock(line uint64) error {
 	}
 	// Insert-and-lock: reuse the normal fill path, then pin.
 	c.tick++
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		var oldest uint64 = ^uint64(0)
-		for i := range set {
-			if !set[i].locked && set[i].lru < oldest {
-				oldest = set[i].lru
-				victim = i
-			}
-		}
-	}
-	if victim < 0 {
+	v := c.victim(lo, hi)
+	if v < 0 {
 		return fmt.Errorf("cache: line %#x: %w", line, ErrLockBudget)
 	}
-	set[victim] = way{line: line, valid: true, locked: true, lru: c.tick}
+	c.fill(v, line, false, true)
 	c.lockedLines[line] = true
 	c.emitLock(obs.KindLineLock, line)
 	return nil
@@ -261,11 +271,9 @@ func (c *Cache) emitLock(kind obs.Kind, line uint64) {
 
 // Unlock releases a previously locked line (it stays cached).
 func (c *Cache) Unlock(line uint64) {
-	set := c.setOf(line)
-	for i := range set {
-		if set[i].valid && set[i].line == line {
-			set[i].locked = false
-		}
+	lo, hi := c.setOf(line)
+	if i := c.find(line, lo, hi); i >= 0 {
+		c.locked[i] = false
 	}
 	if c.lockedLines[line] {
 		c.emitLock(obs.KindLineUnlock, line)

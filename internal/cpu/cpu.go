@@ -68,13 +68,18 @@ type Core struct {
 
 	counters PerfCounters
 
-	// samples is a PEBS-like ring of recent LLC-miss line addresses —
-	// what ANVIL-style defenses sample. Only CPU misses land here; DMA
-	// traffic is invisible to core PMUs.
-	samples   []uint64
-	sampleCap int
-	done      bool
+	// samples is a PEBS-like ring of the last sampleCap LLC-miss line
+	// addresses — what ANVIL-style defenses sample: sampleLen entries
+	// starting at sampleHead, oldest first. Only CPU misses land here;
+	// DMA traffic is invisible to core PMUs.
+	samples    [sampleCap]uint64
+	sampleHead int
+	sampleLen  int
+	done       bool
 }
+
+// sampleCap is the depth of the PEBS-like sample ring.
+const sampleCap = 256
 
 // NewCore builds a core running prog in the given trust domain.
 func NewCore(id, domain int, prog Program, c *cache.Cache, mc *memctrl.Controller) (*Core, error) {
@@ -85,15 +90,34 @@ func NewCore(id, domain int, prog Program, c *cache.Cache, mc *memctrl.Controlle
 		return nil, fmt.Errorf("cpu: core %d needs a cache and a memory controller", id)
 	}
 	return &Core{ID: id, Domain: domain, prog: prog, cache: c, mc: mc,
-		HitLatency: 20, FlushLatency: 40, sampleCap: 256}, nil
+		HitLatency: 20, FlushLatency: 40}, nil
 }
 
 // Samples returns the recent LLC-miss line addresses captured by the
-// core's PEBS-like sampling buffer (most recent last) and clears it.
+// core's PEBS-like sampling buffer (most recent last) and clears it. The
+// returned slice belongs to the caller; it is nil when the buffer is
+// empty.
 func (c *Core) Samples() []uint64 {
-	out := c.samples
-	c.samples = nil
+	if c.sampleLen == 0 {
+		return nil
+	}
+	out := make([]uint64, c.sampleLen)
+	for i := range out {
+		out[i] = c.samples[(c.sampleHead+i)%sampleCap]
+	}
+	c.sampleHead, c.sampleLen = 0, 0
 	return out
+}
+
+// recordSample appends one miss to the sample ring, overwriting the
+// oldest entry when it is full.
+func (c *Core) recordSample(line uint64) {
+	c.samples[(c.sampleHead+c.sampleLen)%sampleCap] = line
+	if c.sampleLen < sampleCap {
+		c.sampleLen++
+	} else {
+		c.sampleHead = (c.sampleHead + 1) % sampleCap
+	}
 }
 
 // Done reports whether the core's program has finished.
@@ -167,11 +191,7 @@ func (c *Core) access(acc Access, now uint64) (uint64, error) {
 		t += c.HitLatency
 	} else {
 		c.counters.LLCMisses++
-		if len(c.samples) >= c.sampleCap {
-			copy(c.samples, c.samples[1:])
-			c.samples = c.samples[:len(c.samples)-1]
-		}
-		c.samples = append(c.samples, acc.Line)
+		c.recordSample(acc.Line)
 		if cres.Writeback {
 			res, err := c.mc.ServeRequest(memctrl.Request{
 				Line:   cres.WritebackLine,

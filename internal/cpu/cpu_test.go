@@ -177,6 +177,48 @@ func TestCoreSamplesCaptureMisses(t *testing.T) {
 	}
 }
 
+// TestCoreSamplesRingKeepsNewest overfills the sample ring: Samples must
+// return exactly the last sampleCap misses, oldest first, and the ring
+// must refill cleanly after the drain.
+func TestCoreSamplesRingKeepsNewest(t *testing.T) {
+	llc, mc := buildParts(t)
+	const n = sampleCap + 44
+	var accs []Access
+	for i := 0; i < n+3; i++ {
+		accs = append(accs, Access{Line: uint64(i), Flush: true})
+	}
+	core, err := NewCore(0, 1, fixedProgram(accs), llc, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := uint64(0)
+	step := func() {
+		next, ok, err := core.Step(now)
+		if err != nil || !ok {
+			t.Fatal(err, ok)
+		}
+		now = next
+	}
+	for i := 0; i < n; i++ {
+		step()
+	}
+	s := core.Samples()
+	if len(s) != sampleCap {
+		t.Fatalf("samples = %d, want %d", len(s), sampleCap)
+	}
+	for i, line := range s {
+		if want := uint64(n - sampleCap + i); line != want {
+			t.Fatalf("sample %d = %d, want %d (most recent last)", i, line, want)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	if s := core.Samples(); len(s) != 3 || s[0] != n || s[2] != n+2 {
+		t.Fatalf("samples after drain = %v, want [%d %d %d]", s, n, n+1, n+2)
+	}
+}
+
 func TestCoreStepAfterDone(t *testing.T) {
 	llc, mc := buildParts(t)
 	core, err := NewCore(0, 1, fixedProgram(nil), llc, mc)

@@ -79,6 +79,10 @@ type Module struct {
 	disturb []float64
 	acts    []uint64
 	rows    int // cached Geometry.RowsPerBank()
+	subRows int // cached Geometry.RowsPerSubarray
+	// amounts[d-1] is the profile's DisturbanceAt(d) for each distance d
+	// in the blast radius, computed once instead of per victim per ACT.
+	amounts []float64
 
 	trr *trrEngine
 
@@ -100,6 +104,10 @@ type Module struct {
 	flipCtr    *int64
 	actsPerRow *sim.Histogram
 	lastCycle  uint64
+	// targeted and refNeighbors count RefreshRow / RefreshNeighbors
+	// commands; bound on first use, so they stay out of the stats of a
+	// module that never sees one.
+	targeted, refNeighbors sim.LazyCounter
 
 	// Refresh sweep state: refreshPtr is the next bank-local row the sweep
 	// will recharge (same row index in every bank). The sweep advances
@@ -173,7 +181,14 @@ func NewModule(cfg Config) (*Module, error) {
 	m.refCtr = m.stats.CounterRef("dram.ref")
 	m.flipCtr = m.stats.CounterRef("dram.flips")
 	m.actsPerRow = m.stats.NewHistogram("dram.acts_per_row", sim.ExpBuckets(1, 2, 17))
+	m.targeted = m.stats.LazyCounter("dram.targeted_refresh")
+	m.refNeighbors = m.stats.LazyCounter("dram.ref_neighbors")
 	m.rows = cfg.Geometry.RowsPerBank()
+	m.subRows = cfg.Geometry.RowsPerSubarray
+	m.amounts = make([]float64, cfg.Profile.BlastRadius)
+	for i := range m.amounts {
+		m.amounts[i] = cfg.Profile.DisturbanceAt(i + 1)
+	}
 	m.open = make([]int, cfg.Geometry.Banks)
 	for i := range m.open {
 		m.open[i] = -1
@@ -230,8 +245,8 @@ func (m *Module) Activate(bankIdx, row int, cycle uint64, actorDomain int) ([]Fl
 	if !m.geom.ValidBank(bankIdx) {
 		return nil, fmt.Errorf("dram: activate: bank %d out of range [0,%d)", bankIdx, m.geom.Banks)
 	}
-	if !m.geom.ValidRow(row) {
-		return nil, fmt.Errorf("dram: activate: row %d out of range [0,%d)", row, m.geom.RowsPerBank())
+	if row < 0 || row >= m.rows {
+		return nil, fmt.Errorf("dram: activate: row %d out of range [0,%d)", row, m.rows)
 	}
 	m.open[bankIdx] = row
 	*m.actCtr++
@@ -245,17 +260,7 @@ func (m *Module) Activate(bankIdx, row int, cycle uint64, actorDomain int) ([]Fl
 	// An ACT recharges the activated row as a side effect (§2.1).
 	m.disturb[idx] = 0
 
-	var flips []FlipEvent
-	sub := m.geom.SubarrayOf(row)
-	for dist := 1; dist <= m.prof.BlastRadius; dist++ {
-		amount := m.prof.DisturbanceAt(dist)
-		for _, victim := range [2]int{row - dist, row + dist} {
-			if !m.geom.ValidRow(victim) || m.geom.SubarrayOf(victim) != sub {
-				continue // subarrays are electromagnetically isolated
-			}
-			flips = append(flips, m.disturbRow(bankIdx, victim, row, amount, cycle, actorDomain)...)
-		}
-	}
+	flips := m.disturbNeighbors(bankIdx, row, cycle, actorDomain)
 	if m.trr != nil {
 		m.trr.onActivate(bankIdx, row)
 	}
@@ -266,7 +271,7 @@ func (m *Module) Activate(bankIdx, row int, cycle uint64, actorDomain int) ([]Fl
 // self-refresh, neighbor disturbance) without feeding the TRR tracker —
 // used by mitigation engines whose cures are themselves activations.
 func (m *Module) activateInternal(bankIdx, row int, cycle uint64) ([]FlipEvent, error) {
-	if !m.geom.ValidBank(bankIdx) || !m.geom.ValidRow(row) {
+	if !m.geom.ValidBank(bankIdx) || row < 0 || row >= m.rows {
 		return nil, fmt.Errorf("dram: internal activate: bank %d row %d out of range", bankIdx, row)
 	}
 	// A cure ACT cannot land on a bank with an open row — the engine
@@ -282,19 +287,36 @@ func (m *Module) activateInternal(bankIdx, row int, cycle uint64) ([]FlipEvent, 
 	m.lastCycle = cycle
 	m.rec.Emit(obs.Event{Kind: obs.KindACT, Cycle: cycle, Bank: bankIdx, Row: row, Domain: -1})
 	m.disturb[bankIdx*m.rows+row] = 0
-	var flips []FlipEvent
-	sub := m.geom.SubarrayOf(row)
-	for dist := 1; dist <= m.prof.BlastRadius; dist++ {
-		amount := m.prof.DisturbanceAt(dist)
-		for _, victim := range [2]int{row - dist, row + dist} {
-			if !m.geom.ValidRow(victim) || m.geom.SubarrayOf(victim) != sub {
-				continue
-			}
-			flips = append(flips, m.disturbRow(bankIdx, victim, row, amount, cycle, -1)...)
-		}
-	}
+	flips := m.disturbNeighbors(bankIdx, row, cycle, -1)
 	m.Precharge(bankIdx, cycle)
 	return flips, nil
+}
+
+// subarrayRows returns the half-open row range [lo, hi) of row's
+// subarray. Disturbance never leaves it: subarrays are electromagnetically
+// isolated, and the range lies within the bank by construction.
+func (m *Module) subarrayRows(row int) (lo, hi int) {
+	lo = row / m.subRows * m.subRows
+	return lo, lo + m.subRows
+}
+
+// disturbNeighbors applies one activation of row to every victim within
+// the blast radius in the row's subarray and returns the resulting flips.
+// Victims are visited nearest first, row-d before row+d: disturbRow draws
+// from the RNG, so the order is part of the simulated result.
+func (m *Module) disturbNeighbors(bankIdx, row int, cycle uint64, actorDomain int) []FlipEvent {
+	var flips []FlipEvent
+	lo, hi := m.subarrayRows(row)
+	for i, amount := range m.amounts {
+		dist := i + 1
+		if v := row - dist; v >= lo {
+			flips = append(flips, m.disturbRow(bankIdx, v, row, amount, cycle, actorDomain)...)
+		}
+		if v := row + dist; v < hi {
+			flips = append(flips, m.disturbRow(bankIdx, v, row, amount, cycle, actorDomain)...)
+		}
+	}
+	return flips
 }
 
 // disturbRow adds disturbance to one victim row and generates flips for
@@ -529,7 +551,7 @@ func (m *Module) RefreshRow(bankIdx, row int) error {
 	if !m.geom.ValidRow(row) {
 		return fmt.Errorf("dram: refresh row: row %d out of range [0,%d)", row, m.geom.RowsPerBank())
 	}
-	m.stats.Inc("dram.targeted_refresh")
+	m.targeted.Inc()
 	m.rec.Emit(obs.Event{Kind: obs.KindTargetedRefresh, Cycle: m.lastCycle, Bank: bankIdx, Row: row, Domain: -1})
 	m.refreshRowInternal(bankIdx, row)
 	return nil
@@ -548,15 +570,16 @@ func (m *Module) RefreshNeighbors(bankIdx, row, radius int, cycle uint64) error 
 	if radius <= 0 {
 		return fmt.Errorf("dram: refresh neighbors: radius %d, need > 0", radius)
 	}
-	m.stats.Inc("dram.ref_neighbors")
+	m.refNeighbors.Inc()
 	m.lastCycle = cycle
 	m.rec.Emit(obs.Event{Kind: obs.KindRefNeighbors, Cycle: cycle, Bank: bankIdx, Row: row, Domain: -1, Arg: uint64(radius)})
-	sub := m.geom.SubarrayOf(row)
+	lo, hi := m.subarrayRows(row)
 	for dist := 1; dist <= radius; dist++ {
-		for _, victim := range [2]int{row - dist, row + dist} {
-			if m.geom.ValidRow(victim) && m.geom.SubarrayOf(victim) == sub {
-				m.refreshRowInternal(bankIdx, victim)
-			}
+		if v := row - dist; v >= lo {
+			m.refreshRowInternal(bankIdx, v)
+		}
+		if v := row + dist; v < hi {
+			m.refreshRowInternal(bankIdx, v)
 		}
 	}
 	return nil

@@ -311,11 +311,11 @@ func E4Overhead(ctx context.Context, horizon uint64, paraProbs []float64) (*repo
 		if err != nil {
 			return e4Cell{}, err
 		}
-		acc, energy, err := runBenign(ctx, d, horizon)
+		cell, _, err := runBenign(ctx, d, horizon)
 		if err != nil {
 			return e4Cell{}, fmt.Errorf("harness: E4 %s: %w", entries[i].name, err)
 		}
-		return e4Cell{Accesses: acc, Energy: energy}, nil
+		return cell, nil
 	})
 	if err := run.Err(); err != nil {
 		return nil, err
@@ -356,32 +356,34 @@ type e4Cell struct {
 }
 
 // runBenign runs three benign tenants (stream + random mix, MLP 4) under
-// the defense and returns their total completed accesses. The combined
-// working set (3 x 2 MiB) exceeds the LLC so the memory system — where
-// every defense lives — is actually exercised.
-func runBenign(ctx context.Context, d core.Defense, horizon uint64) (uint64, float64, error) {
+// the defense and returns their total completed accesses and DRAM energy,
+// plus the run's result. The combined working set (3 x 2 MiB) exceeds the
+// LLC so the memory system — where every defense lives — is actually
+// exercised.
+func runBenign(ctx context.Context, d core.Defense, horizon uint64) (e4Cell, core.RunResult, error) {
+	fail := func(err error) (e4Cell, core.RunResult, error) { return e4Cell{}, core.RunResult{}, err }
 	m, err := core.BuildWithDefense(core.DefaultSpec(), d)
 	if err != nil {
-		return 0, 0, err
+		return fail(err)
 	}
 	tenants, err := SetupTenants(m, 3, 512)
 	if err != nil {
-		return 0, 0, err
+		return fail(err)
 	}
 	var agents []core.Agent
 	var cores []*cpu.Core
 	for i, t := range tenants {
 		st, err := workload.Stream(t.Lines, 1<<30, 0)
 		if err != nil {
-			return 0, 0, err
+			return fail(err)
 		}
 		rd, err := workload.Random(t.Lines, 1<<30, 0, 0.3, m.RNG.Fork())
 		if err != nil {
-			return 0, 0, err
+			return fail(err)
 		}
 		c, err := cpu.NewCore(i, t.Domain.ID, workload.Mix(st, rd), m.Cache, m.MC)
 		if err != nil {
-			return 0, 0, err
+			return fail(err)
 		}
 		c.MLP = 4
 		agents = append(agents, c)
@@ -392,12 +394,12 @@ func runBenign(ctx context.Context, d core.Defense, horizon uint64) (uint64, flo
 	}
 	res, err := m.RunCtx(ctx, agents, horizon)
 	if err != nil {
-		return 0, 0, err
+		return fail(err)
 	}
 	var total uint64
 	for _, c := range cores {
 		total += c.Counters().Accesses
 	}
 	energy := dram.DDR4Energy().EstimateWithIO(m.DRAM, res.Stats.Counter("mc.requests"))
-	return total, energy, nil
+	return e4Cell{Accesses: total, Energy: energy}, res, nil
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"log/slog"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -69,13 +70,16 @@ func gridName(id string) string {
 // gridProgress tracks one running grid's completion counters and
 // publishes progress records to the run's hub after every cell.
 type gridProgress struct {
-	hub      *telemetry.Hub
-	grid     string
-	total    int
-	start    time.Time
-	done     atomic.Int64
-	failed   atomic.Int64
-	restored atomic.Int64
+	hub   *telemetry.Hub
+	grid  string
+	total int
+	start time.Time
+
+	// mu orders each cell's count update with its publication, so
+	// concurrent cells publish progress records whose Done strictly
+	// increases.
+	mu                     sync.Mutex
+	done, failed, restored int
 }
 
 func newGridProgress(hub *telemetry.Hub, grid string, total int) *gridProgress {
@@ -83,15 +87,16 @@ func newGridProgress(hub *telemetry.Hub, grid string, total int) *gridProgress {
 }
 
 // cellDone records one finished cell (computed or restored) and
-// publishes its completion plus a fresh progress record. Free (two
-// atomic adds) when the run has no hub.
+// publishes its completion plus a fresh progress record.
 func (p *gridProgress) cellDone(i int, wall time.Duration, attempts int, restored bool, errMsg string) {
-	d := p.done.Add(1)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.done++
 	if errMsg != "" {
-		p.failed.Add(1)
+		p.failed++
 	}
 	if restored {
-		p.restored.Add(1)
+		p.restored++
 	}
 	if p.hub == nil {
 		return
@@ -105,15 +110,15 @@ func (p *gridProgress) cellDone(i int, wall time.Duration, attempts int, restore
 		Err:      errMsg,
 	})
 	var eta float64
-	if d > 0 && int(d) < p.total {
-		eta = time.Since(p.start).Seconds() / float64(d) * float64(p.total-int(d))
+	if p.done < p.total {
+		eta = time.Since(p.start).Seconds() / float64(p.done) * float64(p.total-p.done)
 	}
 	p.hub.Publish("progress", telemetry.Progress{
 		Grid:         p.grid,
-		Done:         int(d),
+		Done:         p.done,
 		Total:        p.total,
-		Restored:     int(p.restored.Load()),
-		Failed:       int(p.failed.Load()),
+		Restored:     p.restored,
+		Failed:       p.failed,
 		EventsPerSec: p.hub.EventsPerSec(),
 		ETASeconds:   eta,
 	})

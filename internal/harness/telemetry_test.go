@@ -86,8 +86,13 @@ func TestGridTelemetrySpansAndRecords(t *testing.T) {
 			cellRecs = append(cellRecs, cd)
 		case "progress":
 			progs++
+			prevDone := lastProg.Done
 			if err := json.Unmarshal(m.Data, &lastProg); err != nil {
 				t.Fatal(err)
+			}
+			if lastProg.Done <= prevDone {
+				t.Fatalf("progress record %d has done=%d after done=%d; records must strictly increase",
+					progs, lastProg.Done, prevDone)
 			}
 		}
 	}

@@ -5,10 +5,7 @@
 // semantics (§4.4).
 package hostos
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PageSize is the host page size in bytes.
 const PageSize = 4096
@@ -31,28 +28,49 @@ type Domain struct {
 }
 
 // PageTable maps a domain's virtual page numbers to physical frames.
+// Domains map their pages densely from VPN 0, so the table is a slice
+// indexed by VPN holding frame+1 (0 = unmapped): a translation is one
+// bounds check and one load. Memory grows with the highest mapped VPN.
 type PageTable struct {
-	entries map[uint64]uint64
+	frames []uint64
+	size   int
 }
 
 // NewPageTable returns an empty page table.
-func NewPageTable() *PageTable { return &PageTable{entries: make(map[uint64]uint64)} }
+func NewPageTable() *PageTable { return &PageTable{} }
 
 // Map installs vpn -> frame, replacing any existing mapping.
-func (pt *PageTable) Map(vpn, frame uint64) { pt.entries[vpn] = frame }
+func (pt *PageTable) Map(vpn, frame uint64) {
+	if vpn >= uint64(len(pt.frames)) {
+		grown := make([]uint64, vpn+1, 2*vpn+1)
+		copy(grown, pt.frames)
+		pt.frames = grown
+	}
+	if pt.frames[vpn] == 0 {
+		pt.size++
+	}
+	pt.frames[vpn] = frame + 1
+}
 
 // Unmap removes vpn's mapping.
-func (pt *PageTable) Unmap(vpn uint64) { delete(pt.entries, vpn) }
+func (pt *PageTable) Unmap(vpn uint64) {
+	if vpn < uint64(len(pt.frames)) && pt.frames[vpn] != 0 {
+		pt.frames[vpn] = 0
+		pt.size--
+	}
+}
 
 // Frame returns the frame mapped at vpn.
 func (pt *PageTable) Frame(vpn uint64) (uint64, bool) {
-	f, ok := pt.entries[vpn]
-	return f, ok
+	if vpn >= uint64(len(pt.frames)) || pt.frames[vpn] == 0 {
+		return 0, false
+	}
+	return pt.frames[vpn] - 1, true
 }
 
 // Translate converts a virtual byte address to a physical byte address.
 func (pt *PageTable) Translate(va uint64) (uint64, error) {
-	frame, ok := pt.entries[va/PageSize]
+	frame, ok := pt.Frame(va / PageSize)
 	if !ok {
 		return 0, fmt.Errorf("hostos: page fault at va %#x (vpn %d unmapped)", va, va/PageSize)
 	}
@@ -61,13 +79,14 @@ func (pt *PageTable) Translate(va uint64) (uint64, error) {
 
 // VPNs returns the mapped virtual page numbers in ascending order.
 func (pt *PageTable) VPNs() []uint64 {
-	out := make([]uint64, 0, len(pt.entries))
-	for v := range pt.entries {
-		out = append(out, v)
+	out := make([]uint64, 0, pt.size)
+	for v, f := range pt.frames {
+		if f != 0 {
+			out = append(out, uint64(v))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Size returns the number of mapped pages.
-func (pt *PageTable) Size() int { return len(pt.entries) }
+func (pt *PageTable) Size() int { return pt.size }

@@ -56,6 +56,36 @@ func TestPageTableTranslate(t *testing.T) {
 	}
 }
 
+// TestPageTableSizeAndOrder pins the slice-backed table's bookkeeping:
+// frame 0 is a real mapping, remapping a VPN does not grow Size,
+// unmapping an absent or out-of-range VPN is a no-op, and VPNs come back
+// ascending whatever the insertion order.
+func TestPageTableSizeAndOrder(t *testing.T) {
+	pt := NewPageTable()
+	for _, vpn := range []uint64{9, 0, 4} {
+		pt.Map(vpn, 0)
+	}
+	pt.Map(4, 12)
+	pt.Unmap(5)
+	pt.Unmap(1000)
+	if pt.Size() != 3 {
+		t.Fatalf("size = %d, want 3", pt.Size())
+	}
+	if f, ok := pt.Frame(0); !ok || f != 0 {
+		t.Fatalf("frame(0) = %d,%v, want 0,true", f, ok)
+	}
+	if f, ok := pt.Frame(4); !ok || f != 12 {
+		t.Fatalf("frame(4) = %d,%v, want 12,true", f, ok)
+	}
+	if got := pt.VPNs(); len(got) != 3 || got[0] != 0 || got[1] != 4 || got[2] != 9 {
+		t.Fatalf("VPNs = %v, want [0 4 9]", got)
+	}
+	pt.Unmap(9)
+	if _, ok := pt.Frame(9); ok || pt.Size() != 2 {
+		t.Fatalf("after Unmap(9): size %d, frame present %v", pt.Size(), ok)
+	}
+}
+
 func TestKernelAllocAndOwnership(t *testing.T) {
 	k := buildKernel(t, nil, linearAlloc)
 	d := k.CreateDomain("vm", false, false)

@@ -20,9 +20,10 @@ type Kernel struct {
 	geom   dram.Geometry
 	alloc  Allocator
 
-	domains map[int]*Domain
-	tables  map[int]*PageTable
-	nextID  int
+	// domains and tables are indexed by domain ID: IDs are handed out
+	// densely from HostDomain, so the next ID is len(domains).
+	domains []*Domain
+	tables  []*PageTable
 
 	frameOwner map[uint64]int // frame -> domain
 
@@ -55,14 +56,11 @@ func NewKernel(mc *memctrl.Controller, alloc Allocator) (*Kernel, error) {
 		mapper:     mc.Mapper(),
 		geom:       mc.Mapper().Geometry(),
 		alloc:      alloc,
-		domains:    make(map[int]*Domain),
-		tables:     make(map[int]*PageTable),
-		nextID:     HostDomain + 1,
+		domains:    []*Domain{{ID: HostDomain, Name: "host"}},
+		tables:     []*PageTable{NewPageTable()},
 		frameOwner: make(map[uint64]int),
 		stats:      &sim.Stats{},
 	}
-	k.domains[HostDomain] = &Domain{ID: HostDomain, Name: "host"}
-	k.tables[HostDomain] = NewPageTable()
 	// If the allocator is subarray-aware and the MC enforces groups,
 	// register assignments as they happen.
 	if sa, ok := alloc.(*SubarrayAware); ok {
@@ -91,26 +89,26 @@ func (k *Kernel) Allocator() Allocator { return k.alloc }
 
 // CreateDomain registers a new trust domain and returns it.
 func (k *Kernel) CreateDomain(name string, enclave, integrityChecked bool) *Domain {
-	d := &Domain{ID: k.nextID, Name: name, Enclave: enclave, IntegrityChecked: integrityChecked}
-	k.nextID++
-	k.domains[d.ID] = d
-	k.tables[d.ID] = NewPageTable()
+	d := &Domain{ID: len(k.domains), Name: name, Enclave: enclave, IntegrityChecked: integrityChecked}
+	k.domains = append(k.domains, d)
+	k.tables = append(k.tables, NewPageTable())
 	return d
 }
 
 // Domain returns the domain with the given ID.
 func (k *Kernel) Domain(id int) (*Domain, bool) {
-	d, ok := k.domains[id]
-	return d, ok
+	if id < 0 || id >= len(k.domains) {
+		return nil, false
+	}
+	return k.domains[id], true
 }
 
 // PageTable returns the domain's page table.
 func (k *Kernel) PageTable(domain int) (*PageTable, error) {
-	pt, ok := k.tables[domain]
-	if !ok {
+	if domain < 0 || domain >= len(k.tables) {
 		return nil, fmt.Errorf("hostos: unknown domain %d", domain)
 	}
-	return pt, nil
+	return k.tables[domain], nil
 }
 
 // AllocPages allocates and maps n pages at consecutive VPNs starting at
@@ -296,10 +294,9 @@ func (k *Kernel) VPNOfLine(line uint64) (domain int, vpn uint64, ok bool) {
 	if !ok {
 		return 0, 0, false
 	}
-	pt := k.tables[domain]
-	for _, v := range pt.VPNs() {
-		if f, _ := pt.Frame(v); f == frame {
-			return domain, v, true
+	for v, f := range k.tables[domain].frames {
+		if f == frame+1 {
+			return domain, uint64(v), true
 		}
 	}
 	return 0, 0, false
@@ -316,7 +313,7 @@ func (k *Kernel) ReportFlip(ev dram.FlipEvent, aggressorDomain int) (victimDomai
 	if !ok {
 		return -1, false
 	}
-	if d := k.domains[victim]; d != nil && d.IntegrityChecked {
+	if d, _ := k.Domain(victim); d != nil && d.IntegrityChecked {
 		k.lockedUp = true
 		k.stats.Inc("os.integrity_lockups")
 	}

@@ -98,10 +98,16 @@ type Controller struct {
 	gate  *sim.Canceler
 
 	// Hot-path histogram and counter handles (skip the stats map lookup
-	// per request / per refresh epoch).
+	// per request / per refresh epoch). The per-request counters bind on
+	// their first event, so one that never fires stays out of the stats.
 	interACT *sim.Histogram
 	service  *sim.Histogram
 	refCtr   *int64
+
+	requests, writes, dmaRequests          sim.LazyCounter
+	rowHits, rowEmpty, rowConflicts        sim.LazyCounter
+	acts, paraRefreshes, grapheneRefreshes sim.LazyCounter
+	violations, throttled, throttleCycles  sim.LazyCounter
 }
 
 // NewController validates cfg and builds a controller.
@@ -149,6 +155,18 @@ func NewController(cfg Config) (*Controller, error) {
 	c.interACT = c.stats.NewHistogram("mc.inter_act_cycles", sim.ExpBuckets(8, 2, 16))
 	c.service = c.stats.NewHistogram("mc.service_cycles", sim.ExpBuckets(8, 2, 16))
 	c.refCtr = c.stats.CounterRef("mc.ref")
+	c.requests = c.stats.LazyCounter("mc.requests")
+	c.writes = c.stats.LazyCounter("mc.writes")
+	c.dmaRequests = c.stats.LazyCounter("mc.dma_requests")
+	c.rowHits = c.stats.LazyCounter("mc.row_hits")
+	c.rowEmpty = c.stats.LazyCounter("mc.row_empty")
+	c.rowConflicts = c.stats.LazyCounter("mc.row_conflicts")
+	c.acts = c.stats.LazyCounter("mc.acts")
+	c.paraRefreshes = c.stats.LazyCounter("mc.para_refreshes")
+	c.grapheneRefreshes = c.stats.LazyCounter("mc.graphene_refreshes")
+	c.violations = c.stats.LazyCounter("mc.domain_violations")
+	c.throttled = c.stats.LazyCounter("mc.throttled")
+	c.throttleCycles = c.stats.LazyCounter("mc.throttle_cycles")
 	return c, nil
 }
 
@@ -343,7 +361,7 @@ func (c *Controller) ServeRequest(req Request, arrival uint64) (ServiceResult, e
 	if c.enforcer != nil {
 		res.Violation = !c.enforcer.Check(req.Domain, d.Row)
 		if res.Violation {
-			c.stats.Inc("mc.domain_violations")
+			c.violations.Inc()
 		}
 	}
 
@@ -351,8 +369,8 @@ func (c *Controller) ServeRequest(req Request, arrival uint64) (ServiceResult, e
 	if c.admission != nil {
 		delay := c.admission.Admit(req, d.Bank, d.Row, c.dram.OpenRow(d.Bank) != d.Row, arrival)
 		if delay > 0 {
-			c.stats.Add("mc.throttle_cycles", int64(delay))
-			c.stats.Inc("mc.throttled")
+			c.throttleCycles.Add(int64(delay))
+			c.throttled.Inc()
 			res.ThrottleDelay = delay
 			start += delay
 		}
@@ -373,15 +391,15 @@ func (c *Controller) ServeRequest(req Request, arrival uint64) (ServiceResult, e
 	case !wouldAct:
 		lat = c.timing.RowHitLatency()
 		res.RowHit = true
-		c.stats.Inc("mc.row_hits")
+		c.rowHits.Inc()
 		c.rec.Emit(obs.Event{Kind: obs.KindRowHit, Cycle: start, Bank: d.Bank, Row: d.Row, Domain: req.Domain})
 	case open < 0:
 		lat = c.timing.RowEmptyLatency()
-		c.stats.Inc("mc.row_empty")
+		c.rowEmpty.Inc()
 		c.rec.Emit(obs.Event{Kind: obs.KindRowEmpty, Cycle: start, Bank: d.Bank, Row: d.Row, Domain: req.Domain})
 	default:
 		lat = c.timing.RowMissLatency()
-		c.stats.Inc("mc.row_conflicts")
+		c.rowConflicts.Inc()
 		c.rec.Emit(obs.Event{Kind: obs.KindRowConflict, Cycle: start, Bank: d.Bank, Row: d.Row, Domain: req.Domain})
 	}
 
@@ -428,12 +446,12 @@ func (c *Controller) ServeRequest(req Request, arrival uint64) (ServiceResult, e
 	res.Start = start
 	res.Completion = completion
 	c.service.Observe(float64(completion - arrival))
-	c.stats.Inc("mc.requests")
+	c.requests.Inc()
 	if req.Write {
-		c.stats.Inc("mc.writes")
+		c.writes.Inc()
 	}
 	if req.Source.Kind == SourceDMA {
-		c.stats.Inc("mc.dma_requests")
+		c.dmaRequests.Inc()
 	}
 	return res, nil
 }
@@ -448,7 +466,7 @@ func (c *Controller) activate(bank, row int, start uint64, req Request) error {
 		c.interACT.Observe(float64(start - (last - 1)))
 	}
 	c.lastACT[bank] = start + 1
-	c.stats.Inc("mc.acts")
+	c.acts.Inc()
 
 	c.counter.onACT(ACTEvent{
 		Cycle:   start,
@@ -471,7 +489,7 @@ func (c *Controller) activate(bank, row int, start uint64, req Request) error {
 			if err := c.dram.RefreshRow(bank, victim); err != nil {
 				return err
 			}
-			c.stats.Inc("mc.para_refreshes")
+			c.paraRefreshes.Inc()
 			c.bankReady[bank] += c.timing.TRC // refresh occupies the bank
 		}
 	}
@@ -483,7 +501,7 @@ func (c *Controller) activate(bank, row int, start uint64, req Request) error {
 			if err := c.dram.RefreshNeighbors(bank, hot, radius, start); err != nil {
 				return err
 			}
-			c.stats.Inc("mc.graphene_refreshes")
+			c.grapheneRefreshes.Inc()
 			c.bankReady[bank] += c.timing.TRC * uint64(2*radius)
 		}
 	}

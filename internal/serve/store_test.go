@@ -219,9 +219,17 @@ func TestManagerRestartResumesOrphans(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// The running job's checkpoint file exists while it runs.
-	if _, err := os.Stat(st.CheckpointPath(j1.ID)); err != nil {
-		t.Fatalf("running job has no checkpoint file: %v", err)
+	// The running job's checkpoint file exists while it runs. The session
+	// opens it just after publishing the running state, so wait for it.
+	for {
+		_, err := os.Stat(st.CheckpointPath(j1.ID))
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("running job has no checkpoint file: %v", err)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	wantTrace1, wantTrace2 := j1.TraceID(), j2.TraceID()
 	wantSubmitted := j1.View().Submitted

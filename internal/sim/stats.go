@@ -38,6 +38,34 @@ func (s *Stats) CounterRef(name string) *int64 {
 	return p
 }
 
+// LazyCounter is a handle to one named counter that binds to the registry
+// on its first Add, not when it is made. Per-request paths hold one per
+// counter and skip the map lookup after the first event, while a counter
+// that never fires still never appears in CounterNames or Snapshot — the
+// registry's contents stay exactly what name-keyed Inc calls would leave.
+// Like CounterRef's pointer, a bound handle is orphaned by Reset.
+type LazyCounter struct {
+	stats *Stats
+	name  string
+	p     *int64
+}
+
+// LazyCounter returns an unbound handle to the named counter.
+func (s *Stats) LazyCounter(name string) LazyCounter {
+	return LazyCounter{stats: s, name: name}
+}
+
+// Add increments the counter by delta, binding the handle first if needed.
+func (c *LazyCounter) Add(delta int64) {
+	if c.p == nil {
+		c.p = c.stats.CounterRef(c.name)
+	}
+	*c.p += delta
+}
+
+// Inc increments the counter by one.
+func (c *LazyCounter) Inc() { c.Add(1) }
+
 // Add increments the named counter by delta, creating it if needed.
 func (s *Stats) Add(name string, delta int64) {
 	*s.CounterRef(name) += delta
@@ -113,16 +141,20 @@ type Histogram struct {
 	sum    float64
 }
 
-// Observe records one sample.
+// Observe records one sample into the first bucket whose bound is >= v,
+// found by binary search over the ascending bounds; NaN compares false
+// against every bound and lands in the overflow bucket.
 func (h *Histogram) Observe(v float64) {
-	idx := len(h.bounds)
-	for i, b := range h.bounds {
-		if v <= b {
-			idx = i
-			break
+	lo, hi := 0, len(h.bounds)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if v <= h.bounds[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	h.counts[idx]++
+	h.counts[lo]++
 	h.count++
 	h.sum += v
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 )
@@ -239,6 +240,63 @@ func TestHistogramObserveOutOfRange(t *testing.T) {
 	}
 	if sum := h.Sum(); sum < 42.011 || sum > 42.0111 {
 		t.Fatalf("sum = %g", sum)
+	}
+}
+
+// TestHistogramObserveMatchesLinearScan pins the binary-search bucket
+// choice to the linear scan it replaced (first bound >= v, else the
+// overflow bucket) on every edge: each bound exactly, between bounds,
+// below the first, above the last, ±Inf and NaN.
+func TestHistogramObserveMatchesLinearScan(t *testing.T) {
+	linear := func(bounds []float64, v float64) int {
+		for i, b := range bounds {
+			if v <= b {
+				return i
+			}
+		}
+		return len(bounds)
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, bounds := range [][]float64{
+		ExpBuckets(8, 2, 16),
+		ExpBuckets(1, 2, 17),
+		{5},
+		{1, 1, 2}, // repeated bound: the first of the pair wins
+		{},
+	} {
+		values := []float64{-inf, inf, nan, 0, -1, 1e300}
+		for _, b := range bounds {
+			values = append(values, b, b-0.5, b+0.5, math.Nextafter(b, inf))
+		}
+		for _, v := range values {
+			var s Stats
+			h := s.NewHistogram("h", bounds)
+			h.Observe(v)
+			want := linear(bounds, v)
+			if h.Counts()[want] != 1 {
+				t.Fatalf("bounds %v: Observe(%g) counts %v, want bucket %d", bounds, v, h.Counts(), want)
+			}
+		}
+	}
+}
+
+// TestLazyCounterBindsOnFirstAdd pins the handle contract the request
+// path relies on: an unfired handle leaves no counter behind, a fired one
+// is the same counter name-keyed calls see.
+func TestLazyCounterBindsOnFirstAdd(t *testing.T) {
+	var s Stats
+	c := s.LazyCounter("mc.row_hits")
+	if n := len(s.CounterNames()); n != 0 {
+		t.Fatalf("unfired handle registered %d counters", n)
+	}
+	c.Inc()
+	c.Add(4)
+	s.Inc("mc.row_hits")
+	if got := s.Counter("mc.row_hits"); got != 6 {
+		t.Fatalf("counter = %d, want 6", got)
+	}
+	if allocs := testing.AllocsPerRun(1000, c.Inc); allocs != 0 {
+		t.Fatalf("bound handle Inc allocates %.1f", allocs)
 	}
 }
 
