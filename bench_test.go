@@ -582,3 +582,35 @@ func BenchmarkE1MatrixParallel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCellSetup measures what one E1 cell spends before its first
+// simulated cycle: building the machine with its defense, allocating
+// three tenants of 170 pages, and planning a double-sided attack. The
+// benchgate baseline pins the bank-partitioned and guard-row cells
+// within a fixed ratio of the undefended one, so allocator set-up that
+// scales with DRAM size rather than with allocated pages fails CI.
+func BenchmarkCellSetup(b *testing.B) {
+	for _, name := range []string{"none", "bankpart", "zebram"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := defense.New(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m, err := core.BuildWithDefense(harness.E1Spec(), d)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tenants, err := harness.SetupTenants(m, 3, 170)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := attack.PlanDoubleSided(m.Kernel, m.Mapper, tenants[0].Domain.ID,
+					1, m.Spec.Profile.BlastRadius); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

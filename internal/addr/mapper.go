@@ -11,6 +11,7 @@ package addr
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hammertime/internal/dram"
 )
@@ -48,6 +49,32 @@ func checkLine(line, lines uint64) {
 	}
 }
 
+// log2 returns the base-2 logarithm of n and whether n is a power of two.
+func log2(n int) (uint, bool) {
+	if n <= 0 || n&(n-1) != 0 {
+		return 0, false
+	}
+	return uint(bits.TrailingZeros(uint(n))), true
+}
+
+// fields is a two-level split of a line index into low, mid and high
+// fields by shifts and masks, valid when both lower field sizes are
+// powers of two (as in the default geometry).
+type fields struct {
+	pow2             bool
+	lowBits, midBits uint
+	lowMask, midMask uint64
+}
+
+func newFields(low, mid int) fields {
+	lb, ok1 := log2(low)
+	mb, ok2 := log2(mid)
+	if !ok1 || !ok2 {
+		return fields{}
+	}
+	return fields{pow2: true, lowBits: lb, midBits: mb, lowMask: uint64(low) - 1, midMask: uint64(mid) - 1}
+}
+
 // RowRegion maps consecutive physical lines into the same row of the same
 // bank until the row is exhausted (bank interleaving disabled, as when the
 // BIOS option of §4.1's strawman is turned off). Layout, low to high bits:
@@ -65,10 +92,13 @@ func checkLine(line, lines uint64) {
 type RowRegion struct {
 	geom  dram.Geometry
 	lines uint64
+	f     fields // column, row
 }
 
 // NewRowRegion returns a RowRegion mapper for g.
-func NewRowRegion(g dram.Geometry) *RowRegion { return &RowRegion{geom: g, lines: g.TotalLines()} }
+func NewRowRegion(g dram.Geometry) *RowRegion {
+	return &RowRegion{geom: g, lines: g.TotalLines(), f: newFields(g.ColumnsPerRow, g.RowsPerBank())}
+}
 
 // Name implements Mapper.
 func (m *RowRegion) Name() string { return "row-region" }
@@ -79,6 +109,13 @@ func (m *RowRegion) Geometry() dram.Geometry { return m.geom }
 // Map implements Mapper.
 func (m *RowRegion) Map(line uint64) DDR {
 	checkLine(line, m.lines)
+	if f := &m.f; f.pow2 {
+		return DDR{
+			Column: int(line & f.lowMask),
+			Row:    int(line >> f.lowBits & f.midMask),
+			Bank:   int(line >> (f.lowBits + f.midBits)),
+		}
+	}
 	c := uint64(m.geom.ColumnsPerRow)
 	r := uint64(m.geom.RowsPerBank())
 	return DDR{
@@ -109,11 +146,12 @@ func (m *RowRegion) Unmap(d DDR) uint64 {
 type LineInterleave struct {
 	geom  dram.Geometry
 	lines uint64
+	f     fields // bank, column
 }
 
 // NewLineInterleave returns a LineInterleave mapper for g.
 func NewLineInterleave(g dram.Geometry) *LineInterleave {
-	return &LineInterleave{geom: g, lines: g.TotalLines()}
+	return &LineInterleave{geom: g, lines: g.TotalLines(), f: newFields(g.Banks, g.ColumnsPerRow)}
 }
 
 // Name implements Mapper.
@@ -125,6 +163,13 @@ func (m *LineInterleave) Geometry() dram.Geometry { return m.geom }
 // Map implements Mapper.
 func (m *LineInterleave) Map(line uint64) DDR {
 	checkLine(line, m.lines)
+	if f := &m.f; f.pow2 {
+		return DDR{
+			Bank:   int(line & f.lowMask),
+			Column: int(line >> f.lowBits & f.midMask),
+			Row:    int(line >> (f.lowBits + f.midBits)),
+		}
+	}
 	b := uint64(m.geom.Banks)
 	c := uint64(m.geom.ColumnsPerRow)
 	return DDR{

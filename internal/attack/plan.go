@@ -11,7 +11,7 @@ package attack
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hammertime/internal/addr"
 	"hammertime/internal/hostos"
@@ -53,13 +53,21 @@ func fillVAs(k *hostos.Kernel, lineBytes int, plan *Plan) error {
 // cache-line interleaving a single DRAM row mixes lines from many pages
 // (the §4.1 observation), so the attacker needs only one of its own lines
 // in a row to activate it, and a row is a victim if it holds at least one
-// line of another domain.
+// line of another domain. Both tables are indexed by bank-local row.
 type bankMap struct {
-	// attackerLine maps rows containing attacker data to one attacker
-	// line in that row (the line to hammer).
-	attackerLine map[int]uint64
+	// attackerLine holds, per row, the first attacker line in the row
+	// (the line to hammer) plus one; 0 means the attacker owns none.
+	attackerLine []uint64
 	// hasOther marks rows containing at least one other domain's line.
-	hasOther map[int]bool
+	hasOther []bool
+	// rows lists the rows holding attacker data, ascending.
+	rows []int
+}
+
+// line returns the attacker line to hammer in valid row r, if any.
+func (bm *bankMap) line(r int) (uint64, bool) {
+	l := bm.attackerLine[r]
+	return l - 1, l != 0
 }
 
 // surveyor builds per-bank ownership maps for an attacker domain.
@@ -67,45 +75,52 @@ type surveyor struct {
 	kernel   *hostos.Kernel
 	mapper   addr.Mapper
 	attacker int
-	banks    map[int]*bankMap
+	banks    []bankMap // indexed by bank
 }
 
 func newSurveyor(k *hostos.Kernel, m addr.Mapper, attacker int) *surveyor {
-	return &surveyor{kernel: k, mapper: m, attacker: attacker, banks: make(map[int]*bankMap)}
+	return &surveyor{kernel: k, mapper: m, attacker: attacker}
 }
 
 // survey classifies every row the attacker or any other domain owns by
 // walking all allocated pages (the attacker learns adjacency via the
-// established inference methods of §2.1; we grant it the result).
+// established inference methods of §2.1; we grant it the result). Pages
+// are the allocation unit, so a frame's first line names its owner, and
+// unowned frames cost one lookup each.
 func (s *surveyor) survey() {
 	g := s.mapper.Geometry()
-	for bank := 0; bank < g.Banks; bank++ {
-		bm := &bankMap{attackerLine: make(map[int]uint64), hasOther: make(map[int]bool)}
-		s.banks[bank] = bm
+	rows := g.RowsPerBank()
+	lines := make([]uint64, g.Banks*rows)
+	other := make([]bool, g.Banks*rows)
+	s.banks = make([]bankMap, g.Banks)
+	for b := range s.banks {
+		s.banks[b] = bankMap{
+			attackerLine: lines[b*rows : (b+1)*rows : (b+1)*rows],
+			hasOther:     other[b*rows : (b+1)*rows : (b+1)*rows],
+		}
 	}
 	lpp := hostos.LinesPerPage(g)
-	for frame := uint64(0); frame < hostos.TotalFrames(g); frame++ {
+	frames := hostos.TotalFrames(g)
+	for frame := uint64(0); frame < frames; frame++ {
 		owner, ok := s.kernel.OwnerOfLine(frame * lpp)
 		if !ok {
 			continue
 		}
-		for l := uint64(0); l < lpp; l++ {
-			line := frame*lpp + l
+		for line := frame * lpp; line < (frame+1)*lpp; line++ {
 			d := s.mapper.Map(line)
-			bm := s.banks[d.Bank]
-			if owner == s.attacker {
-				if _, have := bm.attackerLine[d.Row]; !have {
-					bm.attackerLine[d.Row] = line
-				}
-			} else {
+			bm := &s.banks[d.Bank]
+			if owner != s.attacker {
 				bm.hasOther[d.Row] = true
+			} else if bm.attackerLine[d.Row] == 0 {
+				bm.attackerLine[d.Row] = line + 1
+				bm.rows = append(bm.rows, d.Row)
 			}
 		}
 	}
+	for b := range s.banks {
+		slices.Sort(s.banks[b].rows)
+	}
 }
-
-// NOTE: OwnerOfLine is per line, but pages are the allocation unit, so
-// checking the first line of each frame suffices.
 
 // candidate is an attacker row with at least one victim row in range.
 type candidate struct {
@@ -119,15 +134,9 @@ type candidate struct {
 func (s *surveyor) candidates(radius int) []candidate {
 	g := s.mapper.Geometry()
 	var out []candidate
-	bankIDs := make([]int, 0, len(s.banks))
-	for b := range s.banks {
-		bankIDs = append(bankIDs, b)
-	}
-	sort.Ints(bankIDs)
-	for _, bank := range bankIDs {
-		bm := s.banks[bank]
-		rows := sortedAttackerRows(bm)
-		for _, r := range rows {
+	for bank := range s.banks {
+		bm := &s.banks[bank]
+		for _, r := range bm.rows {
 			var victims []int
 			for d := 1; d <= radius; d++ {
 				for _, v := range [2]int{r - d, r + d} {
@@ -137,7 +146,8 @@ func (s *surveyor) candidates(radius int) []candidate {
 				}
 			}
 			if len(victims) > 0 {
-				out = append(out, candidate{bank: bank, row: r, line: bm.attackerLine[r], victims: victims})
+				line, _ := bm.line(r)
+				out = append(out, candidate{bank: bank, row: r, line: line, victims: victims})
 			}
 		}
 	}
@@ -145,27 +155,23 @@ func (s *surveyor) candidates(radius int) []candidate {
 }
 
 // anyAttackerRows returns up to n attacker rows in one bank (preferring
-// the bank with the most), for best-effort hammering when no cross-domain
-// candidates exist.
+// the bank with the most, then the lowest-numbered), for best-effort
+// hammering when no cross-domain candidates exist.
 func (s *surveyor) anyAttackerRows(n int) []candidate {
-	bestBank, bestCount := -1, 0
-	for b, bm := range s.banks {
-		count := len(bm.attackerLine)
-		if count > bestCount || (count == bestCount && count > 0 && (bestBank == -1 || b < bestBank)) {
-			bestBank, bestCount = b, count
+	bestBank := 0
+	for b := range s.banks {
+		if len(s.banks[b].rows) > len(s.banks[bestBank].rows) {
+			bestBank = b
 		}
 	}
-	if bestBank < 0 || bestCount == 0 {
-		return nil
-	}
-	bm := s.banks[bestBank]
-	rows := sortedAttackerRows(bm)
+	rows := s.banks[bestBank].rows
 	if len(rows) > n {
 		rows = rows[:n]
 	}
 	out := make([]candidate, 0, len(rows))
 	for _, r := range rows {
-		out = append(out, candidate{bank: bestBank, row: r, line: bm.attackerLine[r]})
+		line, _ := s.banks[bestBank].line(r)
+		out = append(out, candidate{bank: bestBank, row: r, line: line})
 	}
 	return out
 }
@@ -184,10 +190,9 @@ func PlanDoubleSided(k *hostos.Kernel, m addr.Mapper, attacker, pairs, radius in
 
 	plan := Plan{Kind: "double-sided"}
 	seen := make(map[[2]int]bool)
-	for _, bank := range sortedBanks(s) {
-		bm := s.banks[bank]
-		rows := sortedAttackerRows(bm)
-		for _, r := range rows {
+	for bank := range s.banks {
+		bm := &s.banks[bank]
+		for _, r := range bm.rows {
 			v := r + 1
 			r2 := r + 2
 			if !g.ValidRow(r2) || !g.SameSubarray(r, r2) {
@@ -196,14 +201,16 @@ func PlanDoubleSided(k *hostos.Kernel, m addr.Mapper, attacker, pairs, radius in
 			if !bm.hasOther[v] {
 				continue
 			}
-			if _, ok := bm.attackerLine[r2]; !ok {
+			line2, ok := bm.line(r2)
+			if !ok {
 				continue
 			}
 			if seen[[2]int{bank, r}] || seen[[2]int{bank, r2}] {
 				continue
 			}
 			seen[[2]int{bank, r}], seen[[2]int{bank, r2}] = true, true
-			plan.AggressorLines = append(plan.AggressorLines, bm.attackerLine[r], bm.attackerLine[r2])
+			line, _ := bm.line(r)
+			plan.AggressorLines = append(plan.AggressorLines, line, line2)
 			plan.Aggressors = append(plan.Aggressors,
 				addr.DDR{Bank: bank, Row: r}, addr.DDR{Bank: bank, Row: r2})
 			plan.VictimRows = append(plan.VictimRows, addr.DDR{Bank: bank, Row: v})
@@ -216,8 +223,9 @@ func PlanDoubleSided(k *hostos.Kernel, m addr.Mapper, attacker, pairs, radius in
 	if len(plan.AggressorLines) > 0 {
 		return plan, fillVAs(k, g.LineBytes, &plan)
 	}
-	// No sandwich: fall back to single-sided candidates.
-	if fallback, err := PlanSingleSided(k, m, attacker, 2*pairs, radius); err == nil && len(fallback.AggressorLines) > 0 {
+	// No sandwich: fall back to single-sided candidates from the same
+	// survey.
+	if fallback, err := s.planSingleSided(2*pairs, radius); err == nil && len(fallback.AggressorLines) > 0 {
 		fallback.Kind = "double-sided(degraded:single)"
 		return fallback, nil
 	}
@@ -236,6 +244,11 @@ func PlanSingleSided(k *hostos.Kernel, m addr.Mapper, attacker, count, radius in
 	}
 	s := newSurveyor(k, m, attacker)
 	s.survey()
+	return s.planSingleSided(count, radius)
+}
+
+// planSingleSided is PlanSingleSided over a completed survey.
+func (s *surveyor) planSingleSided(count, radius int) (Plan, error) {
 	cands := s.candidates(radius)
 	plan := Plan{Kind: "single-sided"}
 	for _, c := range cands {
@@ -251,11 +264,11 @@ func PlanSingleSided(k *hostos.Kernel, m addr.Mapper, attacker, count, radius in
 		}
 		plan.CrossDomain = true
 		if len(plan.AggressorLines) >= 2*count {
-			return plan, fillVAs(k, m.Geometry().LineBytes, &plan)
+			return plan, fillVAs(s.kernel, s.mapper.Geometry().LineBytes, &plan)
 		}
 	}
 	if len(plan.AggressorLines) > 0 {
-		return plan, fillVAs(k, m.Geometry().LineBytes, &plan)
+		return plan, fillVAs(s.kernel, s.mapper.Geometry().LineBytes, &plan)
 	}
 	return bestEffort(s, "single-sided(degraded:blind)", count)
 }
@@ -266,14 +279,15 @@ func PlanSingleSided(k *hostos.Kernel, m addr.Mapper, attacker, count, radius in
 // farthest row available.
 func (s *surveyor) conflictCompanion(bank, row, radius int) (candidate, bool) {
 	g := s.mapper.Geometry()
-	bm := s.banks[bank]
+	bm := &s.banks[bank]
 	best, bestDist := -1, -1
-	for _, r := range sortedAttackerRows(bm) {
+	for _, r := range bm.rows {
 		if r == row {
 			continue
 		}
 		if !g.SameSubarray(r, row) {
-			return candidate{bank: bank, row: r, line: bm.attackerLine[r]}, true
+			line, _ := bm.line(r)
+			return candidate{bank: bank, row: r, line: line}, true
 		}
 		dist := r - row
 		if dist < 0 {
@@ -284,7 +298,8 @@ func (s *surveyor) conflictCompanion(bank, row, radius int) (candidate, bool) {
 		}
 	}
 	if best >= 0 && bestDist > radius {
-		return candidate{bank: bank, row: best, line: bm.attackerLine[best]}, true
+		line, _ := bm.line(best)
+		return candidate{bank: bank, row: best, line: line}, true
 	}
 	return candidate{}, false
 }
@@ -301,21 +316,24 @@ func PlanManySided(k *hostos.Kernel, m addr.Mapper, attacker, aggressors, radius
 	s.survey()
 	cands := s.candidates(radius)
 
-	// Choose the bank with the most cross-domain candidates.
-	perBank := make(map[int][]candidate)
-	for _, c := range cands {
-		perBank[c.bank] = append(perBank[c.bank], c)
-	}
-	bestBank, best := -1, 0
-	for b, cs := range perBank {
-		if len(cs) > best || (len(cs) == best && (bestBank == -1 || b < bestBank)) {
-			bestBank, best = b, len(cs)
+	// Choose the bank with the most cross-domain candidates, the lowest
+	// on a tie: candidates come grouped by bank, ascending.
+	var best []candidate
+	for i := 0; i < len(cands); {
+		j := i + 1
+		for j < len(cands) && cands[j].bank == cands[i].bank {
+			j++
 		}
+		if j-i > len(best) {
+			best = cands[i:j]
+		}
+		i = j
 	}
 	plan := Plan{Kind: fmt.Sprintf("many-sided(%d)", aggressors)}
-	if bestBank >= 0 {
+	if len(best) > 0 {
+		bestBank := best[0].bank
 		used := make(map[int]bool)
-		for _, c := range perBank[bestBank] {
+		for _, c := range best {
 			if len(plan.AggressorLines) >= aggressors {
 				break
 			}
@@ -335,8 +353,8 @@ func PlanManySided(k *hostos.Kernel, m addr.Mapper, attacker, aggressors, radius
 		}
 		// Pad with attacker rows from the same bank (tracker dilution),
 		// keeping the two-apart spacing so pads do not refresh victims.
-		bm := s.banks[bestBank]
-		for _, r := range sortedAttackerRows(bm) {
+		bm := &s.banks[bestBank]
+		for _, r := range bm.rows {
 			if len(plan.AggressorLines) >= aggressors {
 				break
 			}
@@ -344,7 +362,8 @@ func PlanManySided(k *hostos.Kernel, m addr.Mapper, attacker, aggressors, radius
 				continue
 			}
 			used[r] = true
-			plan.AggressorLines = append(plan.AggressorLines, bm.attackerLine[r])
+			line, _ := bm.line(r)
+			plan.AggressorLines = append(plan.AggressorLines, line)
 			plan.Aggressors = append(plan.Aggressors, addr.DDR{Bank: bestBank, Row: r})
 		}
 	}
@@ -368,22 +387,4 @@ func bestEffort(s *surveyor, kind string, n int) (Plan, error) {
 		plan.Aggressors = append(plan.Aggressors, addr.DDR{Bank: c.bank, Row: c.row})
 	}
 	return plan, fillVAs(s.kernel, s.mapper.Geometry().LineBytes, &plan)
-}
-
-func sortedBanks(s *surveyor) []int {
-	out := make([]int, 0, len(s.banks))
-	for b := range s.banks {
-		out = append(out, b)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedAttackerRows(bm *bankMap) []int {
-	rows := make([]int, 0, len(bm.attackerLine))
-	for r := range bm.attackerLine {
-		rows = append(rows, r)
-	}
-	sort.Ints(rows)
-	return rows
 }

@@ -41,6 +41,9 @@ func SetupTenants(m *core.Machine, n, pagesEach int) ([]Tenant, error) {
 		tenants[i].Domain = m.Kernel.CreateDomain(fmt.Sprintf("tenant-%d", i+1), false, false)
 	}
 	lpp := hostos.LinesPerPage(m.Mapper.Geometry())
+	for i := range tenants {
+		tenants[i].Lines = make([]uint64, 0, uint64(pagesEach)*lpp)
+	}
 	for p := 0; p < pagesEach; p++ {
 		for i := range tenants {
 			frames, err := m.Kernel.AllocPages(tenants[i].Domain.ID, uint64(p), 1)
@@ -178,7 +181,6 @@ func RunAttackCtx(ctx context.Context, spec core.MachineSpec, d core.Defense, ki
 		}
 	}
 	attacker := tenants[0].Domain.ID
-	radius := m.Spec.Profile.BlastRadius
 
 	var plan attack.Plan
 	var prog cpu.Program
@@ -186,15 +188,7 @@ func RunAttackCtx(ctx context.Context, spec core.MachineSpec, d core.Defense, ki
 		plan = attack.Plan{Kind: "replayed-trace"}
 		prog = trace.Replay(opts.ReplayAttack)
 	} else {
-		switch {
-		case kind.Sided <= 1:
-			// Concentrate the ACT budget: hammer a single aggressor row.
-			plan, err = attack.PlanSingleSided(m.Kernel, m.Mapper, attacker, 1, radius)
-		case kind.Sided == 2:
-			plan, err = attack.PlanDoubleSided(m.Kernel, m.Mapper, attacker, 1, radius)
-		default:
-			plan, err = attack.PlanManySided(m.Kernel, m.Mapper, attacker, kind.Sided, radius)
-		}
+		plan, err = planAttack(m, attacker, kind)
 		if err != nil {
 			return AttackOutcome{}, fmt.Errorf("harness: plan %s: %w", kind.Name, err)
 		}
@@ -270,4 +264,19 @@ func RunAttackCtx(ctx context.Context, spec core.MachineSpec, d core.Defense, ki
 		out.BenignSteps += res.Steps[i]
 	}
 	return out, nil
+}
+
+// planAttack plans kind's hammering pattern from the attacker domain
+// against the machine's current page ownership.
+func planAttack(m *core.Machine, attacker int, kind attack.Kind) (attack.Plan, error) {
+	radius := m.Spec.Profile.BlastRadius
+	switch {
+	case kind.Sided <= 1:
+		// Concentrate the ACT budget: hammer a single aggressor row.
+		return attack.PlanSingleSided(m.Kernel, m.Mapper, attacker, 1, radius)
+	case kind.Sided == 2:
+		return attack.PlanDoubleSided(m.Kernel, m.Mapper, attacker, 1, radius)
+	default:
+		return attack.PlanManySided(m.Kernel, m.Mapper, attacker, kind.Sided, radius)
+	}
 }

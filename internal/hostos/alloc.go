@@ -3,6 +3,7 @@ package hostos
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hammertime/internal/addr"
 	"hammertime/internal/dram"
@@ -38,50 +39,108 @@ func LinesPerPage(g dram.Geometry) uint64 { return PageSize / uint64(g.LineBytes
 // TotalFrames returns how many page frames the module provides.
 func TotalFrames(g dram.Geometry) uint64 { return g.TotalBytes() / PageSize }
 
-// freePool is a simple ordered free list shared by the policies.
+// freePool hands out one policy's frames: released frames first, most
+// recently released first, then untouched frames in ascending order.
+// Untouched frames are classified lazily — accept runs on a frame only
+// when alloc reaches it — so a pool costs O(frames handed out), not
+// O(frames in the module), while handing out exactly the sequence an
+// eagerly built stack of every admitted frame would.
 type freePool struct {
-	free  []uint64 // stack; allocated from the end
-	inUse map[uint64]bool
+	// stack holds released frames, allocated from the end. After
+	// materialize it holds every free frame of the pool.
+	stack []uint64
+	// next is the lowest untouched frame; untouched frames lie in
+	// [next, end) and only those accept admits belong to the pool.
+	next, end uint64
+	accept    func(frame uint64) bool // nil admits every frame
+	base      uint64                  // lowest frame the pool can hold
+	inUse     []uint64                // bitset over [base, end)
 }
 
-func newFreePool(frames []uint64) *freePool {
-	// Reverse so Alloc hands out ascending frame numbers.
-	rev := make([]uint64, len(frames))
-	for i, f := range frames {
-		rev[len(frames)-1-i] = f
+// newFreePool returns a pool over the frames in [lo, hi) that accept
+// admits.
+func newFreePool(lo, hi uint64, accept func(uint64) bool) *freePool {
+	return &freePool{next: lo, end: hi, accept: accept, base: lo, inUse: make([]uint64, (hi-lo+63)/64)}
+}
+
+// advance moves the cursor to the lowest untouched frame the pool admits
+// and reports whether one exists.
+func (p *freePool) advance() bool {
+	for p.next < p.end && p.accept != nil && !p.accept(p.next) {
+		p.next++
 	}
-	return &freePool{free: rev, inUse: make(map[uint64]bool)}
+	return p.next < p.end
+}
+
+// holds reports whether frame is allocated from the pool.
+func (p *freePool) holds(frame uint64) bool {
+	if frame < p.base || frame >= p.end {
+		return false
+	}
+	i := frame - p.base
+	return p.inUse[i/64]&(1<<(i%64)) != 0
+}
+
+func (p *freePool) setInUse(frame uint64, on bool) {
+	i := frame - p.base
+	if on {
+		p.inUse[i/64] |= 1 << (i % 64)
+	} else {
+		p.inUse[i/64] &^= 1 << (i % 64)
+	}
 }
 
 func (p *freePool) alloc() (uint64, error) {
-	if len(p.free) == 0 {
+	var f uint64
+	if n := len(p.stack); n > 0 {
+		f = p.stack[n-1]
+		p.stack = p.stack[:n-1]
+	} else if p.advance() {
+		f = p.next
+		p.next++
+	} else {
 		return 0, ErrOutOfMemory
 	}
-	f := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	p.inUse[f] = true
+	p.setInUse(f, true)
 	return f, nil
+}
+
+// materialize classifies every untouched frame and stacks them, highest
+// at the bottom, beneath the released frames: the exact stack an eager
+// pool would hold after the same alloc/release history.
+func (p *freePool) materialize() {
+	var untouched []uint64
+	for ; p.advance(); p.next++ {
+		untouched = append(untouched, p.next)
+	}
+	if len(untouched) == 0 {
+		return
+	}
+	slices.Reverse(untouched)
+	p.stack = append(untouched, p.stack...)
 }
 
 // allocRandom takes a uniformly random free frame — used by wear-leveling
 // migration so relocated pages land in fresh neighborhoods (and attackers
-// cannot predict the new location).
+// cannot predict the new location). The draw indexes the materialized
+// stack, so it picks the frame an eager pool would.
 func (p *freePool) allocRandom(rng *sim.RNG) (uint64, error) {
-	if len(p.free) == 0 {
+	p.materialize()
+	if len(p.stack) == 0 {
 		return 0, ErrOutOfMemory
 	}
-	i := rng.Intn(len(p.free))
-	last := len(p.free) - 1
-	p.free[i], p.free[last] = p.free[last], p.free[i]
+	i := rng.Intn(len(p.stack))
+	last := len(p.stack) - 1
+	p.stack[i], p.stack[last] = p.stack[last], p.stack[i]
 	return p.alloc()
 }
 
 func (p *freePool) release(frame uint64) error {
-	if !p.inUse[frame] {
+	if !p.holds(frame) {
 		return fmt.Errorf("hostos: free of frame %d not allocated from this pool", frame)
 	}
-	delete(p.inUse, frame)
-	p.free = append(p.free, frame)
+	p.setInUse(frame, false)
+	p.stack = append(p.stack, frame)
 	return nil
 }
 
@@ -93,12 +152,7 @@ type Linear struct {
 
 // NewLinear returns a policy-free allocator over the whole module.
 func NewLinear(g dram.Geometry) *Linear {
-	n := TotalFrames(g)
-	frames := make([]uint64, n)
-	for i := range frames {
-		frames[i] = uint64(i)
-	}
-	return &Linear{pool: newFreePool(frames)}
+	return &Linear{pool: newFreePool(0, TotalFrames(g), nil)}
 }
 
 // Name implements Allocator.
@@ -122,15 +176,20 @@ func (a *Linear) AllocRandom(_ int, rng *sim.RNG) (uint64, error) {
 // domain loses bank-level parallelism.
 type BankAware struct {
 	mapper  addr.Mapper
-	geom    dram.Geometry
 	domains int
+	lpp     uint64
+	frames  uint64
+	parts   []int       // bank -> partition
 	pools   []*freePool // per bank-partition
 	assign  map[int]int // domain -> partition
 	nextPar int
-	owner   map[uint64]int // frame -> partition (for Free)
 }
 
 // NewBankAware partitions the mapper's banks into `domains` equal groups.
+// Each partition's pool admits the frames every line of which falls in
+// the partition's banks. One pass here finds every partition's first
+// such frame, where its pool's cursor starts, so a mapper that
+// interleaves pages across banks fails at construction.
 func NewBankAware(mapper addr.Mapper, domains int) (*BankAware, error) {
 	g := mapper.Geometry()
 	if domains <= 0 || domains > g.Banks {
@@ -138,40 +197,48 @@ func NewBankAware(mapper addr.Mapper, domains int) (*BankAware, error) {
 	}
 	a := &BankAware{
 		mapper:  mapper,
-		geom:    g,
 		domains: domains,
+		lpp:     LinesPerPage(g),
+		frames:  TotalFrames(g),
+		parts:   make([]int, g.Banks),
 		pools:   make([]*freePool, domains),
 		assign:  make(map[int]int),
-		owner:   make(map[uint64]int),
 	}
-	lpp := LinesPerPage(g)
-	buckets := make([][]uint64, domains)
-	for f := uint64(0); f < TotalFrames(g); f++ {
-		// A frame belongs to a partition only if every line of the page
-		// falls in the partition's banks.
-		par := -1
-		uniform := true
-		for l := uint64(0); l < lpp; l++ {
-			b := mapper.Map(f*lpp + l).Bank
-			p := b * domains / g.Banks
-			if par == -1 {
-				par = p
-			} else if par != p {
-				uniform = false
-				break
-			}
-		}
-		if uniform && par >= 0 {
-			buckets[par] = append(buckets[par], f)
+	for b := range a.parts {
+		a.parts[b] = b * domains / g.Banks
+	}
+	for f, found := uint64(0), 0; f < a.frames && found < domains; f++ {
+		if par := a.partitionOf(f * a.lpp); a.pools[par] == nil && a.uniformIn(f, par) {
+			a.pools[par] = newFreePool(f, a.frames, func(frame uint64) bool { return a.uniformIn(frame, par) })
+			found++
 		}
 	}
-	for i := range a.pools {
-		if len(buckets[i]) == 0 {
+	for i, pool := range a.pools {
+		if pool == nil {
 			return nil, fmt.Errorf("hostos: bank-aware allocator: partition %d has no uniform frames under mapper %q (bank interleaving must be disabled)", i, mapper.Name())
 		}
-		a.pools[i] = newFreePool(buckets[i])
 	}
 	return a, nil
+}
+
+// partitionOf returns the bank partition a line maps to.
+func (a *BankAware) partitionOf(line uint64) int {
+	return a.parts[a.mapper.Map(line).Bank]
+}
+
+// uniformIn reports whether every line of frame f falls in partition par.
+// The first line decides most frames, so it is tested alone first.
+func (a *BankAware) uniformIn(f uint64, par int) bool {
+	first := f * a.lpp
+	if a.partitionOf(first) != par {
+		return false
+	}
+	for l := first + 1; l < first+a.lpp; l++ {
+		if a.partitionOf(l) != par {
+			return false
+		}
+	}
+	return true
 }
 
 // Name implements Allocator.
@@ -189,18 +256,18 @@ func (a *BankAware) Alloc(domain int) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("hostos: bank-aware: domain %d (partition %d): %w", domain, par, err)
 	}
-	a.owner[f] = par
 	return f, nil
 }
 
-// Free implements Allocator.
+// Free implements Allocator. An allocated frame lies wholly in one
+// partition, so its first line names the pool that holds it.
 func (a *BankAware) Free(frame uint64) error {
-	par, ok := a.owner[frame]
-	if !ok {
-		return fmt.Errorf("hostos: bank-aware: free of unallocated frame %d", frame)
+	if frame < a.frames {
+		if pool := a.pools[a.partitionOf(frame*a.lpp)]; pool.holds(frame) {
+			return pool.release(frame)
+		}
 	}
-	delete(a.owner, frame)
-	return a.pools[par].release(frame)
+	return fmt.Errorf("hostos: bank-aware: free of unallocated frame %d", frame)
 }
 
 // PartitionOf returns the bank partition assigned to domain, if any.
@@ -227,24 +294,23 @@ func NewGuardRow(mapper addr.Mapper, radius int) (*GuardRow, error) {
 	}
 	g := mapper.Geometry()
 	lpp := LinesPerPage(g)
-	var frames []uint64
 	stride := radius + 1
-	for f := uint64(0); f < TotalFrames(g); f++ {
-		usable := true
-		for l := uint64(0); l < lpp; l++ {
-			if mapper.Map(f*lpp+l).Row%stride != 0 {
-				usable = false
-				break
+	pool := newFreePool(0, TotalFrames(g), func(f uint64) bool {
+		checked := -1 // a page's lines share few rows: test each row once
+		for l := f * lpp; l < (f+1)*lpp; l++ {
+			if r := mapper.Map(l).Row; r != checked {
+				if r%stride != 0 {
+					return false
+				}
+				checked = r
 			}
 		}
-		if usable {
-			frames = append(frames, f)
-		}
-	}
-	if len(frames) == 0 {
+		return true
+	})
+	if !pool.advance() {
 		return nil, fmt.Errorf("hostos: guard-row allocator: no usable frames under mapper %q with radius %d", mapper.Name(), radius)
 	}
-	return &GuardRow{pool: newFreePool(frames), radius: radius}, nil
+	return &GuardRow{pool: pool, radius: radius}, nil
 }
 
 // Name implements Allocator.
@@ -267,7 +333,6 @@ type SubarrayAware struct {
 	pools  []*freePool
 	assign map[int]int
 	next   int
-	owner  map[uint64]int
 	// OnAssign, if set, is called when a domain is bound to a group —
 	// the kernel uses it to register the pair with the MC enforcer.
 	OnAssign func(domain, group int)
@@ -282,21 +347,18 @@ func NewSubarrayAware(mapper *addr.SubarrayIsolated) (*SubarrayAware, error) {
 		mapper: mapper,
 		pools:  make([]*freePool, part.Groups()),
 		assign: make(map[int]int),
-		owner:  make(map[uint64]int),
 	}
 	for grp := 0; grp < part.Groups(); grp++ {
 		lo, hi, err := mapper.RegionBounds(grp)
 		if err != nil {
 			return nil, err
 		}
-		var frames []uint64
-		for f := lo / lpp; f*lpp+lpp <= hi; f++ {
-			frames = append(frames, f)
-		}
-		if len(frames) == 0 {
+		// Frames from the one holding line lo up to the last that ends
+		// by hi; ranges of consecutive groups are disjoint.
+		a.pools[grp] = newFreePool(lo/lpp, hi/lpp, nil)
+		if !a.pools[grp].advance() {
 			return nil, fmt.Errorf("hostos: subarray-aware allocator: group %d region is empty", grp)
 		}
-		a.pools[grp] = newFreePool(frames)
 	}
 	return a, nil
 }
@@ -319,18 +381,17 @@ func (a *SubarrayAware) Alloc(domain int) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("hostos: subarray-aware: domain %d (group %d): %w", domain, grp, err)
 	}
-	a.owner[f] = grp
 	return f, nil
 }
 
 // Free implements Allocator.
 func (a *SubarrayAware) Free(frame uint64) error {
-	grp, ok := a.owner[frame]
-	if !ok {
-		return fmt.Errorf("hostos: subarray-aware: free of unallocated frame %d", frame)
+	for _, pool := range a.pools {
+		if pool.holds(frame) {
+			return pool.release(frame)
+		}
 	}
-	delete(a.owner, frame)
-	return a.pools[grp].release(frame)
+	return fmt.Errorf("hostos: subarray-aware: free of unallocated frame %d", frame)
 }
 
 // GroupOf returns the subarray group assigned to domain, if any.
@@ -349,6 +410,5 @@ func (a *SubarrayAware) AllocRandom(domain int, rng *sim.RNG) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("hostos: subarray-aware: domain %d (group %d): %w", domain, grp, err)
 	}
-	a.owner[f] = grp
 	return f, nil
 }

@@ -42,9 +42,14 @@ func NewPageTable() *PageTable { return &PageTable{} }
 // Map installs vpn -> frame, replacing any existing mapping.
 func (pt *PageTable) Map(vpn, frame uint64) {
 	if vpn >= uint64(len(pt.frames)) {
-		grown := make([]uint64, vpn+1, 2*vpn+1)
-		copy(grown, pt.frames)
-		pt.frames = grown
+		if vpn < uint64(cap(pt.frames)) {
+			// Slots past len were never written: still unmapped.
+			pt.frames = pt.frames[:vpn+1]
+		} else {
+			grown := make([]uint64, vpn+1, 2*vpn+1)
+			copy(grown, pt.frames)
+			pt.frames = grown
+		}
 	}
 	if pt.frames[vpn] == 0 {
 		pt.size++

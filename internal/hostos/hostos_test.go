@@ -86,6 +86,25 @@ func TestPageTableSizeAndOrder(t *testing.T) {
 	}
 }
 
+// TestPageTableMapGrowsGeometrically pins amortized growth: mapping VPNs
+// 0..4095 in order reslices within spare capacity, so the table is
+// reallocated O(log n) times, not once per VPN.
+func TestPageTableMapGrowsGeometrically(t *testing.T) {
+	const n = 4096
+	allocs := testing.AllocsPerRun(5, func() {
+		pt := NewPageTable()
+		for vpn := uint64(0); vpn < n; vpn++ {
+			pt.Map(vpn, vpn)
+		}
+		if pt.Size() != n {
+			t.Fatalf("size = %d, want %d", pt.Size(), n)
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("mapping %d VPNs made %.0f allocations, want at most 16", n, allocs)
+	}
+}
+
 func TestKernelAllocAndOwnership(t *testing.T) {
 	k := buildKernel(t, nil, linearAlloc)
 	d := k.CreateDomain("vm", false, false)
@@ -159,6 +178,34 @@ func TestKernelMigratePreservesMappingAndOwnership(t *testing.T) {
 	}
 	if _, ok := k.OwnerOfLine(res.OldFrame * lpp); ok {
 		t.Fatal("old frame still owned")
+	}
+}
+
+// TestKernelPageCountersAppearWhenFired pins the per-page counter
+// handles: a counter shows up in the registry on its first page, never
+// before, and then counts every page.
+func TestKernelPageCountersAppearWhenFired(t *testing.T) {
+	k := buildKernel(t, nil, linearAlloc)
+	if names := k.Stats().CounterNames(); len(names) != 0 {
+		t.Fatalf("fresh kernel has counters %v", names)
+	}
+	d := k.CreateDomain("vm", false, false)
+	if _, err := k.AllocPages(d.ID, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if names := k.Stats().CounterNames(); len(names) != 1 || names[0] != "os.pages_allocated" {
+		t.Fatalf("after allocating: counters %v, want [os.pages_allocated]", names)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := k.MigratePage(d.ID, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := k.Stats().Counter("os.pages_allocated"); got != 3 {
+		t.Fatalf("os.pages_allocated = %d, want 3", got)
+	}
+	if got := k.Stats().Counter("os.pages_migrated"); got != 2 {
+		t.Fatalf("os.pages_migrated = %d, want 2", got)
 	}
 }
 

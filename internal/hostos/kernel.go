@@ -25,7 +25,9 @@ type Kernel struct {
 	domains []*Domain
 	tables  []*PageTable
 
-	frameOwner map[uint64]int // frame -> domain
+	// owner is indexed by frame and holds the owning domain's ID plus
+	// one (0: unallocated).
+	owner []int32
 
 	// lockedUp is set when an integrity-checked domain's memory is
 	// corrupted: the machine detects the flip and halts (§4.4 DoS).
@@ -38,8 +40,9 @@ type Kernel struct {
 	// uncore move instruction instead of per-line read+write round trips.
 	uncoreMove bool
 
-	stats *sim.Stats
-	rec   *obs.Recorder
+	stats                         *sim.Stats
+	pagesAllocated, pagesMigrated sim.LazyCounter
+	rec                           *obs.Recorder
 }
 
 // NewKernel builds a kernel over the controller and allocator. Domain 0
@@ -51,16 +54,19 @@ func NewKernel(mc *memctrl.Controller, alloc Allocator) (*Kernel, error) {
 	if alloc == nil {
 		return nil, fmt.Errorf("hostos: kernel needs an allocator")
 	}
+	geom := mc.Mapper().Geometry()
 	k := &Kernel{
-		mc:         mc,
-		mapper:     mc.Mapper(),
-		geom:       mc.Mapper().Geometry(),
-		alloc:      alloc,
-		domains:    []*Domain{{ID: HostDomain, Name: "host"}},
-		tables:     []*PageTable{NewPageTable()},
-		frameOwner: make(map[uint64]int),
-		stats:      &sim.Stats{},
+		mc:      mc,
+		mapper:  mc.Mapper(),
+		geom:    geom,
+		alloc:   alloc,
+		domains: []*Domain{{ID: HostDomain, Name: "host"}},
+		tables:  []*PageTable{NewPageTable()},
+		owner:   make([]int32, TotalFrames(geom)),
+		stats:   &sim.Stats{},
 	}
+	k.pagesAllocated = k.stats.LazyCounter("os.pages_allocated")
+	k.pagesMigrated = k.stats.LazyCounter("os.pages_migrated")
 	// If the allocator is subarray-aware and the MC enforces groups,
 	// register assignments as they happen.
 	if sa, ok := alloc.(*SubarrayAware); ok {
@@ -125,9 +131,9 @@ func (k *Kernel) AllocPages(domain int, startVPN uint64, n int) ([]uint64, error
 			return frames, fmt.Errorf("hostos: alloc page %d for domain %d: %w", i, domain, err)
 		}
 		pt.Map(startVPN+uint64(i), f)
-		k.frameOwner[f] = domain
+		k.owner[f] = int32(domain) + 1
 		frames = append(frames, f)
-		k.stats.Inc("os.pages_allocated")
+		k.pagesAllocated.Inc()
 	}
 	return frames, nil
 }
@@ -143,7 +149,7 @@ func (k *Kernel) FreePage(domain int, vpn uint64) error {
 		return fmt.Errorf("hostos: domain %d vpn %d not mapped", domain, vpn)
 	}
 	pt.Unmap(vpn)
-	delete(k.frameOwner, frame)
+	k.owner[frame] = 0
 	return k.alloc.Free(frame)
 }
 
@@ -163,9 +169,14 @@ func (k *Kernel) Translate(domain int, va uint64) (uint64, error) {
 
 // OwnerOfLine returns the domain owning the physical line, if allocated.
 func (k *Kernel) OwnerOfLine(line uint64) (int, bool) {
-	frame := line * uint64(k.geom.LineBytes) / PageSize
-	d, ok := k.frameOwner[frame]
-	return d, ok
+	return k.ownerOfFrame(line * uint64(k.geom.LineBytes) / PageSize)
+}
+
+func (k *Kernel) ownerOfFrame(frame uint64) (int, bool) {
+	if frame >= uint64(len(k.owner)) || k.owner[frame] == 0 {
+		return 0, false
+	}
+	return int(k.owner[frame]) - 1, true
 }
 
 // OwnerOfRow returns the set of domains owning lines in the given DDR row.
@@ -258,12 +269,12 @@ func (k *Kernel) MigratePage(domain int, vpn uint64, now uint64) (MigrationResul
 		t = res.Completion
 	}
 	pt.Map(vpn, newFrame)
-	delete(k.frameOwner, oldFrame)
-	k.frameOwner[newFrame] = domain
+	k.owner[oldFrame] = 0
+	k.owner[newFrame] = int32(domain) + 1
 	if err := k.alloc.Free(oldFrame); err != nil {
 		return MigrationResult{}, err
 	}
-	k.stats.Inc("os.pages_migrated")
+	k.pagesMigrated.Inc()
 	k.rec.Emit(obs.Event{
 		Kind:   obs.KindPageMigration,
 		Cycle:  t,
@@ -290,7 +301,7 @@ func (k *Kernel) EnableRandomizedMigration(rng *sim.RNG) { k.migrateRNG = rng }
 // the owning domain's page count; used by defenses reacting to interrupts.
 func (k *Kernel) VPNOfLine(line uint64) (domain int, vpn uint64, ok bool) {
 	frame := line * uint64(k.geom.LineBytes) / PageSize
-	domain, ok = k.frameOwner[frame]
+	domain, ok = k.ownerOfFrame(frame)
 	if !ok {
 		return 0, 0, false
 	}
