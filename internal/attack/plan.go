@@ -15,6 +15,7 @@ import (
 
 	"hammertime/internal/addr"
 	"hammertime/internal/hostos"
+	"hammertime/internal/sim"
 )
 
 // Plan is a concrete hammering plan: which lines to hammer and which rows
@@ -70,12 +71,30 @@ func (bm *bankMap) line(r int) (uint64, bool) {
 	return l - 1, l != 0
 }
 
-// surveyor builds per-bank ownership maps for an attacker domain.
+// surveyor builds per-bank ownership maps for an attacker domain. The
+// banks' row tables are views of lines and other, which release hands
+// back for the next survey once the plan is built.
 type surveyor struct {
 	kernel   *hostos.Kernel
 	mapper   addr.Mapper
 	attacker int
 	banks    []bankMap // indexed by bank
+	lines    []uint64
+	other    []bool
+}
+
+// lineTables and otherTables recycle finished surveys' row tables.
+var (
+	lineTables  = sim.NewFreeList[uint64]()
+	otherTables = sim.NewFreeList[bool]()
+)
+
+// release returns the survey's row tables to their free lists; the
+// survey must not be used afterwards.
+func (s *surveyor) release() {
+	lineTables.Put(s.lines)
+	otherTables.Put(s.other)
+	s.banks, s.lines, s.other = nil, nil, nil
 }
 
 func newSurveyor(k *hostos.Kernel, m addr.Mapper, attacker int) *surveyor {
@@ -90,13 +109,13 @@ func newSurveyor(k *hostos.Kernel, m addr.Mapper, attacker int) *surveyor {
 func (s *surveyor) survey() {
 	g := s.mapper.Geometry()
 	rows := g.RowsPerBank()
-	lines := make([]uint64, g.Banks*rows)
-	other := make([]bool, g.Banks*rows)
+	s.lines, _ = lineTables.Get(g.Banks * rows)
+	s.other, _ = otherTables.Get(g.Banks * rows)
 	s.banks = make([]bankMap, g.Banks)
 	for b := range s.banks {
 		s.banks[b] = bankMap{
-			attackerLine: lines[b*rows : (b+1)*rows : (b+1)*rows],
-			hasOther:     other[b*rows : (b+1)*rows : (b+1)*rows],
+			attackerLine: s.lines[b*rows : (b+1)*rows : (b+1)*rows],
+			hasOther:     s.other[b*rows : (b+1)*rows : (b+1)*rows],
 		}
 	}
 	lpp := hostos.LinesPerPage(g)
@@ -186,6 +205,7 @@ func PlanDoubleSided(k *hostos.Kernel, m addr.Mapper, attacker, pairs, radius in
 	}
 	s := newSurveyor(k, m, attacker)
 	s.survey()
+	defer s.release()
 	g := m.Geometry()
 
 	plan := Plan{Kind: "double-sided"}
@@ -244,6 +264,7 @@ func PlanSingleSided(k *hostos.Kernel, m addr.Mapper, attacker, count, radius in
 	}
 	s := newSurveyor(k, m, attacker)
 	s.survey()
+	defer s.release()
 	return s.planSingleSided(count, radius)
 }
 
@@ -314,6 +335,7 @@ func PlanManySided(k *hostos.Kernel, m addr.Mapper, attacker, aggressors, radius
 	}
 	s := newSurveyor(k, m, attacker)
 	s.survey()
+	defer s.release()
 	cands := s.candidates(radius)
 
 	// Choose the bank with the most cross-domain candidates, the lowest

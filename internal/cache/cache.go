@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"hammertime/internal/obs"
+	"hammertime/internal/sim"
 )
 
 // Common cache errors.
@@ -59,7 +60,8 @@ type Result struct {
 // i*Ways+w of each array. A tag holds line+1, with 0 marking an invalid
 // way, so the hit scan compares one contiguous run of uint64s (line
 // indices are below the module size, never MaxUint64). lru is the way's
-// last-touch tick (larger = more recent).
+// last-touch tick (larger = more recent). Release hands the four arrays
+// to free lists for the next cache of the same organization.
 type Cache struct {
 	cfg  Config
 	pow2 bool // Sets is a power of two: the set index is line & (Sets-1)
@@ -86,16 +88,34 @@ func New(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache: locked-way budget %d out of [0,%d]", cfg.MaxLockedWays, cfg.Ways)
 	}
 	n := cfg.Sets * cfg.Ways
-	c := &Cache{
-		cfg:         cfg,
-		tag:         make([]uint64, n),
-		lru:         make([]uint64, n),
-		dirty:       make([]bool, n),
-		locked:      make([]bool, n),
-		lockedLines: make(map[uint64]bool),
-	}
+	c := &Cache{cfg: cfg, lockedLines: make(map[uint64]bool)}
+	c.tag, _ = tagArrays.Get(n)
+	c.lru, _ = lruArrays.Get(n)
+	c.dirty, _ = dirtyArrays.Get(n)
+	c.locked, _ = lockedArrays.Get(n)
 	c.pow2 = cfg.Sets&(cfg.Sets-1) == 0
 	return c, nil
+}
+
+// tagArrays, lruArrays, dirtyArrays and lockedArrays recycle released
+// caches' way state.
+var (
+	tagArrays    = sim.NewFreeList[uint64]()
+	lruArrays    = sim.NewFreeList[uint64]()
+	dirtyArrays  = sim.NewFreeList[bool]()
+	lockedArrays = sim.NewFreeList[bool]()
+)
+
+// Release hands the cache's way arrays back for reuse by the next New.
+// The cache must not be used afterwards: its arrays are gone, so any
+// access panics instead of reading another cache's state. Releasing
+// twice is a no-op.
+func (c *Cache) Release() {
+	tagArrays.Put(c.tag)
+	lruArrays.Put(c.lru)
+	dirtyArrays.Put(c.dirty)
+	lockedArrays.Put(c.locked)
+	c.tag, c.lru, c.dirty, c.locked = nil, nil, nil, nil
 }
 
 // SetRecorder attaches an event recorder and a clock supplying event

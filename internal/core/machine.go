@@ -350,6 +350,19 @@ func NewMachine(spec MachineSpec) (*Machine, error) {
 	return m, nil
 }
 
+// Release hands the machine's large working arrays — the LLC's way
+// state, the DRAM module's per-row state and the kernel's frame-owner
+// table — back to their free lists, so the next machine of the same
+// geometry reuses them instead of allocating. Call it once the machine's
+// results have been read; the machine must not be used afterwards (an
+// LLC access or DRAM activation panics). Skipping it is safe, only
+// slower. Releasing twice is a no-op.
+func (m *Machine) Release() {
+	m.Cache.Release()
+	m.DRAM.Release()
+	m.Kernel.Release()
+}
+
 // SetRecorder threads an event recorder through every component of the
 // machine: DRAM commands, memory-controller scheduling, cache line
 // locking (timestamped with the controller's clock), and kernel page

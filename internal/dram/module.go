@@ -193,8 +193,8 @@ func NewModule(cfg Config) (*Module, error) {
 	for i := range m.open {
 		m.open[i] = -1
 	}
-	m.disturb = make([]float64, cfg.Geometry.Banks*m.rows)
-	m.acts = make([]uint64, cfg.Geometry.Banks*m.rows)
+	m.disturb, _ = disturbArrays.Get(cfg.Geometry.Banks * m.rows)
+	m.acts, _ = actsArrays.Get(cfg.Geometry.Banks * m.rows)
 	m.refDenom = cfg.Timing.RefreshCommandsPerWindow()
 	if m.refDenom <= 0 {
 		m.refDenom = 1
@@ -207,6 +207,22 @@ func NewModule(cfg Config) (*Module, error) {
 		m.trr = t
 	}
 	return m, nil
+}
+
+// disturbArrays and actsArrays recycle released modules' per-row state.
+var (
+	disturbArrays = sim.NewFreeList[float64]()
+	actsArrays    = sim.NewFreeList[uint64]()
+)
+
+// Release hands the module's per-row arrays back for reuse by the next
+// NewModule. The module must not be used afterwards: its arrays are
+// gone, so an ACT panics instead of disturbing another module's rows.
+// Releasing twice is a no-op.
+func (m *Module) Release() {
+	disturbArrays.Put(m.disturb)
+	actsArrays.Put(m.acts)
+	m.disturb, m.acts = nil, nil
 }
 
 // Geometry returns the module's geometry.

@@ -148,6 +148,7 @@ func E2Interleaving(ctx context.Context, horizon uint64) (*report.Table, []E2Res
 			if err != nil {
 				return 0, fmt.Errorf("harness: E2 %s: %w", scheme.Name, err)
 			}
+			defer m.Release()
 			// The working set must exceed the LLC (2 MiB) or the cache
 			// absorbs the stream and no scheme differs.
 			tenants, err := SetupTenants(m, 1, 768)
@@ -366,6 +367,7 @@ func runBenign(ctx context.Context, d core.Defense, horizon uint64) (e4Cell, cor
 	if err != nil {
 		return fail(err)
 	}
+	defer m.Release()
 	tenants, err := SetupTenants(m, 3, 512)
 	if err != nil {
 		return fail(err)

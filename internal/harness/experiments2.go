@@ -147,6 +147,7 @@ func runE6(ctx context.Context, mode E6Mode, horizon uint64) (E6Result, error) {
 	if err != nil {
 		return E6Result{}, err
 	}
+	defer m.Release()
 	tenants, err := SetupTenants(m, 3, 170)
 	if err != nil {
 		return E6Result{}, err

@@ -83,6 +83,7 @@ func runE7(method E7Method, victimOpen bool) (E7Result, error) {
 	if err != nil {
 		return E7Result{}, err
 	}
+	defer m.Release()
 	tenants, err := SetupTenants(m, 1, 32)
 	if err != nil {
 		return E7Result{}, err

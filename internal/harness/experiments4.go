@@ -100,6 +100,7 @@ func runE9(ctx context.Context, h uint64, scrub bool) (ECCOutcome, error) {
 		if err != nil {
 			return ECCOutcome{}, err
 		}
+		defer m.Release()
 		tenants, err := SetupTenants(m, 3, 170)
 		if err != nil {
 			return ECCOutcome{}, err
@@ -181,6 +182,7 @@ func E10HalfDouble(ctx context.Context, horizon uint64) (*report.Table, error) {
 			if err != nil {
 				return e10Row{}, err
 			}
+			defer m.Release()
 			tenants, err := SetupTenants(m, 3, 170)
 			if err != nil {
 				return e10Row{}, err

@@ -163,6 +163,7 @@ func RunAttackCtx(ctx context.Context, spec core.MachineSpec, d core.Defense, ki
 	if err != nil {
 		return AttackOutcome{}, err
 	}
+	defer m.Release()
 	if opts.Observer != nil {
 		m.SetRecorder(opts.Observer)
 	} else if rec := telemetry.ObserverFrom(ctx); rec != nil {

@@ -79,6 +79,7 @@ func IdleFastForward(ctx context.Context, horizon uint64) (*report.Table, error)
 		if err != nil {
 			return idleCell{}, err
 		}
+		defer m.Release()
 		geom := m.Spec.Geometry
 		stripe := uint64(geom.ColumnsPerRow) * uint64(geom.Banks)
 		agent := &idleBurstAgent{mc: m.MC, line: 512 * stripe, stripe: stripe, remaining: 4000}

@@ -62,9 +62,9 @@ func NewKernel(mc *memctrl.Controller, alloc Allocator) (*Kernel, error) {
 		alloc:   alloc,
 		domains: []*Domain{{ID: HostDomain, Name: "host"}},
 		tables:  []*PageTable{NewPageTable()},
-		owner:   make([]int32, TotalFrames(geom)),
 		stats:   &sim.Stats{},
 	}
+	k.owner, _ = ownerTables.Get(int(TotalFrames(geom)))
 	k.pagesAllocated = k.stats.LazyCounter("os.pages_allocated")
 	k.pagesMigrated = k.stats.LazyCounter("os.pages_migrated")
 	// If the allocator is subarray-aware and the MC enforces groups,
@@ -81,6 +81,17 @@ func NewKernel(mc *memctrl.Controller, alloc Allocator) (*Kernel, error) {
 		}
 	}
 	return k, nil
+}
+
+// ownerTables recycles released kernels' frame-owner tables.
+var ownerTables = sim.NewFreeList[int32]()
+
+// Release hands the kernel's frame-owner table back for reuse by the
+// next NewKernel. The kernel must not be used afterwards: every frame
+// reads as unowned. Releasing twice is a no-op.
+func (k *Kernel) Release() {
+	ownerTables.Put(k.owner)
+	k.owner = nil
 }
 
 // Stats returns the kernel's stats registry.

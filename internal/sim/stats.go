@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -139,12 +140,59 @@ type Histogram struct {
 	counts []uint64
 	count  uint64
 	sum    float64
+	// log2Start is k when bounds are ExpBuckets(2^k, 2, n) with k >= 0,
+	// else -1: an integral sample's bucket is then its bit length.
+	log2Start int
 }
 
-// Observe records one sample into the first bucket whose bound is >= v,
-// found by binary search over the ascending bounds; NaN compares false
-// against every bound and lands in the overflow bucket.
+func newHistogram(bounds []float64) *Histogram {
+	return &Histogram{
+		bounds:    append([]float64(nil), bounds...),
+		counts:    make([]uint64, len(bounds)+1),
+		log2Start: pow2Doubling(bounds),
+	}
+}
+
+// pow2Doubling returns k when bounds are 2^k, 2^(k+1), 2^(k+2), … for
+// some k >= 0, and -1 for any other shape.
+func pow2Doubling(bounds []float64) int {
+	if len(bounds) == 0 || !(bounds[0] >= 1 && bounds[0] < 1<<63) {
+		return -1
+	}
+	start := uint64(bounds[0])
+	if float64(start) != bounds[0] || start&(start-1) != 0 {
+		return -1
+	}
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] != 2*bounds[i-1] {
+			return -1
+		}
+	}
+	return bits.Len64(start) - 1
+}
+
+// Observe records one sample into the first bucket whose bound is >= v;
+// NaN compares false against every bound and lands in the overflow
+// bucket.
 func (h *Histogram) Observe(v float64) {
+	h.counts[h.bucket(v)]++
+	h.count++
+	h.sum += v
+}
+
+// bucket returns v's bucket index. Power-of-two doubling bounds place a
+// non-negative integral v in O(1): bound i is 2^(k+i), so v > 2^k lands
+// in bucket bits.Len64(v-1)-k. Every other bound shape or value takes a
+// binary search over the ascending bounds.
+func (h *Histogram) bucket(v float64) int {
+	if k := h.log2Start; k >= 0 && v >= 0 && v < 1<<63 {
+		if u := uint64(v); float64(u) == v {
+			if u <= 1<<k {
+				return 0
+			}
+			return min(bits.Len64(u-1)-k, len(h.bounds))
+		}
+	}
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -154,9 +202,7 @@ func (h *Histogram) Observe(v float64) {
 			lo = mid + 1
 		}
 	}
-	h.counts[lo]++
-	h.count++
-	h.sum += v
+	return lo
 }
 
 // Count returns how many samples were observed.
@@ -196,10 +242,7 @@ func (s *Stats) NewHistogram(name string, bounds []float64) *Histogram {
 	if h, ok := s.hists[name]; ok {
 		return h
 	}
-	h := &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}
+	h := newHistogram(bounds)
 	s.hists[name] = h
 	return h
 }
@@ -283,12 +326,10 @@ func (s *Stats) Merge(other *Stats) {
 		if s.hists == nil {
 			s.hists = make(map[string]*Histogram)
 		}
-		s.hists[n] = &Histogram{
-			bounds: append([]float64(nil), oh.bounds...),
-			counts: append([]uint64(nil), oh.counts...),
-			count:  oh.count,
-			sum:    oh.sum,
-		}
+		h := newHistogram(oh.bounds)
+		copy(h.counts, oh.counts)
+		h.count, h.sum = oh.count, oh.sum
+		s.hists[n] = h
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -276,6 +277,57 @@ func TestHistogramObserveMatchesLinearScan(t *testing.T) {
 			if h.Counts()[want] != 1 {
 				t.Fatalf("bounds %v: Observe(%g) counts %v, want bucket %d", bounds, v, h.Counts(), want)
 			}
+		}
+	}
+}
+
+// TestHistogramBitLengthMatchesBinarySearch drives the O(1) bucket of
+// power-of-two doubling bounds against the binary search it shortcuts:
+// every integer in [0, 2^20], every bound ±1, and the values the fast
+// path must hand to the search (NaN, ±Inf, negative, fractional, huge).
+// Other bound shapes must stay on the search.
+func TestHistogramBitLengthMatchesBinarySearch(t *testing.T) {
+	search := func(bounds []float64, v float64) int {
+		return sort.Search(len(bounds), func(i int) bool { return v <= bounds[i] })
+	}
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		bounds []float64
+		k      int
+	}{
+		{ExpBuckets(1, 2, 17), 0}, // dram.acts_per_row
+		{ExpBuckets(8, 2, 16), 3}, // mc.service_cycles, mc.inter_act_cycles
+		{ExpBuckets(1, 2, 20), 0}, // Stats.Observe default
+		{ExpBuckets(1, 2, 1), 0},  // a single bound
+		{ExpBuckets(1<<40, 2, 4), 40},
+		{ExpBuckets(3, 2, 8), -1},      // start not a power of two
+		{ExpBuckets(0.5, 2, 8), -1},    // start below 1
+		{ExpBuckets(8, 4, 8), -1},      // factor 4
+		{ExpBuckets(0.001, 4, 12), -1}, // serve.job.seconds
+		{[]float64{1, 2, 4, 9}, -1},
+		{nil, -1},
+	} {
+		var s Stats
+		h := s.NewHistogram("h", c.bounds)
+		if h.log2Start != c.k {
+			t.Fatalf("bounds %v: log2Start %d, want %d", c.bounds, h.log2Start, c.k)
+		}
+		check := func(v float64) {
+			if got, want := h.bucket(v), search(c.bounds, v); got != want {
+				t.Fatalf("bounds %v: bucket(%v) = %d, binary search %d", c.bounds, v, got, want)
+			}
+		}
+		for v := 0; v <= 1<<20; v++ {
+			check(float64(v))
+		}
+		for _, b := range c.bounds {
+			check(b - 1)
+			check(b)
+			check(b + 1)
+		}
+		for _, v := range []float64{math.NaN(), inf, -inf, -1, -0.5, math.Copysign(0, -1),
+			0.5, 1.5, 7.999, 8.000001, 1e300, 1 << 63, 1<<63 - 1024, 1 << 62} {
+			check(v)
 		}
 	}
 }
