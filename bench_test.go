@@ -586,12 +586,14 @@ func BenchmarkE1MatrixParallel(b *testing.B) {
 // BenchmarkCellSetup measures what one E1 cell spends before its first
 // simulated cycle: building the machine with its defense, allocating
 // three tenants of 170 pages, and planning a double-sided attack. Each
-// iteration releases its machine, as harness cells do, so the next one
-// builds on recycled arrays. The benchgate baseline pins the
-// bank-partitioned and guard-row cells within a fixed ratio of the
+// iteration releases its tenants and machine, as harness cells do, so
+// the next one builds on recycled arrays. The benchgate baseline pins
+// the bank-partitioned and guard-row cells within a fixed ratio of the
 // undefended one, so allocator set-up that scales with DRAM size rather
-// than with allocated pages fails CI, and caps the undefended cell's
-// bytes per op, so a per-machine array that stops being recycled does.
+// than with allocated pages fails CI; caps the undefended cell's bytes
+// per op, so a per-machine array or tenant line list that stops being
+// recycled does; and caps the bank-partitioned cell's allocations, so a
+// per-page allocation in the allocators' row-footprint checks does.
 func BenchmarkCellSetup(b *testing.B) {
 	for _, name := range []string{"none", "bankpart", "zebram"} {
 		b.Run(name, func(b *testing.B) {
@@ -613,6 +615,7 @@ func BenchmarkCellSetup(b *testing.B) {
 					1, m.Spec.Profile.BlastRadius); err != nil {
 					b.Fatal(err)
 				}
+				harness.ReleaseTenants(tenants)
 				m.Release()
 			}
 		})

@@ -250,22 +250,6 @@ func TestSubarrayIsolatedGeometryMismatch(t *testing.T) {
 	}
 }
 
-func TestRowsTouched(t *testing.T) {
-	g := geom()
-	m := NewLineInterleave(g)
-	// One page spans 64 lines: 8 lines in each of 8 banks, all with the
-	// same row index.
-	rows := RowsTouched(m, 0, 64)
-	if len(rows) != g.Banks {
-		t.Fatalf("page touches %d (bank,row) pairs, want %d", len(rows), g.Banks)
-	}
-	for _, r := range rows {
-		if r.Row != 0 {
-			t.Fatalf("page 0 touches row %d, want 0", r.Row)
-		}
-	}
-}
-
 func TestMapPanicsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -153,20 +153,3 @@ func (m *SubarrayIsolated) RegionBounds(group int) (lo, hi uint64, err error) {
 	linesPerRegion := m.geom.TotalLines() / uint64(m.part.groups)
 	return uint64(group) * linesPerRegion, uint64(group+1) * linesPerRegion, nil
 }
-
-// RowsTouched returns the distinct (bank, row) pairs a contiguous range of
-// physical lines maps onto — what a page allocator needs to know to place
-// a page entirely within one subarray group.
-func RowsTouched(m Mapper, startLine, n uint64) []DDR {
-	seen := make(map[[2]int]bool)
-	var rows []DDR
-	for i := uint64(0); i < n; i++ {
-		d := m.Map(startLine + i)
-		key := [2]int{d.Bank, d.Row}
-		if !seen[key] {
-			seen[key] = true
-			rows = append(rows, DDR{Bank: d.Bank, Row: d.Row})
-		}
-	}
-	return rows
-}

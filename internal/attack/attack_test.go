@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"hammertime/internal/addr"
 	"hammertime/internal/core"
 	"hammertime/internal/hostos"
 )
@@ -221,5 +222,71 @@ func TestCatalogShapes(t *testing.T) {
 	}
 	if dmaCount != 1 {
 		t.Fatalf("catalog has %d DMA attacks, want 1", dmaCount)
+	}
+}
+
+// TestSurveyMatchesPerLineReference checks the survey's row tables —
+// per bank, each row's lowest attacker line, the rows holding another
+// domain's line, and the attacker's rows in order — against mapping
+// every line of every owned page, for each interleaving and for
+// subarray isolation over it, in every bank.
+func TestSurveyMatchesPerLineReference(t *testing.T) {
+	for _, il := range []core.InterleaveKind{core.InterleaveLine, core.InterleaveRowRegion, core.InterleaveXOR} {
+		spec := core.DefaultSpec()
+		spec.Interleave = il
+		m, ids := tenantMachine(t, spec, 40)
+		part, err := addr.NewPartition(m.Mapper.Geometry(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iso, err := addr.NewSubarrayIsolated(m.Mapper, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mapper := range []addr.Mapper{m.Mapper, iso} {
+			s := newSurveyor(m.Kernel, mapper, ids[0])
+			s.survey()
+			g := mapper.Geometry()
+			lpp := hostos.LinesPerPage(g)
+			firstLine := map[[2]int]uint64{}
+			other := map[[2]int]bool{}
+			for f := uint64(0); f < hostos.TotalFrames(g); f++ {
+				owner, ok := m.Kernel.OwnerOfLine(f * lpp)
+				if !ok {
+					continue
+				}
+				for l := f * lpp; l < (f+1)*lpp; l++ {
+					d := mapper.Map(l)
+					key := [2]int{d.Bank, d.Row}
+					if owner != ids[0] {
+						other[key] = true
+					} else if _, seen := firstLine[key]; !seen {
+						firstLine[key] = l
+					}
+				}
+			}
+			for b := range s.banks {
+				bm := &s.banks[b]
+				var wantRows []int
+				for r := 0; r < g.RowsPerBank(); r++ {
+					key := [2]int{b, r}
+					want, owned := firstLine[key]
+					if got, ok := bm.line(r); ok != owned || ok && got != want {
+						t.Fatalf("%s bank %d row %d: survey line %d/%v, reference %d/%v",
+							mapper.Name(), b, r, got, ok, want, owned)
+					}
+					if bm.hasOther[r] != other[key] {
+						t.Fatalf("%s bank %d row %d: hasOther %v, reference %v", mapper.Name(), b, r, bm.hasOther[r], other[key])
+					}
+					if owned {
+						wantRows = append(wantRows, r)
+					}
+				}
+				if fmt.Sprint(bm.rows) != fmt.Sprint(wantRows) {
+					t.Fatalf("%s bank %d: attacker rows %v, reference %v", mapper.Name(), b, bm.rows, wantRows)
+				}
+			}
+			s.release()
+		}
 	}
 }

@@ -120,19 +120,21 @@ func (s *surveyor) survey() {
 	}
 	lpp := hostos.LinesPerPage(g)
 	frames := hostos.TotalFrames(g)
+	footprint := make([]addr.RowLine, 0, lpp) // one page's rows
 	for frame := uint64(0); frame < frames; frame++ {
 		owner, ok := s.kernel.OwnerOfLine(frame * lpp)
 		if !ok {
 			continue
 		}
-		for line := frame * lpp; line < (frame+1)*lpp; line++ {
-			d := s.mapper.Map(line)
-			bm := &s.banks[d.Bank]
+		// Frames ascend and each footprint carries a row's lowest line
+		// in the page, so the first line recorded per row is its lowest.
+		for _, r := range addr.AppendRows(footprint[:0], s.mapper, frame*lpp, lpp) {
+			bm := &s.banks[r.Bank]
 			if owner != s.attacker {
-				bm.hasOther[d.Row] = true
-			} else if bm.attackerLine[d.Row] == 0 {
-				bm.attackerLine[d.Row] = line + 1
-				bm.rows = append(bm.rows, d.Row)
+				bm.hasOther[r.Row] = true
+			} else if bm.attackerLine[r.Row] == 0 {
+				bm.attackerLine[r.Row] = r.Line + 1
+				bm.rows = append(bm.rows, r.Row)
 			}
 		}
 	}

@@ -155,6 +155,7 @@ func E2Interleaving(ctx context.Context, horizon uint64) (*report.Table, []E2Res
 			if err != nil {
 				return 0, err
 			}
+			defer ReleaseTenants(tenants)
 			var prog cpu.Program
 			switch wl {
 			case "stream":
@@ -372,6 +373,7 @@ func runBenign(ctx context.Context, d core.Defense, horizon uint64) (e4Cell, cor
 	if err != nil {
 		return fail(err)
 	}
+	defer ReleaseTenants(tenants)
 	var agents []core.Agent
 	var cores []*cpu.Core
 	for i, t := range tenants {

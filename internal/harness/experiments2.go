@@ -152,6 +152,7 @@ func runE6(ctx context.Context, mode E6Mode, horizon uint64) (E6Result, error) {
 	if err != nil {
 		return E6Result{}, err
 	}
+	defer ReleaseTenants(tenants)
 	attacker := tenants[0].Domain.ID
 	radius := spec.Profile.BlastRadius
 	plan, err := attack.PlanDoubleSided(m.Kernel, m.Mapper, attacker, 1, radius)

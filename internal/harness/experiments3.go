@@ -88,6 +88,7 @@ func runE7(method E7Method, victimOpen bool) (E7Result, error) {
 	if err != nil {
 		return E7Result{}, err
 	}
+	defer ReleaseTenants(tenants)
 	domain := tenants[0].Domain.ID
 	g := m.Mapper.Geometry()
 	stripe := uint64(g.Banks * g.ColumnsPerRow)

@@ -105,6 +105,7 @@ func runE9(ctx context.Context, h uint64, scrub bool) (ECCOutcome, error) {
 		if err != nil {
 			return ECCOutcome{}, err
 		}
+		defer ReleaseTenants(tenants)
 		// Victims fill their memory with real data so corruption is
 		// measured against known ground truth.
 		if err := fillTenantData(m, tenants[1:]); err != nil {
@@ -187,6 +188,7 @@ func E10HalfDouble(ctx context.Context, horizon uint64) (*report.Table, error) {
 			if err != nil {
 				return e10Row{}, err
 			}
+			defer ReleaseTenants(tenants)
 			attacker := tenants[0].Domain.ID
 			plan, err := attack.PlanSingleSided(m.Kernel, m.Mapper, attacker, 1, 1)
 			if err != nil {

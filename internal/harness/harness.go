@@ -15,6 +15,7 @@ import (
 	"hammertime/internal/dma"
 	"hammertime/internal/hostos"
 	"hammertime/internal/obs"
+	"hammertime/internal/sim"
 	"hammertime/internal/telemetry"
 	"hammertime/internal/trace"
 	"hammertime/internal/workload"
@@ -28,10 +29,15 @@ type Tenant struct {
 	Lines []uint64
 }
 
+// tenantLines recycles released tenants' line lists.
+var tenantLines = sim.NewFreeList[uint64]()
+
 // SetupTenants creates n tenant domains and allocates pagesEach pages to
 // each, interleaving allocations round-robin across tenants — the
 // allocation churn of a real multi-tenant host, which is what gives
 // attackers cross-domain row adjacency under a policy-free allocator.
+// The line lists may come from earlier cells' released tenants; a cell
+// that is done with them hands them back with ReleaseTenants.
 func SetupTenants(m *core.Machine, n, pagesEach int) ([]Tenant, error) {
 	if n <= 0 || pagesEach <= 0 {
 		return nil, fmt.Errorf("harness: need positive tenants (%d) and pages (%d)", n, pagesEach)
@@ -42,20 +48,33 @@ func SetupTenants(m *core.Machine, n, pagesEach int) ([]Tenant, error) {
 	}
 	lpp := hostos.LinesPerPage(m.Mapper.Geometry())
 	for i := range tenants {
-		tenants[i].Lines = make([]uint64, 0, uint64(pagesEach)*lpp)
+		tenants[i].Lines, _ = tenantLines.Get(pagesEach * int(lpp))
 	}
 	for p := 0; p < pagesEach; p++ {
 		for i := range tenants {
 			frames, err := m.Kernel.AllocPages(tenants[i].Domain.ID, uint64(p), 1)
 			if err != nil {
+				ReleaseTenants(tenants)
 				return nil, fmt.Errorf("harness: tenant %d page %d: %w", i+1, p, err)
 			}
-			for l := uint64(0); l < lpp; l++ {
-				tenants[i].Lines = append(tenants[i].Lines, frames[0]*lpp+l)
+			page := tenants[i].Lines[uint64(p)*lpp : uint64(p+1)*lpp]
+			for l := range page {
+				page[l] = frames[0]*lpp + uint64(l)
 			}
 		}
 	}
 	return tenants, nil
+}
+
+// ReleaseTenants hands the tenants' line lists back for reuse by later
+// cells and nils them, so a use after release panics. The caller must
+// no longer use the lists, nor any workload built on them; releasing
+// again is a no-op.
+func ReleaseTenants(tenants []Tenant) {
+	for i := range tenants {
+		tenantLines.Put(tenants[i].Lines)
+		tenants[i].Lines = nil
+	}
 }
 
 // AttackOpts parametrizes RunAttack.
@@ -175,6 +194,7 @@ func RunAttackCtx(ctx context.Context, spec core.MachineSpec, d core.Defense, ki
 	if err != nil {
 		return AttackOutcome{}, err
 	}
+	defer ReleaseTenants(tenants)
 	if opts.VictimIntegrity {
 		for _, t := range tenants[1:] {
 			t.Domain.Enclave = true

@@ -2,17 +2,19 @@ package harness
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"hammertime/internal/attack"
+	"hammertime/internal/core"
 	"hammertime/internal/defense"
 	"hammertime/internal/sim"
 )
 
 // TestRecycledCellsMatchFresh runs E1 cells A, B, A in one process, so B
-// and the second A build their machines from the arrays the previous
-// cell released, and requires each to match a build from fresh
-// allocations: the full stats digest and the flip counts.
+// and the second A build their machines and tenant line lists from the
+// arrays the previous cell released, and requires each to match a build
+// from fresh allocations: the full stats digest and the flip counts.
 func TestRecycledCellsMatchFresh(t *testing.T) {
 	type cell struct{ defense, attack string }
 	type result struct {
@@ -60,5 +62,62 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 		if got != fresh[c] {
 			t.Errorf("cell %d %v on recycled arrays = %+v, fresh build %+v", i, c, got, fresh[c])
 		}
+		// The cell handed its tenants' line lists back for the next one.
+		lines, reused := tenantLines.Get(170 * 64)
+		if !reused {
+			t.Fatalf("cell %d %v released no tenant line list", i, c)
+		}
+		tenantLines.Put(lines)
+	}
+}
+
+// TestReleaseTenants checks the tenant line lists' recycling contract:
+// release nils every list and hands each back once however often it is
+// called, and tenants set up on the released lists see exactly the lines
+// a fresh set-up gives.
+func TestReleaseTenants(t *testing.T) {
+	defer sim.DrainFreeLists()
+	setup := func() ([]Tenant, func()) {
+		t.Helper()
+		m, err := core.NewMachine(E1Spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tenants, err := SetupTenants(m, 2, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tenants, m.Release
+	}
+	sim.DrainFreeLists()
+	first, release := setup()
+	want := make([][]uint64, len(first))
+	arrays := map[*uint64]bool{}
+	for i, tn := range first {
+		want[i] = slices.Clone(tn.Lines)
+		arrays[&tn.Lines[0]] = true
+	}
+	ReleaseTenants(first)
+	ReleaseTenants(first) // idempotent: nothing handed back twice
+	release()
+	for i, tn := range first {
+		if tn.Lines != nil {
+			t.Fatalf("tenant %d keeps %d lines after release", i, len(tn.Lines))
+		}
+	}
+
+	again, release := setup()
+	defer release()
+	for i, tn := range again {
+		if !slices.Equal(tn.Lines, want[i]) {
+			t.Fatalf("tenant %d on a recycled list differs from the fresh set-up", i)
+		}
+		if !arrays[&tn.Lines[0]] {
+			t.Fatalf("tenant %d did not reuse a released list", i)
+		}
+		delete(arrays, &tn.Lines[0]) // each released list serves one tenant
+	}
+	if l, reused := tenantLines.Get(40 * 64); reused {
+		t.Fatalf("a list of %d lines was handed back twice", len(l))
 	}
 }

@@ -183,6 +183,7 @@ type BankAware struct {
 	pools   []*freePool // per bank-partition
 	assign  map[int]int // domain -> partition
 	nextPar int
+	rows    []addr.RowLine // uniformIn's footprint buffer
 }
 
 // NewBankAware partitions the mapper's banks into `domains` equal groups.
@@ -203,6 +204,7 @@ func NewBankAware(mapper addr.Mapper, domains int) (*BankAware, error) {
 		parts:   make([]int, g.Banks),
 		pools:   make([]*freePool, domains),
 		assign:  make(map[int]int),
+		rows:    make([]addr.RowLine, 0, LinesPerPage(g)),
 	}
 	for b := range a.parts {
 		a.parts[b] = b * domains / g.Banks
@@ -227,14 +229,10 @@ func (a *BankAware) partitionOf(line uint64) int {
 }
 
 // uniformIn reports whether every line of frame f falls in partition par.
-// The first line decides most frames, so it is tested alone first.
 func (a *BankAware) uniformIn(f uint64, par int) bool {
-	first := f * a.lpp
-	if a.partitionOf(first) != par {
-		return false
-	}
-	for l := first + 1; l < first+a.lpp; l++ {
-		if a.partitionOf(l) != par {
+	a.rows = addr.AppendRows(a.rows[:0], a.mapper, f*a.lpp, a.lpp)
+	for _, r := range a.rows {
+		if a.parts[r.Bank] != par {
 			return false
 		}
 	}
@@ -295,14 +293,16 @@ func NewGuardRow(mapper addr.Mapper, radius int) (*GuardRow, error) {
 	g := mapper.Geometry()
 	lpp := LinesPerPage(g)
 	stride := radius + 1
+	rows := make([]addr.RowLine, 0, lpp)
 	pool := newFreePool(0, TotalFrames(g), func(f uint64) bool {
-		checked := -1 // a page's lines share few rows: test each row once
-		for l := f * lpp; l < (f+1)*lpp; l++ {
-			if r := mapper.Map(l).Row; r != checked {
-				if r%stride != 0 {
-					return false
-				}
-				checked = r
+		// The first line's row alone rejects most frames.
+		if mapper.Map(f*lpp).Row%stride != 0 {
+			return false
+		}
+		rows = addr.AppendRows(rows[:0], mapper, f*lpp, lpp)
+		for _, r := range rows {
+			if r.Row%stride != 0 {
+				return false
 			}
 		}
 		return true

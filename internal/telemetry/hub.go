@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,12 +130,16 @@ func (h *Hub) Subscribe(n int) *Subscriber {
 	return s
 }
 
-// Unsubscribe removes s; its Notify channel stops firing.
+// Unsubscribe removes s; its Notify channel stops firing. The list is
+// rebuilt rather than shifted in place: Publish ranges over a snapshot
+// of h.subs outside the lock, so the old array must not change under
+// it, and a shifted array would keep s (and its ring) reachable from
+// its spare capacity for as long as the hub lives.
 func (h *Hub) Unsubscribe(s *Subscriber) {
 	h.mu.Lock()
 	for i, cur := range h.subs {
 		if cur == s {
-			h.subs = append(h.subs[:i], h.subs[i+1:]...)
+			h.subs = slices.Concat(h.subs[:i], h.subs[i+1:])
 			h.nsubs.Add(-1)
 			break
 		}

@@ -243,6 +243,83 @@ func TestHubConcurrentPublishSubscribe(t *testing.T) {
 	wg.Wait()
 }
 
+// TestHubUnsubscribeDropsReference checks that an unsubscribed
+// subscriber — and with it its ring — is no longer reachable from the
+// hub, not even from the spare capacity of its subscriber list.
+func TestHubUnsubscribeDropsReference(t *testing.T) {
+	for _, victim := range []int{0, 1, 2} { // first, middle, last
+		h := NewHub()
+		subs := []*Subscriber{h.Subscribe(4), h.Subscribe(4), h.Subscribe(4)}
+		h.Unsubscribe(subs[victim])
+		if len(h.subs) != 2 {
+			t.Fatalf("victim %d: %d subscribers left, want 2", victim, len(h.subs))
+		}
+		for i, s := range h.subs[:cap(h.subs)] {
+			if s == subs[victim] {
+				t.Fatalf("victim %d: removed subscriber still held at slot %d", victim, i)
+			}
+		}
+		h.Unsubscribe(subs[victim]) // a second call is a no-op
+		if len(h.subs) != 2 || h.nsubs.Load() != 2 {
+			t.Fatalf("victim %d: repeat unsubscribe changed the hub: %d subs, nsubs %d",
+				victim, len(h.subs), h.nsubs.Load())
+		}
+	}
+	h := NewHub()
+	s := h.Subscribe(4)
+	h.Unsubscribe(s)
+	for _, cur := range h.subs[:cap(h.subs)] {
+		if cur == s {
+			t.Fatal("sole subscriber still held after unsubscribe")
+		}
+	}
+}
+
+// TestHubPublishDuringUnsubscribe runs publishers against subscribers
+// that come and go; under -race it checks that Publish's snapshot of
+// the subscriber list is never written while it is being read, and a
+// long-lived subscriber keeps receiving throughout.
+func TestHubPublishDuringUnsubscribe(t *testing.T) {
+	h := NewHub()
+	stay := h.Subscribe(1 << 12)
+	var pubs, churn sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		pubs.Add(1)
+		go func() {
+			defer pubs.Done()
+			for j := 0; j < 200; j++ {
+				h.Publish("cell", CellDone{Index: j})
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s := h.Subscribe(2)
+				s.Take()
+				h.Unsubscribe(s)
+			}
+		}()
+	}
+	pubs.Wait()
+	close(stop)
+	churn.Wait()
+	if msgs, dropped := stay.Take(); uint64(len(msgs))+dropped != 800 {
+		t.Fatalf("long-lived subscriber saw %d records + %d dropped, want 800", len(msgs), dropped)
+	}
+	if len(h.subs) != 1 || h.nsubs.Load() != 1 {
+		t.Fatalf("%d subscribers left (nsubs %d), want 1", len(h.subs), h.nsubs.Load())
+	}
+}
+
 func TestHubObsSink(t *testing.T) {
 	h := NewHub()
 	rec := obs.NewRecorder(h.ObsSink())
