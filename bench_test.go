@@ -572,9 +572,10 @@ func BenchmarkE1MatrixParallel(b *testing.B) {
 	}{{"serial", 1}, {"parallel", 0}} {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := harness.E1Matrix(context.Background(), 
+				ctx := harness.WithRun(context.Background(), harness.Run{Workers: v.workers})
+				_, err := harness.E1Matrix(ctx,
 					[]string{"none", "trr", "subarray", "actremap", "swrefresh", "anvil"},
-					12, harness.AttackOpts{Horizon: 2_000_000, Parallelism: v.workers})
+					12, harness.AttackOpts{Horizon: 2_000_000})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -70,10 +70,9 @@ func main() {
 	obsFlags.Register()
 	robust.Register()
 	flag.Parse()
-	harness.SetParallelism(*parallel)
 	ctx, stop := cliutil.ShutdownContext()
 	defer stop()
-	if err := run(ctx, strings.ToLower(*experiment), *horizon, *csv, obsFlags, robust); err != nil {
+	if err := run(ctx, strings.ToLower(*experiment), *horizon, *csv, *parallel, obsFlags, robust); err != nil {
 		if errors.Is(err, core.ErrCancelled) || errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "hammerbench: interrupted:", err)
 		} else {
@@ -83,7 +82,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, experiment string, horizon uint64, csv bool, obsFlags cliutil.ObsFlags, robust cliutil.RobustFlags) (err error) {
+func run(ctx context.Context, experiment string, horizon uint64, csv bool, parallel int, obsFlags cliutil.ObsFlags, robust cliutil.RobustFlags) (err error) {
 	// The recorder may serve many parallel cells; sync the sink.
 	session, err := obsFlags.Start(true)
 	if err != nil {
@@ -96,21 +95,21 @@ func run(ctx context.Context, experiment string, horizon uint64, csv bool, obsFl
 			err = fmt.Errorf("close observability: %w", cerr)
 		}
 	}()
-	cleanup, err := robust.Apply(session.Recorder)
+	hrun, err := robust.Apply(session.Recorder)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if cerr := cleanup(); cerr != nil && err == nil {
-			err = cerr
+		if cerr := hrun.Checkpoint.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("resume: %w", cerr)
 		}
 	}()
-	collector := harness.NewBenchCollector("hammerbench")
-	harness.SetBenchCollector(collector)
-	defer harness.SetBenchCollector(nil)
+	hrun.Workers = parallel
+	collector := harness.NewBenchCollector("hammerbench", hrun.WorkerCount())
+	hrun.Bench = collector
 	// With -trace-events the grids record spans (grid, cells, machine
 	// phases) into the trace alongside the event stream.
-	ctx = session.Context(ctx)
+	ctx = harness.WithRun(session.Context(ctx), hrun)
 
 	recorder := session.Recorder
 
@@ -170,7 +169,7 @@ func run(ctx context.Context, experiment string, horizon uint64, csv bool, obsFl
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "%s: %v (%d workers)\n",
-			e.id, time.Since(start).Round(time.Millisecond), harness.Parallelism())
+			e.id, time.Since(start).Round(time.Millisecond), hrun.WorkerCount())
 		if tb.Degraded() {
 			fmt.Fprintf(os.Stderr, "%s: DEGRADED: %d cells failed and render as ERR(...) (fail-soft)\n",
 				e.id, tb.DegradedCells())

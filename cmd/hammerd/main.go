@@ -254,9 +254,6 @@ func run(logger *slog.Logger, o options) error {
 	if err != nil {
 		return err
 	}
-	// The harness's warnings (slow cells, failed grid cells) join the
-	// daemon's structured log stream.
-	harness.SetLogger(logger)
 	cfg := serve.Config{
 		Sessions:          o.sessions,
 		QueueDepth:        o.queue,
@@ -372,7 +369,6 @@ func run(logger *slog.Logger, o options) error {
 // -drain-timeout: in-flight cell batches get that long to finish (the
 // coordinator steals them anyway if they don't).
 func runWorker(logger *slog.Logger, o options) error {
-	harness.SetLogger(logger)
 	name := o.workerName
 	if name == "" {
 		host, err := os.Hostname()

@@ -155,18 +155,18 @@ func run(ctx context.Context, defenseName, attackName, profileName string, horiz
 			err = fmt.Errorf("close observability: %w", cerr)
 		}
 	}()
-	cleanup, err := robust.Apply(session.Recorder)
+	hrun, err := robust.Apply(session.Recorder)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if cerr := cleanup(); cerr != nil && err == nil {
-			err = cerr
+		if cerr := hrun.Checkpoint.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("resume: %w", cerr)
 		}
 	}()
 	// With -trace-events the run's spans (machine.run, machine.drain)
 	// are recorded alongside the event stream and exported at Close.
-	ctx = session.Context(ctx)
+	ctx = harness.WithRun(session.Context(ctx), hrun)
 
 	opts := harness.AttackOpts{
 		Horizon:         horizon,

@@ -41,18 +41,14 @@ import (
 // SerialVsParallel runs the E1 protection matrix once with a single
 // worker and once on a pool, and returns an error unless the two
 // rendered tables are byte-identical. defenses/manySided/opts are
-// passed through to harness.E1Matrix; opts.Parallelism is overridden.
+// passed through to harness.E1Matrix.
 func SerialVsParallel(defenses []string, manySided int, opts harness.AttackOpts) error {
-	ctx := context.Background()
-	serial := opts
-	serial.Parallelism = 1
-	st, err := harness.E1Matrix(ctx, defenses, manySided, serial)
+	st, err := harness.E1Matrix(serialRun(context.Background()), defenses, manySided, opts)
 	if err != nil {
 		return fmt.Errorf("diff: serial run: %w", err)
 	}
-	parallel := opts
-	parallel.Parallelism = 4
-	pt, err := harness.E1Matrix(ctx, defenses, manySided, parallel)
+	ctx := harness.WithRun(context.Background(), harness.Run{Workers: 4})
+	pt, err := harness.E1Matrix(ctx, defenses, manySided, opts)
 	if err != nil {
 		return fmt.Errorf("diff: parallel run: %w", err)
 	}
@@ -75,9 +71,7 @@ func SerialVsDistributed(ctx context.Context, delegate harness.GridDelegate, exp
 	if delegate == nil {
 		return fmt.Errorf("diff: nil grid delegate")
 	}
-	serial := opts
-	serial.Parallelism = 1
-	st, err := harness.Experiment(ctx, experiment, horizon, serial)
+	st, err := harness.Experiment(serialRun(ctx), experiment, horizon, opts)
 	if err != nil {
 		return fmt.Errorf("diff: serial run: %w", err)
 	}
@@ -89,6 +83,14 @@ func SerialVsDistributed(ctx context.Context, delegate harness.GridDelegate, exp
 		return fmt.Errorf("diff: serial and distributed tables differ:\n--- serial ---\n%s\n--- distributed ---\n%s", s, d)
 	}
 	return nil
+}
+
+// serialRun returns ctx carrying its Run with one worker and no
+// delegate: the in-process, serial reference run.
+func serialRun(ctx context.Context) context.Context {
+	r := harness.RunFrom(ctx)
+	r.Workers, r.Delegate = 1, nil
+	return harness.WithRun(ctx, r)
 }
 
 // StreamConfig parametrizes one DenseVsReference run.

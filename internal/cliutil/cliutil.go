@@ -63,66 +63,50 @@ func (f *RobustFlags) Register() {
 	flag.DurationVar(&f.CellTimeout, "cell-timeout", 0, "per-cell wall-clock deadline, e.g. 30s (0 = none)")
 	flag.StringVar(&f.Resume, "resume", "", "checkpoint file: completed cells are appended there and restored on rerun")
 	flag.BoolVar(&f.Check, "check", false, "enable the online invariant auditor: every machine verifies row-buffer/refresh/charge invariants as it runs (observer-only; a violation fails the cell)")
-	flag.DurationVar(&f.SlowCell, "slow-cell", time.Minute, "warn on stderr when a grid cell runs longer than this without finishing (0 = off)")
+	flag.DurationVar(&f.SlowCell, "slow-cell", harness.DefaultSlowCellWarn, "warn on stderr when a grid cell runs longer than this without finishing (0 = off)")
 }
 
-// Apply installs the flags' policy, cell-event observer, and checkpoint
-// in the harness. The returned cleanup restores the package-wide state
-// and closes the checkpoint; its error (e.g. a checkpoint write that
-// failed mid-run) must reach the CLI exit code — a silently truncated
-// checkpoint would resume wrong.
-func (f *RobustFlags) Apply(rec *obs.Recorder) (cleanup func() error, err error) {
+// Apply validates the flags, switches the online invariant auditor on
+// or off, and opens the -resume checkpoint. It returns the Run the CLI
+// wraps its context with (harness.WithRun): the policy, the cell-event
+// recorder rec, a warning logger on stderr and the checkpoint. The
+// caller must close run.Checkpoint when done and pass its error on to
+// the exit code — a silently truncated checkpoint would resume wrong.
+func (f *RobustFlags) Apply(rec *obs.Recorder) (harness.Run, error) {
 	if f.Retries < 0 {
-		return nil, fmt.Errorf("retries: must be >= 0 (got %d)", f.Retries)
+		return harness.Run{}, fmt.Errorf("retries: must be >= 0 (got %d)", f.Retries)
 	}
 	if f.Backoff < 0 {
-		return nil, fmt.Errorf("retry-backoff: must be >= 0 (got %v)", f.Backoff)
+		return harness.Run{}, fmt.Errorf("retry-backoff: must be >= 0 (got %v)", f.Backoff)
 	}
 	if f.CellTimeout < 0 {
-		return nil, fmt.Errorf("cell-timeout: must be >= 0 (got %v)", f.CellTimeout)
+		return harness.Run{}, fmt.Errorf("cell-timeout: must be >= 0 (got %v)", f.CellTimeout)
 	}
-	harness.SetPolicy(harness.Policy{
-		FailSoft:    f.FailSoft,
-		Retries:     f.Retries,
-		Backoff:     f.Backoff,
-		CellTimeout: f.CellTimeout,
-	})
-	harness.SetGridObserver(rec)
 	core.SetChecking(f.Check)
-	// The harness's warnings (slow-cell watchdog, failed cells under
-	// fail-soft) go to stderr; tables and results own stdout.
-	harness.SetLogger(slog.New(slog.NewTextHandler(os.Stderr,
-		&slog.HandlerOptions{Level: slog.LevelWarn})))
-	harness.SetSlowCellWarn(f.SlowCell)
-	var ck *harness.Checkpoint
-	restore := func() error {
-		harness.SetPolicy(harness.Policy{})
-		harness.SetGridObserver(nil)
-		harness.SetCheckpoint(nil)
-		core.SetChecking(false)
-		harness.SetLogger(nil)
-		harness.SetSlowCellWarn(time.Minute)
-		if ck != nil {
-			closeErr := ck.Close()
-			ck = nil
-			if closeErr != nil {
-				return fmt.Errorf("resume: %w", closeErr)
-			}
-		}
-		return nil
+	run := harness.Run{
+		Policy: harness.Policy{
+			FailSoft:     f.FailSoft,
+			Retries:      f.Retries,
+			Backoff:      f.Backoff,
+			CellTimeout:  f.CellTimeout,
+			SlowCellWarn: f.SlowCell,
+		},
+		Events: rec,
+		// The harness's warnings (slow-cell watchdog, failed cells under
+		// fail-soft) go to stderr; tables and results own stdout.
+		Logger: slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
 	}
 	if f.Resume != "" {
-		ck, err = harness.OpenCheckpoint(f.Resume)
+		ck, err := harness.OpenCheckpoint(f.Resume)
 		if err != nil {
-			restore()
-			return nil, fmt.Errorf("resume: %w", err)
+			return harness.Run{}, fmt.Errorf("resume: %w", err)
 		}
-		harness.SetCheckpoint(ck)
+		run.Checkpoint = ck
 		if n := ck.Loaded(); n > 0 {
 			fmt.Fprintf(os.Stderr, "resume: restored %d completed cells from %s\n", n, f.Resume)
 		}
 	}
-	return restore, nil
+	return run, nil
 }
 
 // ShutdownContext returns a context cancelled on SIGINT/SIGTERM, for

@@ -599,28 +599,12 @@ func (j *jobDelegate) dispatchRetry(ctx context.Context, w Worker, spec harness.
 		d.count("cluster.rpc.retries", 1)
 		d.log.Info("batch RPC retrying", "grid", spec.ID, "worker", w.Name,
 			"attempt", attempt, "err", err)
-		if !sleepBackoff(ctx, harness.Backoff(d.cfg.RetryBase, key, attempt)) {
+		if !harness.Sleep(ctx, harness.Backoff(d.cfg.RetryBase, key, attempt)) {
 			break
 		}
 	}
 	d.reg.ReportFailure(w.Name)
 	return nil, lastErr
-}
-
-// sleepBackoff sleeps d, aborting early on cancellation; reports whether
-// the retry should proceed.
-func sleepBackoff(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // statusError is a non-2xx worker reply, kept typed so the retry loop
@@ -782,12 +766,13 @@ func (j *jobDelegate) verify(spec harness.GridSpec, keys []string, out batchOutc
 
 // computeLocal runs the given cells in-process through the same capture
 // mechanism a worker uses — identical code path, identical bytes — with
-// the delegate shadowed so the run cannot recurse into dispatch. It is
+// the delegate cleared so the run cannot recurse into dispatch. It is
 // both the no-fleet fallback and the audit's authoritative executor.
 func (j *jobDelegate) computeLocal(ctx context.Context, spec harness.GridSpec, cells []int, keys []string) (map[int]json.RawMessage, error) {
 	capture := harness.NewCellCapture(spec.ID, cells)
-	lctx := harness.WithCellCapture(harness.WithoutGridDelegate(ctx), capture)
-	_, runErr := harness.Experiment(lctx, j.experiment, j.horizon, j.opts.Attack())
+	run := harness.RunFrom(ctx)
+	run.Capture, run.Delegate = capture, nil
+	_, runErr := harness.Experiment(harness.WithRun(ctx, run), j.experiment, j.horizon, j.opts.Attack())
 	if err := capture.Err(); err != nil {
 		return nil, err
 	}

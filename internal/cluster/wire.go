@@ -25,9 +25,10 @@ import (
 // Opts is the serializable subset of harness.AttackOpts — exactly the
 // fields that determine grid results, so a worker rebuilding a grid from
 // an Opts produces the same GridSpec.Config (and therefore the same cell
-// keys) as the coordinator. Observer-only fields (Parallelism, Observer,
-// AttackTrace) never cross the wire: each node parallelizes for its own
-// cores, and jobs carrying non-serializable state are not distributable.
+// keys) as the coordinator. Observer-only fields (Observer, AttackTrace)
+// never cross the wire, and neither does the harness.Run: each node
+// parallelizes for its own cores, and jobs carrying non-serializable
+// state are not distributable.
 type Opts struct {
 	Horizon         uint64   `json:"horizon,omitempty"`
 	Tenants         int      `json:"tenants,omitempty"`

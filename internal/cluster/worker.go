@@ -25,7 +25,8 @@ import (
 type WorkerNode struct {
 	// Name identifies the worker in responses and registry entries.
 	Name string
-	// Log receives per-request structured logs (nil = silent).
+	// Log receives per-request structured logs and the harness's
+	// failed-cell and slow-cell warnings (nil = silent).
 	Log *slog.Logger
 
 	mu       sync.Mutex
@@ -105,7 +106,13 @@ func (w *WorkerNode) RunCells(ctx context.Context, req CellRequest) (CellRespons
 	ctx = telemetry.NewContext(ctx, &telemetry.Scope{Tracer: tracer})
 
 	capture := harness.NewCellCapture(req.Grid, req.Cells)
-	ctx = harness.WithCellCapture(ctx, capture)
+	run := harness.RunFrom(ctx)
+	run.Capture, run.Delegate = capture, nil
+	if run.Logger == nil {
+		// A request's context carries no Run: warn in the node's log.
+		run.Logger, run.Policy.SlowCellWarn = w.Log, harness.DefaultSlowCellWarn
+	}
+	ctx = harness.WithRun(ctx, run)
 	start := time.Now()
 	_, runErr := harness.Experiment(ctx, req.Experiment, req.Horizon, req.Opts.Attack())
 	if err := capture.Err(); err != nil {

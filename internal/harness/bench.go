@@ -5,7 +5,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -43,8 +42,10 @@ type BenchReport struct {
 
 // BenchCollector accumulates per-cell and per-experiment performance
 // samples. It is safe for concurrent use (cells complete on pool
-// workers). Install it with SetBenchCollector, bracket each experiment
-// with Begin/End, then serialize Report.
+// workers). Put it in the Run as Run.Bench, bracket each experiment with
+// Begin/End, then serialize Report. Collection is observer-only: it
+// times cells and counts simulated events, never touching simulation
+// state.
 type BenchCollector struct {
 	mu     sync.Mutex
 	report BenchReport
@@ -52,14 +53,15 @@ type BenchCollector struct {
 	start  time.Time
 }
 
-// NewBenchCollector returns a collector for a named report.
-func NewBenchCollector(name string) *BenchCollector {
+// NewBenchCollector returns a collector for a named report of runs on
+// the given number of workers (Run.WorkerCount).
+func NewBenchCollector(name string, parallelism int) *BenchCollector {
 	return &BenchCollector{report: BenchReport{
 		Name:        name,
 		GoOS:        runtime.GOOS,
 		GoArch:      runtime.GOARCH,
 		CPUs:        runtime.NumCPU(),
-		Parallelism: Parallelism(),
+		Parallelism: parallelism,
 	}}
 }
 
@@ -121,15 +123,3 @@ func (b *BenchCollector) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
 }
-
-// benchActive is the installed collector (nil when benchmarking is off).
-// Collection is observer-only: it times cells and counts simulated
-// events, never touching simulation state.
-var benchActive atomic.Pointer[BenchCollector]
-
-// SetBenchCollector installs (or, with nil, removes) the package-wide
-// performance collector sampled by runCells and RunAttack.
-func SetBenchCollector(c *BenchCollector) { benchActive.Store(c) }
-
-// benchCollector returns the installed collector, or nil.
-func benchCollector() *BenchCollector { return benchActive.Load() }

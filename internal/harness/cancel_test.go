@@ -104,12 +104,11 @@ func TestCancelledRunReportsCause(t *testing.T) {
 // cell. Now the deadline cancels the cell's context and the harness
 // reaps the goroutine; the count must return to baseline.
 func TestCellTimeoutReapsGoroutine(t *testing.T) {
-	resetRobustness(t)
-	SetPolicy(Policy{FailSoft: true, CellTimeout: 30 * time.Millisecond})
+	rc := Run{Policy: Policy{FailSoft: true, CellTimeout: 30 * time.Millisecond}, Workers: 4}
 
 	baseline := runtime.NumGoroutine()
 	const cells = 8
-	run := runGrid(context.Background(), GridSpec{ID: "t-reap", Workers: 4}, cells,
+	run := runGrid(under(rc), GridSpec{ID: "t-reap"}, cells,
 		func(ctx context.Context, i int) (int, error) {
 			// A context-aware cell that would run for minutes: it must be
 			// cut off by the deadline, not abandoned.
@@ -149,10 +148,9 @@ func TestCellTimeoutReapsGoroutine(t *testing.T) {
 // timeout whose cause is the simulator's cooperative cancellation, and
 // the wall-clock cost is the deadline, not the full simulation.
 func TestCellTimeoutCancelsSimulation(t *testing.T) {
-	resetRobustness(t)
-	SetPolicy(Policy{FailSoft: true, CellTimeout: 50 * time.Millisecond})
+	rc := Run{Policy: Policy{FailSoft: true, CellTimeout: 50 * time.Millisecond}, Workers: 1}
 	start := time.Now()
-	run := runGrid(context.Background(), GridSpec{ID: "t-simreap", Workers: 1}, 1,
+	run := runGrid(under(rc), GridSpec{ID: "t-simreap"}, 1,
 		func(ctx context.Context, i int) (uint64, error) {
 			out, err := RunAttackCtx(ctx, matrixSpec(), defense.None{},
 				attack.Kind{Name: "double-sided", Sided: 2},
@@ -172,11 +170,9 @@ func TestCellTimeoutCancelsSimulation(t *testing.T) {
 // scheduling cells and reports the cancellation even under fail-soft
 // (a partial table must never pass for a complete one).
 func TestGridCancellationStopsEarly(t *testing.T) {
-	resetRobustness(t)
-	SetPolicy(Policy{FailSoft: true})
-	ctx, cancel := context.WithCancelCause(context.Background())
+	ctx, cancel := context.WithCancelCause(under(Run{Policy: Policy{FailSoft: true}, Workers: 2}))
 	var started atomic.Int64
-	run := runGrid(ctx, GridSpec{ID: "t-gcancel", Workers: 2}, 64,
+	run := runGrid(ctx, GridSpec{ID: "t-gcancel"}, 64,
 		func(ctx context.Context, i int) (int, error) {
 			if started.Add(1) == 4 {
 				cancel(errors.New("test: stop the grid"))
@@ -230,11 +226,10 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 // actually sleeps the deterministic schedule between attempts and that
 // the exhausted cell renders its attempt count in the table placeholder.
 func TestRetriesSleepBackoffAndAnnotateAttempts(t *testing.T) {
-	resetRobustness(t)
 	base := 20 * time.Millisecond
-	SetPolicy(Policy{FailSoft: true, Retries: 2, Backoff: base})
+	rc := Run{Policy: Policy{FailSoft: true, Retries: 2, Backoff: base}, Workers: 1}
 	start := time.Now()
-	run := runGrid(context.Background(), GridSpec{ID: "t-backoff", Workers: 1}, 1,
+	run := runGrid(under(rc), GridSpec{ID: "t-backoff"}, 1,
 		func(_ context.Context, i int) (int, error) {
 			return 0, errors.New("always fails")
 		})
@@ -261,15 +256,14 @@ func TestRetriesSleepBackoffAndAnnotateAttempts(t *testing.T) {
 // TestBackoffAbortsOnCancel asserts a grid cancelled during a backoff
 // sleep stops immediately instead of finishing the retry schedule.
 func TestBackoffAbortsOnCancel(t *testing.T) {
-	resetRobustness(t)
-	SetPolicy(Policy{FailSoft: true, Retries: 10, Backoff: time.Hour})
-	ctx, cancel := context.WithCancelCause(context.Background())
+	rc := Run{Policy: Policy{FailSoft: true, Retries: 10, Backoff: time.Hour}, Workers: 1}
+	ctx, cancel := context.WithCancelCause(under(rc))
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		cancel(errors.New("test: abort backoff"))
 	}()
 	start := time.Now()
-	run := runGrid(ctx, GridSpec{ID: "t-abort", Workers: 1}, 1,
+	run := runGrid(ctx, GridSpec{ID: "t-abort"}, 1,
 		func(_ context.Context, i int) (int, error) {
 			return 0, errors.New("fails fast")
 		})

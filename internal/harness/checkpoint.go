@@ -2,14 +2,12 @@ package harness
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
+	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"hammertime/internal/core"
 	"hammertime/internal/sim"
@@ -109,8 +107,13 @@ func (c *Checkpoint) Err() error {
 	return c.err
 }
 
-// Close closes the file, reporting the sticky write error first.
+// Close closes the file, reporting the sticky write error first. A nil
+// checkpoint closes to nil, so callers can close Run.Checkpoint
+// unconditionally.
 func (c *Checkpoint) Close() error {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	first := c.err
@@ -166,45 +169,6 @@ func (c *Checkpoint) fail(err error) {
 	}
 }
 
-// activeCk holds the checkpoint consulted by runGrid (nil = none).
-var activeCk atomic.Pointer[Checkpoint]
-
-// ckContextKey carries a per-run checkpoint through a context.
-type ckContextKey struct{}
-
-// WithCheckpoint returns ctx carrying a checkpoint that identified grids
-// consult and append to, taking precedence over the package-wide one
-// installed with SetCheckpoint. The package-wide slot is per-process —
-// right for a CLI run, wrong for a daemon simulating many jobs at once —
-// so hammerd threads each job's own checkpoint here and concurrent jobs
-// never share (or clobber) resume state. A nil checkpoint returns ctx
-// unchanged.
-func WithCheckpoint(ctx context.Context, ck *Checkpoint) context.Context {
-	if ck == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ckContextKey{}, ck)
-}
-
-// checkpointFrom returns the context-scoped checkpoint, or nil.
-func checkpointFrom(ctx context.Context) *Checkpoint {
-	ck, _ := ctx.Value(ckContextKey{}).(*Checkpoint)
-	return ck
-}
-
-// SetCheckpoint installs (or, with nil, removes) the checkpoint that
-// identified grids consult and append to. cmd/hammerbench wires its
-// -resume flag here.
-func SetCheckpoint(ck *Checkpoint) {
-	if ck == nil {
-		activeCk.Store(nil)
-		return
-	}
-	activeCk.Store(ck)
-}
-
-func activeCheckpoint() *Checkpoint { return activeCk.Load() }
-
 // CellKey hashes everything that determines a cell's result — the FNV-64a
 // of (grid ID, grid config, DeterminismEpoch, machine seed, cell index),
 // rendered as 16 lowercase hex digits. The machine seed enters via
@@ -219,8 +183,40 @@ func activeCheckpoint() *Checkpoint { return activeCk.Load() }
 // TestCellKeyGolden pins the exact hash; changing the format or any
 // input invalidates every checkpoint and cache on disk.
 func CellKey(spec GridSpec, cell int) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|epoch=%d|seed=%d|cell=%d",
-		spec.ID, spec.Config, sim.DeterminismEpoch, core.DefaultSpec().Seed, cell)
-	return fmt.Sprintf("%016x", h.Sum64())
+	// The same bytes as hashing
+	// fmt.Sprintf("%s|%s|epoch=%d|seed=%d|cell=%d", ...), fed through an
+	// inline FNV-64a with the numbers formatted into a stack buffer, so
+	// the returned string is the only allocation.
+	var num [20]byte
+	h := fnvAdd(fnvOffset64, spec.ID)
+	h = fnvAdd(h, "|")
+	h = fnvAdd(h, spec.Config)
+	h = fnvAdd(h, "|epoch=")
+	h = fnvAdd(h, strconv.AppendUint(num[:0], uint64(sim.DeterminismEpoch), 10))
+	h = fnvAdd(h, "|seed=")
+	h = fnvAdd(h, strconv.AppendUint(num[:0], core.DefaultSpec().Seed, 10))
+	h = fnvAdd(h, "|cell=")
+	h = fnvAdd(h, strconv.AppendInt(num[:0], int64(cell), 10))
+	const hexDigits = "0123456789abcdef"
+	var out [16]byte
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = hexDigits[h&0xf]
+		h >>= 4
+	}
+	return string(out[:])
+}
+
+// FNV-64a parameters (hash/fnv), for CellKey's allocation-free hashing.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvAdd folds s into the running FNV-64a hash h.
+func fnvAdd[S string | []byte](h uint64, s S) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
 }

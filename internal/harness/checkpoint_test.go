@@ -12,21 +12,19 @@ import (
 )
 
 func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
-	resetRobustness(t)
 	path := filepath.Join(t.TempDir(), "grid.ckpt")
-	spec := GridSpec{ID: "t-ck", Config: "c1", Workers: 1}
+	spec := GridSpec{ID: "t-ck", Config: "c1"}
 
 	ck, err := OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetCheckpoint(ck)
 	var calls atomic.Int64
 	fn := func(_ context.Context, i int) (int, error) {
 		calls.Add(1)
 		return 3 * i, nil
 	}
-	run := runGrid(context.Background(), spec, 5, fn)
+	run := runGrid(under(Run{Checkpoint: ck, Workers: 1}), spec, 5, fn)
 	if err := run.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +43,9 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 	if ck2.Loaded() != 5 {
 		t.Fatalf("reopened checkpoint holds %d cells, want 5", ck2.Loaded())
 	}
-	SetCheckpoint(ck2)
+	ctx := under(Run{Checkpoint: ck2, Workers: 1})
 	calls.Store(0)
-	again := runGrid(context.Background(), spec, 5, fn)
+	again := runGrid(ctx, spec, 5, fn)
 	if err := again.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +59,7 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 	}
 
 	// A different config must never restore the stale cells.
-	other := runGrid(context.Background(), GridSpec{ID: "t-ck", Config: "c2", Workers: 1}, 5, fn)
+	other := runGrid(ctx, GridSpec{ID: "t-ck", Config: "c2"}, 5, fn)
 	if err := other.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +69,7 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 
 	// Anonymous grids (empty ID) never touch the checkpoint.
 	calls.Store(0)
-	anon := runGrid(context.Background(), GridSpec{Workers: 1}, 3, fn)
+	anon := runGrid(ctx, GridSpec{}, 3, fn)
 	if err := anon.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,82 +79,80 @@ func TestCheckpointResumeSkipsCompletedCells(t *testing.T) {
 }
 
 // TestContextCheckpointScoped pins the per-job checkpoint path used by
-// hammerd's durable job store: a checkpoint carried by the context is
-// the one a grid consults and appends to, taking precedence over the
-// process-wide SetCheckpoint slot — so concurrent daemon jobs each
-// resume from their own file instead of sharing (and clobbering) one
-// global checkpoint.
+// hammerd's durable job store: a grid consults and appends to the
+// checkpoint of its context's Run and no other, so concurrent daemon
+// jobs each resume from their own file instead of sharing (and
+// clobbering) one checkpoint.
 func TestContextCheckpointScoped(t *testing.T) {
-	resetRobustness(t)
 	dir := t.TempDir()
-	spec := GridSpec{ID: "t-ctxck", Config: "c1", Workers: 1}
+	spec := GridSpec{ID: "t-ctxck", Config: "c1"}
 
-	global, err := OpenCheckpoint(filepath.Join(dir, "global.ckpt"))
+	// Another job's checkpoint, open at the same time.
+	other, err := OpenCheckpoint(filepath.Join(dir, "job-2.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer global.Close()
-	SetCheckpoint(global)
+	defer other.Close()
 
 	jobPath := filepath.Join(dir, "job-1.ckpt")
 	jobCk, err := OpenCheckpoint(jobPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := WithCheckpoint(context.Background(), jobCk)
 	var calls atomic.Int64
 	fn := func(_ context.Context, i int) (int, error) {
 		calls.Add(1)
 		return 7 * i, nil
 	}
-	if err := runGrid(ctx, spec, 4, fn).Err(); err != nil {
+	if err := runGrid(under(Run{Checkpoint: jobCk, Workers: 1}), spec, 4, fn).Err(); err != nil {
 		t.Fatal(err)
 	}
 	if jobCk.Added() != 4 {
-		t.Fatalf("context checkpoint recorded %d cells, want 4", jobCk.Added())
+		t.Fatalf("the run's checkpoint recorded %d cells, want 4", jobCk.Added())
 	}
-	if global.Added() != 0 {
-		t.Fatalf("global checkpoint received %d cells despite the context override", global.Added())
+	if other.Added() != 0 {
+		t.Fatalf("another run's checkpoint received %d cells", other.Added())
 	}
 	if err := jobCk.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// A restarted job reopens its own file and resumes without
-	// recomputing; the global slot is still untouched.
+	// recomputing; the other job's checkpoint is still untouched.
 	jobCk2, err := OpenCheckpoint(jobPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jobCk2.Close()
 	calls.Store(0)
-	again := runGrid(WithCheckpoint(context.Background(), jobCk2), spec, 4, fn)
+	again := runGrid(under(Run{Checkpoint: jobCk2, Workers: 1}), spec, 4, fn)
 	if err := again.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if again.Restored != 4 || calls.Load() != 0 {
 		t.Fatalf("resume via context: restored=%d calls=%d, want 4 and 0", again.Restored, calls.Load())
 	}
-	if global.Added() != 0 {
-		t.Fatalf("global checkpoint gained %d cells on resume", global.Added())
+	if other.Added() != 0 {
+		t.Fatalf("another run's checkpoint gained %d cells on resume", other.Added())
 	}
-	// WithCheckpoint(nil) is a no-op: the global slot applies again.
-	if noop := WithCheckpoint(context.Background(), nil); checkpointFrom(noop) != nil {
-		t.Fatal("nil checkpoint must not be carried")
+	// A Run without a checkpoint neither restores nor records.
+	calls.Store(0)
+	plain := runGrid(under(Run{Workers: 1}), spec, 4, fn)
+	if plain.Restored != 0 || calls.Load() != 4 || jobCk2.Added() != 0 {
+		t.Fatalf("checkpoint-free run: restored=%d calls=%d added=%d, want 0, 4 and 0",
+			plain.Restored, calls.Load(), jobCk2.Added())
 	}
 }
 
 func TestCheckpointTrimsTornTail(t *testing.T) {
-	resetRobustness(t)
 	path := filepath.Join(t.TempDir(), "grid.ckpt")
-	spec := GridSpec{ID: "t-torn", Config: "v1", Workers: 1}
+	spec := GridSpec{ID: "t-torn", Config: "v1"}
 
 	ck, err := OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetCheckpoint(ck)
-	if err := runGrid(context.Background(), spec, 4, func(_ context.Context, i int) (int, error) { return i, nil }).Err(); err != nil {
+	if err := runGrid(under(Run{Checkpoint: ck, Workers: 1}), spec, 4, func(_ context.Context, i int) (int, error) { return i, nil }).Err(); err != nil {
 		t.Fatal(err)
 	}
 	if err := ck.Close(); err != nil {
@@ -216,9 +212,8 @@ func TestCheckpointTrimsTornTail(t *testing.T) {
 // failure) and restarted with -resume must produce a table byte-identical
 // to an uninterrupted run's.
 func TestE1ResumeByteIdentical(t *testing.T) {
-	resetRobustness(t)
 	defenses := []string{"none", "trr"}
-	opts := AttackOpts{Horizon: 300_000, PagesPerTenant: 48, Parallelism: 1}
+	opts := AttackOpts{Horizon: 300_000, PagesPerTenant: 48}
 
 	render := func(tb *report.Table) []byte {
 		var buf bytes.Buffer
@@ -229,7 +224,7 @@ func TestE1ResumeByteIdentical(t *testing.T) {
 	}
 
 	// Baseline: uninterrupted, uncheckpointed.
-	tb, err := E1Matrix(context.Background(), defenses, 4, opts)
+	tb, err := E1Matrix(under(Run{Workers: 1}), defenses, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +237,8 @@ func TestE1ResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetCheckpoint(ck)
 	t.Setenv(failCellEnv, "e1:5:error")
-	if _, err := E1Matrix(context.Background(), defenses, 4, opts); err == nil {
+	if _, err := E1Matrix(under(Run{Checkpoint: ck, Workers: 1}), defenses, 4, opts); err == nil {
 		t.Fatal("injected failure did not abort the strict run")
 	}
 	if err := ck.Close(); err != nil {
@@ -265,8 +259,7 @@ func TestE1ResumeByteIdentical(t *testing.T) {
 	if ck2.Loaded() != ck.Added() {
 		t.Fatalf("restart loaded %d cells, interrupted run wrote %d", ck2.Loaded(), ck.Added())
 	}
-	SetCheckpoint(ck2)
-	tb2, err := E1Matrix(context.Background(), defenses, 4, opts)
+	tb2, err := E1Matrix(under(Run{Checkpoint: ck2, Workers: 1}), defenses, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

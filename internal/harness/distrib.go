@@ -11,10 +11,10 @@ import (
 )
 
 // Distribution hooks: the two halves of the coordinator/worker split
-// (internal/cluster) hang off the grid runner through a context, so the
-// experiment code itself — E1Matrix and friends — never knows whether
-// its cells were computed in-process, fetched from a content-addressed
-// cache, or simulated on another node.
+// (internal/cluster) are fields of the context's Run (Delegate and
+// Capture), so the experiment code itself — E1Matrix and friends —
+// never knows whether its cells were computed in-process, fetched from
+// a content-addressed cache, or simulated on another node.
 //
 //   - A GridDelegate (coordinator side) intercepts a whole grid: runGrid
 //     hands it (spec, n) and restores every cell from the JSON the
@@ -36,34 +36,21 @@ type GridDelegate interface {
 	RunGrid(ctx context.Context, spec GridSpec, n int) (map[int]json.RawMessage, error)
 }
 
-type gridDelegateKey struct{}
-
-// WithGridDelegate returns ctx carrying the delegate consulted by
-// identified grids (anonymous grids always run locally). A nil delegate
-// returns ctx unchanged.
+// WithGridDelegate returns ctx carrying ctx's Run with d as its
+// Delegate. A nil delegate returns ctx unchanged.
 func WithGridDelegate(ctx context.Context, d GridDelegate) context.Context {
 	if d == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, gridDelegateKey{}, d)
-}
-
-func gridDelegateFrom(ctx context.Context) GridDelegate {
-	d, _ := ctx.Value(gridDelegateKey{}).(GridDelegate)
-	return d
-}
-
-// WithoutGridDelegate shadows any delegate carried by ctx, forcing grids
-// back to in-process execution. The coordinator's local fallback runs
-// cells under this so it never re-enters itself.
-func WithoutGridDelegate(ctx context.Context) context.Context {
-	return context.WithValue(ctx, gridDelegateKey{}, GridDelegate(nil))
+	r := RunFrom(ctx)
+	r.Delegate = d
+	return WithRun(ctx, r)
 }
 
 // CellCapture restricts a run to one grid's assigned cells and collects
 // their results as (CellKey, JSON) pairs — the worker half of the
-// coordinator/worker protocol. Construct with NewCellCapture, install
-// with WithCellCapture, run the experiment, then read Results.
+// coordinator/worker protocol. Construct with NewCellCapture, set it as
+// Run.Capture, run the experiment, then read Results.
 type CellCapture struct {
 	grid  string
 	cells map[int]struct{}
@@ -92,22 +79,6 @@ func NewCellCapture(grid string, cells []int) *CellCapture {
 	for _, i := range cells {
 		c.cells[i] = struct{}{}
 	}
-	return c
-}
-
-type cellCaptureKey struct{}
-
-// WithCellCapture returns ctx carrying the capture. A nil capture
-// returns ctx unchanged.
-func WithCellCapture(ctx context.Context, c *CellCapture) context.Context {
-	if c == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, cellCaptureKey{}, c)
-}
-
-func cellCaptureFrom(ctx context.Context) *CellCapture {
-	c, _ := ctx.Value(cellCaptureKey{}).(*CellCapture)
 	return c
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -41,6 +43,15 @@ func TestCellKeyGolden(t *testing.T) {
 	}
 }
 
+// TestCellKeyAllocs pins CellKey to one allocation, the returned
+// string: the coordinator keys every cell of every grid it plans.
+func TestCellKeyAllocs(t *testing.T) {
+	spec := GridSpec{ID: "e1", Config: "defenses=none,trr;sided=12;horizon=4000000"}
+	if n := testing.AllocsPerRun(100, func() { _ = CellKey(spec, 1234) }); n != 1 {
+		t.Fatalf("CellKey made %v allocations, want 1", n)
+	}
+}
+
 // fastE1 is a small real E1 slice: 2 defenses x 4 kinds = 8 cells.
 func fastE1() ([]string, int, AttackOpts) {
 	return []string{"none", "para"}, 4, AttackOpts{Horizon: 200_000, Tenants: 2, PagesPerTenant: 60}
@@ -49,7 +60,7 @@ func fastE1() ([]string, int, AttackOpts) {
 func TestCellCaptureNarrowsGrid(t *testing.T) {
 	defenses, sided, opts := fastE1()
 	capture := NewCellCapture("e1", []int{1, 3, 99})
-	ctx := WithCellCapture(context.Background(), capture)
+	ctx := under(Run{Capture: capture})
 	if _, err := E1Matrix(ctx, defenses, sided, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +95,7 @@ func TestCellCaptureNarrowsGrid(t *testing.T) {
 func TestCellCaptureSkipsOtherGrids(t *testing.T) {
 	defenses, sided, opts := fastE1()
 	capture := NewCellCapture("some-other-grid", []int{0})
-	ctx := WithCellCapture(context.Background(), capture)
+	ctx := under(Run{Capture: capture})
 	// The run must neither error nor simulate: a worker assigned grid X
 	// skips experiment phases that build other grids.
 	if _, err := E1Matrix(ctx, defenses, sided, opts); err != nil {
@@ -118,7 +129,9 @@ func (d *captureDelegate) RunGrid(ctx context.Context, spec GridSpec, n int) (ma
 		cells[i] = i
 	}
 	capture := NewCellCapture(spec.ID, cells)
-	ctx = WithCellCapture(WithoutGridDelegate(ctx), capture)
+	rc := RunFrom(ctx)
+	rc.Capture, rc.Delegate = capture, nil
+	ctx = WithRun(ctx, rc)
 	defenses, sided, opts := fastE1()
 	if _, err := E1Matrix(ctx, defenses, sided, opts); err != nil {
 		return nil, err
@@ -176,15 +189,53 @@ func TestGridDelegateErrorFailsGrid(t *testing.T) {
 func TestWithoutGridDelegateShadows(t *testing.T) {
 	del := &captureDelegate{t: t}
 	ctx := WithGridDelegate(context.Background(), del)
-	if gridDelegateFrom(ctx) == nil {
+	if RunFrom(ctx).Delegate == nil {
 		t.Fatal("delegate not installed")
 	}
-	if gridDelegateFrom(WithoutGridDelegate(ctx)) != nil {
-		t.Fatal("WithoutGridDelegate did not shadow the delegate")
+	if WithGridDelegate(ctx, nil) != ctx {
+		t.Fatal("a nil delegate must leave the context unchanged")
+	}
+	// A copy of the Run with the delegate cleared shadows it.
+	rc := RunFrom(ctx)
+	rc.Delegate = nil
+	if RunFrom(WithRun(ctx, rc)).Delegate != nil {
+		t.Fatal("clearing Run.Delegate did not shadow the delegate")
 	}
 	// Anonymous grids must ignore delegates entirely.
 	run := runGrid[int](ctx, GridSpec{}, 2, func(ctx context.Context, i int) (int, error) { return i, nil })
 	if run.Err() != nil || del.calls != 0 {
 		t.Fatalf("anonymous grid consulted the delegate (calls=%d, err=%v)", del.calls, run.Err())
+	}
+}
+
+// TestCellCaptureRecordsRestoredCells covers a capture whose Run also
+// carries a checkpoint, as the coordinator's local fallback does inside
+// a durable hammerd job: cells restored from the checkpoint must reach
+// the capture too, or a resumed job finds them "never computed".
+func TestCellCaptureRecordsRestoredCells(t *testing.T) {
+	ck, err := OpenCheckpoint(filepath.Join(t.TempDir(), "job.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	spec := GridSpec{ID: "t-cap", Config: "c"}
+	fn := func(_ context.Context, i int) (int, error) { return 5 * i, nil }
+	if err := runGrid(under(Run{Checkpoint: ck, Workers: 1}), spec, 2, fn).Err(); err != nil {
+		t.Fatal(err)
+	}
+	capture := NewCellCapture("t-cap", []int{0, 1, 2})
+	run := runGrid(under(Run{Checkpoint: ck, Capture: capture, Workers: 1}), spec, 3, fn)
+	if err := run.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if run.Restored != 2 {
+		t.Fatalf("restored %d cells, want 2", run.Restored)
+	}
+	got := capture.Results()
+	for i := 0; i < 3; i++ {
+		want := CapturedCell{Key: CellKey(spec, i), Result: json.RawMessage(strconv.Itoa(5 * i))}
+		if c, ok := got[i]; !ok || c.Key != want.Key || string(c.Result) != string(want.Result) {
+			t.Errorf("captured cell %d = %+v (present %v), want %+v", i, c, ok, want)
+		}
 	}
 }

@@ -34,7 +34,7 @@ func E1Spec() core.MachineSpec {
 // and tabulates cross-domain flips — the reproduction of Table 1's claim
 // that each primitive enables a working defense of its class. The
 // (defense, attack) cells are independent simulations and run on the
-// worker pool (opts.Parallelism); each cell constructs its own defense
+// worker pool (Run.Workers); each cell constructs its own defense
 // instance because several defenses are stateful software daemons.
 func E1Matrix(ctx context.Context, defenses []string, manySided int, opts AttackOpts) (*report.Table, error) {
 	if len(defenses) == 0 {
@@ -48,9 +48,8 @@ func E1Matrix(ctx context.Context, defenses []string, manySided int, opts Attack
 	tb := report.NewTable("E1: cross-domain flips, attack x defense (LPDDR4)", headers...)
 	nA := len(attacks)
 	spec := GridSpec{
-		ID:      "e1",
-		Config:  fmt.Sprintf("defenses=%s;sided=%d;%s", strings.Join(defenses, ","), manySided, opts.configString()),
-		Workers: opts.Parallelism,
+		ID:     "e1",
+		Config: fmt.Sprintf("defenses=%s;sided=%d;%s", strings.Join(defenses, ","), manySided, opts.configString()),
 	}
 	run := runGrid(ctx, spec, len(defenses)*nA, func(ctx context.Context, i int) (string, error) {
 		name, kind := defenses[i/nA], attacks[i%nA]

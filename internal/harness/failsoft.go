@@ -37,10 +37,10 @@ import (
 // cut-off cell actually stops simulating instead of being abandoned to
 // burn CPU in the background.
 
-// Policy configures how experiment grids treat failing cells. The zero
-// value is the historical strict behavior: no retries, no backoff, no
-// deadline, and the lowest-index error among the attempted cells aborts
-// the grid.
+// Policy configures how experiment grids treat failing and slow cells.
+// The zero value is the historical strict behavior: no retries, no
+// backoff, no deadline, no slow-cell warning, and the lowest-index error
+// among the attempted cells aborts the grid.
 type Policy struct {
 	// FailSoft records per-cell failures and finishes the grid instead of
 	// stopping at the first error; experiments annotate the failed cells.
@@ -63,38 +63,15 @@ type Policy struct {
 	// last resort, abandoned to finish in the background after a grace
 	// period; its result is discarded either way.
 	CellTimeout time.Duration
+	// SlowCellWarn is the wall-clock time after which a still-running
+	// cell logs a warning to Run.Logger (0 = never). It only warns:
+	// the cell keeps running.
+	SlowCellWarn time.Duration
 }
 
-// currentPolicy holds the package-wide grid policy (nil = zero Policy).
-var currentPolicy atomic.Pointer[Policy]
-
-// SetPolicy installs the package-wide grid policy. The CLIs wire their
-// -fail-soft/-retries/-retry-backoff/-cell-timeout flags here.
-func SetPolicy(p Policy) { currentPolicy.Store(&p) }
-
-// GridPolicy returns the installed policy (zero value when unset).
-func GridPolicy() Policy {
-	if p := currentPolicy.Load(); p != nil {
-		return *p
-	}
-	return Policy{}
-}
-
-// gridObs holds the recorder that receives cell retry/failure events
-// (KindCellRetry/KindCellFail), so traces show where a grid degraded.
-var gridObs atomic.Pointer[obs.Recorder]
-
-// SetGridObserver installs (or, with nil, removes) the recorder that
-// receives harness cell-retry and cell-failure events.
-func SetGridObserver(rec *obs.Recorder) {
-	if rec == nil {
-		gridObs.Store(nil)
-		return
-	}
-	gridObs.Store(rec)
-}
-
-func gridObserver() *obs.Recorder { return gridObs.Load() }
+// DefaultSlowCellWarn is the slow-cell warning threshold of the CLIs'
+// -slow-cell flag and of hammerd's jobs and workers.
+const DefaultSlowCellWarn = time.Minute
 
 // CellError is the typed failure of one experiment-grid cell: which grid
 // and cell, how many attempts were made, and whether the final attempt
@@ -176,9 +153,8 @@ func (e *CellError) Reason() string {
 // a run with different parameters never restores a stale cell. Grids with
 // an empty ID are anonymous: policy still applies, checkpointing does not.
 type GridSpec struct {
-	ID      string
-	Config  string
-	Workers int
+	ID     string
+	Config string
 }
 
 // GridRun is the outcome of one grid execution: the per-cell results plus
@@ -282,11 +258,11 @@ func parseFailpoint(grid string) *failpoint {
 	return fp
 }
 
-// runGrid executes fn(ctx, 0..n-1) on the worker pool under the current
-// Policy and checkpoint. Cells must be independent and return their
-// result instead of writing shared state: the runner assigns
-// Results[i] only when an attempt completes within its deadline, which
-// is what keeps late (timed-out) attempts from racing with table
+// runGrid executes fn(ctx, 0..n-1) on the worker pool as the context's
+// Run says (policy, workers, checkpoint, ...). Cells must be independent
+// and return their result instead of writing shared state: the runner
+// assigns Results[i] only when an attempt completes within its deadline,
+// which is what keeps late (timed-out) attempts from racing with table
 // assembly. The context a cell receives carries the grid context plus
 // the per-cell deadline; cells thread it into core.Machine.RunCtx so a
 // deadline or a caller's cancellation actually stops the simulation.
@@ -297,12 +273,13 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if del := gridDelegateFrom(ctx); del != nil && spec.ID != "" {
+	rc := RunFrom(ctx)
+	if rc.Delegate != nil && spec.ID != "" {
 		// Coordinator path: the delegate computes the grid (cache +
 		// workers) and every cell restores from its JSON.
-		return runGridDelegated[T](ctx, spec, n, del)
+		return runGridDelegated[T](ctx, spec, n, rc.Delegate)
 	}
-	pol := GridPolicy()
+	pol := rc.Policy
 	run := &GridRun[T]{
 		spec:     spec,
 		Results:  make([]T, n),
@@ -312,7 +289,7 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 	// Worker path: a capture narrows the run to its assigned cells of
 	// its target grid; other grids of the same experiment are skipped
 	// entirely (their tables are discarded by the worker anyway).
-	capture := cellCaptureFrom(ctx)
+	capture := rc.Capture
 	if capture != nil && capture.grid != spec.ID {
 		return run
 	}
@@ -325,10 +302,7 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 			order = append(order, i)
 		}
 	}
-	ck := checkpointFrom(ctx)
-	if ck == nil {
-		ck = activeCheckpoint()
-	}
+	ck := rc.Checkpoint
 	if spec.ID == "" {
 		ck = nil
 	}
@@ -344,7 +318,7 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 	defer func() { gspan.EndErr(run.Err()) }()
 	prog := newGridProgress(telemetry.HubFrom(ctx), gname, n)
 
-	bc := benchCollector()
+	bc := rc.Bench
 	cell := func(i int) *CellError {
 		var key string
 		if ck != nil {
@@ -352,6 +326,9 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 			if raw, ok := ck.lookup(key); ok {
 				if jerr := json.Unmarshal(raw, &run.Results[i]); jerr == nil {
 					restored.Add(1)
+					if capture != nil {
+						capture.record(spec, i, run.Results[i])
+					}
 					prog.cellDone(i, 0, 0, true, "")
 					return nil
 				}
@@ -361,17 +338,17 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 		}
 		cctx, span := telemetry.StartLane(ctx, "cell")
 		span.SetAttrs(telemetry.String("grid", gname), telemetry.Int("cell", int64(i)))
-		unwatch := slowCellWatchdog(gname, i)
+		unwatch := slowCellWatchdog(rc.Logger, pol.SlowCellWarn, gname, i)
 		start := time.Now()
-		ce := runCellGuarded(cctx, spec.ID, i, pol, fp, fn, &run.Results[i])
+		ce := runCellGuarded(cctx, spec.ID, i, pol, rc.Events, fp, fn, &run.Results[i])
 		wall := time.Since(start)
 		unwatch()
 		attempts, errMsg := 1, ""
 		if ce != nil {
 			attempts, errMsg = ce.Attempts, ce.Reason()
 			span.Fail(ce)
-			if log := logger(); log != nil {
-				log.Warn("grid cell failed",
+			if rc.Logger != nil {
+				rc.Logger.Warn("grid cell failed",
 					"grid", gname, "cell", i, "attempts", ce.Attempts, "reason", ce.Reason())
 			}
 		}
@@ -403,7 +380,7 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 		run.mu.Unlock()
 	}
 
-	workers := resolveWorkers(spec.Workers)
+	workers := rc.WorkerCount()
 	if workers > len(order) {
 		workers = len(order)
 	}
@@ -475,7 +452,7 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 // events on retry/failure. On success the result is stored into *out; on
 // timeout *out is left untouched so a late attempt cannot race with
 // readers.
-func runCellGuarded[T any](ctx context.Context, grid string, i int, pol Policy, fp *failpoint, fn func(ctx context.Context, i int) (T, error), out *T) *CellError {
+func runCellGuarded[T any](ctx context.Context, grid string, i int, pol Policy, events *obs.Recorder, fp *failpoint, fn func(ctx context.Context, i int) (T, error), out *T) *CellError {
 	attempts := 1 + pol.Retries
 	if attempts < 1 {
 		attempts = 1
@@ -515,17 +492,17 @@ func runCellGuarded[T any](ctx context.Context, grid string, i int, pol Policy, 
 			break
 		}
 		if a < attempts {
-			gridObserver().Emit(obs.Event{
+			events.Emit(obs.Event{
 				Kind: obs.KindCellRetry, Bank: -1, Row: -1, Domain: -1,
 				Line: uint64(i), Arg: uint64(a),
 			})
-			if pol.Backoff > 0 && !sleepBackoff(ctx, pol.Backoff, grid, i, a) {
+			if pol.Backoff > 0 && !Sleep(ctx, RetryBackoff(pol.Backoff, grid, i, a)) {
 				last.Cancelled = true
 				break
 			}
 		}
 	}
-	gridObserver().Emit(obs.Event{
+	events.Emit(obs.Event{
 		Kind: obs.KindCellFail, Bank: -1, Row: -1, Domain: -1,
 		Line: uint64(i), Arg: uint64(last.Attempts),
 	})
@@ -567,10 +544,10 @@ func Backoff(base time.Duration, key string, attempt int) time.Duration {
 	return half + time.Duration(rng.Float64()*float64(half))
 }
 
-// sleepBackoff sleeps the deterministic retry backoff, aborting early if
-// the grid is cancelled. Reports whether the retry should proceed.
-func sleepBackoff(ctx context.Context, base time.Duration, grid string, cell, attempt int) bool {
-	d := RetryBackoff(base, grid, cell, attempt)
+// Sleep waits d (a backoff delay), returning early if ctx is cancelled.
+// It reports whether the caller should go on and retry: true once d has
+// passed, false when ctx was cancelled first.
+func Sleep(ctx context.Context, d time.Duration) bool {
 	if d <= 0 {
 		return ctx.Err() == nil
 	}
@@ -666,24 +643,19 @@ func callContained[T any](ctx context.Context, fn func(ctx context.Context) (T, 
 	return v, err, false, ""
 }
 
-// Guarded applies the current Policy to a single non-grid run (panic
-// containment, retries with backoff, deadline): cmd/hammersim routes its
-// one scenario through it so a crash or hang degrades into a reportable
-// *CellError. The result is assigned only when an attempt completes in
-// time.
-func Guarded[T any](label string, fn func() (T, error)) (T, *CellError) {
-	return GuardedCtx(context.Background(), label, func(context.Context) (T, error) { return fn() })
-}
-
-// GuardedCtx is Guarded under a caller context: the context (plus the
-// policy's deadline) reaches fn, so cancelling it actually stops the
-// scenario.
+// GuardedCtx applies the Policy of ctx's Run to a single non-grid run:
+// panic containment, retries with backoff and the deadline.
+// cmd/hammersim routes its one scenario through it, so a crash or hang
+// degrades into a reportable *CellError. The context (plus the policy's
+// deadline) reaches fn, so cancelling it actually stops the scenario.
+// The result is assigned only when an attempt completes in time.
 func GuardedCtx[T any](ctx context.Context, label string, fn func(ctx context.Context) (T, error)) (T, *CellError) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	var v T
-	ce := runCellGuarded(ctx, label, 0, GridPolicy(), parseFailpoint(label),
+	rc := RunFrom(ctx)
+	ce := runCellGuarded(ctx, label, 0, rc.Policy, rc.Events, parseFailpoint(label),
 		func(cctx context.Context, _ int) (T, error) { return fn(cctx) }, &v)
 	return v, ce
 }

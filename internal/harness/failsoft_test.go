@@ -13,21 +13,12 @@ import (
 	"hammertime/internal/report"
 )
 
-// resetRobustness restores the package-wide policy/observer/checkpoint
-// state after a test that installs any of them.
-func resetRobustness(t *testing.T) {
-	t.Helper()
-	t.Cleanup(func() {
-		SetPolicy(Policy{})
-		SetGridObserver(nil)
-		SetCheckpoint(nil)
-	})
-}
+// under returns a background context carrying r.
+func under(r Run) context.Context { return WithRun(context.Background(), r) }
 
 func TestRunGridContainsPanics(t *testing.T) {
-	resetRobustness(t)
 	for _, workers := range []int{1, 4} {
-		run := runGrid(context.Background(), GridSpec{ID: "t-panic", Workers: workers}, 8, func(_ context.Context, i int) (int, error) {
+		run := runGrid(under(Run{Workers: workers}), GridSpec{ID: "t-panic"}, 8, func(_ context.Context, i int) (int, error) {
 			if i == 3 {
 				panic("boom")
 			}
@@ -54,9 +45,8 @@ func TestRunGridContainsPanics(t *testing.T) {
 }
 
 func TestRunGridStrictReportsLowestIndexFailure(t *testing.T) {
-	resetRobustness(t)
 	for _, workers := range []int{1, 4} {
-		run := runGrid(context.Background(), GridSpec{ID: "t-low", Workers: workers}, 16, func(_ context.Context, i int) (int, error) {
+		run := runGrid(under(Run{Workers: workers}), GridSpec{ID: "t-low"}, 16, func(_ context.Context, i int) (int, error) {
 			if i == 5 || i == 11 {
 				return 0, fmt.Errorf("cell %d broke", i)
 			}
@@ -78,11 +68,9 @@ func TestRunGridStrictReportsLowestIndexFailure(t *testing.T) {
 }
 
 func TestRunGridFailSoftCompletesGrid(t *testing.T) {
-	resetRobustness(t)
-	SetPolicy(Policy{FailSoft: true})
 	for _, workers := range []int{1, 4} {
 		var calls atomic.Int64
-		run := runGrid(context.Background(), GridSpec{ID: "t-soft", Workers: workers}, 6, func(_ context.Context, i int) (int, error) {
+		run := runGrid(under(Run{Policy: Policy{FailSoft: true}, Workers: workers}), GridSpec{ID: "t-soft"}, 6, func(_ context.Context, i int) (int, error) {
 			calls.Add(1)
 			switch i {
 			case 2:
@@ -125,12 +113,10 @@ func TestRunGridFailSoftCompletesGrid(t *testing.T) {
 }
 
 func TestRunGridRetriesFlakyCell(t *testing.T) {
-	resetRobustness(t)
-	SetPolicy(Policy{Retries: 2})
 	ring := obs.NewRing(64)
-	SetGridObserver(obs.NewRecorder(ring))
+	rc := Run{Policy: Policy{Retries: 2}, Workers: 1, Events: obs.NewRecorder(ring)}
 	var attempts atomic.Int64
-	run := runGrid(context.Background(), GridSpec{ID: "t-retry", Workers: 1}, 3, func(_ context.Context, i int) (int, error) {
+	run := runGrid(under(rc), GridSpec{ID: "t-retry"}, 3, func(_ context.Context, i int) (int, error) {
 		if i == 1 {
 			if attempts.Add(1) < 3 {
 				return 0, errors.New("transient")
@@ -156,11 +142,9 @@ func TestRunGridRetriesFlakyCell(t *testing.T) {
 }
 
 func TestRunGridRetryExhaustionEmitsFailure(t *testing.T) {
-	resetRobustness(t)
-	SetPolicy(Policy{Retries: 1})
 	ring := obs.NewRing(64)
-	SetGridObserver(obs.NewRecorder(ring))
-	run := runGrid(context.Background(), GridSpec{ID: "t-exhaust", Workers: 1}, 2, func(_ context.Context, i int) (int, error) {
+	rc := Run{Policy: Policy{Retries: 1}, Workers: 1, Events: obs.NewRecorder(ring)}
+	run := runGrid(under(rc), GridSpec{ID: "t-exhaust"}, 2, func(_ context.Context, i int) (int, error) {
 		if i == 0 {
 			return 0, errors.New("permanent")
 		}
@@ -182,12 +166,11 @@ func TestRunGridRetryExhaustionEmitsFailure(t *testing.T) {
 }
 
 func TestRunGridCellTimeout(t *testing.T) {
-	resetRobustness(t)
 	// Retries must not apply to a timed-out cell: its abandoned attempt
 	// may still be running and a re-run could race with it.
-	SetPolicy(Policy{FailSoft: true, Retries: 3, CellTimeout: 10 * time.Millisecond})
+	rc := Run{Policy: Policy{FailSoft: true, Retries: 3, CellTimeout: 10 * time.Millisecond}, Workers: 1}
 	var attempts atomic.Int64
-	run := runGrid(context.Background(), GridSpec{ID: "t-slow", Workers: 1}, 2, func(_ context.Context, i int) (int, error) {
+	run := runGrid(under(rc), GridSpec{ID: "t-slow"}, 2, func(_ context.Context, i int) (int, error) {
 		if i == 0 {
 			attempts.Add(1)
 			time.Sleep(200 * time.Millisecond)
@@ -216,22 +199,21 @@ func TestRunGridCellTimeout(t *testing.T) {
 }
 
 func TestRunGridFailpointInjection(t *testing.T) {
-	resetRobustness(t)
 	t.Setenv(failCellEnv, "t-inj:1:panic")
-	run := runGrid(context.Background(), GridSpec{ID: "t-inj", Workers: 1}, 3, func(_ context.Context, i int) (int, error) { return i, nil })
+	serial := under(Run{Workers: 1})
+	run := runGrid(serial, GridSpec{ID: "t-inj"}, 3, func(_ context.Context, i int) (int, error) { return i, nil })
 	var ce *CellError
 	if err := run.Err(); !errors.As(err, &ce) || !ce.Panicked || ce.Index != 1 {
 		t.Fatalf("injected panic not reported: %v", run.Err())
 	}
 	// Other grids are untouched by the failpoint.
-	other := runGrid(context.Background(), GridSpec{ID: "t-other", Workers: 1}, 3, func(_ context.Context, i int) (int, error) { return i, nil })
+	other := runGrid(serial, GridSpec{ID: "t-other"}, 3, func(_ context.Context, i int) (int, error) { return i, nil })
 	if err := other.Err(); err != nil {
 		t.Fatalf("failpoint leaked into another grid: %v", err)
 	}
 	// "once" mode fails only the first attempt, so one retry recovers.
-	SetPolicy(Policy{Retries: 1})
 	t.Setenv(failCellEnv, "t-inj:0:once")
-	again := runGrid(context.Background(), GridSpec{ID: "t-inj", Workers: 1}, 2, func(_ context.Context, i int) (int, error) { return i + 7, nil })
+	again := runGrid(under(Run{Policy: Policy{Retries: 1}, Workers: 1}), GridSpec{ID: "t-inj"}, 2, func(_ context.Context, i int) (int, error) { return i + 7, nil })
 	if err := again.Err(); err != nil {
 		t.Fatalf("transient injected failure did not recover: %v", err)
 	}
@@ -259,14 +241,14 @@ func TestCellErrorReason(t *testing.T) {
 }
 
 func TestGuardedSingleRun(t *testing.T) {
-	resetRobustness(t)
-	v, ce := Guarded("t-one", func() (int, error) { return 42, nil })
+	ctx := context.Background()
+	v, ce := GuardedCtx(ctx, "t-one", func(context.Context) (int, error) { return 42, nil })
 	if ce != nil || v != 42 {
-		t.Fatalf("Guarded success = (%d, %v)", v, ce)
+		t.Fatalf("GuardedCtx success = (%d, %v)", v, ce)
 	}
-	_, ce = Guarded("t-one", func() (int, error) { panic("solo crash") })
+	_, ce = GuardedCtx(ctx, "t-one", func(context.Context) (int, error) { panic("solo crash") })
 	if ce == nil || !ce.Panicked {
-		t.Fatalf("Guarded did not contain the panic: %+v", ce)
+		t.Fatalf("GuardedCtx did not contain the panic: %+v", ce)
 	}
 	var err error = ce
 	if !strings.Contains(err.Error(), "solo crash") {

@@ -99,11 +99,6 @@ type AttackOpts struct {
 	// ReplayAttack, when non-nil, replaces attack planning entirely: the
 	// recorded events are replayed verbatim as the attacker's stream.
 	ReplayAttack []trace.Event
-	// Parallelism is the worker count used by grid experiments that fan
-	// independent cells out over these opts (E1): 0 uses the package
-	// default (SetParallelism / GOMAXPROCS), 1 forces serial. Parallel
-	// and serial runs produce byte-identical tables.
-	Parallelism int
 	// Defenses narrows the defense lineup of the experiments that take
 	// one (E1 via the dispatcher): nil means the full E1Defenses lineup.
 	// Part of the wire protocol of the distributed cluster — a worker
@@ -122,8 +117,8 @@ type AttackOpts struct {
 }
 
 // configString folds the result-determining options into a stable string
-// for checkpoint keys. Observer-only fields (Observer, AttackTrace,
-// Parallelism) are excluded: they never change simulation results.
+// for checkpoint keys. Observer-only fields (Observer, AttackTrace) are
+// excluded: they never change simulation results.
 func (o AttackOpts) configString() string {
 	return fmt.Sprintf("horizon=%d;tenants=%d;pages=%d;think=%d;integrity=%t;replay=%t",
 		o.Horizon, o.Tenants, o.PagesPerTenant, o.BenignThink, o.VictimIntegrity, o.ReplayAttack != nil)
@@ -261,7 +256,7 @@ func RunAttackCtx(ctx context.Context, spec core.MachineSpec, d core.Defense, ki
 	}
 	events := uint64(res.Stats.Counter("mc.requests") +
 		res.Stats.Counter("dram.act") + res.Stats.Counter("dram.ref"))
-	if c := benchCollector(); c != nil {
+	if c := RunFrom(ctx).Bench; c != nil {
 		// Simulated-event throughput for the performance report: memory
 		// requests plus DRAM commands this run processed.
 		c.addEvents(events)

@@ -58,7 +58,7 @@ func (a *idleBurstAgent) Step(now uint64) (uint64, bool, error) {
 // burst followed by a long quiet tail to the horizon. The table reports
 // the deterministic simulation outcomes (identical with the fast-forward
 // on or off — see TestDefendedIdleFastForwardEquivalence); wall-clock
-// throughput lands in the BENCH_harness.json report via the installed
+// throughput lands in the BENCH_harness.json report via the Run's
 // BenchCollector, which records simulated events/sec per cell. horizon 0
 // means 400_000_000 cycles (~5 refresh windows of idle tail).
 func IdleFastForward(ctx context.Context, horizon uint64) (*report.Table, error) {
@@ -89,7 +89,7 @@ func IdleFastForward(ctx context.Context, horizon uint64) (*report.Table, error)
 		}
 		events := uint64(res.Stats.Counter("mc.requests") +
 			res.Stats.Counter("dram.act") + res.Stats.Counter("dram.ref"))
-		if c := benchCollector(); c != nil {
+		if c := RunFrom(ctx).Bench; c != nil {
 			c.addEvents(events)
 		}
 		telemetry.CountEvents(ctx, events)

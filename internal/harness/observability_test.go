@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -116,21 +117,22 @@ func TestChromeTraceEndToEnd(t *testing.T) {
 }
 
 // TestBenchCollectorReport checks the BENCH_harness.json shape: per-cell
-// wall-clock recorded by runCells and per-experiment events/sec.
+// wall-clock recorded by runGrid and per-experiment events/sec.
 func TestBenchCollectorReport(t *testing.T) {
-	c := NewBenchCollector("harness-test")
-	SetBenchCollector(c)
-	defer SetBenchCollector(nil)
+	rc := Run{Workers: 2}
+	c := NewBenchCollector("harness-test", rc.WorkerCount())
+	rc.Bench = c
 
 	c.Begin("grid")
-	if err := runCells(2, 4, func(i int) error { return nil }); err != nil {
+	run := runGrid(under(rc), GridSpec{}, 4, func(context.Context, int) (struct{}, error) { return struct{}{}, nil })
+	if err := run.Err(); err != nil {
 		t.Fatal(err)
 	}
 	c.addEvents(1000)
 	c.End()
 
 	rep := c.Report()
-	if rep.Name != "harness-test" || rep.CPUs <= 0 || rep.Parallelism <= 0 {
+	if rep.Name != "harness-test" || rep.CPUs <= 0 || rep.Parallelism != 2 {
 		t.Fatalf("report header = %+v", rep)
 	}
 	if len(rep.Experiments) != 1 {

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestRunCellsCoversAllIndices(t *testing.T) {
 	const n, workers = 97, 4
 	var ran [n]int32
 	var inFlight, peak int32
-	err := runCells(workers, n, func(i int) error {
+	run := runGrid(under(Run{Workers: workers}), GridSpec{}, n, func(_ context.Context, i int) (struct{}, error) {
 		cur := atomic.AddInt32(&inFlight, 1)
 		for {
 			p := atomic.LoadInt32(&peak)
@@ -23,9 +24,9 @@ func TestRunCellsCoversAllIndices(t *testing.T) {
 		}
 		atomic.AddInt32(&ran[i], 1)
 		atomic.AddInt32(&inFlight, -1)
-		return nil
+		return struct{}{}, nil
 	})
-	if err != nil {
+	if err := run.Err(); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ran {
@@ -44,15 +45,15 @@ func TestRunCellsPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 3} {
 		var attempted int32
-		err := runCells(workers, 50, func(i int) error {
+		run := runGrid(under(Run{Workers: workers}), GridSpec{}, 50, func(_ context.Context, i int) (struct{}, error) {
 			atomic.AddInt32(&attempted, 1)
 			if i >= 5 {
-				return boom
+				return struct{}{}, boom
 			}
-			return nil
+			return struct{}{}, nil
 		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v, want %v", workers, err, boom)
+		if err := run.Err(); !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want %v", workers, run.Err(), boom)
 		}
 		if attempted == 50 {
 			t.Errorf("workers=%d: pool did not stop early", workers)
@@ -60,20 +61,21 @@ func TestRunCellsPropagatesError(t *testing.T) {
 	}
 }
 
-// TestRunCellsResolvesWorkers pins the worker-count resolution order:
-// per-call request beats the package default beats GOMAXPROCS.
+// TestRunCellsResolvesWorkers pins the worker-count resolution: the
+// Run's Workers when set, GOMAXPROCS otherwise, and a context without a
+// Run gets the zero Run.
 func TestRunCellsResolvesWorkers(t *testing.T) {
-	SetParallelism(3)
-	defer SetParallelism(0)
-	if got := Parallelism(); got != 3 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(3)", got)
+	if got := (Run{Workers: 3}).WorkerCount(); got != 3 {
+		t.Fatalf("Run{Workers: 3}.WorkerCount() = %d", got)
 	}
-	if got := resolveWorkers(7); got != 7 {
-		t.Fatalf("resolveWorkers(7) = %d, want the per-call request", got)
+	if got, want := (Run{}).WorkerCount(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("default WorkerCount() = %d, want GOMAXPROCS %d", got, want)
 	}
-	SetParallelism(0)
-	if got := Parallelism(); got < 1 {
-		t.Fatalf("default Parallelism() = %d, want >= 1", got)
+	if got := RunFrom(under(Run{Workers: 7})).WorkerCount(); got != 7 {
+		t.Fatalf("WorkerCount() of the context's Run = %d, want 7", got)
+	}
+	if got := RunFrom(context.Background()); got != (Run{}) {
+		t.Fatalf("RunFrom(no Run) = %+v, want the zero Run", got)
 	}
 }
 
@@ -84,7 +86,7 @@ func TestRunCellsResolvesWorkers(t *testing.T) {
 func TestE1MatrixParallelDeterminism(t *testing.T) {
 	defenses := []string{"none", "trr", "swrefresh", "anvil"}
 	run := func(workers int) string {
-		tb, err := E1Matrix(context.Background(), defenses, 8, AttackOpts{Horizon: 600_000, Parallelism: workers})
+		tb, err := E1Matrix(under(Run{Workers: workers}), defenses, 8, AttackOpts{Horizon: 600_000})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -104,9 +106,7 @@ func TestE1MatrixParallelDeterminism(t *testing.T) {
 // cross-cell baseline column computed after assembly.
 func TestE2ParallelDeterminism(t *testing.T) {
 	run := func(workers int) string {
-		SetParallelism(workers)
-		defer SetParallelism(0)
-		tb, _, err := E2Interleaving(context.Background(), 300_000)
+		tb, _, err := E2Interleaving(under(Run{Workers: workers}), 300_000)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

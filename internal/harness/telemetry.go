@@ -3,50 +3,15 @@ package harness
 import (
 	"log/slog"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hammertime/internal/telemetry"
 )
 
-// Structured logging and the slow-cell watchdog. Like the bench
-// collector and the grid observer, the logger is a package-level
-// install (the harness is driven through package-level experiment
-// functions): nil means silent, and the grid only arms per-cell
-// watchdog timers when a logger is present.
-
-var pkgLogger atomic.Pointer[slog.Logger]
-
-// SetLogger installs (or, with nil, removes) the logger that receives
-// harness progress: slow-cell warnings, grid completions, cell
-// failures. hammerd and the CLIs wire their slog here.
-func SetLogger(l *slog.Logger) {
-	if l == nil {
-		pkgLogger.Store(nil)
-		return
-	}
-	pkgLogger.Store(l)
-}
-
-// logger returns the installed logger, or nil when logging is off.
-func logger() *slog.Logger { return pkgLogger.Load() }
-
-// slowCellWarnNS is the wall-clock threshold after which a still-running
-// cell logs a watchdog warning. Nanoseconds in an atomic so tests can
-// lower it without racing running grids.
-var slowCellWarnNS atomic.Int64
-
-func init() { slowCellWarnNS.Store(int64(time.Minute)) }
-
-// SetSlowCellWarn sets the slow-cell watchdog threshold (0 disables).
-func SetSlowCellWarn(d time.Duration) { slowCellWarnNS.Store(int64(d)) }
-
 // slowCellWatchdog arms a warning timer for cell i of grid. The returned
-// stop function disarms it (and is safe to call after firing). When no
-// logger is installed or the threshold is 0, nothing is armed.
-func slowCellWatchdog(grid string, i int) (stop func()) {
-	log := logger()
-	threshold := time.Duration(slowCellWarnNS.Load())
+// stop function disarms it (and is safe to call after firing). When log
+// is nil or the threshold is 0, nothing is armed.
+func slowCellWatchdog(log *slog.Logger, threshold time.Duration, grid string, i int) (stop func()) {
 	if log == nil || threshold <= 0 {
 		return func() {}
 	}

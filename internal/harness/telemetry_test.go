@@ -21,11 +21,10 @@ func TestGridTelemetrySpansAndRecords(t *testing.T) {
 	tr := telemetry.NewTracerWithID(0x1234)
 	hub := telemetry.NewHub()
 	sub := hub.Subscribe(64)
-	ctx := telemetry.NewContext(context.Background(), &telemetry.Scope{Tracer: tr, Hub: hub})
+	ctx := telemetry.NewContext(under(Run{Policy: Policy{FailSoft: true}, Workers: 2}),
+		&telemetry.Scope{Tracer: tr, Hub: hub})
 
-	SetPolicy(Policy{FailSoft: true})
-	defer SetPolicy(Policy{})
-	run := runGrid(ctx, GridSpec{ID: "tgrid", Workers: 2}, 4, func(ctx context.Context, i int) (int, error) {
+	run := runGrid(ctx, GridSpec{ID: "tgrid"}, 4, func(ctx context.Context, i int) (int, error) {
 		if i == 2 {
 			return 0, fmt.Errorf("synthetic cell error")
 		}
@@ -158,14 +157,12 @@ func (b *lockedBuf) Reset() {
 
 func TestSlowCellWatchdog(t *testing.T) {
 	var buf lockedBuf
-	SetLogger(slog.New(slog.NewTextHandler(&buf, nil)))
-	SetSlowCellWarn(10 * time.Millisecond)
-	defer func() {
-		SetLogger(nil)
-		SetSlowCellWarn(time.Minute)
-	}()
+	ctx := under(Run{
+		Policy: Policy{SlowCellWarn: 10 * time.Millisecond},
+		Logger: slog.New(slog.NewTextHandler(&buf, nil)),
+	})
 
-	runGrid(context.Background(), GridSpec{ID: "slow"}, 1, func(ctx context.Context, i int) (int, error) {
+	runGrid(ctx, GridSpec{ID: "slow"}, 1, func(ctx context.Context, i int) (int, error) {
 		time.Sleep(60 * time.Millisecond)
 		return 0, nil
 	})
@@ -178,7 +175,7 @@ func TestSlowCellWatchdog(t *testing.T) {
 
 	// A fast cell must not warn.
 	buf.Reset()
-	runGrid(context.Background(), GridSpec{ID: "fast"}, 1, func(ctx context.Context, i int) (int, error) {
+	runGrid(ctx, GridSpec{ID: "fast"}, 1, func(ctx context.Context, i int) (int, error) {
 		return 0, nil
 	})
 	time.Sleep(30 * time.Millisecond)

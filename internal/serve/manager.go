@@ -56,8 +56,9 @@ type Config struct {
 	Chaos *Chaos
 	// Run overrides the simulation runner (nil = harness.Experiment).
 	Run RunFunc
-	// Logger receives structured request/job/drain logs (nil = silent,
-	// the historical behavior).
+	// Logger receives structured request/job/drain logs and the
+	// harness's failed-cell and slow-cell warnings (nil = silent, the
+	// historical behavior).
 	Logger *slog.Logger
 	// TrustClientHeader keys rate limiting by the X-Hammertime-Client
 	// header when set. Off by default: the header is unauthenticated, so
@@ -773,13 +774,17 @@ func (m *Manager) runJob(session int, job *Job) {
 	job.runSpan = runSpan
 	m.persist(job)
 
-	// Durable jobs thread a per-job harness checkpoint: completed grid
-	// cells are journaled under the job's id, so if this process dies
-	// mid-run the restarted daemon resumes the job from its last
-	// completed cells instead of recomputing the grid. Per-job (not the
-	// package-global SetCheckpoint slot) because concurrent sessions
-	// must not share resume state. A checkpoint that cannot be opened
+	// Each job runs its grids under its own harness Run, so concurrent
+	// sessions share no settings: the harness warns in the daemon's log,
+	// and durable jobs get a per-job checkpoint. Completed grid cells are
+	// journaled under the job's id, so if this process dies mid-run the
+	// restarted daemon resumes the job from its last completed cells
+	// instead of recomputing the grid. A checkpoint that cannot be opened
 	// degrades to a non-resumable run rather than failing the job.
+	run := harness.Run{
+		Policy: harness.Policy{SlowCellWarn: harness.DefaultSlowCellWarn},
+		Logger: m.cfg.Logger,
+	}
 	if m.store != nil {
 		if ck, err := harness.OpenCheckpoint(m.store.CheckpointPath(job.ID)); err != nil {
 			m.log.Warn("job checkpoint unavailable, run will not be resumable",
@@ -789,7 +794,7 @@ func (m *Manager) runJob(session int, job *Job) {
 				m.log.Info("job resuming from checkpoint",
 					"job", job.ID, "trace", job.TraceID(), "cells", ck.Loaded())
 			}
-			ctx = harness.WithCheckpoint(ctx, ck)
+			run.Checkpoint = ck
 			defer func() {
 				if cerr := ck.Close(); cerr != nil {
 					m.log.Warn("job checkpoint close failed", "job", job.ID, "err", cerr)
@@ -797,6 +802,7 @@ func (m *Manager) runJob(session int, job *Job) {
 			}()
 		}
 	}
+	ctx = harness.WithRun(ctx, run)
 	m.log.Info("job running",
 		"job", job.ID, "trace", job.TraceID(), "session", session,
 		"experiment", job.Request.Experiment, "restarts", job.Restarts)

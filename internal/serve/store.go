@@ -27,7 +27,7 @@ import (
 //
 //   - checkpoints/<job-id>.ckpt is the job's harness checkpoint
 //     (FNV-keyed JSONL of completed grid cells), threaded into the
-//     job's run via harness.WithCheckpoint. A job found "running" or
+//     job's run as its harness.Run's Checkpoint. A job found "running" or
 //     "queued" at startup is an orphan of the previous process: the
 //     manager resubmits it under the same id and trace, and the grid
 //     restores every cell the dead process completed — the resumed
@@ -158,7 +158,10 @@ func (s *Store) compact(path string) error {
 // Compact rewrites the journal to the current in-memory view (one line
 // per surviving job) — the manager calls this after recovery applies
 // retention, so jobs evicted by Forget actually leave the disk instead
-// of being re-filtered at every restart forever.
+// of being re-filtered at every restart forever. When compaction fails
+// the store goes on appending to the old, uncompacted journal; if even
+// that cannot be reopened, the failure is sticky in Err, so appends are
+// never dropped silently.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -168,7 +171,18 @@ func (s *Store) Compact() error {
 		}
 		s.f = nil
 	}
-	return s.compact(filepath.Join(s.dir, storeJournal))
+	path := filepath.Join(s.dir, storeJournal)
+	err := s.compact(path)
+	if err != nil && s.f == nil {
+		f, ferr := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		switch {
+		case ferr == nil:
+			s.f = f
+		case s.err == nil:
+			s.err = err
+		}
+	}
+	return err
 }
 
 // Dir returns the state directory.

@@ -158,6 +158,30 @@ func TestStoreForgetCompactsAway(t *testing.T) {
 	}
 }
 
+// TestStoreCompactFailureKeepsAppending forces Compact to fail (a
+// directory sits where its temp file goes) and checks the store does
+// not then drop appends silently: the next record reaches the journal.
+func TestStoreCompactFailureKeepsAppending(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	defer st.Close()
+	st.Append(JobRecord{ID: "job-1", State: StateDone})
+	if err := os.Mkdir(filepath.Join(dir, storeJournal+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(); err == nil {
+		t.Fatal("compaction over a directory at the temp path succeeded")
+	}
+	st.Append(JobRecord{ID: "job-2", State: StateQueued})
+	if err := st.Err(); err != nil {
+		t.Fatalf("append after failed compaction: %v", err)
+	}
+	recs := journalLines(t, dir)
+	if len(recs) != 2 || recs[0].ID != "job-1" || recs[1].ID != "job-2" {
+		t.Fatalf("journal holds %+v after failed compaction, want job-1 and job-2", recs)
+	}
+}
+
 // TestApplyRetention pins the load-time retention filter: terminal
 // records age out or fall off the count bound, non-terminal records
 // always survive.
