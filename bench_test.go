@@ -27,7 +27,7 @@ import (
 func BenchmarkE1ProtectionMatrix(b *testing.B) {
 	var cross uint64
 	for i := 0; i < b.N; i++ {
-		tb, err := harness.E1Matrix(context.Background(), 
+		tb, err := harness.E1Matrix(context.Background(),
 			[]string{"none", "trr", "subarray", "actremap", "swrefresh", "anvil"},
 			12, harness.AttackOpts{Horizon: 2_000_000})
 		if err != nil {
@@ -592,9 +592,9 @@ func BenchmarkE1MatrixParallel(b *testing.B) {
 // the bank-partitioned and guard-row cells within a fixed ratio of the
 // undefended one, so allocator set-up that scales with DRAM size rather
 // than with allocated pages fails CI; caps the undefended cell's bytes
-// per op, so a per-machine array or tenant line list that stops being
-// recycled does; and caps the bank-partitioned cell's allocations, so a
-// per-page allocation in the allocators' row-footprint checks does.
+// per op, so a per-machine array that stops being recycled does; and
+// caps the bank-partitioned cell's allocations, so a per-page
+// allocation in the allocators' row-footprint checks does.
 func BenchmarkCellSetup(b *testing.B) {
 	for _, name := range []string{"none", "bankpart", "zebram"} {
 		b.Run(name, func(b *testing.B) {

@@ -57,10 +57,11 @@ func genCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	lines := make([]uint64, *nline)
-	for i := range lines {
-		lines[i] = uint64(i)
+	flat := make([]uint64, *nline)
+	for i := range flat {
+		flat[i] = uint64(i)
 	}
+	lines := workload.Flat(flat)
 	rng := sim.NewRNG(*seed)
 	var prog cpu.Program
 	var err error

@@ -59,8 +59,8 @@ func main() {
 	otherDom := tenants[1].Domain
 
 	owned := map[uint64]bool{}
-	for _, l := range tenants[0].Lines {
-		owned[l] = true
+	for i := range tenants[0].Lines.Len() {
+		owned[tenants[0].Lines.At(i)] = true
 	}
 	// The host grants the enclave refresh rights over its own lines only.
 	m.MC.SetRefreshPermission(func(domain int, line uint64) bool {
@@ -70,8 +70,8 @@ func main() {
 		return domain == enclaveDom.ID && owned[line]
 	})
 
-	ownLine := tenants[0].Lines[0]
-	foreignLine := tenants[1].Lines[0]
+	ownLine := tenants[0].Lines.At(0)
+	foreignLine := tenants[1].Lines.At(0)
 	if _, err := m.MC.RefreshInstruction(ownLine, true, enclaveDom.ID, 0); err != nil {
 		log.Fatalf("enclave refresh of its own row failed: %v", err)
 	}

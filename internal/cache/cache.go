@@ -12,6 +12,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"hammertime/internal/obs"
 	"hammertime/internal/sim"
@@ -56,21 +57,19 @@ type Result struct {
 
 // Cache is a set-associative LLC model. Not safe for concurrent use.
 //
-// Way state is flat and set-major: way w of set i lives at index
-// i*Ways+w of each array. A tag holds line+1, with 0 marking an invalid
-// way, so the hit scan compares one contiguous run of uint64s (line
-// indices are below the module size, never MaxUint64). lru is the way's
-// last-touch tick (larger = more recent). Release hands the four arrays
-// to free lists for the next cache of the same organization.
+// Tags are flat and set-major: way w of set i lives at tag[i*Ways+w]. A
+// tag holds line+1, with 0 marking an invalid way, so the hit scan
+// compares one contiguous run of uint64s (line indices are below the
+// module size, never MaxUint64). Everything else about a set — its
+// recency order and its valid, dirty and locked ways — is one setState.
+// Release hands both arrays to free lists for the next cache of the same
+// organization.
 type Cache struct {
 	cfg  Config
 	pow2 bool // Sets is a power of two: the set index is line & (Sets-1)
-	tick uint64
 
-	tag    []uint64
-	lru    []uint64
-	dirty  []bool
-	locked []bool
+	tag  []uint64
+	sets []setState
 
 	hits, misses, flushes, writebacks uint64
 	lockedLines                       map[uint64]bool
@@ -79,43 +78,62 @@ type Cache struct {
 	clock func() uint64 // event timestamps; nil means cycle 0
 }
 
+// setState is one set's replacement state. order is the set's recency
+// stack: 16 four-bit way indices, the most recently used way in the low
+// nibble. valid, dirty and locked hold one bit per way; a dirty or
+// locked way is always valid.
+//
+// This is exact LRU: every hit or fill moves its way to the front, so the
+// valid ways appear in order of their last touch, and a flush leaves the
+// stack alone because invalid ways are always filled first. Nibbles at
+// positions >= Ways keep their initial values and are never searched.
+type setState struct {
+	order                uint64
+	valid, dirty, locked uint16
+}
+
+// maxWays is the largest associativity New accepts: a set's recency stack
+// holds 16 four-bit way indices.
+const maxWays = 16
+
+// identityOrder is a fresh set's recency stack: way i at position i.
+const identityOrder = 0xFEDCBA9876543210
+
 // New validates cfg and builds a cache.
 func New(cfg Config) (*Cache, error) {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 {
 		return nil, fmt.Errorf("cache: need positive sets/ways, got %d/%d", cfg.Sets, cfg.Ways)
 	}
+	if cfg.Ways > maxWays {
+		return nil, fmt.Errorf("cache: %d ways exceeds the maximum of %d", cfg.Ways, maxWays)
+	}
 	if cfg.MaxLockedWays < 0 || cfg.MaxLockedWays > cfg.Ways {
 		return nil, fmt.Errorf("cache: locked-way budget %d out of [0,%d]", cfg.MaxLockedWays, cfg.Ways)
 	}
-	n := cfg.Sets * cfg.Ways
 	c := &Cache{cfg: cfg, lockedLines: make(map[uint64]bool)}
-	c.tag, _ = tagArrays.Get(n)
-	c.lru, _ = lruArrays.Get(n)
-	c.dirty, _ = dirtyArrays.Get(n)
-	c.locked, _ = lockedArrays.Get(n)
+	c.tag, _ = tagArrays.Get(cfg.Sets * cfg.Ways)
+	c.sets, _ = setArrays.Get(cfg.Sets)
+	for i := range c.sets {
+		c.sets[i].order = identityOrder
+	}
 	c.pow2 = cfg.Sets&(cfg.Sets-1) == 0
 	return c, nil
 }
 
-// tagArrays, lruArrays, dirtyArrays and lockedArrays recycle released
-// caches' way state.
+// tagArrays and setArrays recycle released caches' way state.
 var (
-	tagArrays    = sim.NewFreeList[uint64]()
-	lruArrays    = sim.NewFreeList[uint64]()
-	dirtyArrays  = sim.NewFreeList[bool]()
-	lockedArrays = sim.NewFreeList[bool]()
+	tagArrays = sim.NewFreeList[uint64]()
+	setArrays = sim.NewFreeList[setState]()
 )
 
-// Release hands the cache's way arrays back for reuse by the next New.
-// The cache must not be used afterwards: its arrays are gone, so any
-// access panics instead of reading another cache's state. Releasing
-// twice is a no-op.
+// Release hands the cache's arrays back for reuse by the next New. The
+// cache must not be used afterwards: its arrays are gone, so any access
+// panics instead of reading another cache's state. Releasing twice is a
+// no-op.
 func (c *Cache) Release() {
 	tagArrays.Put(c.tag)
-	lruArrays.Put(c.lru)
-	dirtyArrays.Put(c.dirty)
-	lockedArrays.Put(c.locked)
-	c.tag, c.lru, c.dirty, c.locked = nil, nil, nil, nil
+	setArrays.Put(c.sets)
+	c.tag, c.sets = nil, nil
 }
 
 // SetRecorder attaches an event recorder and a clock supplying event
@@ -137,88 +155,106 @@ func (c *Cache) nowCycle() uint64 {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// setOf returns the index range [lo, hi) of line's set in the way arrays.
-func (c *Cache) setOf(line uint64) (lo, hi int) {
-	var set uint64
+// setOf returns line's set index and the start of its ways in tag.
+func (c *Cache) setOf(line uint64) (set, lo int) {
 	if c.pow2 {
-		set = line & uint64(c.cfg.Sets-1)
+		set = int(line & uint64(c.cfg.Sets-1))
 	} else {
-		set = line % uint64(c.cfg.Sets)
+		set = int(line % uint64(c.cfg.Sets))
 	}
-	lo = int(set) * c.cfg.Ways
-	return lo, lo + c.cfg.Ways
+	return set, set * c.cfg.Ways
 }
 
-// find returns the way index holding line in [lo, hi), or -1.
-func (c *Cache) find(line uint64, lo, hi int) int {
+// find returns the way of the set starting at tag[lo] that holds line,
+// or -1.
+func (c *Cache) find(line uint64, lo int) int {
 	t := line + 1
-	for i, tag := range c.tag[lo:hi] {
+	for w, tag := range c.tag[lo : lo+c.cfg.Ways] {
 		if tag == t {
-			return lo + i
+			return w
 		}
 	}
 	return -1
 }
 
-// victim picks the way a fill of [lo, hi) replaces: the first invalid
-// way, else the least recently used unlocked way, else -1 (every way
-// locked).
-func (c *Cache) victim(lo, hi int) int {
-	v := -1
-	oldest := ^uint64(0)
-	for i := lo; i < hi; i++ {
-		if c.tag[i] == 0 {
-			return i
-		}
-		if !c.locked[i] && c.lru[i] < oldest {
-			oldest = c.lru[i]
-			v = i
-		}
-	}
-	return v
+// touch moves way w to the front of s's recency stack. The way's
+// position is the lowest zero nibble of order^(w*0x11..1), found with
+// the SWAR zero-nibble test (a borrow only flags nibbles above a true
+// zero, so the lowest flag is exact); the nibbles below it shift up one.
+func (s *setState) touch(w int) {
+	x := s.order ^ uint64(w)*0x1111111111111111
+	z := (x - 0x1111111111111111) &^ x & 0x8888888888888888
+	shift := uint(bits.TrailingZeros64(z)) &^ 3 // 4 × position
+	below := s.order & (1<<shift - 1)
+	s.order = s.order&^(1<<(shift+4)-1) | below<<4 | uint64(w)
 }
 
-// fill installs line in way i.
-func (c *Cache) fill(i int, line uint64, dirty, locked bool) {
-	c.tag[i] = line + 1
-	c.lru[i] = c.tick
-	c.dirty[i] = dirty
-	c.locked[i] = locked
+// victim picks the way a fill of s replaces: the lowest invalid way,
+// else the least recently used unlocked way, else -1 (every way locked).
+func (c *Cache) victim(s *setState) int {
+	if w := bits.TrailingZeros16(^s.valid); w < c.cfg.Ways {
+		return w
+	}
+	for shift := 4 * uint(c.cfg.Ways-1); ; shift -= 4 {
+		w := int(s.order>>shift) & 0xF
+		if s.locked&(1<<w) == 0 {
+			return w
+		}
+		if shift == 0 {
+			return -1
+		}
+	}
+}
+
+// fill installs line in way w of s, whose tags start at tag[lo].
+func (c *Cache) fill(s *setState, lo, w int, line uint64, dirty, locked bool) {
+	c.tag[lo+w] = line + 1
+	bit := uint16(1) << w
+	s.valid |= bit
+	s.dirty = s.dirty&^bit | boolBit(dirty, w)
+	s.locked = s.locked&^bit | boolBit(locked, w)
+	s.touch(w)
+}
+
+// boolBit returns bit w set when b holds.
+func boolBit(b bool, w int) uint16 {
+	if b {
+		return 1 << w
+	}
+	return 0
 }
 
 // Access looks up line, updating LRU state; on miss it allocates, evicting
 // the LRU unlocked way. write marks the line dirty.
 func (c *Cache) Access(line uint64, write bool) Result {
-	c.tick++
-	lo, hi := c.setOf(line)
-	if i := c.find(line, lo, hi); i >= 0 {
-		c.lru[i] = c.tick
-		if write {
-			c.dirty[i] = true
-		}
+	set, lo := c.setOf(line)
+	s := &c.sets[set]
+	if w := c.find(line, lo); w >= 0 {
+		s.touch(w)
+		s.dirty |= boolBit(write, w)
 		c.hits++
 		return Result{Hit: true}
 	}
 	c.misses++
-	v := c.victim(lo, hi)
+	v := c.victim(s)
 	if v < 0 {
 		// Every way locked: serve from memory without allocating.
 		return Result{Bypassed: true}
 	}
 	res := Result{Filled: true}
-	if c.tag[v] != 0 && c.dirty[v] {
+	if s.dirty&(1<<v) != 0 {
 		res.Writeback = true
-		res.WritebackLine = c.tag[v] - 1
+		res.WritebackLine = c.tag[lo+v] - 1
 		c.writebacks++
 	}
-	c.fill(v, line, write, false)
+	c.fill(s, lo, v, line, write, false)
 	return res
 }
 
 // Contains reports whether line is currently cached.
 func (c *Cache) Contains(line uint64) bool {
-	lo, hi := c.setOf(line)
-	return c.find(line, lo, hi) >= 0
+	_, lo := c.setOf(line)
+	return c.find(line, lo) >= 0
 }
 
 // Flush invalidates line (CLFLUSH). It returns true with the dirty flag
@@ -226,13 +262,17 @@ func (c *Cache) Contains(line uint64) bool {
 // lockdown mechanism (§4.2) exists precisely so an attacker's own flushes
 // cannot force the line back to DRAM; the flush is absorbed.
 func (c *Cache) Flush(line uint64) (present, dirty bool) {
-	lo, hi := c.setOf(line)
-	i := c.find(line, lo, hi)
-	if i < 0 || c.locked[i] {
+	set, lo := c.setOf(line)
+	s := &c.sets[set]
+	w := c.find(line, lo)
+	if w < 0 || s.locked&(1<<w) != 0 {
 		return false, false
 	}
-	dirty = c.dirty[i]
-	c.tag[i], c.lru[i], c.dirty[i] = 0, 0, false
+	bit := uint16(1) << w
+	dirty = s.dirty&bit != 0
+	c.tag[lo+w] = 0
+	s.valid &^= bit
+	s.dirty &^= bit
 	c.flushes++
 	if dirty {
 		c.writebacks++
@@ -248,35 +288,30 @@ func (c *Cache) Lock(line uint64) error {
 	if c.cfg.MaxLockedWays == 0 {
 		return fmt.Errorf("cache: locking disabled: %w", ErrLockBudget)
 	}
-	lo, hi := c.setOf(line)
-	locked := 0
-	for _, l := range c.locked[lo:hi] {
-		if l {
-			locked++
-		}
-	}
-	if i := c.find(line, lo, hi); i >= 0 {
-		if c.locked[i] {
+	set, lo := c.setOf(line)
+	s := &c.sets[set]
+	full := bits.OnesCount16(s.locked) >= c.cfg.MaxLockedWays
+	if w := c.find(line, lo); w >= 0 {
+		if s.locked&(1<<w) != 0 {
 			return nil
 		}
-		if locked >= c.cfg.MaxLockedWays {
+		if full {
 			return fmt.Errorf("cache: line %#x: %w", line, ErrLockBudget)
 		}
-		c.locked[i] = true
+		s.locked |= 1 << w
 		c.lockedLines[line] = true
 		c.emitLock(obs.KindLineLock, line)
 		return nil
 	}
-	if locked >= c.cfg.MaxLockedWays {
+	if full {
 		return fmt.Errorf("cache: line %#x: %w", line, ErrLockBudget)
 	}
 	// Insert-and-lock: reuse the normal fill path, then pin.
-	c.tick++
-	v := c.victim(lo, hi)
+	v := c.victim(s)
 	if v < 0 {
 		return fmt.Errorf("cache: line %#x: %w", line, ErrLockBudget)
 	}
-	c.fill(v, line, false, true)
+	c.fill(s, lo, v, line, false, true)
 	c.lockedLines[line] = true
 	c.emitLock(obs.KindLineLock, line)
 	return nil
@@ -291,9 +326,9 @@ func (c *Cache) emitLock(kind obs.Kind, line uint64) {
 
 // Unlock releases a previously locked line (it stays cached).
 func (c *Cache) Unlock(line uint64) {
-	lo, hi := c.setOf(line)
-	if i := c.find(line, lo, hi); i >= 0 {
-		c.locked[i] = false
+	set, lo := c.setOf(line)
+	if w := c.find(line, lo); w >= 0 {
+		c.sets[set].locked &^= 1 << w
 	}
 	if c.lockedLines[line] {
 		c.emitLock(obs.KindLineUnlock, line)

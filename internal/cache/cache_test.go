@@ -25,6 +25,12 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(Config{Sets: 1, Ways: 2, MaxLockedWays: 3}); err == nil {
 		t.Fatal("lock budget above ways accepted")
 	}
+	if _, err := New(Config{Sets: 1, Ways: maxWays + 1}); err == nil {
+		t.Fatal("17 ways accepted")
+	}
+	if _, err := New(Config{Sets: 1, Ways: maxWays, MaxLockedWays: maxWays}); err != nil {
+		t.Fatalf("16 ways rejected: %v", err)
+	}
 }
 
 func TestMissThenHit(t *testing.T) {

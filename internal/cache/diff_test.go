@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// refCache is the array-of-structs LLC the flat-tag Cache replaced, kept
-// verbatim in behavior as the differential oracle: per-set []refWay, a
-// linear scan for hits, first invalid way else LRU unlocked way as victim.
+// refCache is the array-of-structs LLC with per-way LRU ticks that the
+// flat Cache replaced, kept verbatim in behavior as the differential
+// oracle: per-set []refWay, a linear scan for hits, first invalid way
+// else the unlocked way with the oldest tick as victim.
 type refCache struct {
 	cfg         Config
 	sets        [][]refWay
@@ -152,15 +153,19 @@ func (r *refCache) Unlock(line uint64) {
 // with identical seeded Access/Flush/Lock/Unlock streams and requires
 // identical outcomes step by step. The configurations cover a
 // non-power-of-two set count, a one-set cache, fully lockable sets (so
-// all-ways-locked bypass happens) and the default LLC shape; the line
-// space is a few ways per set so hits, LRU evictions and dirty
-// writebacks are all frequent.
+// all-ways-locked bypass happens), full 16-way recency stacks with and
+// without a full lock budget, and the default LLC shape; the line space
+// is a few ways per set so hits, LRU evictions and dirty writebacks are
+// all frequent.
 func TestCacheMatchesReference(t *testing.T) {
 	for _, cfg := range []Config{
 		{Sets: 7, Ways: 3, MaxLockedWays: 3},
 		{Sets: 1, Ways: 4, MaxLockedWays: 4},
 		{Sets: 16, Ways: 4, MaxLockedWays: 2},
 		{Sets: 12, Ways: 2, MaxLockedWays: 0},
+		{Sets: 3, Ways: 16, MaxLockedWays: 16},
+		{Sets: 5, Ways: 16, MaxLockedWays: 4},
+		{Sets: 2048, Ways: 16, MaxLockedWays: 4},
 		DefaultConfig(),
 	} {
 		for seed := uint64(1); seed <= 4; seed++ {
@@ -180,10 +185,8 @@ func diffStream(t *testing.T, cfg Config, seed uint64) {
 	rng := rand.New(rand.NewPCG(seed, 0x11c))
 	span := uint64(cfg.Sets * (cfg.Ways + 2))
 	bypasses := 0
-	for step := 0; step < 20000; step++ {
-		line := rng.Uint64N(span)
-		op := rng.IntN(100)
-		where := fmt.Sprintf("step %d (op %d, line %d)", step, op, line)
+	step := func(i, op int, line uint64) {
+		where := fmt.Sprintf("step %d (op %d, line %d)", i, op, line)
 		switch {
 		case op < 70:
 			write := rng.IntN(3) == 0
@@ -212,6 +215,20 @@ func diffStream(t *testing.T, cfg Config, seed uint64) {
 		if got.Contains(line) != refContains(ref, line) {
 			t.Fatalf("%s: Contains disagrees", where)
 		}
+	}
+	const steps, lockOp = 20000, 85
+	for i := 0; i < steps; i++ {
+		line := rng.Uint64N(span)
+		step(i, rng.IntN(100), line)
+	}
+	if cfg.MaxLockedWays == cfg.Ways {
+		// Pin every way of set 0 with distinct lines, then miss in it:
+		// the miss must bypass. Wide sets rarely get there at random.
+		sets := uint64(cfg.Sets)
+		for k := uint64(0); k < uint64(cfg.Ways)+2; k++ {
+			step(steps, lockOp, k*sets)
+		}
+		step(steps, 0, span)
 	}
 	gh, gm, gf, gw := got.Stats()
 	if gh != ref.hits || gm != ref.misses || gf != ref.flushes || gw != ref.writebacks {

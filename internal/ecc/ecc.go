@@ -67,6 +67,11 @@ func (r Result) String() string {
 // the rest of 1..72.
 var dataPos [DataBits]uint8
 
+// byteSyn[k][b] is the syndrome of data byte k holding b: the XOR of the
+// positions of b's set bits. The syndrome is linear over GF(2), so a
+// word's syndrome is the XOR of its eight bytes' entries.
+var byteSyn [8][256]uint8
+
 func init() {
 	p := uint8(1)
 	for i := 0; i < DataBits; i++ {
@@ -76,17 +81,20 @@ func init() {
 		dataPos[i] = p
 		p++
 	}
+	for k := range byteSyn {
+		for b := 1; b < 256; b++ {
+			low := bits.TrailingZeros8(uint8(b))
+			byteSyn[k][b] = byteSyn[k][b&(b-1)] ^ dataPos[8*k+low]
+		}
+	}
 }
 
 // syndromeOf computes the 7-bit Hamming syndrome of the data bits alone.
 func syndromeOf(data uint64) uint8 {
-	var syn uint8
-	for i := 0; i < DataBits; i++ {
-		if data&(1<<uint(i)) != 0 {
-			syn ^= dataPos[i]
-		}
-	}
-	return syn
+	return byteSyn[0][uint8(data)] ^ byteSyn[1][uint8(data>>8)] ^
+		byteSyn[2][uint8(data>>16)] ^ byteSyn[3][uint8(data>>24)] ^
+		byteSyn[4][uint8(data>>32)] ^ byteSyn[5][uint8(data>>40)] ^
+		byteSyn[6][uint8(data>>48)] ^ byteSyn[7][uint8(data>>56)]
 }
 
 // Encode protects a 64-bit word.

@@ -23,6 +23,39 @@ func TestDataPositionsDistinct(t *testing.T) {
 	}
 }
 
+// syndromeBitSerial is the bit-serial syndrome the byte tables replaced,
+// kept as their oracle.
+func syndromeBitSerial(data uint64) uint8 {
+	var syn uint8
+	for i := 0; i < DataBits; i++ {
+		if data&(1<<uint(i)) != 0 {
+			syn ^= dataPos[i]
+		}
+	}
+	return syn
+}
+
+// TestSyndromeMatchesBitSerial checks the byte-table syndrome against the
+// bit-serial oracle on zero, every single-bit word and 10^5 seeded
+// random words.
+func TestSyndromeMatchesBitSerial(t *testing.T) {
+	check := func(data uint64) {
+		t.Helper()
+		if got, want := syndromeOf(data), syndromeBitSerial(data); got != want {
+			t.Fatalf("syndromeOf(%#x) = %#x, bit-serial %#x", data, got, want)
+		}
+	}
+	check(0)
+	check(^uint64(0))
+	for i := 0; i < DataBits; i++ {
+		check(1 << uint(i))
+	}
+	rng := sim.NewRNG(0xecc)
+	for i := 0; i < 100_000; i++ {
+		check(rng.Uint64())
+	}
+}
+
 // TestCleanRoundTrip is a property test: encode/decode of any word is the
 // identity with result OK.
 func TestCleanRoundTrip(t *testing.T) {

@@ -170,7 +170,7 @@ func E2Interleaving(ctx context.Context, horizon uint64) (*report.Table, []E2Res
 				return 0, err
 			}
 			c.MLP = 8
-			if _, err := m.RunCtx(ctx, []core.Agent{c}, horizon); err != nil {
+			if _, err := runMachine(ctx, m, []core.Agent{c}, horizon); err != nil {
 				return 0, err
 			}
 			return c.Counters().Accesses, nil
@@ -395,7 +395,7 @@ func runBenign(ctx context.Context, d core.Defense, horizon uint64) (e4Cell, cor
 	if oc, ok := d.(interface{ ObserveCores([]*cpu.Core) }); ok {
 		oc.ObserveCores(cores)
 	}
-	res, err := m.RunCtx(ctx, agents, horizon)
+	res, err := runMachine(ctx, m, agents, horizon)
 	if err != nil {
 		return fail(err)
 	}

@@ -218,7 +218,7 @@ func runE6(ctx context.Context, mode E6Mode, horizon uint64) (E6Result, error) {
 	if err != nil {
 		return E6Result{}, err
 	}
-	if _, err := m.RunCtx(ctx, []core.Agent{c}, horizon); err != nil {
+	if _, err := runMachine(ctx, m, []core.Agent{c}, horizon); err != nil {
 		return E6Result{}, err
 	}
 	res.CrossFlips = m.CrossDomainFlips()

@@ -124,7 +124,7 @@ func runE9(ctx context.Context, h uint64, scrub bool) (ECCOutcome, error) {
 		if err != nil {
 			return ECCOutcome{}, err
 		}
-		if _, err := m.RunCtx(ctx, []core.Agent{c}, h); err != nil {
+		if _, err := runMachine(ctx, m, []core.Agent{c}, h); err != nil {
 			return ECCOutcome{}, err
 		}
 		return scanECC(m, attacker)
@@ -140,8 +140,8 @@ func fillTenantData(m *core.Machine, tenants []Tenant) error {
 		buf[i] = byte(0x5a ^ i)
 	}
 	for _, t := range tenants {
-		for _, line := range t.Lines {
-			d := m.Mapper.Map(line)
+		for i := range t.Lines.Len() {
+			d := m.Mapper.Map(t.Lines.At(i))
 			if err := m.DRAM.WriteLine(dram.LineAddr{Bank: d.Bank, Row: d.Row, Column: d.Column}, buf); err != nil {
 				return err
 			}
@@ -202,7 +202,7 @@ func E10HalfDouble(ctx context.Context, horizon uint64) (*report.Table, error) {
 			if err != nil {
 				return e10Row{}, err
 			}
-			if _, err := m.RunCtx(ctx, []core.Agent{c}, horizon); err != nil {
+			if _, err := runMachine(ctx, m, []core.Agent{c}, horizon); err != nil {
 				return e10Row{}, err
 			}
 			return e10Row{

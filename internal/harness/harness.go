@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"hammertime/internal/attack"
 	"hammertime/internal/core"
@@ -24,31 +25,34 @@ import (
 // Tenant is one trust domain with its allocated memory.
 type Tenant struct {
 	Domain *hostos.Domain
-	// Lines are the physical line indices of the tenant's pages at
-	// allocation time (migration may move them later).
-	Lines []uint64
+	// Lines are the physical lines of the tenant's pages at allocation
+	// time (migration may move them later), one page frame per page.
+	Lines workload.Lines
 }
 
-// tenantLines recycles released tenants' line lists.
+// tenantLines recycles released tenants' frame lists.
 var tenantLines = sim.NewFreeList[uint64]()
 
 // SetupTenants creates n tenant domains and allocates pagesEach pages to
 // each, interleaving allocations round-robin across tenants — the
 // allocation churn of a real multi-tenant host, which is what gives
 // attackers cross-domain row adjacency under a policy-free allocator.
-// The line lists may come from earlier cells' released tenants; a cell
+// The frame lists may come from earlier cells' released tenants; a cell
 // that is done with them hands them back with ReleaseTenants.
 func SetupTenants(m *core.Machine, n, pagesEach int) ([]Tenant, error) {
 	if n <= 0 || pagesEach <= 0 {
 		return nil, fmt.Errorf("harness: need positive tenants (%d) and pages (%d)", n, pagesEach)
 	}
+	lpp := hostos.LinesPerPage(m.Mapper.Geometry())
+	if lpp&(lpp-1) != 0 {
+		return nil, fmt.Errorf("harness: %d lines per page is not a power of two", lpp)
+	}
+	shift := uint(bits.TrailingZeros64(lpp))
 	tenants := make([]Tenant, n)
 	for i := range tenants {
 		tenants[i].Domain = m.Kernel.CreateDomain(fmt.Sprintf("tenant-%d", i+1), false, false)
-	}
-	lpp := hostos.LinesPerPage(m.Mapper.Geometry())
-	for i := range tenants {
-		tenants[i].Lines, _ = tenantLines.Get(pagesEach * int(lpp))
+		tenants[i].Lines.Frames, _ = tenantLines.Get(pagesEach)
+		tenants[i].Lines.Shift = shift
 	}
 	for p := 0; p < pagesEach; p++ {
 		for i := range tenants {
@@ -57,23 +61,20 @@ func SetupTenants(m *core.Machine, n, pagesEach int) ([]Tenant, error) {
 				ReleaseTenants(tenants)
 				return nil, fmt.Errorf("harness: tenant %d page %d: %w", i+1, p, err)
 			}
-			page := tenants[i].Lines[uint64(p)*lpp : uint64(p+1)*lpp]
-			for l := range page {
-				page[l] = frames[0]*lpp + uint64(l)
-			}
+			tenants[i].Lines.Frames[p] = frames[0]
 		}
 	}
 	return tenants, nil
 }
 
-// ReleaseTenants hands the tenants' line lists back for reuse by later
+// ReleaseTenants hands the tenants' frame lists back for reuse by later
 // cells and nils them, so a use after release panics. The caller must
 // no longer use the lists, nor any workload built on them; releasing
 // again is a no-op.
 func ReleaseTenants(tenants []Tenant) {
 	for i := range tenants {
-		tenantLines.Put(tenants[i].Lines)
-		tenants[i].Lines = nil
+		tenantLines.Put(tenants[i].Lines.Frames)
+		tenants[i].Lines.Frames = nil
 	}
 }
 
@@ -250,18 +251,10 @@ func RunAttackCtx(ctx context.Context, spec core.MachineSpec, d core.Defense, ki
 		oc.ObserveCores(cores)
 	}
 
-	res, err := m.RunCtx(ctx, agents, opts.Horizon)
+	res, err := runMachine(ctx, m, agents, opts.Horizon)
 	if err != nil {
 		return AttackOutcome{}, err
 	}
-	events := uint64(res.Stats.Counter("mc.requests") +
-		res.Stats.Counter("dram.act") + res.Stats.Counter("dram.ref"))
-	if c := RunFrom(ctx).Bench; c != nil {
-		// Simulated-event throughput for the performance report: memory
-		// requests plus DRAM commands this run processed.
-		c.addEvents(events)
-	}
-	telemetry.CountEvents(ctx, events)
 	out := AttackOutcome{
 		Attack:       kind.Name,
 		PlanKind:     plan.Kind,
@@ -280,6 +273,25 @@ func RunAttackCtx(ctx context.Context, spec core.MachineSpec, d core.Defense, ki
 		out.BenignSteps += res.Steps[i]
 	}
 	return out, nil
+}
+
+// runMachine runs the agents on m to horizon, the one place a harness
+// cell runs a machine, and counts the simulated events it processed —
+// memory requests plus DRAM ACTs and REFs — into the run's bench
+// collector and the telemetry throughput counter. Counting is
+// observer-only.
+func runMachine(ctx context.Context, m *core.Machine, agents []core.Agent, horizon uint64) (core.RunResult, error) {
+	res, err := m.RunCtx(ctx, agents, horizon)
+	if err != nil {
+		return res, err
+	}
+	events := uint64(res.Stats.Counter("mc.requests") +
+		res.Stats.Counter("dram.act") + res.Stats.Counter("dram.ref"))
+	if c := RunFrom(ctx).Bench; c != nil {
+		c.addEvents(events)
+	}
+	telemetry.CountEvents(ctx, events)
+	return res, nil
 }
 
 // planAttack plans kind's hammering pattern from the attacker domain

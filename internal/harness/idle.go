@@ -8,7 +8,6 @@ import (
 	"hammertime/internal/defense"
 	"hammertime/internal/memctrl"
 	"hammertime/internal/report"
-	"hammertime/internal/telemetry"
 )
 
 // IdleDefenses is the defense grid of the idle fast-forward experiment:
@@ -83,16 +82,10 @@ func IdleFastForward(ctx context.Context, horizon uint64) (*report.Table, error)
 		geom := m.Spec.Geometry
 		stripe := uint64(geom.ColumnsPerRow) * uint64(geom.Banks)
 		agent := &idleBurstAgent{mc: m.MC, line: 512 * stripe, stripe: stripe, remaining: 4000}
-		res, err := m.RunCtx(ctx, []core.Agent{agent}, horizon)
+		res, err := runMachine(ctx, m, []core.Agent{agent}, horizon)
 		if err != nil {
 			return idleCell{}, fmt.Errorf("harness: idle %s: %w", IdleDefenses[i], err)
 		}
-		events := uint64(res.Stats.Counter("mc.requests") +
-			res.Stats.Counter("dram.act") + res.Stats.Counter("dram.ref"))
-		if c := RunFrom(ctx).Bench; c != nil {
-			c.addEvents(events)
-		}
-		telemetry.CountEvents(ctx, events)
 		return idleCell{
 			Steps: res.Steps[0],
 			Acts:  res.Stats.Counter("dram.act"),

@@ -117,7 +117,7 @@ func TestEnforcerFlagsCrossGroupTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tenant 1 reaches into tenant 2's line.
-	res, err := m.MC.ServeRequest(reqFor(tenants[1].Lines[0], tenants[0].Domain.ID), 0)
+	res, err := m.MC.ServeRequest(reqFor(tenants[1].Lines.At(0), tenants[0].Domain.ID), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestEnforcerFlagsCrossGroupTraffic(t *testing.T) {
 		t.Fatal("cross-group access not flagged")
 	}
 	// Tenant 1 touching its own line is clean.
-	res, err = m.MC.ServeRequest(reqFor(tenants[0].Lines[0], tenants[0].Domain.ID), 1000)
+	res, err = m.MC.ServeRequest(reqFor(tenants[0].Lines.At(0), tenants[0].Domain.ID), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

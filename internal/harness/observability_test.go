@@ -160,3 +160,20 @@ func TestBenchCollectorReport(t *testing.T) {
 		}
 	}
 }
+
+// TestBenchCountsE4Events checks that simulated events are counted for
+// every experiment that runs a machine, not only the attack cells: E4's
+// benign cells must add to the report.
+func TestBenchCountsE4Events(t *testing.T) {
+	rc := Run{Workers: 2}
+	c := NewBenchCollector("e4-events", rc.WorkerCount())
+	rc.Bench = c
+	c.Begin("e4")
+	if _, err := E4Overhead(under(rc), 200_000, []float64{0.001}); err != nil {
+		t.Fatal(err)
+	}
+	c.End()
+	if e := c.Report().Experiments[0]; e.Events == 0 {
+		t.Fatalf("E4 reported %d events over %d cells", e.Events, len(e.Cells))
+	}
+}

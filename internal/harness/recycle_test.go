@@ -12,7 +12,7 @@ import (
 )
 
 // TestRecycledCellsMatchFresh runs E1 cells A, B, A in one process, so B
-// and the second A build their machines and tenant line lists from the
+// and the second A build their machines and tenant frame lists from the
 // arrays the previous cell released, and requires each to match a build
 // from fresh allocations: the full stats digest and the flip counts.
 func TestRecycledCellsMatchFresh(t *testing.T) {
@@ -62,16 +62,16 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 		if got != fresh[c] {
 			t.Errorf("cell %d %v on recycled arrays = %+v, fresh build %+v", i, c, got, fresh[c])
 		}
-		// The cell handed its tenants' line lists back for the next one.
-		lines, reused := tenantLines.Get(170 * 64)
+		// The cell handed its tenants' frame lists back for the next one.
+		frames, reused := tenantLines.Get(170)
 		if !reused {
-			t.Fatalf("cell %d %v released no tenant line list", i, c)
+			t.Fatalf("cell %d %v released no tenant frame list", i, c)
 		}
-		tenantLines.Put(lines)
+		tenantLines.Put(frames)
 	}
 }
 
-// TestReleaseTenants checks the tenant line lists' recycling contract:
+// TestReleaseTenants checks the tenant frame lists' recycling contract:
 // release nils every list and hands each back once however often it is
 // called, and tenants set up on the released lists see exactly the lines
 // a fresh set-up gives.
@@ -94,30 +94,30 @@ func TestReleaseTenants(t *testing.T) {
 	want := make([][]uint64, len(first))
 	arrays := map[*uint64]bool{}
 	for i, tn := range first {
-		want[i] = slices.Clone(tn.Lines)
-		arrays[&tn.Lines[0]] = true
+		want[i] = slices.Clone(tn.Lines.Frames)
+		arrays[&tn.Lines.Frames[0]] = true
 	}
 	ReleaseTenants(first)
 	ReleaseTenants(first) // idempotent: nothing handed back twice
 	release()
 	for i, tn := range first {
-		if tn.Lines != nil {
-			t.Fatalf("tenant %d keeps %d lines after release", i, len(tn.Lines))
+		if tn.Lines.Frames != nil {
+			t.Fatalf("tenant %d keeps %d frames after release", i, len(tn.Lines.Frames))
 		}
 	}
 
 	again, release := setup()
 	defer release()
 	for i, tn := range again {
-		if !slices.Equal(tn.Lines, want[i]) {
+		if !slices.Equal(tn.Lines.Frames, want[i]) {
 			t.Fatalf("tenant %d on a recycled list differs from the fresh set-up", i)
 		}
-		if !arrays[&tn.Lines[0]] {
+		if !arrays[&tn.Lines.Frames[0]] {
 			t.Fatalf("tenant %d did not reuse a released list", i)
 		}
-		delete(arrays, &tn.Lines[0]) // each released list serves one tenant
+		delete(arrays, &tn.Lines.Frames[0]) // each released list serves one tenant
 	}
-	if l, reused := tenantLines.Get(40 * 64); reused {
-		t.Fatalf("a list of %d lines was handed back twice", len(l))
+	if l, reused := tenantLines.Get(40); reused {
+		t.Fatalf("a list of %d frames was handed back twice", len(l))
 	}
 }

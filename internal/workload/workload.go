@@ -16,11 +16,31 @@ import (
 	"hammertime/internal/sim"
 )
 
+// Lines is a tenant's list of physical lines held as page frames: line i
+// is Frames[i>>Shift]<<Shift | i&(1<<Shift-1), so a page of 1<<Shift
+// lines costs one entry. Shift 0 makes Frames the explicit line list.
+type Lines struct {
+	Frames []uint64
+	Shift  uint
+}
+
+// Flat wraps an explicit line list.
+func Flat(lines []uint64) Lines { return Lines{Frames: lines} }
+
+// Len returns the number of lines.
+func (l Lines) Len() int { return len(l.Frames) << l.Shift }
+
+// At returns line i.
+func (l Lines) At(i int) uint64 {
+	return l.Frames[i>>l.Shift]<<l.Shift | uint64(i)&(1<<l.Shift-1)
+}
+
 // Stream returns a program that walks lines sequentially (wrapping) for
 // count accesses — the bank-level-parallelism-friendly pattern.
 // Every access carries the given think time.
-func Stream(lines []uint64, count int, think uint64) (cpu.Program, error) {
-	if len(lines) == 0 {
+func Stream(lines Lines, count int, think uint64) (cpu.Program, error) {
+	n := lines.Len()
+	if n == 0 {
 		return nil, fmt.Errorf("workload: stream needs lines")
 	}
 	i := 0
@@ -30,7 +50,7 @@ func Stream(lines []uint64, count int, think uint64) (cpu.Program, error) {
 			return cpu.Access{}, false
 		}
 		remaining--
-		line := lines[i%len(lines)]
+		line := lines.At(i % n)
 		i++
 		return cpu.Access{Line: line, Think: think}, true
 	}), nil
@@ -38,8 +58,9 @@ func Stream(lines []uint64, count int, think uint64) (cpu.Program, error) {
 
 // Random returns a program that touches uniformly random lines for count
 // accesses, with the given write fraction.
-func Random(lines []uint64, count int, think uint64, writeFrac float64, rng *sim.RNG) (cpu.Program, error) {
-	if len(lines) == 0 {
+func Random(lines Lines, count int, think uint64, writeFrac float64, rng *sim.RNG) (cpu.Program, error) {
+	n := lines.Len()
+	if n == 0 {
 		return nil, fmt.Errorf("workload: random needs lines")
 	}
 	if rng == nil {
@@ -52,7 +73,7 @@ func Random(lines []uint64, count int, think uint64, writeFrac float64, rng *sim
 		}
 		remaining--
 		return cpu.Access{
-			Line:  lines[rng.Intn(len(lines))],
+			Line:  lines.At(rng.Intn(n)),
 			Write: rng.Bool(writeFrac),
 			Think: think,
 		}, true
@@ -62,14 +83,14 @@ func Random(lines []uint64, count int, think uint64, writeFrac float64, rng *sim
 // PointerChase returns a program that follows a fixed random permutation
 // of the lines — dependent accesses with no spatial locality, the
 // row-buffer-hostile pattern.
-func PointerChase(lines []uint64, count int, think uint64, rng *sim.RNG) (cpu.Program, error) {
-	if len(lines) == 0 {
+func PointerChase(lines Lines, count int, think uint64, rng *sim.RNG) (cpu.Program, error) {
+	if lines.Len() == 0 {
 		return nil, fmt.Errorf("workload: pointer chase needs lines")
 	}
 	if rng == nil {
 		return nil, fmt.Errorf("workload: pointer chase needs an RNG")
 	}
-	order := rng.Perm(len(lines))
+	order := rng.Perm(lines.Len())
 	i := 0
 	remaining := count
 	return cpu.ProgramFunc(func() (cpu.Access, bool) {
@@ -77,7 +98,7 @@ func PointerChase(lines []uint64, count int, think uint64, rng *sim.RNG) (cpu.Pr
 			return cpu.Access{}, false
 		}
 		remaining--
-		line := lines[order[i%len(order)]]
+		line := lines.At(order[i%len(order)])
 		i++
 		return cpu.Access{Line: line, Think: think}, true
 	}), nil
@@ -89,8 +110,9 @@ func PointerChase(lines []uint64, count int, think uint64, rng *sim.RNG) (cpu.Pr
 // 0.99 is the YCSB default. Implemented by rejection-free inverse-power
 // sampling over ranks, which matches Zipf closely for the head — the part
 // that matters for row-buffer locality and ACT-counter behaviour.
-func Zipfian(lines []uint64, count int, think uint64, skew float64, rng *sim.RNG) (cpu.Program, error) {
-	if len(lines) == 0 {
+func Zipfian(lines Lines, count int, think uint64, skew float64, rng *sim.RNG) (cpu.Program, error) {
+	size := lines.Len()
+	if size == 0 {
 		return nil, fmt.Errorf("workload: zipfian needs lines")
 	}
 	if rng == nil {
@@ -99,7 +121,7 @@ func Zipfian(lines []uint64, count int, think uint64, skew float64, rng *sim.RNG
 	if skew <= 0 || skew >= 2 {
 		return nil, fmt.Errorf("workload: zipfian skew %g out of (0, 2)", skew)
 	}
-	n := float64(len(lines))
+	n := float64(size)
 	inv := 1 / (1 - skew)
 	remaining := count
 	return cpu.ProgramFunc(func() (cpu.Access, bool) {
@@ -111,10 +133,10 @@ func Zipfian(lines []uint64, count int, think uint64, skew float64, rng *sim.RNG
 		// rank = n * u^{1/(1-skew)} spans [0, n) with the right head mass.
 		u := rng.Float64()
 		rank := int(n * math.Pow(u, inv))
-		if rank >= len(lines) {
-			rank = len(lines) - 1
+		if rank >= size {
+			rank = size - 1
 		}
-		return cpu.Access{Line: lines[rank], Think: think}, true
+		return cpu.Access{Line: lines.At(rank), Think: think}, true
 	}), nil
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"hammertime/internal/cpu"
@@ -22,7 +23,7 @@ func drain(t *testing.T, p cpu.Program, max int) []cpu.Access {
 }
 
 func TestStreamSequentialWrap(t *testing.T) {
-	p, err := Stream([]uint64{10, 11, 12}, 7, 5)
+	p, err := Stream(Flat([]uint64{10, 11, 12}), 7, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +43,13 @@ func TestStreamSequentialWrap(t *testing.T) {
 }
 
 func TestStreamValidates(t *testing.T) {
-	if _, err := Stream(nil, 10, 0); err == nil {
+	if _, err := Stream(Lines{}, 10, 0); err == nil {
 		t.Fatal("empty lines accepted")
 	}
 }
 
 func TestRandomStaysInRangeAndWrites(t *testing.T) {
-	lines := []uint64{1, 2, 3, 4}
+	lines := Flat([]uint64{1, 2, 3, 4})
 	rng := sim.NewRNG(9)
 	p, err := Random(lines, 1000, 0, 0.5, rng)
 	if err != nil {
@@ -70,16 +71,16 @@ func TestRandomStaysInRangeAndWrites(t *testing.T) {
 }
 
 func TestRandomValidates(t *testing.T) {
-	if _, err := Random([]uint64{1}, 1, 0, 0, nil); err == nil {
+	if _, err := Random(Flat([]uint64{1}), 1, 0, 0, nil); err == nil {
 		t.Fatal("nil rng accepted")
 	}
-	if _, err := Random(nil, 1, 0, 0, sim.NewRNG(1)); err == nil {
+	if _, err := Random(Lines{}, 1, 0, 0, sim.NewRNG(1)); err == nil {
 		t.Fatal("empty lines accepted")
 	}
 }
 
 func TestPointerChaseVisitsAllLines(t *testing.T) {
-	lines := []uint64{10, 20, 30, 40, 50}
+	lines := Flat([]uint64{10, 20, 30, 40, 50})
 	p, err := PointerChase(lines, 5, 0, sim.NewRNG(2))
 	if err != nil {
 		t.Fatal(err)
@@ -94,11 +95,11 @@ func TestPointerChaseVisitsAllLines(t *testing.T) {
 }
 
 func TestMixInterleavesAndFinishes(t *testing.T) {
-	a, err := Stream([]uint64{1}, 2, 0)
+	a, err := Stream(Flat([]uint64{1}), 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Stream([]uint64{2}, 4, 0)
+	b, err := Stream(Flat([]uint64{2}), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestMixInterleavesAndFinishes(t *testing.T) {
 }
 
 func TestLimitTruncates(t *testing.T) {
-	s, err := Stream([]uint64{1}, 100, 0)
+	s, err := Stream(Flat([]uint64{1}), 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestZipfianSkewConcentratesHead(t *testing.T) {
 	for i := range lines {
 		lines[i] = uint64(i)
 	}
-	p, err := Zipfian(lines, 20000, 0, 0.99, sim.NewRNG(11))
+	p, err := Zipfian(Flat(lines), 20000, 0, 0.99, sim.NewRNG(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +158,47 @@ func TestZipfianSkewConcentratesHead(t *testing.T) {
 
 func TestZipfianValidates(t *testing.T) {
 	rng := sim.NewRNG(1)
-	if _, err := Zipfian(nil, 1, 0, 0.99, rng); err == nil {
+	if _, err := Zipfian(Lines{}, 1, 0, 0.99, rng); err == nil {
 		t.Fatal("empty lines accepted")
 	}
-	if _, err := Zipfian([]uint64{1}, 1, 0, 0, rng); err == nil {
+	if _, err := Zipfian(Flat([]uint64{1}), 1, 0, 0, rng); err == nil {
 		t.Fatal("zero skew accepted")
 	}
-	if _, err := Zipfian([]uint64{1}, 1, 0, 0.99, nil); err == nil {
+	if _, err := Zipfian(Flat([]uint64{1}), 1, 0, 0.99, nil); err == nil {
 		t.Fatal("nil rng accepted")
+	}
+}
+
+// TestPagedLinesMatchFlat checks that every generator emits exactly the
+// same accesses over paged Lines as over their explicit expansion: the
+// frame form changes how lines are stored, never which are touched.
+func TestPagedLinesMatchFlat(t *testing.T) {
+	paged := Lines{Frames: []uint64{7, 3, 1 << 20, 12, 0}, Shift: 6}
+	flat := make([]uint64, paged.Len())
+	for i := range flat {
+		flat[i] = paged.At(i)
+	}
+	if flat[0] != 7<<6 || flat[64+5] != 3<<6|5 || flat[len(flat)-1] != 63 {
+		t.Fatalf("paged expansion wrong: %d %d %d", flat[0], flat[64+5], flat[len(flat)-1])
+	}
+	gens := map[string]func(Lines) (cpu.Program, error){
+		"stream": func(l Lines) (cpu.Program, error) { return Stream(l, 700, 3) },
+		"random": func(l Lines) (cpu.Program, error) { return Random(l, 700, 0, 0.3, sim.NewRNG(5)) },
+		"chase":  func(l Lines) (cpu.Program, error) { return PointerChase(l, 700, 0, sim.NewRNG(6)) },
+		"zipf":   func(l Lines) (cpu.Program, error) { return Zipfian(l, 700, 0, 0.9, sim.NewRNG(7)) },
+	}
+	for name, gen := range gens {
+		p, err := gen(paged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := gen(Flat(flat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := drain(t, p, 1000), drain(t, f, 1000)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: paged accesses differ from the flat expansion", name)
+		}
 	}
 }
