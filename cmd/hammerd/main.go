@@ -217,7 +217,7 @@ func buildDispatcher(logger *slog.Logger, o options) (*cluster.Dispatcher, error
 		if err := cache.OpenSpill(o.cacheSpill); err != nil {
 			return nil, fmt.Errorf("cache-spill: %w", err)
 		}
-		logger.Info("cache spill open", "path", o.cacheSpill, "entries", cache.Len())
+		logger.Info("cache spill open", "path", o.cacheSpill, "entries", cache.Spilled())
 	}
 	breaker := resilience.BreakerConfig{Threshold: o.breakerThreshold, Cooldown: o.breakerCooldown}
 	cfg := cluster.DispatcherConfig{

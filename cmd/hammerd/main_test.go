@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -25,6 +27,26 @@ func TestRunRejectsBadChaosSpec(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "chaos") {
 		t.Fatalf("bad chaos spec accepted: %v", err)
+	}
+}
+
+// TestCacheSpillLogCountsRecords pins the coordinator's startup log: a
+// reopened spill reports the records it holds, not the (empty) memory
+// LRU in front of it.
+func TestCacheSpillLogCountsRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	spill := `{"key":"a","result":1}` + "\n" + `{"key":"b","result":2}` + "\n" + `{"key":"c","result":3}` + "\n"
+	if err := os.WriteFile(path, []byte(spill), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	disp, err := buildDispatcher(slog.New(slog.NewTextHandler(&logs, nil)), options{cacheSpill: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disp.Cache().Close()
+	if !strings.Contains(logs.String(), "entries=3") {
+		t.Fatalf("spill open log does not count the 3 spilled records:\n%s", logs.String())
 	}
 }
 

@@ -1,13 +1,12 @@
 package cluster
 
 import (
-	"bufio"
 	"container/list"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sync"
+
+	"hammertime/internal/journal"
 )
 
 // ResultCache is the content-addressed cell store in front of dispatch:
@@ -19,10 +18,10 @@ import (
 //
 // With a spill file attached, entries evicted from memory remain
 // retrievable: Get falls back to the file by recorded offset and
-// promotes the entry back into memory. The file is the same shape as a
-// harness checkpoint — one {"key","result"} object per line — and
-// survives restarts; OpenSpill indexes existing records without loading
-// them.
+// promotes the entry back into memory. The file is an internal/journal
+// log of {"key","result"} lines and survives restarts; OpenSpill indexes
+// existing records without loading them. Replay is first-wins per key,
+// matching Put.
 type ResultCache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -30,10 +29,8 @@ type ResultCache struct {
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
 
-	spill    *os.File
-	spillOff int64
+	spill    *journal.Log
 	spillIdx map[string]spillLoc
-	spillErr error // sticky: first append failure, cache degrades to memory-only
 
 	hits, misses, evicted int64
 }
@@ -69,40 +66,25 @@ func NewResultCache(maxBytes int64) *ResultCache {
 }
 
 // OpenSpill attaches (creating if needed) the JSONL spill file, indexing
-// the records it already holds. A torn final line — a killed coordinator
-// — is truncated away, mirroring harness checkpoint loading.
+// the records it already holds and trimming a killed coordinator's torn
+// tail.
 func (c *ResultCache) OpenSpill(path string) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("cluster: spill: %w", err)
-	}
 	idx := make(map[string]spillLoc)
-	r := bufio.NewReader(f)
-	var off int64
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			break // EOF fragment: debris of a killed run, trimmed below
-		}
+	log, err := journal.Open(path, func(off int64, line []byte) bool {
 		var rec spillRecord
-		if json.Unmarshal([]byte(line), &rec) != nil || rec.Key == "" {
-			break
+		if json.Unmarshal(line, &rec) != nil || rec.Key == "" {
+			return false
 		}
 		if _, dup := idx[rec.Key]; !dup {
 			idx[rec.Key] = spillLoc{off: off, len: int64(len(line))}
 		}
-		off += int64(len(line))
-	}
-	if err := f.Truncate(off); err != nil {
-		f.Close()
-		return fmt.Errorf("cluster: spill: trim torn tail: %w", err)
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		f.Close()
+		return true
+	})
+	if err != nil {
 		return fmt.Errorf("cluster: spill: %w", err)
 	}
 	c.mu.Lock()
-	c.spill, c.spillOff, c.spillIdx = f, off, idx
+	c.spill, c.spillIdx = log, idx
 	c.mu.Unlock()
 	return nil
 }
@@ -117,7 +99,7 @@ func (c *ResultCache) Get(key string) (json.RawMessage, bool) {
 		c.hits++
 		return el.Value.(*cacheEntry).val, true
 	}
-	if loc, ok := c.spillIdx[key]; ok && c.spill != nil {
+	if loc, ok := c.spillIdx[key]; ok {
 		buf := make([]byte, loc.len)
 		if _, err := c.spill.ReadAt(buf, loc.off); err == nil {
 			var rec spillRecord
@@ -144,15 +126,10 @@ func (c *ResultCache) Put(key string, val json.RawMessage) {
 	if _, ok := c.items[key]; ok {
 		return
 	}
-	if _, ok := c.spillIdx[key]; !ok && c.spill != nil && c.spillErr == nil {
-		line, err := json.Marshal(spillRecord{Key: key, Result: val})
-		if err == nil {
-			line = append(line, '\n')
-			if _, err := c.spill.Write(line); err != nil {
-				c.spillErr = fmt.Errorf("cluster: spill append: %w", err)
-			} else {
-				c.spillIdx[key] = spillLoc{off: c.spillOff, len: int64(len(line))}
-				c.spillOff += int64(len(line))
+	if _, ok := c.spillIdx[key]; !ok && c.spill != nil {
+		if line, err := json.Marshal(spillRecord{Key: key, Result: val}); err == nil {
+			if off, err := c.spill.Append(line); err == nil {
+				c.spillIdx[key] = spillLoc{off: off, len: int64(len(line))}
 			}
 		}
 	}
@@ -195,26 +172,19 @@ func (c *ResultCache) Counters() (hits, misses, evicted int64) {
 	return c.hits, c.misses, c.evicted
 }
 
-// SpillErr returns the sticky spill-append failure, if any. The cache
-// keeps serving from memory after one; the caller decides whether a
-// lossy spill matters.
-func (c *ResultCache) SpillErr() error {
+// Spilled returns the number of entries the spill file holds.
+func (c *ResultCache) Spilled() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.spillErr
+	return len(c.spillIdx)
 }
 
-// Close releases the spill file.
+// Close releases the spill file, reporting the sticky append error first.
 func (c *ResultCache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.spill == nil {
-		return c.spillErr
+		return nil
 	}
-	err := c.spill.Close()
-	c.spill = nil
-	if c.spillErr != nil {
-		return c.spillErr
-	}
-	return err
+	return c.spill.Close()
 }

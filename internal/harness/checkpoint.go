@@ -1,15 +1,13 @@
 package harness
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"strconv"
 	"sync"
 
 	"hammertime/internal/core"
+	"hammertime/internal/journal"
 	"hammertime/internal/sim"
 )
 
@@ -20,18 +18,18 @@ import (
 //
 // key is an FNV-64a hash of (grid ID, grid config, DeterminismEpoch,
 // machine seed, cell index): a run with a different horizon, sweep, seed
-// or RNG epoch never restores a stale cell. Records are appended and
-// flushed as cells complete, so a SIGKILL loses at most the in-flight
-// cells; the loader tolerates (and trims) a torn final line. Results are
-// exact JSON round trips of the cell values, so a resumed run's tables
-// are byte-identical to an uninterrupted run's.
+// or RNG epoch never restores a stale cell. The file is an
+// internal/journal log, replayed last-wins per key (a cell whose stored
+// result no longer decodes is recomputed and appended again). Results
+// are exact JSON round trips of the cell values, so a resumed run's
+// tables are byte-identical to an uninterrupted run's.
 type Checkpoint struct {
-	mu     sync.Mutex
-	f      *os.File
-	done   map[string]json.RawMessage
-	err    error // sticky: first write/flush failure
+	log    *journal.Log
 	loaded int
-	added  int
+
+	mu    sync.Mutex
+	done  map[string]json.RawMessage
+	added int
 }
 
 // ckRecord is the wire form of one checkpointed cell. Grid and Cell are
@@ -45,51 +43,26 @@ type ckRecord struct {
 
 // OpenCheckpoint opens (creating if needed) a checkpoint file, loads its
 // valid records, and positions it for appending. A torn or corrupt tail
-// — the signature of a killed run — is truncated away so subsequent
-// appends produce a clean file.
+// — the signature of a killed run — is truncated away.
 func OpenCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	ck := &Checkpoint{done: make(map[string]json.RawMessage)}
+	log, err := journal.Open(path, func(_ int64, line []byte) bool {
+		var rec ckRecord
+		if json.Unmarshal(line, &rec) != nil || rec.Key == "" {
+			return false
+		}
+		ck.done[rec.Key] = rec.Result
+		return true
+	})
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	ck := &Checkpoint{f: f, done: make(map[string]json.RawMessage)}
-	r := bufio.NewReader(f)
-	var offset int64
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			// EOF with a leftover fragment means a write died mid-line
-			// (a record's line and '\n' are written in one call): the
-			// fragment is debris of the interrupted run, trimmed below.
-			break
-		}
-		var rec ckRecord
-		if json.Unmarshal([]byte(line), &rec) != nil || rec.Key == "" {
-			// First corrupt line: stop loading and truncate it away so
-			// appends produce a clean file.
-			break
-		}
-		offset += int64(len(line))
-		ck.done[rec.Key] = rec.Result
-		ck.loaded++
-	}
-	if err := f.Truncate(offset); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: trim torn tail: %w", err)
-	}
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
+	ck.log, ck.loaded = log, len(ck.done)
 	return ck, nil
 }
 
-// Loaded returns how many completed cells the file held at open.
-func (c *Checkpoint) Loaded() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.loaded
-}
+// Loaded returns how many distinct completed cells the file held at open.
+func (c *Checkpoint) Loaded() int { return c.loaded }
 
 // Added returns how many cells this run appended.
 func (c *Checkpoint) Added() int {
@@ -98,32 +71,15 @@ func (c *Checkpoint) Added() int {
 	return c.added
 }
 
-// Err returns the first write error encountered while recording cells.
-// A checkpoint that cannot be written must fail the run loudly — a
-// silently truncated checkpoint would resume wrong.
-func (c *Checkpoint) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-// Close closes the file, reporting the sticky write error first. A nil
-// checkpoint closes to nil, so callers can close Run.Checkpoint
-// unconditionally.
+// Close closes the file, reporting the first error met while recording
+// cells: a checkpoint that cannot be written must fail the run loudly —
+// a silently truncated checkpoint would resume wrong. A nil checkpoint
+// closes to nil, so callers can close Run.Checkpoint unconditionally.
 func (c *Checkpoint) Close() error {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	first := c.err
-	if c.f != nil {
-		if err := c.f.Close(); err != nil && first == nil {
-			first = err
-		}
-		c.f = nil
-	}
-	return first
+	return c.log.Close()
 }
 
 // lookup returns the recorded result for key, if any.
@@ -134,39 +90,24 @@ func (c *Checkpoint) lookup(key string) (json.RawMessage, bool) {
 	return raw, ok
 }
 
-// record appends one completed cell. Write errors are sticky and
-// surfaced by Err/Close; the in-memory map is updated regardless so the
-// current run stays consistent.
+// record appends one completed cell. Errors are sticky and surfaced by
+// Close; the in-memory map is updated regardless so the current run
+// stays consistent.
 func (c *Checkpoint) record(grid string, cell int, key string, result any) {
 	raw, err := json.Marshal(result)
+	var line []byte
+	if err == nil {
+		line, err = json.Marshal(ckRecord{Key: key, Grid: grid, Cell: cell, Result: raw})
+	}
 	if err != nil {
-		c.fail(fmt.Errorf("checkpoint: %s cell %d: %w", grid, cell, err))
+		c.log.Fail(fmt.Errorf("checkpoint: %s cell %d: %w", grid, cell, err))
 		return
 	}
-	line, err := json.Marshal(ckRecord{Key: key, Grid: grid, Cell: cell, Result: raw})
-	if err != nil {
-		c.fail(fmt.Errorf("checkpoint: %s cell %d: %w", grid, cell, err))
-		return
-	}
-	line = append(line, '\n')
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.done[key] = raw
 	c.added++
-	if c.f == nil || c.err != nil {
-		return
-	}
-	if _, err := c.f.Write(line); err != nil {
-		c.err = fmt.Errorf("checkpoint: %s cell %d: %w", grid, cell, err)
-	}
-}
-
-func (c *Checkpoint) fail(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err == nil {
-		c.err = err
-	}
+	c.log.Append(line)
 }
 
 // CellKey hashes everything that determines a cell's result — the FNV-64a

@@ -207,6 +207,31 @@ func TestCheckpointTrimsTornTail(t *testing.T) {
 	}
 }
 
+// TestCheckpointLoadedCountsDistinctCells pins Loaded against a file
+// holding two records for one key — what runGrid leaves behind when it
+// recomputes a cell whose stored result no longer decodes: one cell,
+// and the last record wins.
+func TestCheckpointLoadedCountsDistinctCells(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "grid.ckpt")
+	lines := `{"key":"k1","grid":"g","cell":0,"result":"stale"}` + "\n" +
+		`{"key":"k2","grid":"g","cell":1,"result":2}` + "\n" +
+		`{"key":"k1","grid":"g","cell":0,"result":1}` + "\n"
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	if ck.Loaded() != 2 {
+		t.Fatalf("Loaded() = %d for two distinct cells", ck.Loaded())
+	}
+	if raw, _ := ck.lookup("k1"); string(raw) != "1" {
+		t.Fatalf("k1 restores %s, want the last record's 1", raw)
+	}
+}
+
 // TestE1ResumeByteIdentical is the acceptance test of the checkpoint
 // design: an E1 run killed mid-grid (here: aborted by an injected cell
 // failure) and restarted with -resume must produce a table byte-identical

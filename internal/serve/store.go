@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"hammertime/internal/journal"
 )
 
 // The persistent job store behind hammerd's -state-dir. The paper's
@@ -18,12 +19,11 @@ import (
 // simulator to recompute. The store makes the registry durable with the
 // same machinery the harness already trusts for cells:
 //
-//   - jobs.jsonl is an append-only journal of job snapshots. Every
-//     lifecycle transition (queued, running, done/failed/cancelled)
-//     appends one full JobRecord line, so the last record per job id is
-//     the job's state at the instant the daemon died. Appends are one
-//     write() each — a SIGKILL loses at most the in-flight line, and
-//     the loader trims a torn tail exactly like harness.OpenCheckpoint.
+//   - jobs.jsonl is an append-only journal (internal/journal) of job
+//     snapshots. Every lifecycle transition (queued, running,
+//     done/failed/cancelled) appends one full JobRecord line, so the
+//     last record per job id is the job's state at the instant the
+//     daemon died; a SIGKILL loses at most the in-flight line.
 //
 //   - checkpoints/<job-id>.ckpt is the job's harness checkpoint
 //     (FNV-keyed JSONL of completed grid cells), threaded into the
@@ -60,10 +60,9 @@ type JobRecord struct {
 // submit.
 type Store struct {
 	dir string
+	log *journal.Log
 
 	mu    sync.Mutex
-	f     *os.File
-	err   error // sticky: first append failure
 	last  map[string]JobRecord
 	order []string // job ids by first appearance (journal order)
 }
@@ -81,112 +80,54 @@ func OpenStore(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{dir: dir, last: make(map[string]JobRecord)}
-	path := filepath.Join(dir, storeJournal)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDONLY, 0o644)
+	log, err := journal.Open(filepath.Join(dir, storeJournal), func(_ int64, line []byte) bool {
+		var rec JobRecord
+		if json.Unmarshal(line, &rec) != nil || rec.ID == "" {
+			return false
+		}
+		s.remember(rec)
+		return true
+	})
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	r := bufio.NewReader(f)
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			// EOF with a fragment: a write died mid-line. The fragment is
-			// debris of the killed process; compaction below drops it.
-			break
-		}
-		var rec JobRecord
-		if json.Unmarshal([]byte(line), &rec) != nil || rec.ID == "" {
-			// First corrupt full line: stop replaying. Later lines may
-			// postdate the corruption, but a journal that lies once cannot
-			// be trusted to order what follows.
-			break
-		}
-		if _, seen := s.last[rec.ID]; !seen {
-			s.order = append(s.order, rec.ID)
-		}
-		s.last[rec.ID] = rec
-	}
-	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if err := s.compact(path); err != nil {
+	s.log = log
+	if err := s.Compact(); err != nil {
+		log.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-// compact rewrites the journal as one line per surviving job and
-// reopens it for appending. Write-to-temp + rename keeps a crash during
-// compaction from losing the old journal.
-func (s *Store) compact(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	for _, id := range s.order {
+// Compact rewrites the journal to the current in-memory view. The
+// manager calls it after recovery applies retention, so jobs evicted by
+// Forget actually leave the disk. When compaction fails the store goes
+// on appending to the old journal.
+func (s *Store) Compact() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	lines := make([][]byte, len(s.order))
+	for i, id := range s.order {
 		line, err := json.Marshal(s.last[id])
 		if err != nil {
-			f.Close()
 			return fmt.Errorf("store: compact %s: %w", id, err)
 		}
-		w.Write(line)
-		w.WriteByte('\n')
+		lines[i] = line
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
+	if err := s.log.Rewrite(lines); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	s.f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }
 
-// Compact rewrites the journal to the current in-memory view (one line
-// per surviving job) — the manager calls this after recovery applies
-// retention, so jobs evicted by Forget actually leave the disk instead
-// of being re-filtered at every restart forever. When compaction fails
-// the store goes on appending to the old, uncompacted journal; if even
-// that cannot be reopened, the failure is sticky in Err, so appends are
-// never dropped silently.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f != nil {
-		if err := s.f.Close(); err != nil {
-			return fmt.Errorf("store: compact: %w", err)
-		}
-		s.f = nil
+// remember makes rec the job's current state. Caller holds s.mu, or owns
+// s exclusively during replay.
+func (s *Store) remember(rec JobRecord) {
+	if _, seen := s.last[rec.ID]; !seen {
+		s.order = append(s.order, rec.ID)
 	}
-	path := filepath.Join(s.dir, storeJournal)
-	err := s.compact(path)
-	if err != nil && s.f == nil {
-		f, ferr := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		switch {
-		case ferr == nil:
-			s.f = f
-		case s.err == nil:
-			s.err = err
-		}
-	}
-	return err
+	s.last[rec.ID] = rec
 }
-
-// Dir returns the state directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Len returns the number of distinct jobs in the journal.
 func (s *Store) Len() int {
@@ -207,30 +148,20 @@ func (s *Store) Records() []JobRecord {
 	return out
 }
 
-// Append journals one job snapshot. Each record is a single write of a
-// full line, so concurrent appends never interleave and a kill tears at
-// most the final line. Write errors are sticky and surfaced by Err —
-// the in-memory view stays consistent regardless, so the running daemon
-// keeps serving; only durability across the next restart is lost.
+// Append journals one job snapshot. Write errors are sticky and
+// surfaced by Err — the in-memory view stays consistent regardless, so
+// the running daemon keeps serving; only durability across the next
+// restart is lost.
 func (s *Store) Append(rec JobRecord) {
 	line, err := json.Marshal(rec)
 	if err != nil {
-		s.fail(fmt.Errorf("store: job %s: %w", rec.ID, err))
+		s.log.Fail(fmt.Errorf("store: job %s: %w", rec.ID, err))
 		return
 	}
-	line = append(line, '\n')
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, seen := s.last[rec.ID]; !seen {
-		s.order = append(s.order, rec.ID)
-	}
-	s.last[rec.ID] = rec
-	if s.f == nil || s.err != nil {
-		return
-	}
-	if _, err := s.f.Write(line); err != nil {
-		s.err = fmt.Errorf("store: job %s: %w", rec.ID, err)
-	}
+	s.remember(rec)
+	s.log.Append(line)
 }
 
 // Forget drops a job from the store's in-memory view so the next
@@ -252,35 +183,11 @@ func (s *Store) Forget(id string) {
 	}
 }
 
-// fail records the first append failure.
-func (s *Store) fail(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err == nil {
-		s.err = err
-	}
-}
-
 // Err returns the first append failure, if any.
-func (s *Store) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
+func (s *Store) Err() error { return s.log.Err() }
 
 // Close closes the journal, reporting the sticky append error first.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	first := s.err
-	if s.f != nil {
-		if err := s.f.Close(); err != nil && first == nil {
-			first = err
-		}
-		s.f = nil
-	}
-	return first
-}
+func (s *Store) Close() error { return s.log.Close() }
 
 // CheckpointPath returns the per-job harness checkpoint path. Job ids
 // are daemon-minted ("job-N"), never client input, so they are safe as
