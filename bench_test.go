@@ -7,6 +7,7 @@ package hammertime
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"hammertime/internal/addr"
@@ -561,6 +562,62 @@ func BenchmarkTelemetryGrid(b *testing.B) {
 	})
 }
 
+// BenchmarkE1CellAlloc measures what a whole E1 grid allocates per cell
+// at a 100 000-cycle horizon — the short cells hammerd serves — on one
+// worker with the invariant auditor off, as shipped binaries run. Cells
+// recycle their machine arrays, survey tables and tracker counters, so
+// the benchgate baseline caps the bytes per cell: a per-cell array that
+// stops being recycled, or per-row planner slices, fail CI.
+func BenchmarkE1CellAlloc(b *testing.B) {
+	core.SetCheckingOff()
+	defer core.SetChecking(false)
+	ctx := harness.WithRun(context.Background(), harness.Run{Workers: 1})
+	cells := len(harness.E1Defenses) * len(attack.Catalog(12))
+	b.ReportAllocs()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for i := 0; i < b.N; i++ {
+		if _, err := harness.Experiment(ctx, "e1", 100_000, harness.AttackOpts{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.TotalAlloc-before)/float64(b.N*cells), "B/cell")
+}
+
+// BenchmarkFrozenTrace measures what a finished job's trace costs once
+// frozen. It records a real E1 job trace — job and run spans around the
+// grid, its 48 cells and their machine phases, at a 100 000-cycle
+// horizon — and reports the frozen encoding's bytes per span, which the
+// benchgate baseline caps. Each iteration grafts the trace into a fresh
+// tracer, as a coordinator imports a worker's spans, and freezes it.
+func BenchmarkFrozenTrace(b *testing.B) {
+	tr := telemetry.NewTracer()
+	ctx := telemetry.NewContext(context.Background(), &telemetry.Scope{Tracer: tr})
+	ctx, job := telemetry.StartSpan(ctx, "job")
+	ctx, run := telemetry.StartSpan(ctx, "run")
+	if _, err := harness.Experiment(ctx, "e1", 100_000, harness.AttackOpts{}); err != nil {
+		b.Fatal(err)
+	}
+	run.End()
+	job.End()
+	snaps := tr.Snapshot()
+	spans, size := tr.Freeze()
+	if spans != len(snaps) {
+		b.Fatalf("froze %d of %d spans", spans, len(snaps))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := telemetry.NewTracer()
+		t.ImportRemote(job.ID(), snaps)
+		t.Freeze()
+	}
+	b.ReportMetric(float64(size)/float64(spans), "B/span")
+	b.ReportMetric(float64(spans), "spans")
+}
+
 // BenchmarkE1MatrixParallel contrasts the serial and pooled harness on
 // the same E1 grid as BenchmarkE1ProtectionMatrix. Tables are
 // byte-identical either way; on a multi-core host the parallel variant
@@ -586,21 +643,31 @@ func BenchmarkE1MatrixParallel(b *testing.B) {
 
 // BenchmarkCellSetup measures what one E1 cell spends before its first
 // simulated cycle: building the machine with its defense, allocating
-// three tenants of 170 pages, and planning a double-sided attack. Each
-// iteration releases its tenants and machine, as harness cells do, so
-// the next one builds on recycled arrays. The benchgate baseline pins
-// the bank-partitioned and guard-row cells within a fixed ratio of the
-// undefended one, so allocator set-up that scales with DRAM size rather
-// than with allocated pages fails CI; caps the undefended cell's bytes
-// per op, so a per-machine array that stops being recycled does; and
-// caps the bank-partitioned cell's allocations, so a per-page
-// allocation in the allocators' row-footprint checks does.
+// three tenants of 170 pages, and planning a double-sided attack (the
+// many-sided case plans a 12-aggressor TRRespass pattern on an
+// undefended machine instead). Each iteration releases its tenants and
+// machine, as harness cells do, so the next one builds on recycled
+// arrays. The benchgate baseline pins the bank-partitioned and guard-row
+// cells within a fixed ratio of the undefended one, so allocator set-up
+// that scales with DRAM size rather than with allocated pages fails CI;
+// caps the bytes per op of the undefended, Graphene, BlockHammer and
+// many-sided cells, so a per-machine array that stops being recycled, a
+// tracker table sized for a whole refresh window, or per-row planner
+// slices do; and caps the bank-partitioned cell's allocations, so a
+// per-page allocation in the allocators' row-footprint checks does.
 func BenchmarkCellSetup(b *testing.B) {
-	for _, name := range []string{"none", "bankpart", "zebram"} {
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name, defense string
+		sided         int
+	}{
+		{"none", "none", 2}, {"bankpart", "bankpart", 2}, {"zebram", "zebram", 2},
+		{"graphene", "graphene", 2}, {"blockhammer", "blockhammer", 2},
+		{"many-sided", "none", 12},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d, err := defense.New(name)
+				d, err := defense.New(c.defense)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -612,8 +679,13 @@ func BenchmarkCellSetup(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := attack.PlanDoubleSided(m.Kernel, m.Mapper, tenants[0].Domain.ID,
-					1, m.Spec.Profile.BlastRadius); err != nil {
+				radius := m.Spec.Profile.BlastRadius
+				if c.sided == 2 {
+					_, err = attack.PlanDoubleSided(m.Kernel, m.Mapper, tenants[0].Domain.ID, 1, radius)
+				} else {
+					_, err = attack.PlanManySided(m.Kernel, m.Mapper, tenants[0].Domain.ID, c.sided, radius)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 				harness.ReleaseTenants(tenants)

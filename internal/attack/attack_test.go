@@ -265,25 +265,29 @@ func TestSurveyMatchesPerLineReference(t *testing.T) {
 					}
 				}
 			}
-			for b := range s.banks {
-				bm := &s.banks[b]
-				var wantRows []int
+			for b := 0; b < g.Banks; b++ {
+				base := b * s.rows
+				lines, others := s.lines[base:base+s.rows], s.other[base:base+s.rows]
+				var gotRows, wantRows []int
+				for _, i := range s.attackerRows(b) {
+					gotRows = append(gotRows, s.row(i))
+				}
 				for r := 0; r < g.RowsPerBank(); r++ {
 					key := [2]int{b, r}
 					want, owned := firstLine[key]
-					if got, ok := bm.line(r); ok != owned || ok && got != want {
-						t.Fatalf("%s bank %d row %d: survey line %d/%v, reference %d/%v",
-							mapper.Name(), b, r, got, ok, want, owned)
+					if got := lines[r]; (got != 0) != owned || owned && got-1 != want {
+						t.Fatalf("%s bank %d row %d: survey line+1 %d, reference %d/%v",
+							mapper.Name(), b, r, got, want, owned)
 					}
-					if bm.hasOther[r] != other[key] {
-						t.Fatalf("%s bank %d row %d: hasOther %v, reference %v", mapper.Name(), b, r, bm.hasOther[r], other[key])
+					if others[r] != other[key] {
+						t.Fatalf("%s bank %d row %d: other %v, reference %v", mapper.Name(), b, r, others[r], other[key])
 					}
 					if owned {
 						wantRows = append(wantRows, r)
 					}
 				}
-				if fmt.Sprint(bm.rows) != fmt.Sprint(wantRows) {
-					t.Fatalf("%s bank %d: attacker rows %v, reference %v", mapper.Name(), b, bm.rows, wantRows)
+				if fmt.Sprint(gotRows) != fmt.Sprint(wantRows) {
+					t.Fatalf("%s bank %d: attacker rows %v, reference %v", mapper.Name(), b, gotRows, wantRows)
 				}
 			}
 			s.release()

@@ -50,56 +50,63 @@ func fillVAs(k *hostos.Kernel, lineBytes int, plan *Plan) error {
 	return nil
 }
 
-// bankMap is the attacker's reverse-engineered view of one bank. Under
-// cache-line interleaving a single DRAM row mixes lines from many pages
-// (the §4.1 observation), so the attacker needs only one of its own lines
-// in a row to activate it, and a row is a victim if it holds at least one
-// line of another domain. Both tables are indexed by bank-local row.
-type bankMap struct {
-	// attackerLine holds, per row, the first attacker line in the row
-	// (the line to hammer) plus one; 0 means the attacker owns none.
-	attackerLine []uint64
-	// hasOther marks rows containing at least one other domain's line.
-	hasOther []bool
-	// rows lists the rows holding attacker data, ascending.
-	rows []int
-}
-
-// line returns the attacker line to hammer in valid row r, if any.
-func (bm *bankMap) line(r int) (uint64, bool) {
-	l := bm.attackerLine[r]
-	return l - 1, l != 0
-}
-
-// surveyor builds per-bank ownership maps for an attacker domain. The
-// banks' row tables are views of lines and other, which release hands
-// back for the next survey once the plan is built.
+// surveyor is the attacker's reverse-engineered view of every bank.
+// Under cache-line interleaving a single DRAM row mixes lines from many
+// pages (the §4.1 observation), so the attacker needs only one of its own
+// lines in a row to activate it, and a row is a victim if it holds at
+// least one line of another domain. Both tables are indexed by
+// bank*rows + bank-local row; release hands them back for the next
+// survey once the plan is built.
 type surveyor struct {
 	kernel   *hostos.Kernel
 	mapper   addr.Mapper
 	attacker int
-	banks    []bankMap // indexed by bank
-	lines    []uint64
-	other    []bool
+	rows     int // rows per bank
+	// lines holds, per row, the first attacker line in the row (the line
+	// to hammer) plus one; 0 means the attacker owns none.
+	lines []uint64
+	// other marks rows containing at least one other domain's line.
+	other []bool
+	// owned lists the indexes of the rows the attacker owns a line in,
+	// ascending: bank by bank, each bank's rows in order.
+	owned []int32
+	// footprint is survey's buffer for one page's rows; victims is the
+	// planners' buffer for one candidate's victim rows.
+	footprint []addr.RowLine
+	victims   []int
 }
 
-// lineTables and otherTables recycle finished surveys' row tables.
+// lineTables, otherTables and rowLists recycle finished surveys' tables
+// and buffers.
 var (
 	lineTables  = sim.NewFreeList[uint64]()
 	otherTables = sim.NewFreeList[bool]()
+	rowLists    = sim.NewFreeList[addr.RowLine]()
 )
 
-// release returns the survey's row tables to their free lists; the
-// survey must not be used afterwards.
+// release returns the survey's tables to their free lists; the survey
+// must not be used afterwards.
 func (s *surveyor) release() {
 	lineTables.Put(s.lines)
 	otherTables.Put(s.other)
-	s.banks, s.lines, s.other = nil, nil, nil
+	rowLists.Put(s.footprint[:cap(s.footprint)])
+	s.lines, s.other, s.footprint = nil, nil, nil
 }
 
 func newSurveyor(k *hostos.Kernel, m addr.Mapper, attacker int) *surveyor {
 	return &surveyor{kernel: k, mapper: m, attacker: attacker}
 }
+
+// attackerRows returns the table indexes of bank b's attacker rows, in
+// ascending order.
+func (s *surveyor) attackerRows(b int) []int32 {
+	i, _ := slices.BinarySearch(s.owned, int32(b*s.rows))
+	j, _ := slices.BinarySearch(s.owned, int32((b+1)*s.rows))
+	return s.owned[i:j:j]
+}
+
+// row returns a table index's bank-local row.
+func (s *surveyor) row(i int32) int { return int(i) % s.rows }
 
 // survey classifies every row the attacker or any other domain owns by
 // walking all allocated pages (the attacker learns adjacency via the
@@ -108,19 +115,12 @@ func newSurveyor(k *hostos.Kernel, m addr.Mapper, attacker int) *surveyor {
 // unowned frames cost one lookup each.
 func (s *surveyor) survey() {
 	g := s.mapper.Geometry()
-	rows := g.RowsPerBank()
-	s.lines, _ = lineTables.Get(g.Banks * rows)
-	s.other, _ = otherTables.Get(g.Banks * rows)
-	s.banks = make([]bankMap, g.Banks)
-	for b := range s.banks {
-		s.banks[b] = bankMap{
-			attackerLine: s.lines[b*rows : (b+1)*rows : (b+1)*rows],
-			hasOther:     s.other[b*rows : (b+1)*rows : (b+1)*rows],
-		}
-	}
+	s.rows = g.RowsPerBank()
+	s.lines, _ = lineTables.Get(g.Banks * s.rows)
+	s.other, _ = otherTables.Get(g.Banks * s.rows)
 	lpp := hostos.LinesPerPage(g)
+	s.footprint, _ = rowLists.Get(int(lpp))
 	frames := hostos.TotalFrames(g)
-	footprint := make([]addr.RowLine, 0, lpp) // one page's rows
 	for frame := uint64(0); frame < frames; frame++ {
 		owner, ok := s.kernel.OwnerOfLine(frame * lpp)
 		if !ok {
@@ -128,71 +128,64 @@ func (s *surveyor) survey() {
 		}
 		// Frames ascend and each footprint carries a row's lowest line
 		// in the page, so the first line recorded per row is its lowest.
-		for _, r := range addr.AppendRows(footprint[:0], s.mapper, frame*lpp, lpp) {
-			bm := &s.banks[r.Bank]
+		s.footprint = addr.AppendRows(s.footprint[:0], s.mapper, frame*lpp, lpp)
+		for _, r := range s.footprint {
+			i := r.Bank*s.rows + r.Row
 			if owner != s.attacker {
-				bm.hasOther[r.Row] = true
-			} else if bm.attackerLine[r.Row] == 0 {
-				bm.attackerLine[r.Row] = r.Line + 1
-				bm.rows = append(bm.rows, r.Row)
+				s.other[i] = true
+			} else if s.lines[i] == 0 {
+				s.lines[i] = r.Line + 1
+				s.owned = append(s.owned, int32(i))
 			}
 		}
 	}
-	for b := range s.banks {
-		slices.Sort(s.banks[b].rows)
-	}
+	slices.Sort(s.owned)
 }
 
-// candidate is an attacker row with at least one victim row in range.
-type candidate struct {
-	bank, row int
-	line      uint64
-	victims   []int // victim rows within radius
-}
-
-// candidates returns attacker rows sorted by (bank, row) that have at
-// least one cross-domain victim within radius (same subarray).
-func (s *surveyor) candidates(radius int) []candidate {
+// victimsOf sets s.victims to the cross-domain victim rows within
+// radius of attacker row r (same subarray), nearest first, lower side
+// first, and reports whether there are any: whether (bank, r) is a
+// candidate aggressor.
+func (s *surveyor) victimsOf(bank, r, radius int) bool {
 	g := s.mapper.Geometry()
-	var out []candidate
-	for bank := range s.banks {
-		bm := &s.banks[bank]
-		for _, r := range bm.rows {
-			var victims []int
-			for d := 1; d <= radius; d++ {
-				for _, v := range [2]int{r - d, r + d} {
-					if g.ValidRow(v) && g.SameSubarray(r, v) && bm.hasOther[v] {
-						victims = append(victims, v)
-					}
-				}
-			}
-			if len(victims) > 0 {
-				line, _ := bm.line(r)
-				out = append(out, candidate{bank: bank, row: r, line: line, victims: victims})
+	s.victims = s.victims[:0]
+	for d := 1; d <= radius; d++ {
+		for _, v := range [2]int{r - d, r + d} {
+			if g.ValidRow(v) && g.SameSubarray(r, v) && s.other[bank*s.rows+v] {
+				s.victims = append(s.victims, v)
 			}
 		}
 	}
-	return out
+	return len(s.victims) > 0
+}
+
+// candidates counts the attacker rows of bank with at least one
+// cross-domain victim within radius.
+func (s *surveyor) candidates(bank, radius int) int {
+	n := 0
+	for _, i := range s.attackerRows(bank) {
+		if s.victimsOf(bank, s.row(i), radius) {
+			n++
+		}
+	}
+	return n
 }
 
 // anyAttackerRows returns up to n attacker rows in one bank (preferring
 // the bank with the most, then the lowest-numbered), for best-effort
 // hammering when no cross-domain candidates exist.
-func (s *surveyor) anyAttackerRows(n int) []candidate {
+func (s *surveyor) anyAttackerRows(n int) []addr.DDR {
+	var best []int32
 	bestBank := 0
-	for b := range s.banks {
-		if len(s.banks[b].rows) > len(s.banks[bestBank].rows) {
-			bestBank = b
+	for b := 0; b < s.mapper.Geometry().Banks; b++ {
+		if rows := s.attackerRows(b); b == 0 || len(rows) > len(best) {
+			bestBank, best = b, rows
 		}
 	}
-	rows := s.banks[bestBank].rows
-	if len(rows) > n {
-		rows = rows[:n]
-	}
-	out := make([]candidate, 0, len(rows))
-	for _, r := range rows {
-		line, _ := s.banks[bestBank].line(r)
-		out = append(out, candidate{bank: bestBank, row: r, line: line})
+	best = best[:min(n, len(best))]
+	out := make([]addr.DDR, len(best))
+	for k, i := range best {
+		out[k] = addr.DDR{Bank: bestBank, Row: s.row(i)}
 	}
 	return out
 }
@@ -211,30 +204,26 @@ func PlanDoubleSided(k *hostos.Kernel, m addr.Mapper, attacker, pairs, radius in
 	g := m.Geometry()
 
 	plan := Plan{Kind: "double-sided"}
-	seen := make(map[[2]int]bool)
-	for bank := range s.banks {
-		bm := &s.banks[bank]
-		for _, r := range bm.rows {
+	for bank := 0; bank < g.Banks; bank++ {
+		for _, i := range s.attackerRows(bank) {
+			r := s.row(i)
 			v := r + 1
 			r2 := r + 2
 			if !g.ValidRow(r2) || !g.SameSubarray(r, r2) {
 				continue
 			}
-			if !bm.hasOther[v] {
+			// i+1 and i+2 index rows v and r2 of the same bank.
+			if !s.other[i+1] || s.lines[i+2] == 0 {
 				continue
 			}
-			line2, ok := bm.line(r2)
-			if !ok {
+			line, line2 := s.lines[i]-1, s.lines[i+2]-1
+			// Each aggressor serves one sandwich.
+			a1, a2 := addr.DDR{Bank: bank, Row: r}, addr.DDR{Bank: bank, Row: r2}
+			if slices.Contains(plan.Aggressors, a1) || slices.Contains(plan.Aggressors, a2) {
 				continue
 			}
-			if seen[[2]int{bank, r}] || seen[[2]int{bank, r2}] {
-				continue
-			}
-			seen[[2]int{bank, r}], seen[[2]int{bank, r2}] = true, true
-			line, _ := bm.line(r)
 			plan.AggressorLines = append(plan.AggressorLines, line, line2)
-			plan.Aggressors = append(plan.Aggressors,
-				addr.DDR{Bank: bank, Row: r}, addr.DDR{Bank: bank, Row: r2})
+			plan.Aggressors = append(plan.Aggressors, a1, a2)
 			plan.VictimRows = append(plan.VictimRows, addr.DDR{Bank: bank, Row: v})
 			plan.CrossDomain = true
 			if len(plan.VictimRows) >= pairs {
@@ -270,47 +259,53 @@ func PlanSingleSided(k *hostos.Kernel, m addr.Mapper, attacker, count, radius in
 	return s.planSingleSided(count, radius)
 }
 
-// planSingleSided is PlanSingleSided over a completed survey.
+// planSingleSided is PlanSingleSided over a completed survey. Candidate
+// aggressors are taken in (bank, row) order.
 func (s *surveyor) planSingleSided(count, radius int) (Plan, error) {
-	cands := s.candidates(radius)
+	g := s.mapper.Geometry()
 	plan := Plan{Kind: "single-sided"}
-	for _, c := range cands {
-		comp, ok := s.conflictCompanion(c.bank, c.row, radius)
-		if !ok {
-			continue
-		}
-		plan.AggressorLines = append(plan.AggressorLines, c.line, comp.line)
-		plan.Aggressors = append(plan.Aggressors,
-			addr.DDR{Bank: c.bank, Row: c.row}, addr.DDR{Bank: comp.bank, Row: comp.row})
-		for _, v := range c.victims {
-			plan.VictimRows = append(plan.VictimRows, addr.DDR{Bank: c.bank, Row: v})
-		}
-		plan.CrossDomain = true
-		if len(plan.AggressorLines) >= 2*count {
-			return plan, fillVAs(s.kernel, s.mapper.Geometry().LineBytes, &plan)
+	for bank := 0; bank < g.Banks; bank++ {
+		for _, i := range s.attackerRows(bank) {
+			r := s.row(i)
+			if !s.victimsOf(bank, r, radius) {
+				continue
+			}
+			comp, ok := s.conflictCompanion(bank, r, radius)
+			if !ok {
+				continue
+			}
+			plan.AggressorLines = append(plan.AggressorLines, s.lines[i]-1, s.lines[bank*s.rows+comp]-1)
+			plan.Aggressors = append(plan.Aggressors,
+				addr.DDR{Bank: bank, Row: r}, addr.DDR{Bank: bank, Row: comp})
+			for _, v := range s.victims {
+				plan.VictimRows = append(plan.VictimRows, addr.DDR{Bank: bank, Row: v})
+			}
+			plan.CrossDomain = true
+			if len(plan.AggressorLines) >= 2*count {
+				return plan, fillVAs(s.kernel, g.LineBytes, &plan)
+			}
 		}
 	}
 	if len(plan.AggressorLines) > 0 {
-		return plan, fillVAs(s.kernel, s.mapper.Geometry().LineBytes, &plan)
+		return plan, fillVAs(s.kernel, g.LineBytes, &plan)
 	}
 	return bestEffort(s, "single-sided(degraded:blind)", count)
 }
 
-// conflictCompanion finds an attacker line in the same bank as row to
+// conflictCompanion finds an attacker row in the same bank as row to
 // alternate with, forcing row-buffer conflicts. It prefers a row in a
 // different subarray (no disturbance interaction at all), then the
 // farthest row available.
-func (s *surveyor) conflictCompanion(bank, row, radius int) (candidate, bool) {
+func (s *surveyor) conflictCompanion(bank, row, radius int) (int, bool) {
 	g := s.mapper.Geometry()
-	bm := &s.banks[bank]
 	best, bestDist := -1, -1
-	for _, r := range bm.rows {
+	for _, i := range s.attackerRows(bank) {
+		r := s.row(i)
 		if r == row {
 			continue
 		}
 		if !g.SameSubarray(r, row) {
-			line, _ := bm.line(r)
-			return candidate{bank: bank, row: r, line: line}, true
+			return r, true
 		}
 		dist := r - row
 		if dist < 0 {
@@ -320,11 +315,7 @@ func (s *surveyor) conflictCompanion(bank, row, radius int) (candidate, bool) {
 			best, bestDist = r, dist
 		}
 	}
-	if best >= 0 && bestDist > radius {
-		line, _ := bm.line(best)
-		return candidate{bank: bank, row: best, line: line}, true
-	}
-	return candidate{}, false
+	return best, best >= 0 && bestDist > radius
 }
 
 // PlanManySided builds a TRRespass-style plan with `aggressors` distinct
@@ -338,56 +329,54 @@ func PlanManySided(k *hostos.Kernel, m addr.Mapper, attacker, aggressors, radius
 	s := newSurveyor(k, m, attacker)
 	s.survey()
 	defer s.release()
-	cands := s.candidates(radius)
 
 	// Choose the bank with the most cross-domain candidates, the lowest
-	// on a tie: candidates come grouped by bank, ascending.
-	var best []candidate
-	for i := 0; i < len(cands); {
-		j := i + 1
-		for j < len(cands) && cands[j].bank == cands[i].bank {
-			j++
+	// on a tie.
+	bestBank, most := -1, 0
+	for bank := 0; bank < m.Geometry().Banks; bank++ {
+		if n := s.candidates(bank, radius); n > most {
+			bestBank, most = bank, n
 		}
-		if j-i > len(best) {
-			best = cands[i:j]
-		}
-		i = j
 	}
 	plan := Plan{Kind: fmt.Sprintf("many-sided(%d)", aggressors)}
-	if len(best) > 0 {
-		bestBank := best[0].bank
-		used := make(map[int]bool)
-		for _, c := range best {
+	if bestBank >= 0 {
+		// used reports whether row is already an aggressor.
+		used := func(row int) bool {
+			return slices.Contains(plan.Aggressors, addr.DDR{Bank: bestBank, Row: row})
+		}
+		rows := s.attackerRows(bestBank)
+		for _, i := range rows {
+			r := s.row(i)
 			if len(plan.AggressorLines) >= aggressors {
 				break
+			}
+			if !s.victimsOf(bestBank, r, radius) {
+				continue
 			}
 			// Space aggressors two rows apart (the TRRespass pattern):
 			// the skipped rows in between become sandwiched victims
 			// instead of self-refreshing aggressors.
-			if used[c.row-1] || used[c.row+1] || used[c.row] {
+			if used(r-1) || used(r+1) || used(r) {
 				continue
 			}
-			plan.AggressorLines = append(plan.AggressorLines, c.line)
-			plan.Aggressors = append(plan.Aggressors, addr.DDR{Bank: c.bank, Row: c.row})
-			used[c.row] = true
-			for _, v := range c.victims {
-				plan.VictimRows = append(plan.VictimRows, addr.DDR{Bank: c.bank, Row: v})
+			plan.AggressorLines = append(plan.AggressorLines, s.lines[i]-1)
+			plan.Aggressors = append(plan.Aggressors, addr.DDR{Bank: bestBank, Row: r})
+			for _, v := range s.victims {
+				plan.VictimRows = append(plan.VictimRows, addr.DDR{Bank: bestBank, Row: v})
 			}
 			plan.CrossDomain = true
 		}
 		// Pad with attacker rows from the same bank (tracker dilution),
 		// keeping the two-apart spacing so pads do not refresh victims.
-		bm := &s.banks[bestBank]
-		for _, r := range bm.rows {
+		for _, i := range rows {
+			r := s.row(i)
 			if len(plan.AggressorLines) >= aggressors {
 				break
 			}
-			if used[r] || used[r-1] || used[r+1] {
+			if used(r) || used(r-1) || used(r+1) {
 				continue
 			}
-			used[r] = true
-			line, _ := bm.line(r)
-			plan.AggressorLines = append(plan.AggressorLines, line)
+			plan.AggressorLines = append(plan.AggressorLines, s.lines[i]-1)
 			plan.Aggressors = append(plan.Aggressors, addr.DDR{Bank: bestBank, Row: r})
 		}
 	}
@@ -405,10 +394,9 @@ func bestEffort(s *surveyor, kind string, n int) (Plan, error) {
 	if len(rows) == 0 {
 		return Plan{}, fmt.Errorf("attack: attacker domain %d owns no memory to hammer", s.attacker)
 	}
-	plan := Plan{Kind: kind}
-	for _, c := range rows {
-		plan.AggressorLines = append(plan.AggressorLines, c.line)
-		plan.Aggressors = append(plan.Aggressors, addr.DDR{Bank: c.bank, Row: c.row})
+	plan := Plan{Kind: kind, Aggressors: rows}
+	for _, d := range rows {
+		plan.AggressorLines = append(plan.AggressorLines, s.lines[d.Bank*s.rows+d.Row]-1)
 	}
 	return plan, fillVAs(s.kernel, s.mapper.Geometry().LineBytes, &plan)
 }

@@ -351,15 +351,16 @@ func NewMachine(spec MachineSpec) (*Machine, error) {
 }
 
 // Release hands the machine's large working arrays — the LLC's way
-// state, the DRAM module's per-row state and the kernel's frame-owner
-// table — back to their free lists, so the next machine of the same
-// geometry reuses them instead of allocating. Call it once the machine's
-// results have been read; the machine must not be used afterwards (an
-// LLC access or DRAM activation panics). Skipping it is safe, only
-// slower. Releasing twice is a no-op.
+// state, the DRAM module's per-row state, the rate limiter's per-row
+// counters and the kernel's frame-owner table — back to their free
+// lists, so the next machine of the same geometry reuses them instead of
+// allocating. Call it once the machine's results have been read; the
+// machine must not be used afterwards (an LLC access or DRAM activation
+// panics). Skipping it is safe, only slower. Releasing twice is a no-op.
 func (m *Machine) Release() {
 	m.Cache.Release()
 	m.DRAM.Release()
+	m.MC.Release()
 	m.Kernel.Release()
 }
 

@@ -53,15 +53,18 @@ func SetupTenants(m *core.Machine, n, pagesEach int) ([]Tenant, error) {
 		tenants[i].Domain = m.Kernel.CreateDomain(fmt.Sprintf("tenant-%d", i+1), false, false)
 		tenants[i].Lines.Frames, _ = tenantLines.Get(pagesEach)
 		tenants[i].Lines.Shift = shift
+		if pt, err := m.Kernel.PageTable(tenants[i].Domain.ID); err == nil {
+			pt.Grow(pagesEach)
+		}
 	}
 	for p := 0; p < pagesEach; p++ {
 		for i := range tenants {
-			frames, err := m.Kernel.AllocPages(tenants[i].Domain.ID, uint64(p), 1)
+			f, err := m.Kernel.AllocPage(tenants[i].Domain.ID, uint64(p))
 			if err != nil {
 				ReleaseTenants(tenants)
 				return nil, fmt.Errorf("harness: tenant %d page %d: %w", i+1, p, err)
 			}
-			tenants[i].Lines.Frames[p] = frames[0]
+			tenants[i].Lines.Frames[p] = f
 		}
 	}
 	return tenants, nil

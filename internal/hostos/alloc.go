@@ -3,7 +3,6 @@ package hostos
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"hammertime/internal/addr"
 	"hammertime/internal/dram"
@@ -46,8 +45,7 @@ func TotalFrames(g dram.Geometry) uint64 { return g.TotalBytes() / PageSize }
 // O(frames in the module), while handing out exactly the sequence an
 // eagerly built stack of every admitted frame would.
 type freePool struct {
-	// stack holds released frames, allocated from the end. After
-	// materialize it holds every free frame of the pool.
+	// stack holds released frames, allocated from the end.
 	stack []uint64
 	// next is the lowest untouched frame; untouched frames lie in
 	// [next, end) and only those accept admits belong to the pool.
@@ -55,6 +53,9 @@ type freePool struct {
 	accept    func(frame uint64) bool // nil admits every frame
 	base      uint64                  // lowest frame the pool can hold
 	inUse     []uint64                // bitset over [base, end)
+	// moved records the frames allocRandom's swaps put into untouched
+	// slots; see slot.
+	moved map[uint64]uint64
 }
 
 // newFreePool returns a pool over the frames in [lo, hi) that accept
@@ -96,7 +97,8 @@ func (p *freePool) alloc() (uint64, error) {
 		f = p.stack[n-1]
 		p.stack = p.stack[:n-1]
 	} else if p.advance() {
-		f = p.next
+		f = p.slot(p.end - 1 - p.next)
+		delete(p.moved, p.end-1-p.next)
 		p.next++
 	} else {
 		return 0, ErrOutOfMemory
@@ -105,33 +107,51 @@ func (p *freePool) alloc() (uint64, error) {
 	return f, nil
 }
 
-// materialize classifies every untouched frame and stacks them, highest
-// at the bottom, beneath the released frames: the exact stack an eager
-// pool would hold after the same alloc/release history.
-func (p *freePool) materialize() {
-	var untouched []uint64
-	for ; p.advance(); p.next++ {
-		untouched = append(untouched, p.next)
+// An unclassified pool (accept nil) is, slot for slot, the stack an
+// eager pool holds: untouched frames descending, then the released
+// frames. Slot i < end−next is untouched slot i, which holds frame
+// end−1−i unless an allocRandom swap moved another frame there; slots
+// from end−next on are the released stack.
+func (p *freePool) slot(i uint64) uint64 {
+	if n := p.end - p.next; i >= n {
+		return p.stack[i-n]
 	}
-	if len(untouched) == 0 {
-		return
+	if f, ok := p.moved[i]; ok {
+		return f
 	}
-	slices.Reverse(untouched)
-	p.stack = append(untouched, p.stack...)
+	return p.end - 1 - i
+}
+
+func (p *freePool) setSlot(i, frame uint64) {
+	switch n := p.end - p.next; {
+	case i >= n:
+		p.stack[i-n] = frame
+	case frame == p.end-1-i:
+		delete(p.moved, i)
+	default:
+		if p.moved == nil {
+			p.moved = make(map[uint64]uint64)
+		}
+		p.moved[i] = frame
+	}
 }
 
 // allocRandom takes a uniformly random free frame — used by wear-leveling
 // migration so relocated pages land in fresh neighborhoods (and attackers
-// cannot predict the new location). The draw indexes the materialized
-// stack, so it picks the frame an eager pool would.
+// cannot predict the new location). The draw indexes the slots of an
+// unclassified pool (the only kind the RandomAllocators have), so it
+// picks the frame an eager pool would, and swaps it to the top as an
+// eager pool does, without building the stack.
 func (p *freePool) allocRandom(rng *sim.RNG) (uint64, error) {
-	p.materialize()
-	if len(p.stack) == 0 {
+	total := p.end - p.next + uint64(len(p.stack))
+	if total == 0 {
 		return 0, ErrOutOfMemory
 	}
-	i := rng.Intn(len(p.stack))
-	last := len(p.stack) - 1
-	p.stack[i], p.stack[last] = p.stack[last], p.stack[i]
+	if i, last := uint64(rng.Intn(int(total))), total-1; i != last {
+		fi, fl := p.slot(i), p.slot(last)
+		p.setSlot(i, fl)
+		p.setSlot(last, fi)
+	}
 	return p.alloc()
 }
 

@@ -57,6 +57,16 @@ func (pt *PageTable) Map(vpn, frame uint64) {
 	pt.frames[vpn] = frame + 1
 }
 
+// Grow makes room for mappings at VPNs below n, so mapping them does
+// not reallocate the table.
+func (pt *PageTable) Grow(n int) {
+	if n > cap(pt.frames) {
+		grown := make([]uint64, len(pt.frames), n)
+		copy(grown, pt.frames)
+		pt.frames = grown
+	}
+}
+
 // Unmap removes vpn's mapping.
 func (pt *PageTable) Unmap(vpn uint64) {
 	if vpn < uint64(len(pt.frames)) && pt.frames[vpn] != 0 {

@@ -137,16 +137,38 @@ func (k *Kernel) AllocPages(domain int, startVPN uint64, n int) ([]uint64, error
 	}
 	frames := make([]uint64, 0, n)
 	for i := 0; i < n; i++ {
-		f, err := k.alloc.Alloc(domain)
+		f, err := k.allocPage(pt, domain, startVPN+uint64(i))
 		if err != nil {
 			return frames, fmt.Errorf("hostos: alloc page %d for domain %d: %w", i, domain, err)
 		}
-		pt.Map(startVPN+uint64(i), f)
-		k.owner[f] = int32(domain) + 1
 		frames = append(frames, f)
-		k.pagesAllocated.Inc()
 	}
 	return frames, nil
+}
+
+// AllocPage allocates one page for the domain, maps it at vpn and
+// returns its frame: AllocPages for a single page, without the slice.
+func (k *Kernel) AllocPage(domain int, vpn uint64) (uint64, error) {
+	pt, err := k.PageTable(domain)
+	if err != nil {
+		return 0, err
+	}
+	f, err := k.allocPage(pt, domain, vpn)
+	if err != nil {
+		return 0, fmt.Errorf("hostos: alloc page for domain %d: %w", domain, err)
+	}
+	return f, nil
+}
+
+func (k *Kernel) allocPage(pt *PageTable, domain int, vpn uint64) (uint64, error) {
+	f, err := k.alloc.Alloc(domain)
+	if err != nil {
+		return 0, err
+	}
+	pt.Map(vpn, f)
+	k.owner[f] = int32(domain) + 1
+	k.pagesAllocated.Inc()
+	return f, nil
 }
 
 // FreePage unmaps and frees the domain's page at vpn.

@@ -1,6 +1,9 @@
 package memctrl
 
-import "hammertime/internal/dram"
+import (
+	"hammertime/internal/dram"
+	"hammertime/internal/sim"
+)
 
 // AdmissionController is the frequency-centric hardware hook: it may delay
 // requests that would activate a row, bounding per-row ACT rates.
@@ -71,14 +74,27 @@ func NewRateLimiter(geom dram.Geometry, maxActs, window, watch uint64) *RateLimi
 		watch = maxActs / 2
 	}
 	slots := geom.Banks * geom.RowsPerBank()
-	return &RateLimiter{
+	l := &RateLimiter{
 		MaxActsPerWindow: maxActs,
 		Window:           window,
 		WatchThreshold:   watch,
 		rowsPerBank:      geom.RowsPerBank(),
-		counts:           make([]uint64, slots),
-		nextAllow:        make([]uint64, slots),
 	}
+	l.counts, _ = rowArrays.Get(slots)
+	l.nextAllow, _ = rowArrays.Get(slots)
+	return l
+}
+
+// rowArrays recycles released limiters' per-row arrays.
+var rowArrays = sim.NewFreeList[uint64]()
+
+// Release hands the limiter's per-row arrays back for reuse by the next
+// NewRateLimiter of the same geometry. The limiter must not be used
+// afterwards; releasing twice is a no-op.
+func (l *RateLimiter) Release() {
+	rowArrays.Put(l.counts)
+	rowArrays.Put(l.nextAllow)
+	l.counts, l.nextAllow = nil, nil
 }
 
 // Name implements AdmissionController.

@@ -178,6 +178,15 @@ func (c *Controller) SetRecorder(r *obs.Recorder) { c.rec = r }
 // Stats returns the controller's stats registry.
 func (c *Controller) Stats() *sim.Stats { return c.stats }
 
+// Release hands a RateLimiter admission policy's per-row arrays back
+// for reuse. The controller must not serve requests afterwards;
+// releasing twice is a no-op.
+func (c *Controller) Release() {
+	if rl, ok := c.admission.(*RateLimiter); ok {
+		rl.Release()
+	}
+}
+
 // Mapper returns the address mapper in use.
 func (c *Controller) Mapper() addr.Mapper { return c.mapper }
 

@@ -33,17 +33,16 @@ type mgEntry struct {
 // NewGraphene returns a tracker with the given per-bank table size,
 // trigger threshold and refresh radius.
 func NewGraphene(banks, entries int, threshold uint64, radius int) *Graphene {
-	g := &Graphene{
+	// A bank's table grows to the rows it actually tracks, never past
+	// entries: short runs touch a few rows of a table sized for a full
+	// refresh window's ACT budget.
+	return &Graphene{
 		Entries:   entries,
 		Threshold: threshold,
 		Radius:    radius,
 		tables:    make([][]mgEntry, banks),
 		spill:     make([]uint64, banks),
 	}
-	for i := range g.tables {
-		g.tables[i] = make([]mgEntry, 0, entries)
-	}
-	return g
 }
 
 // RequiredEntries returns the table size Graphene needs per bank for

@@ -370,3 +370,109 @@ func TestSSEKeepaliveAndCancel(t *testing.T) {
 		t.Fatalf("stream missing terminal cancelled state:\n%s", stream)
 	}
 }
+
+// TestTraceKeepsSpansImportedAfterTerminal covers a losing hedged batch:
+// its RPC returns, and its worker spans are grafted into the job's trace,
+// only after the job reached its terminal state and its trace was
+// frozen. GET /v1/jobs/{id}/trace must still serve them, nested under
+// their dispatch span, after the frozen spans.
+func TestTraceKeepsSpansImportedAfterTerminal(t *testing.T) {
+	type late struct {
+		tracer *telemetry.Tracer
+		disp   *telemetry.Span
+	}
+	started := make(chan late, 1)
+	m := NewManager(Config{
+		Sessions: 1,
+		Run: func(ctx context.Context, req JobRequest) (string, error) {
+			_, disp := telemetry.StartSpan(ctx, "dispatch:slow")
+			started <- late{tracer: telemetry.ScopeFrom(ctx).Tracer, disp: disp}
+			return "table", nil // the hedged copy won; this batch is still in flight
+		},
+	})
+	defer m.Drain(context.Background())
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"experiment":"e7"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view JobView
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	lt := <-started
+	job, err := m.Get(view.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-job.done:
+	case <-time.After(time.Minute):
+		t.Fatal("job never reached a terminal state")
+	}
+
+	// The terminal transition froze job, queued and run; the open
+	// dispatch span stayed live (freezing again changes nothing).
+	if n, _ := lt.tracer.Freeze(); n != 3 {
+		t.Fatalf("terminal job froze %d spans, want job, queued and run", n)
+	}
+
+	// The slow batch returns now, from another goroutine, as the
+	// dispatcher's would.
+	imported := make(chan struct{})
+	go func() {
+		defer close(imported)
+		now := time.Now()
+		lt.tracer.ImportRemote(lt.disp.ID(), []telemetry.SpanSnap{
+			{ID: 1, Lane: 1, Name: "grid:e7", Start: now, End: now.Add(time.Millisecond), StartSeq: 1, EndSeq: 4},
+			{ID: 2, Parent: 1, Lane: 2, Name: "cell", Start: now, End: now.Add(time.Millisecond), StartSeq: 2, EndSeq: 3},
+		})
+		lt.disp.End()
+	}()
+	<-imported
+
+	jl, err := http.Get(srv.URL + "/v1/jobs/" + view.ID + "/trace?format=jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Body.Close()
+	type wireSpan struct {
+		Span   uint64 `json:"span"`
+		Parent uint64 `json:"parent"`
+		Name   string `json:"name"`
+	}
+	var spans []wireSpan
+	sc := bufio.NewScanner(jl.Body)
+	for sc.Scan() {
+		var s wireSpan
+		if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
+			t.Fatalf("bad JSONL span line %q: %v", sc.Text(), err)
+		}
+		spans = append(spans, s)
+	}
+	byID := map[uint64]wireSpan{}
+	var cell wireSpan
+	for _, s := range spans {
+		byID[s.Span] = s
+		if s.Name == "cell" {
+			cell = s
+		}
+	}
+	if len(spans) == 0 || spans[0].Name != "job" || cell.Name == "" {
+		t.Fatalf("trace lacks the job or the late cell span: %+v", spans)
+	}
+	var chain []string
+	for id := cell.Span; id != 0; id = byID[id].Parent {
+		chain = append(chain, byID[id].Name)
+		if len(chain) > 8 {
+			t.Fatalf("parent chain does not terminate: %v", chain)
+		}
+	}
+	want := []string{"cell", "grid:e7", "dispatch:slow", "run", "job"}
+	if strings.Join(chain, ">") != strings.Join(want, ">") {
+		t.Fatalf("late cell's parent chain %v, want %v", chain, want)
+	}
+}

@@ -141,12 +141,18 @@ func (j *Job) TraceID() string {
 
 // endSpans closes any still-open lifecycle spans (End keeps the first
 // end, so spans already closed at their proper transition are not
-// moved). Called on terminal transitions so a cancelled-while-queued
-// job doesn't leak open spans into its trace.
+// moved) and freezes the finished trace into its compact encoding, which
+// the job keeps for as long as it is retained. Called on terminal
+// transitions so a cancelled-while-queued job doesn't leak open spans
+// into its trace. Spans that start or arrive later (a losing hedged
+// batch's import) stay live after the frozen ones.
 func (j *Job) endSpans(err error) {
 	j.runSpan.EndErr(err)
 	j.queuedSpan.End()
 	j.jobSpan.EndErr(err)
+	if j.scope != nil {
+		j.scope.Tracer.Freeze()
+	}
 }
 
 // JobView is an immutable snapshot of a job for status responses.

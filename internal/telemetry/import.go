@@ -29,17 +29,38 @@ func ParseTraceID(s string) (TraceID, bool) {
 // Tracer.Snapshot) to t, remapped onto fresh local span ids: every
 // remote parent/lane link is preserved among the imported spans, and
 // remote roots (parent 0, or a parent missing from the snapshot) become
-// children of parent. Remote spans are assigned start/end sequence
-// numbers after everything already in t — they were collected before the
-// import, so export ordering stays consistent. Spans still open in the
-// snapshot stay open locally (the exporters already tag in-flight
-// spans). No-op on a nil tracer.
+// children of parent. Remote spans get start/end sequence numbers after
+// everything already in t — they were collected before the import, so
+// export ordering stays consistent — handed out in the order of their
+// remote start and end seqs, so imported spans nest locally exactly as
+// they did remotely. Spans still open in the snapshot stay open locally
+// (the exporters already tag in-flight spans). No-op on a nil tracer.
 func (t *Tracer) ImportRemote(parent SpanID, snaps []SpanSnap) {
 	if t == nil || len(snaps) == 0 {
 		return
 	}
 	ordered := append([]SpanSnap(nil), snaps...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].StartSeq < ordered[j].StartSeq })
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].StartSeq < ordered[j].StartSeq })
+	// One event per span start and per span end, in remote seq order; a
+	// span's end never sorts before its own start.
+	type event struct {
+		seq  uint64
+		end  bool
+		span int
+	}
+	events := make([]event, 0, 2*len(ordered))
+	for i, snap := range ordered {
+		events = append(events, event{seq: snap.StartSeq, span: i})
+		if !snap.End.IsZero() {
+			events = append(events, event{seq: max(snap.EndSeq, snap.StartSeq), end: true, span: i})
+		}
+	}
+	sort.SliceStable(events, func(i, j int) bool {
+		if events[i].seq != events[j].seq {
+			return events[i].seq < events[j].seq
+		}
+		return !events[i].end && events[j].end
+	})
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -48,12 +69,14 @@ func (t *Tracer) ImportRemote(parent SpanID, snaps []SpanSnap) {
 		t.next++
 		ids[snap.ID] = t.next
 	}
-	for _, snap := range ordered {
+	spans := make([]*Span, len(ordered))
+	for i, snap := range ordered {
 		s := &Span{
 			tracer: t,
 			id:     ids[snap.ID],
 			name:   snap.Name,
 			start:  snap.Start,
+			end:    snap.End,
 		}
 		if p, ok := ids[snap.Parent]; ok {
 			s.parent = p
@@ -65,16 +88,18 @@ func (t *Tracer) ImportRemote(parent SpanID, snaps []SpanSnap) {
 		} else {
 			s.lane = s.id
 		}
-		t.seq++
-		s.startSeq = t.seq
 		s.attrs = append([]Attr(nil), snap.Attrs...)
 		s.errMsg = snap.Err
 		s.startCycle, s.endCycle, s.hasCycles = snap.StartCycle, snap.EndCycle, snap.HasCycles
-		if !snap.End.IsZero() {
-			s.end = snap.End
-			t.seq++
-			s.endSeq = t.seq
-		}
-		t.spans = append(t.spans, s)
+		spans[i] = s
 	}
+	for _, ev := range events {
+		t.seq++
+		if ev.end {
+			spans[ev.span].endSeq = t.seq
+		} else {
+			spans[ev.span].startSeq = t.seq
+		}
+	}
+	t.spans = append(t.spans, spans...)
 }

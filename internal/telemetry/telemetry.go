@@ -69,13 +69,19 @@ func Uint(k string, v uint64) Attr { return Attr{Key: k, Val: strconv.FormatUint
 // Tracer collects the spans of one trace. It is safe for concurrent use:
 // parallel grid cells start and end spans on pool workers. The zero
 // value is not usable; construct with NewTracer.
+//
+// A finished trace is frozen (Freeze): its leading ended spans move into
+// one compact pointer-free encoding, and only the spans after them stay
+// live *Span objects.
 type Tracer struct {
 	id TraceID
 
-	mu    sync.Mutex
-	spans []*Span
-	next  SpanID
-	seq   uint64 // monotonic start/end order, for export sorting
+	mu      sync.Mutex
+	frozen  []byte  // frozen spans, encoded (freeze.go); they precede spans
+	spans   []*Span // live spans, in start order
+	next    SpanID
+	seq     uint64 // monotonic start/end order, for export sorting
+	nFrozen int    // spans held by frozen
 }
 
 // NewTracer returns a tracer with a random trace ID.
@@ -220,38 +226,45 @@ type SpanSnap struct {
 	Err        string
 }
 
-// Snapshot returns a copy of every span started so far, in start order.
-// Safe to call while spans are still being started and ended.
+// Snapshot returns a copy of every span started so far, in start order:
+// the frozen spans decoded, then the live ones. Safe to call while spans
+// are still being started and ended.
 func (t *Tracer) Snapshot() []SpanSnap {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
+	frozen, n := t.frozen, t.nFrozen
 	spans := append([]*Span(nil), t.spans...)
 	t.mu.Unlock()
-	out := make([]SpanSnap, 0, len(spans))
+	out := make([]SpanSnap, 0, n+len(spans))
+	out = decodeSpans(out, frozen, t.id)
 	for _, s := range spans {
-		s.mu.Lock()
-		snap := SpanSnap{
-			Trace:      t.id,
-			ID:         s.id,
-			Parent:     s.parent,
-			Lane:       s.lane,
-			Name:       s.name,
-			Start:      s.start,
-			End:        s.end,
-			StartSeq:   s.startSeq,
-			EndSeq:     s.endSeq,
-			StartCycle: s.startCycle,
-			EndCycle:   s.endCycle,
-			HasCycles:  s.hasCycles,
-			Attrs:      append([]Attr(nil), s.attrs...),
-			Err:        s.errMsg,
-		}
-		s.mu.Unlock()
-		out = append(out, snap)
+		out = append(out, s.snapshot(t.id))
 	}
 	return out
+}
+
+// snapshot copies the span under its lock.
+func (s *Span) snapshot(trace TraceID) SpanSnap {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return SpanSnap{
+		Trace:      trace,
+		ID:         s.id,
+		Parent:     s.parent,
+		Lane:       s.lane,
+		Name:       s.name,
+		Start:      s.start,
+		End:        s.end,
+		StartSeq:   s.startSeq,
+		EndSeq:     s.endSeq,
+		StartCycle: s.startCycle,
+		EndCycle:   s.endCycle,
+		HasCycles:  s.hasCycles,
+		Attrs:      append([]Attr(nil), s.attrs...),
+		Err:        s.errMsg,
+	}
 }
 
 // Scope is the telemetry context of one job or CLI run: the tracer

@@ -586,6 +586,16 @@ func TestImportRemote(t *testing.T) {
 	if len(g.Attrs) != 1 || g.Attrs[0].Key != "mode" {
 		t.Fatalf("imported attrs lost: %+v", g.Attrs)
 	}
+	// Imported spans nest as they did on the worker: each child opens
+	// and closes inside its parent in seq order, which is the order the
+	// Chrome export writes begin/end events in.
+	for _, pc := range [][2]SpanSnap{{g, c1}, {g, c2}, {c1, p}} {
+		parent, child := pc[0], pc[1]
+		if !(parent.StartSeq < child.StartSeq && child.StartSeq < child.EndSeq && child.EndSeq < parent.EndSeq) {
+			t.Fatalf("%s [%d,%d] does not nest inside %s [%d,%d]", child.Name, child.StartSeq, child.EndSeq,
+				parent.Name, parent.StartSeq, parent.EndSeq)
+		}
+	}
 	// Imported spans sequence after everything local at import time, and
 	// the chrome exporter must still accept the merged snapshot.
 	jb := byName["job"][0]
