@@ -333,7 +333,12 @@ func BenchmarkMapperSubarrayIsolated(b *testing.B) {
 
 // BenchmarkHammerThroughput measures simulated attacker throughput — how
 // many hammering accesses per wall-clock second the simulator sustains.
+// The machine runs unaudited, as every non-test run does: under `go test`
+// the invariant auditor would otherwise take half of each iteration.
+// Steady state is 0 allocs/op.
 func BenchmarkHammerThroughput(b *testing.B) {
+	core.SetCheckingOff()
+	defer core.SetChecking(false)
 	spec := core.DefaultSpec()
 	m, err := core.NewMachine(spec)
 	if err != nil {

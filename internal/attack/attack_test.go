@@ -209,6 +209,73 @@ func TestHammerVAFollowsMigration(t *testing.T) {
 	}
 }
 
+// uncachedHammerVA is HammerVA without its translation cache: every
+// access translates through the kernel. It is the reference the cached
+// program must match access for access.
+func uncachedHammerVA(k *hostos.Kernel, domain int, plan Plan, iterations int) func() (uint64, bool) {
+	i, total := 0, iterations*len(plan.AggressorVAs)
+	return func() (uint64, bool) {
+		if i >= total {
+			return 0, false
+		}
+		va := plan.AggressorVAs[i%len(plan.AggressorVAs)]
+		i++
+		line, err := k.Translate(domain, va)
+		return line, err == nil
+	}
+}
+
+// TestHammerVATranslationCache migrates one aggressor page and then frees
+// it mid-stream: the cached program must emit the new frame's line on
+// its very next access to the page, and must end at the same access as
+// a program that translates on every access.
+func TestHammerVATranslationCache(t *testing.T) {
+	m, ids := tenantMachine(t, core.DefaultSpec(), 8)
+	plan, err := PlanDoubleSided(m.Kernel, m.Mapper, ids[0], 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iterations = 20
+	prog, err := HammerVA(m.Kernel, ids[0], plan, iterations, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := uncachedHammerVA(m.Kernel, ids[0], plan, iterations)
+	step := func(n int) (int, bool) {
+		for i := 0; i < n; i++ {
+			acc, ok := prog.Next()
+			want, wantOK := ref()
+			if ok != wantOK || (ok && acc.Line != want) {
+				t.Fatalf("access %d: line %d ok=%v, uncached %d ok=%v", i, acc.Line, ok, want, wantOK)
+			}
+			if !ok {
+				return i, false
+			}
+		}
+		return n, true
+	}
+	step(3) // both aggressors cached; the next access is to AggressorVAs[1]
+	va := plan.AggressorVAs[1]
+	vpn := va / hostos.PageSize
+	mig, err := m.Kernel.MigratePage(ids[0], vpn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, _ := prog.Next()
+	ref()
+	lpp := hostos.LinesPerPage(m.Mapper.Geometry())
+	if acc.Line/lpp != mig.NewFrame {
+		t.Fatalf("first access after migration hit frame %d, want the new frame %d", acc.Line/lpp, mig.NewFrame)
+	}
+	step(4) // the next access is to AggressorVAs[0], still mapped
+	if err := m.Kernel.FreePage(ids[0], vpn); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := step(2 * iterations); ok || n != 1 {
+		t.Fatalf("program ran %d accesses past the freed page (ok=%v), want 1", n, ok)
+	}
+}
+
 func TestCatalogShapes(t *testing.T) {
 	kinds := Catalog(12)
 	if len(kinds) != 4 {

@@ -38,6 +38,11 @@ func Hammer(plan Plan, iterations int, flush bool) (cpu.Program, error) {
 // host migrates a hammered page (ACT wear-leveling, §4.2), the attack
 // follows the mapping to the new frame — it cannot keep hammering the old
 // physical row.
+//
+// Each aggressor's line is cached with the page table's mapping
+// generation (PageTable.Gen) and translated again only after a Map or
+// Unmap, so a migrated or freed page is seen at exactly the access an
+// uncached translation would see it.
 func HammerVA(k *hostos.Kernel, domain int, plan Plan, iterations int, flush bool) (cpu.Program, error) {
 	if len(plan.AggressorVAs) == 0 {
 		return nil, fmt.Errorf("attack: plan %q has no aggressor virtual addresses", plan.Kind)
@@ -45,20 +50,35 @@ func HammerVA(k *hostos.Kernel, domain int, plan Plan, iterations int, flush boo
 	if iterations <= 0 {
 		return nil, fmt.Errorf("attack: iterations must be > 0")
 	}
-	total := iterations * len(plan.AggressorVAs)
-	i := 0
+	pt, err := k.PageTable(domain)
+	if err != nil {
+		return nil, fmt.Errorf("attack: %w", err)
+	}
+	vas := plan.AggressorVAs
+	left := iterations * len(vas)
+	j := 0
+	// lines[i] is vas[i]'s line, valid while stamps[i] == pt.Gen()+1
+	// (0: not translated yet).
+	lines := make([]uint64, len(vas))
+	stamps := make([]uint64, len(vas))
 	return cpu.ProgramFunc(func() (cpu.Access, bool) {
-		if i >= total {
+		if left == 0 {
 			return cpu.Access{}, false
 		}
-		va := plan.AggressorVAs[i%len(plan.AggressorVAs)]
-		i++
-		line, err := k.Translate(domain, va)
-		if err != nil {
-			// The page vanished (host unmapped it); the attack is over.
-			return cpu.Access{}, false
+		left--
+		i := j
+		if j++; j == len(vas) {
+			j = 0
 		}
-		return cpu.Access{Line: line, Flush: flush}, true
+		if gen := pt.Gen() + 1; stamps[i] != gen {
+			line, err := k.Translate(domain, vas[i])
+			if err != nil {
+				// The page vanished (host unmapped it); the attack is over.
+				return cpu.Access{}, false
+			}
+			lines[i], stamps[i] = line, gen
+		}
+		return cpu.Access{Line: lines[i], Flush: flush}, true
 	}), nil
 }
 

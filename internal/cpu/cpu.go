@@ -71,8 +71,9 @@ type Core struct {
 	// samples is a PEBS-like ring of the last sampleCap LLC-miss line
 	// addresses — what ANVIL-style defenses sample: sampleLen entries
 	// starting at sampleHead, oldest first. Only CPU misses land here;
-	// DMA traffic is invisible to core PMUs.
-	samples    [sampleCap]uint64
+	// DMA traffic is invisible to core PMUs. It is nil, and misses go
+	// unsampled, until EnableSampling: most cores have no PMU reader.
+	samples    *[sampleCap]uint64
 	sampleHead int
 	sampleLen  int
 	done       bool
@@ -93,10 +94,19 @@ func NewCore(id, domain int, prog Program, c *cache.Cache, mc *memctrl.Controlle
 		HitLatency: 20, FlushLatency: 40}, nil
 }
 
+// EnableSampling turns on the core's PEBS-like sampling buffer: from now
+// on every LLC miss is recorded for Samples. A defense that reads the PMU
+// calls it before the core runs. Enabling twice keeps the buffer.
+func (c *Core) EnableSampling() {
+	if c.samples == nil {
+		c.samples = new([sampleCap]uint64)
+	}
+}
+
 // Samples returns the recent LLC-miss line addresses captured by the
 // core's PEBS-like sampling buffer (most recent last) and clears it. The
 // returned slice belongs to the caller; it is nil when the buffer is
-// empty.
+// empty or sampling was never enabled.
 func (c *Core) Samples() []uint64 {
 	if c.sampleLen == 0 {
 		return nil
@@ -191,7 +201,9 @@ func (c *Core) access(acc Access, now uint64) (uint64, error) {
 		t += c.HitLatency
 	} else {
 		c.counters.LLCMisses++
-		c.recordSample(acc.Line)
+		if c.samples != nil {
+			c.recordSample(acc.Line)
+		}
 		if cres.Writeback {
 			res, err := c.mc.ServeRequest(memctrl.Request{
 				Line:   cres.WritebackLine,

@@ -157,6 +157,7 @@ func TestCoreSamplesCaptureMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	core.EnableSampling()
 	now := uint64(0)
 	for {
 		next, ok, err := core.Step(now)
@@ -177,6 +178,32 @@ func TestCoreSamplesCaptureMisses(t *testing.T) {
 	}
 }
 
+// TestCoreSamplingOffByDefault checks that a core without a PMU reader
+// keeps no sample ring: misses are counted but not sampled.
+func TestCoreSamplingOffByDefault(t *testing.T) {
+	llc, mc := buildParts(t)
+	core, err := NewCore(0, 1, fixedProgram([]Access{{Line: 0}, {Line: 1000}}), llc, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for now := uint64(0); ; {
+		next, ok, err := core.Step(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		now = next
+	}
+	if core.samples != nil || core.Samples() != nil {
+		t.Fatal("sampling ring allocated or filled without EnableSampling")
+	}
+	if core.Counters().LLCMisses != 2 {
+		t.Fatalf("misses = %d, want 2", core.Counters().LLCMisses)
+	}
+}
+
 // TestCoreSamplesRingKeepsNewest overfills the sample ring: Samples must
 // return exactly the last sampleCap misses, oldest first, and the ring
 // must refill cleanly after the drain.
@@ -191,6 +218,7 @@ func TestCoreSamplesRingKeepsNewest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	core.EnableSampling()
 	now := uint64(0)
 	step := func() {
 		next, ok, err := core.Step(now)

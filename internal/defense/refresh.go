@@ -118,10 +118,16 @@ func (d *ANVIL) Attach(m *core.Machine) error {
 	return nil
 }
 
-// ObserveCores registers the cores whose PMUs the daemon samples. The
-// harness calls this after creating the cores (the real ANVIL equally
-// only sees CPU cores).
-func (d *ANVIL) ObserveCores(cores []*cpu.Core) { d.cores = cores }
+// ObserveCores registers the cores whose PMUs the daemon samples and
+// turns their sampling on. The harness calls this after creating the
+// cores and before running them (the real ANVIL equally only sees CPU
+// cores).
+func (d *ANVIL) ObserveCores(cores []*cpu.Core) {
+	for _, c := range cores {
+		c.EnableSampling()
+	}
+	d.cores = cores
+}
 
 // Refreshes returns issued neighbor-row loads; Triggers returns how many
 // sampling periods flagged at least one hot row.

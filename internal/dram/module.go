@@ -80,9 +80,16 @@ type Module struct {
 	acts    []uint64
 	rows    int // cached Geometry.RowsPerBank()
 	subRows int // cached Geometry.RowsPerSubarray
+	// subMask is subRows-1 when subRows is a power of two (a subarray's
+	// first row is then row &^ subMask), else -1.
+	subMask int
 	// amounts[d-1] is the profile's DisturbanceAt(d) for each distance d
 	// in the blast radius, computed once instead of per victim per ACT.
 	amounts []float64
+	mac     float64 // cached float64(Profile.MAC)
+	// disturbOracle, when set, replaces disturbNeighbors' fused loop. Only
+	// the differential test sets it, to the retired per-victim walk.
+	disturbOracle func(bankIdx, row int, cycle uint64, actorDomain int) []FlipEvent
 
 	trr *trrEngine
 
@@ -185,6 +192,11 @@ func NewModule(cfg Config) (*Module, error) {
 	m.refNeighbors = m.stats.LazyCounter("dram.ref_neighbors")
 	m.rows = cfg.Geometry.RowsPerBank()
 	m.subRows = cfg.Geometry.RowsPerSubarray
+	m.subMask = -1
+	if m.subRows&(m.subRows-1) == 0 {
+		m.subMask = m.subRows - 1
+	}
+	m.mac = float64(cfg.Profile.MAC)
 	m.amounts = make([]float64, cfg.Profile.BlastRadius)
 	for i := range m.amounts {
 		m.amounts[i] = cfg.Profile.DisturbanceAt(i + 1)
@@ -258,7 +270,7 @@ func (m *Module) OpenRow(bankIdx int) int {
 // caused the ACT (-1 for internal/unattributed activity) so flips can be
 // attributed exactly.
 func (m *Module) Activate(bankIdx, row int, cycle uint64, actorDomain int) ([]FlipEvent, error) {
-	if !m.geom.ValidBank(bankIdx) {
+	if bankIdx < 0 || bankIdx >= m.geom.Banks {
 		return nil, fmt.Errorf("dram: activate: bank %d out of range [0,%d)", bankIdx, m.geom.Banks)
 	}
 	if row < 0 || row >= m.rows {
@@ -269,8 +281,12 @@ func (m *Module) Activate(bankIdx, row int, cycle uint64, actorDomain int) ([]Fl
 	m.actVec[bankIdx]++
 	m.lastCycle = cycle
 	// Arg=1 marks a counted, controller-issued ACT (as opposed to a
-	// mitigation-internal cure, which carries Arg=0 and Domain=-1).
-	m.rec.Emit(obs.Event{Kind: obs.KindACT, Cycle: cycle, Bank: bankIdx, Row: row, Domain: actorDomain, Arg: 1})
+	// mitigation-internal cure, which carries Arg=0 and Domain=-1). The
+	// per-command sites guard on the recorder themselves: an inlined Emit
+	// would still build the Event before its own nil check.
+	if m.rec != nil {
+		m.rec.Emit(obs.Event{Kind: obs.KindACT, Cycle: cycle, Bank: bankIdx, Row: row, Domain: actorDomain, Arg: 1})
+	}
 	idx := bankIdx*m.rows + row
 	m.acts[idx]++
 	// An ACT recharges the activated row as a side effect (§2.1).
@@ -301,7 +317,9 @@ func (m *Module) activateInternal(bankIdx, row int, cycle uint64) ([]FlipEvent, 
 	*m.actCtr++
 	m.actVec[bankIdx]++
 	m.lastCycle = cycle
-	m.rec.Emit(obs.Event{Kind: obs.KindACT, Cycle: cycle, Bank: bankIdx, Row: row, Domain: -1})
+	if m.rec != nil {
+		m.rec.Emit(obs.Event{Kind: obs.KindACT, Cycle: cycle, Bank: bankIdx, Row: row, Domain: -1})
+	}
 	m.disturb[bankIdx*m.rows+row] = 0
 	flips := m.disturbNeighbors(bankIdx, row, cycle, -1)
 	m.Precharge(bankIdx, cycle)
@@ -312,43 +330,57 @@ func (m *Module) activateInternal(bankIdx, row int, cycle uint64) ([]FlipEvent, 
 // subarray. Disturbance never leaves it: subarrays are electromagnetically
 // isolated, and the range lies within the bank by construction.
 func (m *Module) subarrayRows(row int) (lo, hi int) {
-	lo = row / m.subRows * m.subRows
+	if m.subMask >= 0 {
+		lo = row &^ m.subMask
+	} else {
+		lo = row / m.subRows * m.subRows
+	}
 	return lo, lo + m.subRows
 }
 
 // disturbNeighbors applies one activation of row to every victim within
 // the blast radius in the row's subarray and returns the resulting flips.
-// Victims are visited nearest first, row-d before row+d: disturbRow draws
-// from the RNG, so the order is part of the simulated result.
+// Victims are visited nearest first, row-d before row+d: excess draws
+// from the RNG, so the order is part of the simulated result. A victim
+// still at or below the MAC costs one add and one compare; only a
+// crossing leaves the loop.
 func (m *Module) disturbNeighbors(bankIdx, row int, cycle uint64, actorDomain int) []FlipEvent {
+	if m.disturbOracle != nil {
+		return m.disturbOracle(bankIdx, row, cycle, actorDomain)
+	}
 	var flips []FlipEvent
 	lo, hi := m.subarrayRows(row)
+	base := bankIdx * m.rows
+	disturb, mac := m.disturb, m.mac
 	for i, amount := range m.amounts {
-		dist := i + 1
-		if v := row - dist; v >= lo {
-			flips = append(flips, m.disturbRow(bankIdx, v, row, amount, cycle, actorDomain)...)
+		if v := row - 1 - i; v >= lo {
+			old := disturb[base+v]
+			now := old + amount
+			disturb[base+v] = now
+			if now > mac {
+				flips = m.excess(flips, bankIdx, v, row, old, now, cycle, actorDomain)
+			}
 		}
-		if v := row + dist; v < hi {
-			flips = append(flips, m.disturbRow(bankIdx, v, row, amount, cycle, actorDomain)...)
+		if v := row + 1 + i; v < hi {
+			old := disturb[base+v]
+			now := old + amount
+			disturb[base+v] = now
+			if now > mac {
+				flips = m.excess(flips, bankIdx, v, row, old, now, cycle, actorDomain)
+			}
 		}
 	}
 	return flips
 }
 
-// disturbRow adds disturbance to one victim row and generates flips for
-// any excess beyond the MAC.
-func (m *Module) disturbRow(bankIdx, victim, aggressor int, amount float64, cycle uint64, actorDomain int) []FlipEvent {
-	idx := bankIdx*m.rows + victim
-	old := m.disturb[idx]
-	now := old + amount
-	m.disturb[idx] = now
-
-	mac := float64(m.prof.MAC)
-	if now <= mac {
-		return nil
-	}
-	excessDelta := now - mac
-	if old > mac {
+// excess generates the flips of a victim whose disturbance went from old
+// to now, with now above the MAC: the expected flip count is the
+// disturbance beyond the MAC added by this ACT times FlipProb, its
+// fraction settled by one RNG draw. The flips are applied and appended
+// to flips.
+func (m *Module) excess(flips []FlipEvent, bankIdx, victim, aggressor int, old, now float64, cycle uint64, actorDomain int) []FlipEvent {
+	excessDelta := now - m.mac
+	if old > m.mac {
 		excessDelta = now - old
 	}
 	expect := excessDelta * m.prof.FlipProb
@@ -357,7 +389,7 @@ func (m *Module) disturbRow(bankIdx, victim, aggressor int, amount float64, cycl
 		n++
 	}
 	if n == 0 {
-		return nil
+		return flips
 	}
 	bitSpace := m.geom.LineBytes * 8
 	if m.eccOn {
@@ -370,7 +402,6 @@ func (m *Module) disturbRow(bankIdx, victim, aggressor int, amount float64, cycl
 		}
 		bitSpace += checkBytes * 8
 	}
-	flips := make([]FlipEvent, 0, n)
 	for i := 0; i < n; i++ {
 		ev := FlipEvent{
 			Bank:        bankIdx,
@@ -453,7 +484,9 @@ func (m *Module) Precharge(bankIdx int, cycle uint64) error {
 	m.open[bankIdx] = -1
 	*m.preCtr++
 	m.lastCycle = cycle
-	m.rec.Emit(obs.Event{Kind: obs.KindPRE, Cycle: cycle, Bank: bankIdx, Row: -1, Domain: -1})
+	if m.rec != nil {
+		m.rec.Emit(obs.Event{Kind: obs.KindPRE, Cycle: cycle, Bank: bankIdx, Row: -1, Domain: -1})
+	}
 	return nil
 }
 
@@ -464,7 +497,9 @@ func (m *Module) Precharge(bankIdx int, cycle uint64) error {
 func (m *Module) Refresh(cycle uint64) {
 	*m.refCtr++
 	m.lastCycle = cycle
-	m.rec.Emit(obs.Event{Kind: obs.KindREF, Cycle: cycle, Bank: -1, Row: -1, Domain: -1})
+	if m.rec != nil {
+		m.rec.Emit(obs.Event{Kind: obs.KindREF, Cycle: cycle, Bank: -1, Row: -1, Domain: -1})
+	}
 	m.refAccum += m.rows
 	for m.refAccum >= m.refDenom {
 		m.refAccum -= m.refDenom
@@ -550,7 +585,7 @@ func (m *Module) refreshRowInternal(bankIdx, row int) {
 	idx := bankIdx*m.rows + row
 	m.disturb[idx] = 0
 	if acts := m.acts[idx]; acts > 0 {
-		m.actsPerRow.Observe(float64(acts))
+		m.actsPerRow.ObserveUint(acts)
 		m.acts[idx] = 0
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"hammertime/internal/cpu"
 	"hammertime/internal/memctrl"
 	"hammertime/internal/report"
+	"hammertime/internal/sim"
 )
 
 // E7Method names one way software can try to refresh a victim row (§4.3).
@@ -49,9 +50,8 @@ func E7RefreshPath(ctx context.Context) (*report.Table, []E7Result, error) {
 	methods := []E7Method{E7RefreshInstr, E7RefNeighbors, E7LoadPath}
 	run := runGrid(ctx, GridSpec{ID: "e7", Config: "v1"},
 		2*len(methods), func(ctx context.Context, i int) (E7Result, error) {
-			_ = ctx // E7 drives the controller directly; cells are short
 			method, victimOpen := methods[i/2], i%2 == 1
-			r, err := runE7(method, victimOpen)
+			r, err := runE7(ctx, method, victimOpen)
 			if err != nil {
 				return E7Result{}, fmt.Errorf("harness: E7 %s: %w", method, err)
 			}
@@ -77,7 +77,9 @@ func E7RefreshPath(ctx context.Context) (*report.Table, []E7Result, error) {
 	return tb, results, nil
 }
 
-func runE7(method E7Method, victimOpen bool) (E7Result, error) {
+// runE7 drives the controller directly, not through runMachine, so it
+// counts its simulated events itself.
+func runE7(ctx context.Context, method E7Method, victimOpen bool) (E7Result, error) {
 	spec := core.DefaultSpec()
 	m, err := core.NewMachine(spec)
 	if err != nil {
@@ -181,6 +183,10 @@ func runE7(method E7Method, victimOpen bool) (E7Result, error) {
 	if err := m.CheckInvariants(); err != nil {
 		return E7Result{}, err
 	}
+	var stats sim.Stats
+	stats.Merge(m.DRAM.Stats())
+	stats.Merge(m.MC.Stats())
+	countEvents(ctx, &stats)
 	return E7Result{
 		Method:       method,
 		BankState:    state,

@@ -279,22 +279,27 @@ func RunAttackCtx(ctx context.Context, spec core.MachineSpec, d core.Defense, ki
 }
 
 // runMachine runs the agents on m to horizon, the one place a harness
-// cell runs a machine, and counts the simulated events it processed —
-// memory requests plus DRAM ACTs and REFs — into the run's bench
-// collector and the telemetry throughput counter. Counting is
-// observer-only.
+// cell runs a machine, and counts the events it simulated (countEvents).
 func runMachine(ctx context.Context, m *core.Machine, agents []core.Agent, horizon uint64) (core.RunResult, error) {
 	res, err := m.RunCtx(ctx, agents, horizon)
 	if err != nil {
 		return res, err
 	}
-	events := uint64(res.Stats.Counter("mc.requests") +
-		res.Stats.Counter("dram.act") + res.Stats.Counter("dram.ref"))
+	countEvents(ctx, &res.Stats)
+	return res, nil
+}
+
+// countEvents adds the simulated events in s — memory requests plus DRAM
+// ACTs and REFs — to the run's bench collector and the telemetry
+// throughput counter. Every cell counts through here, whether it ran a
+// machine or drove the controller directly (E7). Counting is
+// observer-only.
+func countEvents(ctx context.Context, s *sim.Stats) {
+	events := uint64(s.Counter("mc.requests") + s.Counter("dram.act") + s.Counter("dram.ref"))
 	if c := RunFrom(ctx).Bench; c != nil {
 		c.addEvents(events)
 	}
 	telemetry.CountEvents(ctx, events)
-	return res, nil
 }
 
 // planAttack plans kind's hammering pattern from the attacker domain

@@ -177,3 +177,24 @@ func TestBenchCountsE4Events(t *testing.T) {
 		t.Fatalf("E4 reported %d events over %d cells", e.Events, len(e.Cells))
 	}
 }
+
+// TestBenchCountsEveryExperiment checks that every dispatchable
+// experiment reports simulated events, including E7, whose cells drive
+// the controller directly instead of running a machine.
+func TestBenchCountsEveryExperiment(t *testing.T) {
+	rc := Run{Workers: 2}
+	c := NewBenchCollector("all-events", rc.WorkerCount())
+	rc.Bench = c
+	for _, id := range ExperimentIDs() {
+		c.Begin(id)
+		if _, err := Experiment(under(rc), id, 200_000, AttackOpts{}); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		c.End()
+	}
+	for _, e := range c.Report().Experiments {
+		if e.Events == 0 {
+			t.Errorf("%s reported 0 events over %d cells", e.ID, len(e.Cells))
+		}
+	}
+}

@@ -34,6 +34,7 @@ type Domain struct {
 type PageTable struct {
 	frames []uint64
 	size   int
+	gen    uint64 // see Gen
 }
 
 // NewPageTable returns an empty page table.
@@ -55,6 +56,7 @@ func (pt *PageTable) Map(vpn, frame uint64) {
 		pt.size++
 	}
 	pt.frames[vpn] = frame + 1
+	pt.gen++
 }
 
 // Grow makes room for mappings at VPNs below n, so mapping them does
@@ -73,7 +75,13 @@ func (pt *PageTable) Unmap(vpn uint64) {
 		pt.frames[vpn] = 0
 		pt.size--
 	}
+	pt.gen++
 }
+
+// Gen returns the table's mapping generation. Every Map and Unmap moves
+// it, so a translation taken at one generation still holds while Gen
+// returns the same value.
+func (pt *PageTable) Gen() uint64 { return pt.gen }
 
 // Frame returns the frame mapped at vpn.
 func (pt *PageTable) Frame(vpn uint64) (uint64, bool) {

@@ -2,6 +2,7 @@ package hostos
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hammertime/internal/addr"
 	"hammertime/internal/dram"
@@ -19,6 +20,9 @@ type Kernel struct {
 	mapper addr.Mapper
 	geom   dram.Geometry
 	alloc  Allocator
+	// lineShift is log2(LineBytes) when LineBytes is a power of two,
+	// else -1: Translate then shifts instead of dividing.
+	lineShift int
 
 	// domains and tables are indexed by domain ID: IDs are handed out
 	// densely from HostDomain, so the next ID is len(domains).
@@ -63,6 +67,10 @@ func NewKernel(mc *memctrl.Controller, alloc Allocator) (*Kernel, error) {
 		domains: []*Domain{{ID: HostDomain, Name: "host"}},
 		tables:  []*PageTable{NewPageTable()},
 		stats:   &sim.Stats{},
+	}
+	k.lineShift = -1
+	if lb := geom.LineBytes; lb&(lb-1) == 0 {
+		k.lineShift = bits.TrailingZeros(uint(lb))
 	}
 	k.owner, _ = ownerTables.Get(int(TotalFrames(geom)))
 	k.pagesAllocated = k.stats.LazyCounter("os.pages_allocated")
@@ -196,6 +204,9 @@ func (k *Kernel) Translate(domain int, va uint64) (uint64, error) {
 	pa, err := pt.Translate(va)
 	if err != nil {
 		return 0, err
+	}
+	if k.lineShift >= 0 {
+		return pa >> k.lineShift, nil
 	}
 	return pa / uint64(k.geom.LineBytes), nil
 }

@@ -54,11 +54,10 @@ type actCounter struct {
 
 // onACT records one activation and fires the handler on overflow. The
 // recorder observes each delivered interrupt exactly as the handler sees
-// it (legacy-mode deliveries carry no address).
+// it (legacy-mode deliveries carry no address). The controller calls it
+// only while the counter is enabled, so a disabled counter costs no
+// ACTEvent.
 func (c *actCounter) onACT(ev ACTEvent, rec *obs.Recorder) {
-	if !c.enabled {
-		return
-	}
 	c.count++
 	if c.count < c.threshold || c.inHandler {
 		return

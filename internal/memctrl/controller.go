@@ -252,7 +252,17 @@ func (c *Controller) advanceNextWindow() {
 const minBurstRefs = 4
 
 // catchUpRefresh issues any REF commands scheduled at or before cycle, and
-// resets window-scoped trackers at refresh-window boundaries.
+// resets window-scoped trackers at refresh-window boundaries. Nearly
+// every call finds neither deadline due; that check inlines into the
+// request path and the work itself stays out of line.
+func (c *Controller) catchUpRefresh(cycle uint64) {
+	if c.nextRef > cycle && c.nextWindow > cycle {
+		return
+	}
+	c.catchUpDue(cycle)
+}
+
+// catchUpDue is catchUpRefresh's out-of-line body.
 //
 // When nothing observes individual REF commands — no recorder attached,
 // and the module's TRR tracker (if any) quiescent — the whole span is
@@ -262,7 +272,7 @@ const minBurstRefs = 4
 // state is byte-identical to the per-REF loop (see RefreshBurst); with a
 // recorder or an armed tracker the per-REF path runs so every event is
 // emitted at its own cycle and cures fire at their exact REF commands.
-func (c *Controller) catchUpRefresh(cycle uint64) {
+func (c *Controller) catchUpDue(cycle uint64) {
 	for !c.refSaturated && c.nextRef <= cycle {
 		if t := c.timing.TREFI; t > 0 && !c.noBurst && c.rec == nil {
 			if n := (cycle-c.nextRef)/t + 1; n >= minBurstRefs {
@@ -396,20 +406,25 @@ func (c *Controller) ServeRequest(req Request, arrival uint64) (ServiceResult, e
 	wouldAct := open != d.Row
 
 	var lat uint64
+	outcome := obs.KindRowHit
 	switch {
 	case !wouldAct:
 		lat = c.timing.RowHitLatency()
 		res.RowHit = true
 		c.rowHits.Inc()
-		c.rec.Emit(obs.Event{Kind: obs.KindRowHit, Cycle: start, Bank: d.Bank, Row: d.Row, Domain: req.Domain})
 	case open < 0:
 		lat = c.timing.RowEmptyLatency()
 		c.rowEmpty.Inc()
-		c.rec.Emit(obs.Event{Kind: obs.KindRowEmpty, Cycle: start, Bank: d.Bank, Row: d.Row, Domain: req.Domain})
+		outcome = obs.KindRowEmpty
 	default:
 		lat = c.timing.RowMissLatency()
 		c.rowConflicts.Inc()
-		c.rec.Emit(obs.Event{Kind: obs.KindRowConflict, Cycle: start, Bank: d.Bank, Row: d.Row, Domain: req.Domain})
+		outcome = obs.KindRowConflict
+	}
+	// Guarded here, not only inside Emit: the inlined call would build
+	// the Event before its own nil check.
+	if c.rec != nil {
+		c.rec.Emit(obs.Event{Kind: outcome, Cycle: start, Bank: d.Bank, Row: d.Row, Domain: req.Domain})
 	}
 
 	if wouldAct {
@@ -454,7 +469,7 @@ func (c *Controller) ServeRequest(req Request, arrival uint64) (ServiceResult, e
 	}
 	res.Start = start
 	res.Completion = completion
-	c.service.Observe(float64(completion - arrival))
+	c.service.ObserveUint(completion - arrival)
 	c.requests.Inc()
 	if req.Write {
 		c.writes.Inc()
@@ -472,20 +487,22 @@ func (c *Controller) activate(bank, row int, start uint64, req Request) error {
 		return err
 	}
 	if last := c.lastACT[bank]; last > 0 {
-		c.interACT.Observe(float64(start - (last - 1)))
+		c.interACT.ObserveUint(start - (last - 1))
 	}
 	c.lastACT[bank] = start + 1
 	c.acts.Inc()
 
-	c.counter.onACT(ACTEvent{
-		Cycle:   start,
-		HasAddr: true,
-		Line:    req.Line,
-		Bank:    bank,
-		Row:     row,
-		Domain:  req.Domain,
-		Source:  req.Source,
-	}, c.rec)
+	if c.counter.enabled {
+		c.counter.onACT(ACTEvent{
+			Cycle:   start,
+			HasAddr: true,
+			Line:    req.Line,
+			Bank:    bank,
+			Row:     row,
+			Domain:  req.Domain,
+			Source:  req.Source,
+		}, c.rec)
+	}
 
 	if c.paraProb > 0 && c.rng.Bool(c.paraProb) {
 		// PARA: refresh one uniformly-chosen neighbor within the radius.

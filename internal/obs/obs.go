@@ -216,13 +216,22 @@ func (r *Recorder) Wants(k Kind) bool {
 	return r != nil && r.mask&(uint64(1)<<k) != 0
 }
 
-// Emit records one event. Safe (and free) on a nil receiver.
+// Emit records one event. Safe (and free) on a nil receiver: the nil and
+// mask check inlines into the emitting site, and only a wanted event
+// pays the call into the sink loop.
 func (r *Recorder) Emit(ev Event) {
-	if r == nil || r.mask&(uint64(1)<<ev.Kind) == 0 {
-		return
+	if r != nil && r.mask>>ev.Kind&1 != 0 {
+		r.record(&ev)
 	}
+}
+
+// record hands ev to every sink. It must stay out of line: inlined, its
+// sink loop would push Emit past the inlining budget.
+//
+//go:noinline
+func (r *Recorder) record(ev *Event) {
 	for _, s := range r.sinks {
-		s.Record(ev)
+		s.Record(*ev)
 	}
 }
 

@@ -143,14 +143,25 @@ type Histogram struct {
 	// log2Start is k when bounds are ExpBuckets(2^k, 2, n) with k >= 0,
 	// else -1: an integral sample's bucket is then its bit length.
 	log2Start int
+	// uintFast bounds ObserveUint's closed form: an integer u with
+	// u-1 < uintFast lies in [1, min(2^53, last bound)] and lands in
+	// bucket bits.Len64((u-1)>>k). It is 0 unless log2Start >= 0.
+	uintFast uint64
 }
 
 func newHistogram(bounds []float64) *Histogram {
-	return &Histogram{
+	h := &Histogram{
 		bounds:    append([]float64(nil), bounds...),
 		counts:    make([]uint64, len(bounds)+1),
 		log2Start: pow2Doubling(bounds),
 	}
+	if k := h.log2Start; k >= 0 {
+		h.uintFast = 1 << 53
+		if top := k + len(bounds) - 1; top < 53 {
+			h.uintFast = 1 << top
+		}
+	}
+	return h
 }
 
 // pow2Doubling returns k when bounds are 2^k, 2^(k+1), 2^(k+2), … for
@@ -176,6 +187,28 @@ func pow2Doubling(bounds []float64) int {
 // bucket.
 func (h *Histogram) Observe(v float64) {
 	h.counts[h.bucket(v)]++
+	h.count++
+	h.sum += v
+}
+
+// ObserveUint records the integer sample u exactly as Observe(float64(u))
+// would: same bucket, count and sum. Power-of-two doubling bounds place
+// u in closed form, without a float round trip; every other sample —
+// zero, beyond the last bound, from 2^53 up (where float64 is no longer
+// exact), or any sample of other bound shapes — scans the bounds for
+// float64(u) as Observe does. It is small enough to inline, so a hot
+// path pays no call.
+func (h *Histogram) ObserveUint(u uint64) {
+	v := float64(u)
+	i := 0
+	if x := u - 1; x < h.uintFast {
+		i = bits.Len64(x >> uint(h.log2Start))
+	} else {
+		for i < len(h.bounds) && v > h.bounds[i] {
+			i++
+		}
+	}
+	h.counts[i]++
 	h.count++
 	h.sum += v
 }

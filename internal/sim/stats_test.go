@@ -453,3 +453,50 @@ func TestStatsConcurrentSnapshotVsInc(t *testing.T) {
 		t.Fatalf("final histogram count %d, want %d", got, writers*perG)
 	}
 }
+
+// TestHistogramObserveUintMatchesObserve pins ObserveUint to
+// Observe(float64(u)): same bucket, count and sum bits, at 0, 1, 2^k-1,
+// 2^k and 2^k+1 for every k, at 2^53 and its neighbours (where float64
+// stops being exact), and at the largest uint64, for power-of-two
+// doubling bounds and for shapes that take the scan.
+func TestHistogramObserveUintMatchesObserve(t *testing.T) {
+	values := []uint64{0, 1, 1<<53 - 1, 1 << 53, 1<<53 + 1, math.MaxUint64}
+	for k := 1; k < 64; k++ {
+		values = append(values, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	for _, bounds := range [][]float64{
+		ExpBuckets(8, 2, 16), // mc.service_cycles, mc.inter_act_cycles
+		ExpBuckets(1, 2, 17), // dram.acts_per_row
+		ExpBuckets(1, 2, 1),
+		ExpBuckets(1, 2, 60), // last bound beyond 2^53
+		ExpBuckets(1<<40, 2, 20),
+		ExpBuckets(3, 2, 8),
+		ExpBuckets(0.001, 4, 12),
+		{1, 2, 4, 9},
+		nil,
+	} {
+		var s Stats
+		want := s.NewHistogram("want", bounds)
+		got := s.NewHistogram("got", bounds)
+		for _, u := range values {
+			want.Observe(float64(u))
+			got.ObserveUint(u)
+			if !equalHist(want, got) {
+				t.Fatalf("bounds %v: ObserveUint(%d) gives counts %v count %d sum %v, Observe %v %d %v",
+					bounds, u, got.Counts(), got.Count(), got.Sum(), want.Counts(), want.Count(), want.Sum())
+			}
+		}
+	}
+}
+
+func equalHist(a, b *Histogram) bool {
+	if a.Count() != b.Count() || math.Float64bits(a.Sum()) != math.Float64bits(b.Sum()) {
+		return false
+	}
+	for i, c := range a.Counts() {
+		if b.Counts()[i] != c {
+			return false
+		}
+	}
+	return true
+}
