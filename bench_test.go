@@ -7,17 +7,20 @@ package hammertime
 
 import (
 	"context"
+	"encoding/json"
 	"runtime"
 	"testing"
 
 	"hammertime/internal/addr"
 	"hammertime/internal/attack"
 	"hammertime/internal/cache"
+	"hammertime/internal/cluster"
 	"hammertime/internal/core"
 	"hammertime/internal/defense"
 	"hammertime/internal/dram"
 	"hammertime/internal/harness"
 	"hammertime/internal/memctrl"
+	"hammertime/internal/sim"
 	"hammertime/internal/telemetry"
 )
 
@@ -623,6 +626,67 @@ func BenchmarkFrozenTrace(b *testing.B) {
 	b.ReportMetric(float64(spans), "spans")
 }
 
+// BenchmarkSpanWire measures the spans of one E1 batch — four cells at a
+// 100 000-cycle horizon, as a worker answers them — crossing the
+// worker-to-coordinator hop: marshalled into the response body and
+// unmarshalled back into span snapshots. json carries them as a JSON
+// array of snapshots; frozen in telemetry's frozen encoding, base64 in
+// the JSON body, as cluster.CellResponse does. The benchgate baseline
+// caps frozen's time as a fraction of json's.
+func BenchmarkSpanWire(b *testing.B) {
+	core.SetCheckingOff()
+	defer core.SetChecking(false)
+	w := &cluster.WorkerNode{Name: "bench"}
+	resp, err := w.RunCells(context.Background(), cluster.CellRequest{
+		Experiment: "e1", Horizon: 100_000, Grid: "e1", Cells: []int{0, 1, 2, 3}, Epoch: sim.DeterminismEpoch,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spans, err := telemetry.DecodeSpans(resp.Spans, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("json", func(b *testing.B) {
+		type body struct {
+			Spans []telemetry.SpanSnap `json:"spans"`
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			raw, err := json.Marshal(body{Spans: spans})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var back body
+			if err := json.Unmarshal(raw, &back); err != nil || len(back.Spans) != len(spans) {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(spans)), "spans")
+	})
+	b.Run("frozen", func(b *testing.B) {
+		type body struct {
+			Spans []byte `json:"spans"`
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			raw, err := json.Marshal(body{Spans: telemetry.EncodeSpans(spans)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var back body
+			if err := json.Unmarshal(raw, &back); err != nil {
+				b.Fatal(err)
+			}
+			got, err := telemetry.DecodeSpans(back.Spans, 0)
+			if err != nil || len(got) != len(spans) {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(spans)), "spans")
+	})
+}
+
 // BenchmarkE1MatrixParallel contrasts the serial and pooled harness on
 // the same E1 grid as BenchmarkE1ProtectionMatrix. Tables are
 // byte-identical either way; on a multi-core host the parallel variant
@@ -650,22 +714,28 @@ func BenchmarkE1MatrixParallel(b *testing.B) {
 // simulated cycle: building the machine with its defense, allocating
 // three tenants of 170 pages, and planning a double-sided attack (the
 // many-sided case plans a 12-aggressor TRRespass pattern on an
-// undefended machine instead). Each iteration releases its tenants and
-// machine, as harness cells do, so the next one builds on recycled
-// arrays. The benchgate baseline pins the bank-partitioned and guard-row
-// cells within a fixed ratio of the undefended one, so allocator set-up
-// that scales with DRAM size rather than with allocated pages fails CI;
-// caps the bytes per op of the undefended, Graphene, BlockHammer and
-// many-sided cells, so a per-machine array that stops being recycled, a
-// tracker table sized for a whole refresh window, or per-row planner
-// slices do; and caps the bank-partitioned cell's allocations, so a
-// per-page allocation in the allocators' row-footprint checks does.
+// undefended machine instead). It runs with the invariant auditor off,
+// as shipped binaries do, so it measures set-up and not the auditor's
+// shadow model. Each iteration releases its tenants and machine, as
+// harness cells do, so the next one builds on recycled arrays. The
+// benchgate baseline pins the bank-partitioned, guard-row and
+// subarray-isolated cells within a fixed ratio of the undefended one,
+// so allocator or survey set-up that scales with DRAM size rather than
+// with allocated pages fails CI; caps the bytes per op of the
+// undefended, Graphene, BlockHammer and many-sided cells, so a
+// per-machine array that stops being recycled, a tracker table sized
+// for a whole refresh window, or per-row planner slices do; and caps
+// the bank-partitioned cell's allocations, so a per-page allocation in
+// the allocators' row-footprint checks does.
 func BenchmarkCellSetup(b *testing.B) {
+	core.SetCheckingOff()
+	defer core.SetChecking(false)
 	for _, c := range []struct {
 		name, defense string
 		sided         int
 	}{
 		{"none", "none", 2}, {"bankpart", "bankpart", 2}, {"zebram", "zebram", 2},
+		{"subarray", "subarray", 2},
 		{"graphene", "graphene", 2}, {"blockhammer", "blockhammer", 2},
 		{"many-sided", "none", 12},
 	} {

@@ -281,6 +281,7 @@ func run(logger *slog.Logger, o options) error {
 			return err
 		}
 		defer disp.Cache().Close()
+		defer disp.Close()
 		// Each job's grids run through the dispatcher when the request is
 		// distributable; the delegate shards cells across live workers and
 		// the job falls back to local execution when none are registered.

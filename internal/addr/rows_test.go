@@ -122,3 +122,64 @@ func TestAppendRowsAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestRowRunsAndBankRegionsMatchMap checks RowRunEnd and BankRegion
+// against Map on every line of every scheme: a run never crosses a row
+// index change and, for the schemes that know their runs, ends exactly
+// at one; a bank region holds exactly its bank's lines, and only
+// row-region and subarray isolation over it report regions.
+func TestRowRunsAndBankRegionsMatchMap(t *testing.T) {
+	for _, g := range []dram.Geometry{
+		geom(),
+		{Banks: 3, SubarraysPerBank: 4, RowsPerSubarray: 5, ColumnsPerRow: 7, LineBytes: 64},
+		{Banks: 6, SubarraysPerBank: 6, RowsPerSubarray: 3, ColumnsPerRow: 2, LineBytes: 64},
+		{Banks: 1, SubarraysPerBank: 1, RowsPerSubarray: 1, ColumnsPerRow: 1, LineBytes: 64},
+	} {
+		total := g.TotalLines()
+		ms := append(schemesFor(t, g), divisionTwin(NewRowRegion(g)), divisionTwin(NewLineInterleave(g)))
+		for _, m := range ms {
+			_, knows := m.(rowRunner)
+			for l := uint64(0); l < total; {
+				row, end := m.Map(l).Row, RowRunEnd(m, l)
+				if end <= l || end > total {
+					t.Fatalf("%s %+v: RowRunEnd(%d) = %d", m.Name(), g, l, end)
+				}
+				for k := l + 1; k < end; k++ {
+					if m.Map(k).Row != row {
+						t.Fatalf("%s %+v: run [%d, %d) changes row at %d", m.Name(), g, l, end, k)
+					}
+				}
+				if knows && end < total && m.Map(end).Row == row && g.RowsPerBank() > 1 {
+					t.Fatalf("%s %+v: run from %d ends at %d inside row %d", m.Name(), g, l, end, row)
+				}
+				l = end
+			}
+			_, contiguous := m.(bankRegioner)
+			if base, ok := m.(*SubarrayIsolated); ok {
+				_, contiguous = base.base.(*RowRegion)
+			}
+			var covered uint64
+			for b := 0; b < g.Banks; b++ {
+				lo, hi, ok := BankRegion(m, b)
+				if ok != contiguous {
+					t.Fatalf("%s: BankRegion(%d) ok=%v, want %v", m.Name(), b, ok, contiguous)
+				}
+				if !ok {
+					continue
+				}
+				for l := lo; l < hi; l++ {
+					if got := m.Map(l).Bank; got != b {
+						t.Fatalf("%s %+v: line %d of bank %d's region [%d, %d) maps to bank %d", m.Name(), g, l, b, lo, hi, got)
+					}
+				}
+				covered += hi - lo
+			}
+			if contiguous && covered != total {
+				t.Fatalf("%s %+v: bank regions cover %d of %d lines", m.Name(), g, covered, total)
+			}
+			if _, _, ok := BankRegion(m, g.Banks); ok {
+				t.Fatalf("%s: BankRegion past the last bank reported a region", m.Name())
+			}
+		}
+	}
+}

@@ -292,16 +292,63 @@ func TestCatalogShapes(t *testing.T) {
 	}
 }
 
+// churnPages makes the page tables disagree with frame order where a
+// survey walking them could go wrong: it frees pages of two domains
+// (holes), hands the holes back to the attacker at high VPNs in reverse
+// frame order (the attacker's VPN order is no longer its frame order),
+// migrates an attacker page and another domain's page to fresh frames,
+// and gives the host domain pages of its own.
+func churnPages(t *testing.T, m *core.Machine, ids []int) {
+	t.Helper()
+	k := m.Kernel
+	for _, p := range []struct {
+		domain int
+		vpn    uint64
+	}{{ids[0], 0}, {ids[1], 3}, {ids[0], 7}, {ids[2], 11}} {
+		if err := k.FreePage(p.domain, p.vpn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The allocator reuses the most recently freed frame first, so the
+	// attacker's frame 0 comes back last, at VPN 103: the walk meets
+	// the lowest line of each row it spans after higher ones.
+	if _, err := k.AllocPages(ids[0], 100, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct {
+		domain int
+		vpn    uint64
+	}{{ids[0], 10}, {ids[1], 20}} {
+		if _, err := k.MigratePage(p.domain, p.vpn, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := k.AllocPages(hostos.HostDomain, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSurveyMatchesPerLineReference checks the survey's row tables —
 // per bank, each row's lowest attacker line, the rows holding another
 // domain's line, and the attacker's rows in order — against mapping
-// every line of every owned page, for each interleaving and for
-// subarray isolation over it, in every bank.
+// every line of every owned frame in frame order, for each interleaving
+// and for subarray isolation over it, in every bank: on freshly
+// allocated tenants, and after churnPages has freed, reused and
+// migrated pages and given the host domain some.
 func TestSurveyMatchesPerLineReference(t *testing.T) {
-	for _, il := range []core.InterleaveKind{core.InterleaveLine, core.InterleaveRowRegion, core.InterleaveXOR} {
+	for _, c := range []struct {
+		il    core.InterleaveKind
+		churn bool
+	}{
+		{core.InterleaveLine, false}, {core.InterleaveRowRegion, false}, {core.InterleaveXOR, false},
+		{core.InterleaveLine, true}, {core.InterleaveRowRegion, true}, {core.InterleaveXOR, true},
+	} {
 		spec := core.DefaultSpec()
-		spec.Interleave = il
+		spec.Interleave = c.il
 		m, ids := tenantMachine(t, spec, 40)
+		if c.churn {
+			churnPages(t, m, ids)
+		}
 		part, err := addr.NewPartition(m.Mapper.Geometry(), 4)
 		if err != nil {
 			t.Fatal(err)

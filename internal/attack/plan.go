@@ -62,7 +62,8 @@ type surveyor struct {
 	mapper   addr.Mapper
 	attacker int
 	rows     int // rows per bank
-	// lines holds, per row, the first attacker line in the row (the line
+	subRows  int // rows per subarray
+	// lines holds, per row, the lowest attacker line in the row (the line
 	// to hammer) plus one; 0 means the attacker owns none.
 	lines []uint64
 	// other marks rows containing at least one other domain's line.
@@ -109,37 +110,41 @@ func (s *surveyor) attackerRows(b int) []int32 {
 func (s *surveyor) row(i int32) int { return int(i) % s.rows }
 
 // survey classifies every row the attacker or any other domain owns by
-// walking all allocated pages (the attacker learns adjacency via the
-// established inference methods of §2.1; we grant it the result). Pages
-// are the allocation unit, so a frame's first line names its owner, and
-// unowned frames cost one lookup each.
+// walking the domains' page tables (the attacker learns adjacency via
+// the established inference methods of §2.1; we grant it the result),
+// so it costs O(pages mapped), not O(frames in the module). The walk
+// order does not matter: each row keeps the lowest attacker line of any
+// page (a footprint carries each row's lowest line in its page), and the
+// ascending row list is read off the line table afterwards.
 func (s *surveyor) survey() {
 	g := s.mapper.Geometry()
-	s.rows = g.RowsPerBank()
+	s.rows, s.subRows = g.RowsPerBank(), g.RowsPerSubarray
 	s.lines, _ = lineTables.Get(g.Banks * s.rows)
 	s.other, _ = otherTables.Get(g.Banks * s.rows)
 	lpp := hostos.LinesPerPage(g)
 	s.footprint, _ = rowLists.Get(int(lpp))
-	frames := hostos.TotalFrames(g)
-	for frame := uint64(0); frame < frames; frame++ {
-		owner, ok := s.kernel.OwnerOfLine(frame * lpp)
-		if !ok {
-			continue
-		}
-		// Frames ascend and each footprint carries a row's lowest line
-		// in the page, so the first line recorded per row is its lowest.
+	owned := 0
+	s.kernel.EachPage(func(owner int, frame uint64) {
 		s.footprint = addr.AppendRows(s.footprint[:0], s.mapper, frame*lpp, lpp)
 		for _, r := range s.footprint {
 			i := r.Bank*s.rows + r.Row
-			if owner != s.attacker {
+			switch l := s.lines[i]; {
+			case owner != s.attacker:
 				s.other[i] = true
-			} else if s.lines[i] == 0 {
+			case l == 0:
+				owned++
 				s.lines[i] = r.Line + 1
-				s.owned = append(s.owned, int32(i))
+			case r.Line+1 < l:
+				s.lines[i] = r.Line + 1
 			}
 		}
+	})
+	s.owned = make([]int32, 0, owned)
+	for i, l := range s.lines {
+		if l != 0 {
+			s.owned = append(s.owned, int32(i))
+		}
 	}
-	slices.Sort(s.owned)
 }
 
 // victimsOf sets s.victims to the cross-domain victim rows within
@@ -147,13 +152,17 @@ func (s *surveyor) survey() {
 // first, and reports whether there are any: whether (bank, r) is a
 // candidate aggressor.
 func (s *surveyor) victimsOf(bank, r, radius int) bool {
-	g := s.mapper.Geometry()
+	// Rows [lo, hi) form r's subarray, all valid rows of the bank.
+	lo := r / s.subRows * s.subRows
+	hi := lo + s.subRows
+	other := s.other[bank*s.rows : (bank+1)*s.rows]
 	s.victims = s.victims[:0]
 	for d := 1; d <= radius; d++ {
-		for _, v := range [2]int{r - d, r + d} {
-			if g.ValidRow(v) && g.SameSubarray(r, v) && s.other[bank*s.rows+v] {
-				s.victims = append(s.victims, v)
-			}
+		if v := r - d; v >= lo && other[v] {
+			s.victims = append(s.victims, v)
+		}
+		if v := r + d; v < hi && other[v] {
+			s.victims = append(s.victims, v)
 		}
 	}
 	return len(s.victims) > 0

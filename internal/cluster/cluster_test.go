@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -314,5 +316,99 @@ func TestDispatchImportsWorkerSpans(t *testing.T) {
 	}
 	if workerGrids == 0 {
 		t.Fatal("worker-side spans not imported into the job trace")
+	}
+}
+
+// TestDispatcherReusesConnections checks the dispatcher's own connection
+// pool. Each job fans its 8 one-cell batches out to one worker at once,
+// and a connection is dialed only when every pooled one is busy, so
+// however the RPCs overlap, three jobs in a row open at most 8
+// connections in all: later jobs run on the first one's. (With two
+// idle connections per host, each later job would dial all but two of
+// its batches' connections again.)
+func TestDispatcherReusesConnections(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulations; skipped in -short")
+	}
+	var dials atomic.Int64
+	w := httptest.NewUnstartedServer((&WorkerNode{Name: "w1"}).Handler())
+	w.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	w.Start()
+	t.Cleanup(w.Close)
+	reg := NewRegistry(time.Minute)
+	reg.Register("w1", w.URL)
+	d := NewDispatcher(DispatcherConfig{Registry: reg, DispatchTimeout: time.Minute, BatchSize: 1})
+	t.Cleanup(d.Close)
+
+	const batches = 8 // fastOpts' cells, one per batch
+	// A new horizon per job: every cell misses the cache.
+	for i, horizon := range []uint64{300_000, 300_001, 300_002} {
+		opts := fastOpts()
+		opts.Horizon = horizon
+		ctx := harness.WithGridDelegate(context.Background(), d.ForJob("e1", horizon, opts))
+		if _, err := harness.Experiment(ctx, "e1", horizon, opts); err != nil {
+			t.Fatal(err)
+		}
+		if got := counter(d, "cluster.cells.dispatched"); got != int64(batches*(i+1)) {
+			t.Fatalf("after job %d: %d cells dispatched, want %d", i+1, got, batches*(i+1))
+		}
+	}
+	if got := dials.Load(); got == 0 || got > batches {
+		t.Fatalf("three jobs opened %d connections to the worker, want 1..%d", got, batches)
+	}
+}
+
+// TestTruncatedSpansStealBatch checks that a worker response whose span
+// payload arrives truncated fails its batch instead of crashing the
+// coordinator: the batch is stolen back, recomputed by the healthy
+// worker, and the merged table is byte-identical to a serial run.
+func TestTruncatedSpansStealBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulations; skipped in -short")
+	}
+	healthy := startWorker(t, "healthy")
+	inner := (&WorkerNode{Name: "truncating"}).Handler()
+	var truncated atomic.Int64
+	bad := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		var resp CellResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil || len(resp.Spans) < 2 {
+			t.Errorf("truncating worker: status %d, %d span bytes", rec.Code, len(resp.Spans))
+			rw.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		resp.Spans = resp.Spans[:len(resp.Spans)/2]
+		truncated.Add(1)
+		writeJSON(rw, http.StatusOK, resp)
+	}))
+	t.Cleanup(bad.Close)
+
+	d := newTestDispatcher(t, map[string]string{"healthy": healthy.URL, "truncating": bad.URL})
+	t.Cleanup(d.Close)
+	opts := fastOpts()
+	tr := telemetry.NewTracer()
+	ctx := telemetry.NewContext(context.Background(), &telemetry.Scope{Tracer: tr})
+	if err := diff.SerialVsDistributed(ctx, d.ForJob("e1", opts.Horizon, opts), "e1", opts.Horizon, opts); err != nil {
+		t.Fatal(err)
+	}
+	if truncated.Load() == 0 {
+		t.Fatal("the truncating worker never answered a batch")
+	}
+	if got := counter(d, "cluster.cells.stolen"); got == 0 {
+		t.Fatal("no cells stolen back from truncated span payloads")
+	}
+	var failed int
+	for _, s := range tr.Snapshot() {
+		if s.Name == "dispatch:truncating" && strings.Contains(s.Err, "worker spans") {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no dispatch span records the span decode failure")
 	}
 }

@@ -30,9 +30,10 @@ type DispatcherConfig struct {
 	// Registry tracks the worker fleet (nil = a fresh 15s-TTL registry
 	// configured with Breaker).
 	Registry *Registry
-	// Client performs worker RPCs (nil = http.DefaultClient). Wrap its
-	// transport with resilience.NewTransport (and set Chaos) to run the
-	// whole dispatch plane under an injected fault schedule.
+	// Client performs worker RPCs (nil = a client on the dispatcher's
+	// own connection pool, released by Close). Wrap its transport with
+	// resilience.NewTransport (and set Chaos) to run the whole dispatch
+	// plane under an injected fault schedule.
 	Client *http.Client
 	// DispatchTimeout bounds one batch RPC attempt; a batch that misses
 	// it is stolen back and re-dispatched (0 = 2m).
@@ -90,8 +91,10 @@ type Dispatcher struct {
 	cache  *ResultCache
 	reg    *Registry
 	client *http.Client
-	cfg    DispatcherConfig
-	log    *slog.Logger
+	// pool is the transport behind client when the dispatcher made it.
+	pool *http.Transport
+	cfg  DispatcherConfig
+	log  *slog.Logger
 
 	statsMu sync.Mutex
 	stats   sim.Stats
@@ -107,7 +110,9 @@ func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
 		d.reg = NewRegistryConfig(RegistryConfig{Breaker: cfg.Breaker})
 	}
 	if d.client == nil {
-		d.client = http.DefaultClient
+		d.pool = http.DefaultTransport.(*http.Transport).Clone()
+		d.pool.MaxIdleConnsPerHost = idleConnsPerWorker
+		d.client = &http.Client{Transport: d.pool}
 	}
 	if d.cfg.DispatchTimeout <= 0 {
 		d.cfg.DispatchTimeout = 2 * time.Minute
@@ -141,6 +146,23 @@ func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
 	}
 	d.log = telemetry.OrNop(cfg.Log)
 	return d
+}
+
+// idleConnsPerWorker is how many idle connections the dispatcher's own
+// pool keeps per worker. A job fans all of a round's batches out at
+// once (an E1 grid is 12 batches of 4 cells), plus hedges, for each
+// concurrent job; the default transport keeps 2, so most batch RPCs
+// would dial a fresh connection and close it afterwards.
+const idleConnsPerWorker = 64
+
+// Close releases the idle worker connections of the dispatcher's own
+// pool. A client supplied in DispatcherConfig is the caller's to close.
+// RPCs still in flight finish; the dispatcher stays usable, dialing
+// afresh.
+func (d *Dispatcher) Close() {
+	if d.pool != nil {
+		d.pool.CloseIdleConnections()
+	}
 }
 
 // Registry returns the worker registry (for HTTP registration wiring).
@@ -691,12 +713,19 @@ func (j *jobDelegate) dispatch(ctx context.Context, w Worker, spec harness.GridS
 		req.TraceID = sc.Tracer.ID().String()
 	}
 	resp, err := j.call(dctx, w.Addr, req)
+	if err == nil {
+		var spans []telemetry.SpanSnap
+		if spans, err = telemetry.DecodeSpans(resp.Spans, 0); err == nil {
+			if sc := telemetry.ScopeFrom(dctx); sc != nil && sc.Tracer != nil {
+				sc.Tracer.ImportRemote(span.ID(), spans)
+			}
+		} else {
+			err = fmt.Errorf("cluster: worker spans: %w", err)
+		}
+	}
 	if err != nil {
 		span.EndErr(err)
 		return nil, err
-	}
-	if sc := telemetry.ScopeFrom(dctx); sc != nil && sc.Tracer != nil {
-		sc.Tracer.ImportRemote(span.ID(), resp.Spans)
 	}
 	span.End()
 	return resp, nil
@@ -731,6 +760,9 @@ func (j *jobDelegate) call(ctx context.Context, addr string, req CellRequest) (*
 	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
 		return nil, fmt.Errorf("cluster: worker response: %w", err)
 	}
+	// Read to EOF: the transport shelves the connection in its idle pool
+	// before EOF reaches us, and drops one whose body closes unread.
+	_, _ = io.Copy(io.Discard, hresp.Body)
 	return &resp, nil
 }
 

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"hammertime/internal/harness"
-	"hammertime/internal/telemetry"
 )
 
 // Opts is the serializable subset of harness.AttackOpts — exactly the
@@ -107,10 +106,15 @@ type CellResult struct {
 // CellResponse is the worker's answer: every requested cell, the grid
 // config as the worker computed it, and the worker-side trace spans.
 type CellResponse struct {
-	Worker string               `json:"worker"`
-	Config string               `json:"config"`
-	Cells  []CellResult         `json:"cells"`
-	Spans  []telemetry.SpanSnap `json:"spans,omitempty"`
+	Worker string       `json:"worker"`
+	Config string       `json:"config"`
+	Cells  []CellResult `json:"cells"`
+	// Spans holds the worker's spans in telemetry's frozen encoding
+	// (telemetry.EncodeSpans; base64 in the JSON body). The coordinator
+	// decodes them with telemetry.DecodeSpans, which rejects a
+	// truncated or corrupted payload, and the batch then fails like any
+	// other malformed response.
+	Spans []byte `json:"spans,omitempty"`
 }
 
 // RegisterRequest announces (and re-announces — registration doubles as

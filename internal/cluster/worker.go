@@ -141,7 +141,7 @@ func (w *WorkerNode) RunCells(ctx context.Context, req CellRequest) (CellRespons
 	}
 	sort.Slice(resp.Cells, func(a, b int) bool { return resp.Cells[a].Index < resp.Cells[b].Index })
 	resp.Config = capture.Config()
-	resp.Spans = tracer.Snapshot()
+	resp.Spans = telemetry.EncodeSpans(tracer.Snapshot())
 	telemetry.OrNop(w.Log).Info("cells computed",
 		"grid", req.Grid, "cells", len(resp.Cells), "elapsed", time.Since(start))
 	return resp, nil

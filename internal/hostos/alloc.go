@@ -40,35 +40,37 @@ func TotalFrames(g dram.Geometry) uint64 { return g.TotalBytes() / PageSize }
 
 // freePool hands out one policy's frames: released frames first, most
 // recently released first, then untouched frames in ascending order.
-// Untouched frames are classified lazily — accept runs on a frame only
-// when alloc reaches it — so a pool costs O(frames handed out), not
+// Untouched frames are classified lazily — seek runs only when alloc
+// needs the next one — so a pool costs O(frames handed out), not
 // O(frames in the module), while handing out exactly the sequence an
 // eagerly built stack of every admitted frame would.
 type freePool struct {
 	// stack holds released frames, allocated from the end.
 	stack []uint64
 	// next is the lowest untouched frame; untouched frames lie in
-	// [next, end) and only those accept admits belong to the pool.
+	// [next, end) and only those the policy admits belong to the pool.
 	next, end uint64
-	accept    func(frame uint64) bool // nil admits every frame
-	base      uint64                  // lowest frame the pool can hold
-	inUse     []uint64                // bitset over [base, end)
+	// seek returns the lowest admitted frame at or above its argument,
+	// or end or more if there is none; nil admits every frame.
+	seek  func(frame uint64) uint64
+	base  uint64   // lowest frame the pool can hold
+	inUse []uint64 // bitset over [base, end)
 	// moved records the frames allocRandom's swaps put into untouched
 	// slots; see slot.
 	moved map[uint64]uint64
 }
 
-// newFreePool returns a pool over the frames in [lo, hi) that accept
-// admits.
-func newFreePool(lo, hi uint64, accept func(uint64) bool) *freePool {
-	return &freePool{next: lo, end: hi, accept: accept, base: lo, inUse: make([]uint64, (hi-lo+63)/64)}
+// newFreePool returns a pool over the frames in [lo, hi) that seek
+// finds.
+func newFreePool(lo, hi uint64, seek func(uint64) uint64) *freePool {
+	return &freePool{next: lo, end: hi, seek: seek, base: lo, inUse: make([]uint64, (hi-lo+63)/64)}
 }
 
 // advance moves the cursor to the lowest untouched frame the pool admits
 // and reports whether one exists.
 func (p *freePool) advance() bool {
-	for p.next < p.end && p.accept != nil && !p.accept(p.next) {
-		p.next++
+	if p.next < p.end && p.seek != nil {
+		p.next = min(p.seek(p.next), p.end)
 	}
 	return p.next < p.end
 }
@@ -107,7 +109,7 @@ func (p *freePool) alloc() (uint64, error) {
 	return f, nil
 }
 
-// An unclassified pool (accept nil) is, slot for slot, the stack an
+// An unclassified pool (seek nil) is, slot for slot, the stack an
 // eager pool holds: untouched frames descending, then the released
 // frames. Slot i < end−next is untouched slot i, which holds frame
 // end−1−i unless an allocRandom swap moved another frame there; slots
@@ -208,9 +210,17 @@ type BankAware struct {
 
 // NewBankAware partitions the mapper's banks into `domains` equal groups.
 // Each partition's pool admits the frames every line of which falls in
-// the partition's banks. One pass here finds every partition's first
-// such frame, where its pool's cursor starts, so a mapper that
-// interleaves pages across banks fails at construction.
+// the partition's banks. The mapper must lay each bank out as one
+// contiguous line range (addr.BankRegion): with bank interleaving on,
+// pages span banks, and construction fails.
+//
+// A pool's cursor starts at its partition's lowest admitted frame,
+// found without a frame scan. An admitted frame F starts inside the line
+// region of one of the partition's banks. The first frame f starting in
+// that region either lies wholly inside it, and is admitted, or runs
+// past its end, and then no other frame starts in the region, so f = F.
+// The lowest admitted frame is thus the lowest admitted first frame of
+// a region, and no frame starting past every region is admitted.
 func NewBankAware(mapper addr.Mapper, domains int) (*BankAware, error) {
 	g := mapper.Geometry()
 	if domains <= 0 || domains > g.Banks {
@@ -226,19 +236,34 @@ func NewBankAware(mapper addr.Mapper, domains int) (*BankAware, error) {
 		assign:  make(map[int]int),
 		rows:    make([]addr.RowLine, 0, LinesPerPage(g)),
 	}
+	first := make([]uint64, domains) // lowest admitted frame per partition
+	end := make([]uint64, domains)   // past the last frame starting in a region
+	for par := range first {
+		first[par] = a.frames
+	}
 	for b := range a.parts {
 		a.parts[b] = b * domains / g.Banks
 	}
-	for f, found := uint64(0), 0; f < a.frames && found < domains; f++ {
-		if par := a.partitionOf(f * a.lpp); a.pools[par] == nil && a.uniformIn(f, par) {
-			a.pools[par] = newFreePool(f, a.frames, func(frame uint64) bool { return a.uniformIn(frame, par) })
-			found++
+	for b, par := range a.parts {
+		lo, hi, ok := addr.BankRegion(mapper, b)
+		if !ok {
+			continue
 		}
+		if f := (lo + a.lpp - 1) / a.lpp; f < first[par] && a.uniformIn(f, par) {
+			first[par] = f
+		}
+		end[par] = max(end[par], min((hi+a.lpp-1)/a.lpp, a.frames))
 	}
-	for i, pool := range a.pools {
-		if pool == nil {
-			return nil, fmt.Errorf("hostos: bank-aware allocator: partition %d has no uniform frames under mapper %q (bank interleaving must be disabled)", i, mapper.Name())
+	for par := range a.pools {
+		if first[par] == a.frames {
+			return nil, fmt.Errorf("hostos: bank-aware allocator: partition %d has no uniform frames under mapper %q (bank interleaving must be disabled)", par, mapper.Name())
 		}
+		a.pools[par] = newFreePool(first[par], end[par], func(f uint64) uint64 {
+			for f < end[par] && !a.uniformIn(f, par) {
+				f++
+			}
+			return f
+		})
 	}
 	return a, nil
 }
@@ -313,19 +338,32 @@ func NewGuardRow(mapper addr.Mapper, radius int) (*GuardRow, error) {
 	g := mapper.Geometry()
 	lpp := LinesPerPage(g)
 	stride := radius + 1
+	frames := TotalFrames(g)
 	rows := make([]addr.RowLine, 0, lpp)
-	pool := newFreePool(0, TotalFrames(g), func(f uint64) bool {
-		// The first line's row alone rejects most frames.
-		if mapper.Map(f*lpp).Row%stride != 0 {
-			return false
-		}
-		rows = addr.AppendRows(rows[:0], mapper, f*lpp, lpp)
-		for _, r := range rows {
-			if r.Row%stride != 0 {
-				return false
+	pool := newFreePool(0, frames, func(f uint64) uint64 {
+	next:
+		for f < frames {
+			line := f * lpp
+			// The first line's row alone rejects most frames, and with
+			// it every frame that starts before that row's run ends.
+			run := addr.RowRunEnd(mapper, line)
+			if mapper.Map(line).Row%stride != 0 {
+				f = (run + lpp - 1) / lpp
+				continue
 			}
+			if line+lpp <= run {
+				return f // one row index throughout
+			}
+			rows = addr.AppendRows(rows[:0], mapper, line, lpp)
+			for _, r := range rows {
+				if r.Row%stride != 0 {
+					f++
+					continue next
+				}
+			}
+			return f
 		}
-		return true
+		return f
 	})
 	if !pool.advance() {
 		return nil, fmt.Errorf("hostos: guard-row allocator: no usable frames under mapper %q with radius %d", mapper.Name(), radius)

@@ -27,7 +27,11 @@ func diffMappers(t *testing.T, g dram.Geometry) []addr.Mapper {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []addr.Mapper{addr.NewRowRegion(g), addr.NewLineInterleave(g), iso}
+	xor, err := addr.NewXORInterleave(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []addr.Mapper{addr.NewRowRegion(g), addr.NewLineInterleave(g), xor, iso}
 }
 
 func diffPairs(m addr.Mapper) []allocPair {
@@ -112,8 +116,8 @@ func allocTrace(a Allocator, seed uint64, steps int, frames uint64) []string {
 // TestLazyPoolsMatchEagerReference checks that every lazily classified
 // allocator hands out the same frames in the same order, and fails with
 // the same errors, as the eager allocator it replaced: under row-region,
-// line-interleave and subarray-isolated mappers, on a small module
-// (streams run the pools dry) and on the default one.
+// line-interleave, XOR-interleave and subarray-isolated mappers, on a
+// small module (streams run the pools dry) and on the default one.
 func TestLazyPoolsMatchEagerReference(t *testing.T) {
 	small := dram.Geometry{Banks: 4, SubarraysPerBank: 4, RowsPerSubarray: 8, ColumnsPerRow: 64, LineBytes: 64}
 	var ctorErrs, ooms, badFrees int
@@ -156,5 +160,59 @@ func TestLazyPoolsMatchEagerReference(t *testing.T) {
 	if ctorErrs == 0 || ooms == 0 || badFrees == 0 {
 		t.Fatalf("streams missed an error path: %d construction errors, %d OOMs, %d rejected frees",
 			ctorErrs, ooms, badFrees)
+	}
+}
+
+// TestBankAwareStartsMatchEagerReference checks where the bank-aware
+// pools start, found without a frame scan, on a module whose bank
+// regions are not whole pages (frames straddle banks) and do not split
+// evenly between partitions: for every partition count, under
+// row-region and subarray isolation over it, the allocator hands out
+// the eager reference's frames and fails with its errors. An
+// interleaving mapper is rejected at construction whenever pages span
+// partitions.
+func TestBankAwareStartsMatchEagerReference(t *testing.T) {
+	g := dram.Geometry{Banks: 6, SubarraysPerBank: 4, RowsPerSubarray: 5, ColumnsPerRow: 40, LineBytes: 64}
+	part, err := addr.NewPartition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := addr.NewRowRegion(g)
+	iso, err := addr.NewSubarrayIsolated(rr, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []addr.Mapper{rr, iso} {
+		if lo, hi, ok := addr.BankRegion(m, 1); !ok || lo != 800 || hi != 1600 {
+			t.Fatalf("%s: bank 1 region [%d, %d) ok=%v, want [800, 1600)", m.Name(), lo, hi, ok)
+		}
+		for domains := 1; domains <= g.Banks; domains++ {
+			lazy, lerr := NewBankAware(m, domains)
+			eager, eerr := newEagerBankAware(m, domains)
+			if fmt.Sprint(lerr) != fmt.Sprint(eerr) {
+				t.Fatalf("%s/%d: construction error %v, reference %v", m.Name(), domains, lerr, eerr)
+			}
+			if lerr != nil {
+				continue
+			}
+			for seed := uint64(1); seed <= 3; seed++ {
+				got := allocTrace(lazy, seed, 300, TotalFrames(g))
+				want := allocTrace(eager, seed, 300, TotalFrames(g))
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s/%d seed %d step %d: %q, reference %q", m.Name(), domains, seed, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	li := addr.NewLineInterleave(g)
+	if _, _, ok := addr.BankRegion(li, 0); ok {
+		t.Fatal("line-interleave reports contiguous bank regions")
+	}
+	for domains := 2; domains <= g.Banks; domains++ {
+		if _, err := NewBankAware(li, domains); err == nil {
+			t.Fatalf("bank-aware(%d) accepted line-interleave", domains)
+		}
 	}
 }

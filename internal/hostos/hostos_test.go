@@ -2,6 +2,7 @@ package hostos
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -562,5 +563,40 @@ func TestMigratePreservesData(t *testing.T) {
 	}
 	if !seen {
 		t.Fatal("old frame never returned to the pool")
+	}
+}
+
+// TestAllocPageRefusesMappedVPN checks that allocating over a mapped VPN
+// fails without allocating: the old frame would stay owned but sit in
+// no page table, so EachPage and OwnerOfLine would disagree. EachPage
+// visits exactly the owned frames, each once.
+func TestAllocPageRefusesMappedVPN(t *testing.T) {
+	k := buildKernel(t, nil, linearAlloc)
+	d := k.CreateDomain("a", false, false)
+	f, err := k.AllocPage(d.ID, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.AllocPage(d.ID, 5); err == nil || !strings.Contains(err.Error(), "already mapped") {
+		t.Fatalf("remapping vpn 5: %v", err)
+	}
+	if _, err := k.AllocPages(d.ID, 4, 2); err == nil {
+		t.Fatal("AllocPages over a mapped vpn succeeded")
+	}
+	if got := k.Stats().Counter("os.pages_allocated"); got != 2 {
+		t.Fatalf("pages allocated %d, want 2 (vpn 5, then vpn 4 before the refusal)", got)
+	}
+	if _, err := k.AllocPage(HostDomain, 0); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]int{}
+	k.EachPage(func(domain int, frame uint64) {
+		if owner, ok := k.OwnerOfLine(frame * LinesPerPage(k.geom)); !ok || owner != domain {
+			t.Errorf("frame %d visited for domain %d, owner %d/%v", frame, domain, owner, ok)
+		}
+		seen[frame]++
+	})
+	if len(seen) != 3 || seen[f] != 1 {
+		t.Fatalf("EachPage visited %v, want 3 frames once each", seen)
 	}
 }

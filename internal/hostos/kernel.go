@@ -169,6 +169,10 @@ func (k *Kernel) AllocPage(domain int, vpn uint64) (uint64, error) {
 }
 
 func (k *Kernel) allocPage(pt *PageTable, domain int, vpn uint64) (uint64, error) {
+	// Remapping would orphan the old frame: owned, but in no page table.
+	if _, mapped := pt.Frame(vpn); mapped {
+		return 0, fmt.Errorf("vpn %d already mapped", vpn)
+	}
 	f, err := k.alloc.Alloc(domain)
 	if err != nil {
 		return 0, err
@@ -214,6 +218,22 @@ func (k *Kernel) Translate(domain int, va uint64) (uint64, error) {
 // OwnerOfLine returns the domain owning the physical line, if allocated.
 func (k *Kernel) OwnerOfLine(line uint64) (int, bool) {
 	return k.ownerOfFrame(line * uint64(k.geom.LineBytes) / PageSize)
+}
+
+// EachPage calls fn with the owner and frame of every mapped page:
+// domain by domain, each domain's pages in VPN order. It walks the page
+// tables, so it costs O(pages mapped), not O(frames in the module).
+// AllocPage, FreePage and MigratePage keep the page tables and the
+// frame-owner table in step, so the frames visited are exactly those
+// OwnerOfLine reports owned, each once.
+func (k *Kernel) EachPage(fn func(domain int, frame uint64)) {
+	for d, pt := range k.tables {
+		for _, f := range pt.frames {
+			if f != 0 {
+				fn(d, f-1)
+			}
+		}
+	}
 }
 
 func (k *Kernel) ownerOfFrame(frame uint64) (int, bool) {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -72,11 +73,11 @@ func (t *Tracer) Freeze() (spans, bytes int) {
 		k++
 	}
 	if k > 0 {
-		snaps := decodeSpans(make([]SpanSnap, 0, t.nFrozen+k), t.frozen, t.id)
+		snaps := mustDecode(make([]SpanSnap, 0, t.nFrozen+k), t.frozen, t.id)
 		for _, s := range t.spans[:k] {
 			snaps = append(snaps, s.snapshot(t.id))
 		}
-		t.frozen = encodeSpans(snaps)
+		t.frozen = EncodeSpans(snaps)
 		t.nFrozen = len(snaps)
 		// A fresh tail array, so the dropped spans are unreachable.
 		t.spans = append([]*Span(nil), t.spans[k:]...)
@@ -122,8 +123,10 @@ func unixNano(t time.Time) (int64, bool) {
 	return sec*1e9 + int64(t.Nanosecond()), true
 }
 
-// encodeSpans encodes snaps (whose Trace is implied by the tracer).
-func encodeSpans(snaps []SpanSnap) []byte {
+// EncodeSpans packs snaps into the frozen encoding, without their Trace
+// (the decoder supplies it). Freeze keeps finished traces in this form,
+// and a cluster worker ships its spans in it.
+func EncodeSpans(snaps []SpanSnap) []byte {
 	index := make(map[string]uint64)
 	var table []string
 	str := func(s string) uint64 {
@@ -222,16 +225,55 @@ func encodeSpans(snaps []SpanSnap) []byte {
 	return append(append(out, hdr...), rec...)
 }
 
-// decoder reads one encoding. The bytes come from encodeSpans in this
-// process, so a malformed encoding is a bug and panics.
+// Record and item sizes the decoder bounds counts by: a span record
+// takes at least minRecord bytes (flags, three ids, name, two seqs,
+// start, end, attribute count), a table string one (its length) and an
+// attribute two (key and value).
+const (
+	minRecord = 10
+	minString = 1
+	minAttr   = 2
+	allFlags  = fCycles | fCycleVals | fErr | fZone | fWideStart | fEndZone | fWideEnd
+)
+
+// DecodeSpans decodes an EncodeSpans encoding, tagging every span with
+// trace. The bytes may come from another process, so malformed input —
+// truncated, corrupted, with an out-of-range string index, unknown
+// flags, trailing bytes, or counts the remaining bytes cannot hold —
+// returns an error instead of panicking, and what the decoder allocates
+// is bounded by len(enc).
+func DecodeSpans(enc []byte, trace TraceID) ([]SpanSnap, error) {
+	return decodeSpans(nil, enc, trace)
+}
+
+// mustDecode decodes an encoding this process made: a failure is a bug.
+func mustDecode(out []SpanSnap, enc []byte, trace TraceID) []SpanSnap {
+	out, err := decodeSpans(out, enc, trace)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// decoder reads one encoding. Its first failure sticks: every later
+// read returns a zero value, and decodeSpans reports the failure.
 type decoder struct {
-	b []byte
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("telemetry: corrupt span encoding: %s (%d bytes left)", what, len(d.b))
+	}
+	d.b = nil
 }
 
 func (d *decoder) uvarint() uint64 {
 	v, n := binary.Uvarint(d.b)
 	if n <= 0 {
-		panic(fmt.Sprintf("telemetry: corrupt frozen trace (%d bytes left)", len(d.b)))
+		d.fail("bad uvarint")
+		return 0
 	}
 	d.b = d.b[n:]
 	return v
@@ -240,37 +282,81 @@ func (d *decoder) uvarint() uint64 {
 func (d *decoder) varint() int64 {
 	v, n := binary.Varint(d.b)
 	if n <= 0 {
-		panic(fmt.Sprintf("telemetry: corrupt frozen trace (%d bytes left)", len(d.b)))
+		d.fail("bad varint")
+		return 0
 	}
 	d.b = d.b[n:]
 	return v
 }
 
+func (d *decoder) flags() byte {
+	if len(d.b) == 0 {
+		d.fail("missing flags")
+		return 0
+	}
+	f := d.b[0]
+	if f&^allFlags != 0 {
+		d.fail("unknown flags")
+		return 0
+	}
+	d.b = d.b[1:]
+	return f
+}
+
+// count reads a count of items at least size bytes long each, rejecting
+// one the remaining bytes cannot hold.
+func (d *decoder) count(size int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)/size) {
+		d.fail("count exceeds input")
+		return 0
+	}
+	return int(n)
+}
+
+func (d *decoder) bytes(n uint64) []byte {
+	if n > uint64(len(d.b)) {
+		d.fail("string past end")
+		return nil
+	}
+	b := d.b[:n]
+	d.b = d.b[n:]
+	return b
+}
+
+func (d *decoder) str(table []string) string {
+	i := d.uvarint()
+	if i >= uint64(len(table)) {
+		d.fail("string index out of range")
+		return ""
+	}
+	return table[i]
+}
+
 // decodeSpans appends the spans of enc, tagged with trace, to out.
-func decodeSpans(out []SpanSnap, enc []byte, trace TraceID) []SpanSnap {
+func decodeSpans(out []SpanSnap, enc []byte, trace TraceID) ([]SpanSnap, error) {
 	if len(enc) == 0 {
-		return out
+		return out, nil
 	}
 	d := decoder{b: enc}
-	table := make([]string, d.uvarint())
+	table := make([]string, d.count(minString))
 	for i := range table {
-		n := d.uvarint()
-		table[i] = string(d.b[:n])
-		d.b = d.b[n:]
+		table[i] = string(d.bytes(d.uvarint()))
 	}
 	z := zones{}
 	var prevID SpanID
 	var prevSeq uint64
 	var prevNS int64
 	prevOff := 0
-	for n := d.uvarint(); n > 0; n-- {
-		flags := d.b[0]
-		d.b = d.b[1:]
+	n := d.count(minRecord)
+	out = slices.Grow(out, n)
+	for ; n > 0 && d.err == nil; n-- {
+		flags := d.flags()
 		s := SpanSnap{Trace: trace}
 		s.ID = prevID + SpanID(d.varint())
 		s.Parent = s.ID - SpanID(d.varint())
 		s.Lane = s.ID - SpanID(d.varint())
-		s.Name = table[d.uvarint()]
+		s.Name = d.str(table)
 		s.StartSeq = prevSeq + uint64(d.varint())
 		s.EndSeq = s.StartSeq + uint64(d.varint())
 		prevID, prevSeq = s.ID, s.StartSeq
@@ -306,17 +392,20 @@ func decodeSpans(out []SpanSnap, enc []byte, trace TraceID) []SpanSnap {
 			s.StartCycle = d.uvarint()
 			s.EndCycle = s.StartCycle + uint64(d.varint())
 		}
-		if na := d.uvarint(); na > 0 {
+		if na := d.count(minAttr); na > 0 {
 			s.Attrs = make([]Attr, na)
 			for i := range s.Attrs {
-				s.Attrs[i].Key = table[d.uvarint()]
-				s.Attrs[i].Val = table[d.uvarint()]
+				s.Attrs[i].Key = d.str(table)
+				s.Attrs[i].Val = d.str(table)
 			}
 		}
 		if flags&fErr != 0 {
-			s.Err = table[d.uvarint()]
+			s.Err = d.str(table)
 		}
 		out = append(out, s)
 	}
-	return out
+	if d.err == nil && len(d.b) != 0 {
+		d.fail("trailing bytes")
+	}
+	return out, d.err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -202,7 +203,11 @@ func FuzzFrozenTrace(f *testing.F) {
 			}
 			snaps = append(snaps, s)
 		}
-		sameSpans(t, decodeSpans(nil, encodeSpans(snaps), 0), snaps)
+		decoded, err := DecodeSpans(EncodeSpans(snaps), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSpans(t, decoded, snaps)
 		tr := NewTracerWithID(7)
 		tr.ImportRemote(0, snaps)
 		before := tr.Snapshot()
@@ -215,4 +220,126 @@ func FuzzFrozenTrace(f *testing.F) {
 			t.Fatal("exports changed by freezing")
 		}
 	})
+}
+
+// TestOpenSpanRoundTripsOpen checks that a span still in flight when a
+// worker encodes its spans decodes as open, and stays open once a
+// coordinator imports it: it gets no end seq, and the exporters
+// synthesize its end as they do for a live in-flight span.
+func TestOpenSpanRoundTripsOpen(t *testing.T) {
+	tr := NewTracer()
+	ctx := NewContext(context.Background(), &Scope{Tracer: tr})
+	ctx, _ = StartSpan(ctx, "grid:e1") // still in flight when encoded
+	_, cell := StartSpan(ctx, "cell")
+	cell.End()
+	snaps := tr.Snapshot()
+	decoded, err := DecodeSpans(EncodeSpans(snaps), tr.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decoded) != 2 || decoded[0].Name != "grid:e1" || decoded[1].Name != "cell" {
+		t.Fatalf("decoded %+v", decoded)
+	}
+	if !decoded[0].End.IsZero() || decoded[1].End.IsZero() {
+		t.Fatalf("decoded ends %v, %v: want the grid open, the cell ended", decoded[0].End, decoded[1].End)
+	}
+
+	coord := NewTracer()
+	_, disp := StartSpan(NewContext(context.Background(), &Scope{Tracer: coord}), "dispatch:w1")
+	coord.ImportRemote(disp.ID(), decoded)
+	disp.End()
+	var imported []SpanSnap
+	for _, s := range coord.Snapshot() {
+		if s.Name == "grid:e1" {
+			imported = append(imported, s)
+		}
+	}
+	if len(imported) != 1 || !imported[0].End.IsZero() || imported[0].EndSeq != 0 {
+		t.Fatalf("imported grid span %+v, want one span still open", imported)
+	}
+	_, jsonl := exports(t, coord.Snapshot())
+	if !bytes.Contains(jsonl, []byte(`"name":"grid:e1"`)) {
+		t.Fatalf("open imported span missing from the export:\n%s", jsonl)
+	}
+}
+
+// FuzzDecodeSpans feeds arbitrary bytes to the span decoder, which reads
+// what cluster workers send: it must return an error or spans, never
+// panic, and never hold more spans than the input has room for. Spans
+// it accepts must round-trip through EncodeSpans.
+func FuzzDecodeSpans(f *testing.F) {
+	base := time.Date(2026, 3, 29, 0, 0, 0, 0, time.FixedZone("", 3600))
+	enc := EncodeSpans([]SpanSnap{
+		{ID: 1, Lane: 1, Name: "grid:e1", Start: base, End: base.Add(time.Second), StartSeq: 1, EndSeq: 4,
+			Attrs: []Attr{String("grid", "e1")}},
+		{ID: 2, Parent: 1, Lane: 2, Name: "cell", Start: base.Add(time.Millisecond), StartSeq: 2,
+			StartCycle: 7, EndCycle: 9, HasCycles: true, Err: "boom"},
+	})
+	f.Add(enc)
+	for _, n := range []int{0, 1, len(enc) / 2, len(enc) - 1} {
+		f.Add(enc[:n])
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})             // a huge string count
+	f.Add([]byte{0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // a huge span count
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spans, err := DecodeSpans(data, 3)
+		if err != nil {
+			return
+		}
+		if len(spans) > len(data)/minRecord {
+			t.Fatalf("%d spans from %d bytes", len(spans), len(data))
+		}
+		again, err := DecodeSpans(EncodeSpans(spans), 3)
+		if err != nil {
+			t.Fatalf("re-encoded spans do not decode: %v", err)
+		}
+		sameSpans(t, again, spans)
+	})
+}
+
+// TestSpanWireMatchesJSON checks that a coordinator grafting a worker's
+// spans sees the same trace whether they crossed the wire in the frozen
+// encoding or, as they used to, as a JSON array of snapshots: same
+// names, parent and lane links, seq order, attributes, errors, cycles
+// and times, so both exports are byte-identical.
+func TestSpanWireMatchesJSON(t *testing.T) {
+	base := time.Date(2026, 3, 29, 0, 59, 59, 123456789, time.FixedZone("", -(7*3600+30*60)))
+	snaps := []SpanSnap{
+		{ID: 1, Lane: 1, Name: "grid:e1", Start: base, End: base.Add(9 * time.Millisecond),
+			StartSeq: 1, EndSeq: 8, Attrs: []Attr{String("grid", "e1"), Int("cells", 2)}},
+		{ID: 2, Parent: 1, Lane: 2, Name: "cell", Start: base.Add(time.Millisecond),
+			End: base.Add(4 * time.Millisecond), StartSeq: 2, EndSeq: 5},
+		{ID: 3, Parent: 2, Lane: 2, Name: "machine.run", Start: base.Add(2 * time.Millisecond),
+			End: base.Add(3 * time.Millisecond), StartSeq: 3, EndSeq: 4,
+			StartCycle: 0, EndCycle: 100000, HasCycles: true},
+		{ID: 4, Parent: 1, Lane: 4, Name: "cell", Start: base.Add(5 * time.Millisecond),
+			End: base.Add(8 * time.Millisecond), StartSeq: 6, EndSeq: 7, Err: "cell 1 failed"},
+		{ID: 5, Parent: 1, Lane: 5, Name: "flush", Start: base.Add(8 * time.Millisecond), StartSeq: 9},
+	}
+	raw, err := json.Marshal(snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var viaJSON []SpanSnap
+	if err := json.Unmarshal(raw, &viaJSON); err != nil {
+		t.Fatal(err)
+	}
+	viaFrozen, err := DecodeSpans(EncodeSpans(snaps), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graft := func(spans []SpanSnap) []SpanSnap {
+		tr := NewTracerWithID(0xabc)
+		_, disp := StartSpan(NewContext(context.Background(), &Scope{Tracer: tr}), "dispatch:w1")
+		tr.ImportRemote(disp.ID(), spans)
+		out := tr.Snapshot()
+		return out[1:] // the dispatch span's own times are the test's wall clock
+	}
+	a, b := graft(viaJSON), graft(viaFrozen)
+	sameSpans(t, b, a)
+	chromeA, jsonlA := exports(t, a)
+	chromeB, jsonlB := exports(t, b)
+	if !bytes.Equal(chromeA, chromeB) || !bytes.Equal(jsonlA, jsonlB) {
+		t.Fatalf("exports differ:\n%s\nvs\n%s", jsonlB, jsonlA)
+	}
 }

@@ -238,7 +238,7 @@ func (t *Tracer) Snapshot() []SpanSnap {
 	spans := append([]*Span(nil), t.spans...)
 	t.mu.Unlock()
 	out := make([]SpanSnap, 0, n+len(spans))
-	out = decodeSpans(out, frozen, t.id)
+	out = mustDecode(out, frozen, t.id)
 	for _, s := range spans {
 		out = append(out, s.snapshot(t.id))
 	}
