@@ -229,10 +229,18 @@ func TestRetriesSleepBackoffAndAnnotateAttempts(t *testing.T) {
 	base := 20 * time.Millisecond
 	rc := Run{Policy: Policy{FailSoft: true, Retries: 2, Backoff: base}, Workers: 1}
 	start := time.Now()
-	run := runGrid(under(rc), GridSpec{ID: "t-backoff"}, 1,
-		func(_ context.Context, i int) (int, error) {
+	tb, run, err := experiment[int]{
+		spec: GridSpec{ID: "t-backoff"}, title: "backoff", headers: []string{"cell"},
+		rows: 1, cols: 1,
+		label: func(int) (lead, tail []any) { return nil, nil },
+		cell: func(context.Context, int) (int, error) {
 			return 0, errors.New("always fails")
-		})
+		},
+		render: func(*GridRun[int], int) []any { return []any{"ok"} },
+	}.table(under(rc))
+	if err != nil {
+		t.Fatal(err)
+	}
 	elapsed := time.Since(start)
 	// Two retries sleep RetryBackoff(base, grid, 0, 1) + (.., 2); the
 	// jitter floor is half of each doubled base.
@@ -244,7 +252,7 @@ func TestRetriesSleepBackoffAndAnnotateAttempts(t *testing.T) {
 	if ce == nil || ce.Attempts != 3 {
 		t.Fatalf("want 3 attempts recorded, got %+v", ce)
 	}
-	got := run.Cell(0, func(int) string { return "ok" })
+	got := tb.Rows[0][0]
 	if got != report.ErrCellN("always fails", 3) {
 		t.Fatalf("cell rendering lost the attempt count: %q", got)
 	}

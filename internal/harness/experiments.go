@@ -45,43 +45,45 @@ func E1Matrix(ctx context.Context, defenses []string, manySided int, opts Attack
 	for _, a := range attacks {
 		headers = append(headers, a.Name)
 	}
-	tb := report.NewTable("E1: cross-domain flips, attack x defense (LPDDR4)", headers...)
-	nA := len(attacks)
-	spec := GridSpec{
-		ID:     "e1",
-		Config: fmt.Sprintf("defenses=%s;sided=%d;%s", strings.Join(defenses, ","), manySided, opts.configString()),
-	}
-	run := runGrid(ctx, spec, len(defenses)*nA, func(ctx context.Context, i int) (string, error) {
-		name, kind := defenses[i/nA], attacks[i%nA]
-		d, err := defense.New(name)
-		if err != nil {
-			return "", err
-		}
-		out, err := RunAttackCtx(ctx, E1Spec(), d, kind, opts)
-		if err != nil {
-			return "", fmt.Errorf("harness: E1 %s vs %s: %w", name, kind.Name, err)
-		}
-		cell := fmt.Sprintf("%d", out.CrossFlips)
-		if !out.PlannedCross {
-			cell += " (no targets)"
-		}
-		return cell, nil
-	})
-	if err := run.Err(); err != nil {
-		return nil, err
-	}
-	for di, name := range defenses {
+	// Row labels come from the defenses themselves, so a bad name fails
+	// before any cell runs.
+	rowLabels := make([][]any, len(defenses))
+	for i, name := range defenses {
 		d, err := defense.New(name)
 		if err != nil {
 			return nil, err
 		}
-		row := []string{d.Name(), d.Class().String()}
-		for ai := range attacks {
-			row = append(row, run.Cell(di*nA+ai, func(s string) string { return s }))
-		}
-		tb.AddRow(row...)
+		rowLabels[i] = []any{d.Name(), d.Class().String()}
 	}
-	return tb, nil
+	nA := len(attacks)
+	tb, _, err := experiment[string]{
+		spec: GridSpec{
+			ID:     "e1",
+			Config: fmt.Sprintf("defenses=%s;sided=%d;%s", strings.Join(defenses, ","), manySided, opts.configString()),
+		},
+		title:   "E1: cross-domain flips, attack x defense (LPDDR4)",
+		headers: headers,
+		rows:    len(defenses), cols: nA,
+		label: func(r int) (lead, tail []any) { return rowLabels[r], nil },
+		cell: func(ctx context.Context, i int) (string, error) {
+			name, kind := defenses[i/nA], attacks[i%nA]
+			d, err := defense.New(name)
+			if err != nil {
+				return "", err
+			}
+			out, err := RunAttackCtx(ctx, E1Spec(), d, kind, opts)
+			if err != nil {
+				return "", fmt.Errorf("harness: E1 %s vs %s: %w", name, kind.Name, err)
+			}
+			cell := fmt.Sprintf("%d", out.CrossFlips)
+			if !out.PlannedCross {
+				cell += " (no targets)"
+			}
+			return cell, nil
+		},
+		render: func(run *GridRun[string], i int) []any { return []any{run.Results[i]} },
+	}.table(ctx)
+	return tb, err
 }
 
 // E2Scheme is one interleaving configuration of experiment E2.
@@ -136,12 +138,32 @@ func E2Interleaving(ctx context.Context, horizon uint64) (*report.Table, []E2Res
 		horizon = 2_000_000
 	}
 	workloads := []string{"stream", "random"}
-	tb := report.NewTable("E2: single-tenant throughput by interleaving scheme (MLP-8 core)",
-		"scheme", "workload", "accesses", "loss-vs-interleave%")
 	schemes := E2Schemes()
 	nW := len(workloads)
-	run := runGrid(ctx, GridSpec{ID: "e2", Config: fmt.Sprintf("horizon=%d", horizon)},
-		len(schemes)*nW, func(ctx context.Context, i int) (uint64, error) {
+	// Loss is relative to the line-interleave scheme, whose cells are the
+	// first nW; it is unknown when that baseline cell failed.
+	loss := func(run *GridRun[uint64], i int) (float64, bool) {
+		base := i % nW
+		if i == base {
+			return 0, true
+		}
+		if run.Failed(base) != nil {
+			return 0, false
+		}
+		if b := run.Results[base]; b > 0 {
+			return 100 * (1 - float64(run.Results[i])/float64(b)), true
+		}
+		return 0, true
+	}
+	tb, run, err := experiment[uint64]{
+		spec:    GridSpec{ID: "e2", Config: fmt.Sprintf("horizon=%d", horizon)},
+		title:   "E2: single-tenant throughput by interleaving scheme (MLP-8 core)",
+		headers: []string{"scheme", "workload", "accesses", "loss-vs-interleave%"},
+		rows:    len(schemes) * nW, cols: 1,
+		label: func(r int) (lead, tail []any) {
+			return []any{schemes[r/nW].Name, workloads[r%nW]}, nil
+		},
+		cell: func(ctx context.Context, i int) (uint64, error) {
 			scheme, wl := schemes[i/nW], workloads[i%nW]
 			m, err := core.NewMachine(scheme.Spec)
 			if err != nil {
@@ -174,35 +196,26 @@ func E2Interleaving(ctx context.Context, horizon uint64) (*report.Table, []E2Res
 				return 0, err
 			}
 			return c.Counters().Accesses, nil
-		})
-	if err := run.Err(); err != nil {
+		},
+		render: func(run *GridRun[uint64], i int) []any {
+			if l, ok := loss(run, i); ok {
+				return []any{run.Results[i], l}
+			}
+			return []any{run.Results[i], "-"}
+		},
+	}.table(ctx)
+	if err != nil {
 		return nil, nil, err
 	}
-	// Loss is relative to the line-interleave scheme, which is cell row 0.
-	// A failed cell degrades to an ERR() placeholder; a failed baseline
-	// additionally blanks the loss column of its workload.
 	var results []E2Result
-	for si, scheme := range schemes {
-		for wi, wl := range workloads {
-			i := si*nW + wi
-			if ce := run.Failed(i); ce != nil {
-				tb.AddRow(scheme.Name, wl, report.ErrCellN(ce.Reason(), ce.Attempts), "-")
-				continue
-			}
-			acc := run.Results[i]
-			if scheme.Name != "line-interleave" && run.Failed(wi) != nil {
-				tb.AddRowf(scheme.Name, wl, acc, "-")
-				continue
-			}
-			loss := 0.0
-			if base := run.Results[wi]; scheme.Name != "line-interleave" && base > 0 {
-				loss = 100 * (1 - float64(acc)/float64(base))
-			}
-			results = append(results, E2Result{
-				Scheme: scheme.Name, Workload: wl, Accesses: acc, LossVsInterleave: loss,
-			})
-			tb.AddRowf(scheme.Name, wl, acc, loss)
+	for i, acc := range run.Results {
+		l, ok := loss(run, i)
+		if run.Failed(i) != nil || !ok {
+			continue
 		}
+		results = append(results, E2Result{
+			Scheme: schemes[i/nW].Name, Workload: workloads[i%nW], Accesses: acc, LossVsInterleave: l,
+		})
 	}
 	return tb, results, nil
 }
@@ -216,15 +229,22 @@ func E3DensityScaling(ctx context.Context, horizon uint64) (*report.Table, error
 	if horizon == 0 {
 		horizon = 16_000_000
 	}
-	tb := report.NewTable("E3: density scaling across DRAM generations",
-		"generation", "MAC", "blast", "flips(none)", "flips(trr)", "flips(swrefresh)",
-		"graphene-entries/bank")
 	opts := AttackOpts{Horizon: horizon}
 	kind := attack.Kind{Name: "double-sided", Sided: 2}
 	gens := dram.Generations()
 	names := []string{"none", "trr", "swrefresh"}
-	run := runGrid(ctx, GridSpec{ID: "e3", Config: fmt.Sprintf("horizon=%d", horizon)},
-		len(gens)*len(names), func(ctx context.Context, i int) (uint64, error) {
+	tb, _, err := experiment[uint64]{
+		spec:  GridSpec{ID: "e3", Config: fmt.Sprintf("horizon=%d", horizon)},
+		title: "E3: density scaling across DRAM generations",
+		headers: []string{"generation", "MAC", "blast", "flips(none)", "flips(trr)", "flips(swrefresh)",
+			"graphene-entries/bank"},
+		rows: len(gens), cols: len(names),
+		label: func(r int) (lead, tail []any) {
+			prof := gens[r]
+			entries := memctrl.RequiredEntries(core.DefaultSpec().Timing.MaxActsPerWindowPerBank(), prof.MAC/4)
+			return []any{prof.Name, prof.MAC, prof.BlastRadius}, []any{entries}
+		},
+		cell: func(ctx context.Context, i int) (uint64, error) {
 			prof, name := gens[i/len(names)], names[i%len(names)]
 			spec := core.DefaultSpec()
 			spec.Profile = prof
@@ -237,20 +257,10 @@ func E3DensityScaling(ctx context.Context, horizon uint64) (*report.Table, error
 				return 0, fmt.Errorf("harness: E3 %s/%s: %w", prof.Name, name, err)
 			}
 			return out.CrossFlips, nil
-		})
-	if err := run.Err(); err != nil {
-		return nil, err
-	}
-	flipCell := func(i int) string { return run.Cell(i, func(v uint64) string { return fmt.Sprint(v) }) }
-	for gi, prof := range gens {
-		spec := core.DefaultSpec()
-		spec.Profile = prof
-		entries := memctrl.RequiredEntries(spec.Timing.MaxActsPerWindowPerBank(), prof.MAC/4)
-		base := gi * len(names)
-		tb.AddRowf(prof.Name, prof.MAC, prof.BlastRadius,
-			flipCell(base), flipCell(base+1), flipCell(base+2), entries)
-	}
-	return tb, nil
+		},
+		render: func(run *GridRun[uint64], i int) []any { return []any{run.Results[i]} },
+	}.table(ctx)
+	return tb, err
 }
 
 // E4Defenses is the overhead lineup: the PARA probability sweep shows the
@@ -273,81 +283,64 @@ func E4Overhead(ctx context.Context, horizon uint64, paraProbs []float64) (*repo
 		paraProbs = []float64{0.0005, 0.001, 0.005, 0.02}
 	}
 	// Each cell builds a fresh defense instance (several are stateful
-	// daemons), so entries carry factories rather than shared instances.
-	type entry struct {
-		name string
-		mk   func() (core.Defense, error)
-	}
-	var entries []entry
+	// daemons), so the lineup holds factories rather than shared instances.
+	var names []string
+	var mks []func() (core.Defense, error)
 	for _, name := range E4Defenses {
 		if name == "para" {
 			for _, p := range paraProbs {
-				p := p
-				entries = append(entries, entry{
-					name: fmt.Sprintf("para(p=%g)", p),
-					mk:   func() (core.Defense, error) { return defense.PARA{Prob: p}, nil },
-				})
+				names = append(names, fmt.Sprintf("para(p=%g)", p))
+				mks = append(mks, func() (core.Defense, error) { return defense.PARA{Prob: p}, nil })
 			}
 			continue
 		}
-		name := name
 		d, err := defense.New(name)
 		if err != nil {
 			return nil, err
 		}
-		entries = append(entries, entry{name: d.Name(), mk: func() (core.Defense, error) { return defense.New(name) }})
+		names = append(names, d.Name())
+		mks = append(mks, func() (core.Defense, error) { return defense.New(name) })
 	}
 
-	tb := report.NewTable("E4: benign multi-tenant overhead by defense",
-		"defense", "accesses", "slowdown%", "DRAM nJ/access")
-	names := make([]string, len(entries))
-	for i, e := range entries {
-		names[i] = e.name
-	}
-	run := runGrid(ctx, GridSpec{
-		ID:     "e4",
-		Config: fmt.Sprintf("horizon=%d;defenses=%s;probs=%v", horizon, strings.Join(names, ","), paraProbs),
-	}, len(entries), func(ctx context.Context, i int) (e4Cell, error) {
-		d, err := entries[i].mk()
-		if err != nil {
-			return e4Cell{}, err
-		}
-		cell, _, err := runBenign(ctx, d, horizon)
-		if err != nil {
-			return e4Cell{}, fmt.Errorf("harness: E4 %s: %w", entries[i].name, err)
-		}
-		return cell, nil
-	})
-	if err := run.Err(); err != nil {
-		return nil, err
-	}
-	// Slowdown is relative to the undefended "none" entry, always first;
-	// if that baseline cell failed, the slowdown column degrades too.
-	var baseline uint64
-	for i, e := range entries {
-		if ce := run.Failed(i); ce != nil {
-			tb.AddRow(e.name, report.ErrCellN(ce.Reason(), ce.Attempts), "-", "-")
-			continue
-		}
-		acc := run.Results[i].Accesses
-		slowdown := 0.0
-		if e.name == "none" {
-			baseline = acc
-		}
-		perAccess := 0.0
-		if acc > 0 {
-			perAccess = run.Results[i].Energy / 1e3 / float64(acc)
-		}
-		if e.name != "none" && baseline == 0 {
-			tb.AddRowf(e.name, acc, "-", perAccess)
-			continue
-		}
-		if e.name != "none" {
-			slowdown = 100 * (1 - float64(acc)/float64(baseline))
-		}
-		tb.AddRowf(e.name, acc, slowdown, perAccess)
-	}
-	return tb, nil
+	tb, _, err := experiment[e4Cell]{
+		spec: GridSpec{
+			ID:     "e4",
+			Config: fmt.Sprintf("horizon=%d;defenses=%s;probs=%v", horizon, strings.Join(names, ","), paraProbs),
+		},
+		title:   "E4: benign multi-tenant overhead by defense",
+		headers: []string{"defense", "accesses", "slowdown%", "DRAM nJ/access"},
+		rows:    len(names), cols: 1,
+		label: func(r int) (lead, tail []any) { return []any{names[r]}, nil },
+		cell: func(ctx context.Context, i int) (e4Cell, error) {
+			d, err := mks[i]()
+			if err != nil {
+				return e4Cell{}, err
+			}
+			cell, _, err := runBenign(ctx, d, horizon)
+			if err != nil {
+				return e4Cell{}, fmt.Errorf("harness: E4 %s: %w", names[i], err)
+			}
+			return cell, nil
+		},
+		// Slowdown is relative to the undefended "none" entry, cell 0;
+		// it is unknown when that baseline failed or measured nothing.
+		render: func(run *GridRun[e4Cell], i int) []any {
+			c := run.Results[i]
+			perAccess := 0.0
+			if c.Accesses > 0 {
+				perAccess = c.Energy / 1e3 / float64(c.Accesses)
+			}
+			if i == 0 {
+				return []any{c.Accesses, 0.0, perAccess}
+			}
+			if run.Failed(0) != nil || run.Results[0].Accesses == 0 {
+				return []any{c.Accesses, "-", perAccess}
+			}
+			slowdown := 100 * (1 - float64(c.Accesses)/float64(run.Results[0].Accesses))
+			return []any{c.Accesses, slowdown, perAccess}
+		},
+	}.table(ctx)
+	return tb, err
 }
 
 // e4Cell is E4's checkpointable cell result.

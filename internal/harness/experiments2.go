@@ -1,9 +1,10 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hammertime/internal/addr"
 	"hammertime/internal/attack"
@@ -11,6 +12,7 @@ import (
 	"hammertime/internal/cpu"
 	"hammertime/internal/defense"
 	"hammertime/internal/dram"
+	"hammertime/internal/hostos"
 	"hammertime/internal/memctrl"
 	"hammertime/internal/report"
 )
@@ -34,40 +36,37 @@ func E5TRRBypass(ctx context.Context, horizon uint64, sides []int, trackers []in
 	for _, n := range trackers {
 		headers = append(headers, fmt.Sprintf("flips(trr n=%d)", n))
 	}
-	tb := report.NewTable("E5: TRRespass sweep, cross-domain flips vs aggressor count (DDR4-old)", headers...)
 	spec := core.DefaultSpec()
 	spec.Profile = dram.DDR4Old()
 	opts := AttackOpts{Horizon: horizon}
 	nC := 1 + len(trackers) // columns per row: undefended + one per tracker size
-	run := runGrid(ctx, GridSpec{
-		ID:     "e5",
-		Config: fmt.Sprintf("horizon=%d;sides=%v;trackers=%v", horizon, sides, trackers),
-	}, len(sides)*nC, func(ctx context.Context, i int) (string, error) {
-		k, ci := sides[i/nC], i%nC
-		kind := attack.Kind{Name: fmt.Sprintf("many-sided(%d)", k), Sided: k}
-		var d core.Defense = defense.None{}
-		if ci > 0 {
-			cfg := dram.DefaultTRR()
-			cfg.TrackerEntries = trackers[ci-1]
-			d = defense.TRR{Config: cfg}
-		}
-		out, err := RunAttackCtx(ctx, spec, d, kind, opts)
-		if err != nil {
-			return "", fmt.Errorf("harness: E5 %s/%d: %w", d.Name(), k, err)
-		}
-		return fmt.Sprint(out.CrossFlips), nil
-	})
-	if err := run.Err(); err != nil {
-		return nil, err
-	}
-	for si, k := range sides {
-		row := []string{fmt.Sprint(k)}
-		for ci := 0; ci < nC; ci++ {
-			row = append(row, run.Cell(si*nC+ci, func(s string) string { return s }))
-		}
-		tb.AddRow(row...)
-	}
-	return tb, nil
+	tb, _, err := experiment[string]{
+		spec: GridSpec{
+			ID:     "e5",
+			Config: fmt.Sprintf("horizon=%d;sides=%v;trackers=%v", horizon, sides, trackers),
+		},
+		title:   "E5: TRRespass sweep, cross-domain flips vs aggressor count (DDR4-old)",
+		headers: headers,
+		rows:    len(sides), cols: nC,
+		label: func(r int) (lead, tail []any) { return []any{sides[r]}, nil },
+		cell: func(ctx context.Context, i int) (string, error) {
+			k, ci := sides[i/nC], i%nC
+			kind := attack.Kind{Name: fmt.Sprintf("many-sided(%d)", k), Sided: k}
+			var d core.Defense = defense.None{}
+			if ci > 0 {
+				cfg := dram.DefaultTRR()
+				cfg.TrackerEntries = trackers[ci-1]
+				d = defense.TRR{Config: cfg}
+			}
+			out, err := RunAttackCtx(ctx, spec, d, kind, opts)
+			if err != nil {
+				return "", fmt.Errorf("harness: E5 %s/%d: %w", d.Name(), k, err)
+			}
+			return fmt.Sprint(out.CrossFlips), nil
+		},
+		render: func(run *GridRun[string], i int) []any { return []any{run.Results[i]} },
+	}.table(ctx)
+	return tb, err
 }
 
 // E6Mode is one configuration of the ACT-interrupt experiment.
@@ -107,38 +106,37 @@ func E6ActInterrupt(ctx context.Context, horizon uint64) (*report.Table, []E6Res
 		{Name: "precise+fixed-reset", Precise: true},
 		{Name: "precise+random-reset", Precise: true, RandomReset: true},
 	}
-	tb := report.NewTable("E6: precise ACT interrupt vs evasive attacker (LPDDR4)",
-		"counter mode", "overflows", "aggressor flags", "first flag cycle", "cross flips", "attack")
-	run := runGrid(ctx, GridSpec{ID: "e6", Config: fmt.Sprintf("horizon=%d", horizon)},
-		len(modes), func(ctx context.Context, i int) (E6Result, error) {
+	tb, run, err := experiment[E6Result]{
+		spec:  GridSpec{ID: "e6", Config: fmt.Sprintf("horizon=%d", horizon)},
+		title: "E6: precise ACT interrupt vs evasive attacker (LPDDR4)",
+		headers: []string{"counter mode", "overflows", "aggressor flags", "first flag cycle",
+			"cross flips", "attack"},
+		rows: len(modes), cols: 1,
+		label: func(r int) (lead, tail []any) { return []any{modes[r].Name}, nil },
+		cell: func(ctx context.Context, i int) (E6Result, error) {
 			res, err := runE6(ctx, modes[i], horizon)
 			if err != nil {
 				return E6Result{}, fmt.Errorf("harness: E6 %s: %w", modes[i].Name, err)
 			}
 			return res, nil
-		})
-	if err := run.Err(); err != nil {
+		},
+		render: func(run *GridRun[E6Result], i int) []any {
+			res := run.Results[i]
+			outcome := "DEFEATED"
+			if res.CrossFlips > 0 {
+				outcome = "SUCCEEDS"
+			}
+			var first any = "-"
+			if res.FirstFlagCycle > 0 {
+				first = res.FirstFlagCycle
+			}
+			return []any{res.Overflows, res.AggressorFlags, first, res.CrossFlips, outcome}
+		},
+	}.table(ctx)
+	if err != nil {
 		return nil, nil, err
 	}
-	results := run.Results
-	for i, res := range results {
-		if ce := run.Failed(i); ce != nil {
-			errCell := report.ErrCellN(ce.Reason(), ce.Attempts)
-			tb.AddRow(modes[i].Name, errCell, errCell, "-", errCell, "-")
-			continue
-		}
-		outcome := "DEFEATED"
-		if res.CrossFlips > 0 {
-			outcome = "SUCCEEDS"
-		}
-		first := "-"
-		if res.FirstFlagCycle > 0 {
-			first = fmt.Sprint(res.FirstFlagCycle)
-		}
-		tb.AddRow(res.Mode, fmt.Sprint(res.Overflows), fmt.Sprint(res.AggressorFlags),
-			first, fmt.Sprint(res.CrossFlips), outcome)
-	}
-	return tb, results, nil
+	return tb, run.Results, nil
 }
 
 func runE6(ctx context.Context, mode E6Mode, horizon uint64) (E6Result, error) {
@@ -197,7 +195,7 @@ func runE6(ctx context.Context, mode E6Mode, horizon uint64) (E6Result, error) {
 				if !geom.ValidRow(victim) || !geom.SameSubarray(ev.Row, victim) {
 					continue
 				}
-				line := m.Mapper.Unmap(addrDDR(ev.Bank, victim))
+				line := m.Mapper.Unmap(addr.DDR{Bank: ev.Bank, Row: victim})
 				if _, err := m.Kernel.RefreshLine(line, true, ev.Cycle); err != nil {
 					// Refresh failures here are simulator bugs.
 					panic(err)
@@ -264,57 +262,48 @@ func evasiveHammer(m *core.Machine, domain int, plan attack.Plan, period int) (c
 
 // decoyLines picks up to n attacker-owned lines in distinct rows of one
 // bank the plan does not hammer, so consecutive decoy accesses conflict
-// in the row buffer and always activate.
+// in the row buffer and always activate. Each row is represented by its
+// lowest owned line; the bank with the most such rows wins, the lowest
+// bank on ties.
 func decoyLines(m *core.Machine, domain int, plan attack.Plan, n int) ([]uint64, error) {
-	avoid := make(map[int]bool)
+	g := m.Mapper.Geometry()
+	avoid := make([]bool, g.Banks)
 	for _, a := range plan.Aggressors {
 		avoid[a.Bank] = true
 	}
-	g := m.Mapper.Geometry()
-	rows := make(map[[2]int]uint64)
-	lpp := uint64(4096 / g.LineBytes)
-	totalFrames := g.TotalBytes() / 4096
-	for frame := uint64(0); frame < totalFrames; frame++ {
-		owner, ok := m.Kernel.OwnerOfLine(frame * lpp)
-		if !ok || owner != domain {
-			continue
+	lpp := hostos.LinesPerPage(g)
+	var rows []addr.RowLine
+	m.Kernel.EachPage(func(owner int, frame uint64) {
+		if owner == domain {
+			rows = addr.AppendRows(rows, m.Mapper, frame*lpp, lpp)
 		}
-		for l := uint64(0); l < lpp; l++ {
-			line := frame*lpp + l
-			d := m.Mapper.Map(line)
-			if avoid[d.Bank] {
-				continue
-			}
-			key := [2]int{d.Bank, d.Row}
-			if _, have := rows[key]; !have {
-				rows[key] = line
-			}
+	})
+	rows = slices.DeleteFunc(rows, func(r addr.RowLine) bool { return avoid[r.Bank] })
+	slices.SortFunc(rows, func(a, b addr.RowLine) int {
+		return cmp.Or(cmp.Compare(a.Bank, b.Bank), cmp.Compare(a.Row, b.Row), cmp.Compare(a.Line, b.Line))
+	})
+	rows = slices.CompactFunc(rows, func(a, b addr.RowLine) bool { return a.Bank == b.Bank && a.Row == b.Row })
+	var best []addr.RowLine
+	for len(rows) > 0 {
+		k := 1
+		for k < len(rows) && rows[k].Bank == rows[0].Bank {
+			k++
 		}
-	}
-	// Pick the bank with the most candidate rows, deterministically.
-	byBank := make(map[int][]uint64)
-	for key, line := range rows {
-		byBank[key[0]] = append(byBank[key[0]], line)
-	}
-	bestBank, best := -1, 0
-	for b, lines := range byBank {
-		if len(lines) > best || (len(lines) == best && (bestBank == -1 || b < bestBank)) {
-			bestBank, best = b, len(lines)
+		if k > len(best) {
+			best = rows[:k]
 		}
+		rows = rows[k:]
 	}
-	if best < 2 {
+	if len(best) < 2 {
 		return nil, fmt.Errorf("harness: no decoy rows available")
 	}
-	lines := byBank[bestBank]
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	if len(lines) > n {
-		lines = lines[:n]
+	lines := make([]uint64, len(best))
+	for i, r := range best {
+		lines[i] = r.Line
 	}
-	return lines, nil
+	slices.Sort(lines)
+	return lines[:min(n, len(lines))], nil
 }
-
-// addrDDR builds a column-0 DDR address for a bank-local row.
-func addrDDR(bank, row int) addr.DDR { return addr.DDR{Bank: bank, Row: row} }
 
 // E8Enclave contrasts the §4.4 enclave outcomes: the same double-sided
 // attack silently corrupts a normal victim, but merely denies service
@@ -323,41 +312,35 @@ func E8Enclave(ctx context.Context, horizon uint64) (*report.Table, error) {
 	if horizon == 0 {
 		horizon = 4_000_000
 	}
-	tb := report.NewTable("E8: enclave integrity semantics under attack (LPDDR4, no defense)",
-		"victim memory", "cross flips", "machine locked up", "outcome")
-	run := runGrid(ctx, GridSpec{ID: "e8", Config: fmt.Sprintf("horizon=%d", horizon)},
-		2, func(ctx context.Context, i int) (e8Cell, error) {
+	tb, _, err := experiment[e8Cell]{
+		spec:    GridSpec{ID: "e8", Config: fmt.Sprintf("horizon=%d", horizon)},
+		title:   "E8: enclave integrity semantics under attack (LPDDR4, no defense)",
+		headers: []string{"victim memory", "cross flips", "machine locked up", "outcome"},
+		rows:    2, cols: 1, // cell 1 checks the victims' integrity
+		label: func(r int) (lead, tail []any) {
+			return []any{[]string{"plain", "integrity-checked enclave"}[r]}, nil
+		},
+		cell: func(ctx context.Context, i int) (e8Cell, error) {
 			out, err := RunAttackCtx(ctx, E1Spec(), defense.None{}, attack.Kind{Name: "double-sided", Sided: 2},
 				AttackOpts{Horizon: horizon, VictimIntegrity: i == 1})
 			if err != nil {
 				return e8Cell{}, fmt.Errorf("harness: E8 integrity=%v: %w", i == 1, err)
 			}
 			return e8Cell{CrossFlips: out.CrossFlips, LockedUp: out.LockedUp}, nil
-		})
-	if err := run.Err(); err != nil {
-		return nil, err
-	}
-	for i, integrity := range []bool{false, true} {
-		label := "plain"
-		if integrity {
-			label = "integrity-checked enclave"
-		}
-		if ce := run.Failed(i); ce != nil {
-			errCell := report.ErrCellN(ce.Reason(), ce.Attempts)
-			tb.AddRow(label, errCell, errCell, "-")
-			continue
-		}
-		out := run.Results[i]
-		outcome := "silent cross-domain corruption"
-		if integrity {
-			outcome = "detected: denial of service only"
-			if !out.LockedUp {
-				outcome = "UNEXPECTED: no lockup"
+		},
+		render: func(run *GridRun[e8Cell], i int) []any {
+			out := run.Results[i]
+			outcome := "silent cross-domain corruption"
+			if i == 1 {
+				outcome = "detected: denial of service only"
+				if !out.LockedUp {
+					outcome = "UNEXPECTED: no lockup"
+				}
 			}
-		}
-		tb.AddRow(label, fmt.Sprint(out.CrossFlips), fmt.Sprint(out.LockedUp), outcome)
-	}
-	return tb, nil
+			return []any{out.CrossFlips, out.LockedUp, outcome}
+		},
+	}.table(ctx)
+	return tb, err
 }
 
 // e8Cell is E8's checkpointable cell result.

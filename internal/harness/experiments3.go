@@ -45,36 +45,40 @@ type E7Result struct {
 // ACT), and always costs a bus transfer and cache fill; the refresh
 // instruction is unconditional and data-free.
 func E7RefreshPath(ctx context.Context) (*report.Table, []E7Result, error) {
-	tb := report.NewTable("E7: targeted-refresh mechanisms (§4.3)",
-		"method", "bank state", "cycles", "ACT cmds", "bus transfers", "victim refreshed")
 	methods := []E7Method{E7RefreshInstr, E7RefNeighbors, E7LoadPath}
-	run := runGrid(ctx, GridSpec{ID: "e7", Config: "v1"},
-		2*len(methods), func(ctx context.Context, i int) (E7Result, error) {
+	tb, run, err := experiment[E7Result]{
+		spec:    GridSpec{ID: "e7", Config: "v1"},
+		title:   "E7: targeted-refresh mechanisms (§4.3)",
+		headers: []string{"method", "bank state", "cycles", "ACT cmds", "bus transfers", "victim refreshed"},
+		rows:    2 * len(methods), cols: 1, // odd cells open the victim row
+		label: func(r int) (lead, tail []any) {
+			return []any{methods[r/2], e7BankState(r%2 == 1)}, nil
+		},
+		cell: func(ctx context.Context, i int) (E7Result, error) {
 			method, victimOpen := methods[i/2], i%2 == 1
 			r, err := runE7(ctx, method, victimOpen)
 			if err != nil {
 				return E7Result{}, fmt.Errorf("harness: E7 %s: %w", method, err)
 			}
 			return r, nil
-		})
-	if err := run.Err(); err != nil {
+		},
+		render: func(run *GridRun[E7Result], i int) []any {
+			r := run.Results[i]
+			return []any{r.Cycles, r.ACTs, r.BusTransfers, r.Refreshed}
+		},
+	}.table(ctx)
+	if err != nil {
 		return nil, nil, err
 	}
-	results := run.Results
-	for i, r := range results {
-		if ce := run.Failed(i); ce != nil {
-			state := "other row open"
-			if i%2 == 1 {
-				state = "victim row open"
-			}
-			errCell := report.ErrCellN(ce.Reason(), ce.Attempts)
-			tb.AddRow(string(methods[i/2]), state, errCell, errCell, errCell, "-")
-			continue
-		}
-		tb.AddRow(string(r.Method), r.BankState, fmt.Sprint(r.Cycles),
-			fmt.Sprint(r.ACTs), fmt.Sprint(r.BusTransfers), fmt.Sprint(r.Refreshed))
+	return tb, run.Results, nil
+}
+
+// e7BankState names the row-buffer state a refresh is attempted in.
+func e7BankState(victimOpen bool) string {
+	if victimOpen {
+		return "victim row open"
 	}
-	return tb, results, nil
+	return "other row open"
 }
 
 // runE7 drives the controller directly, not through runMachine, so it
@@ -118,7 +122,6 @@ func runE7(ctx context.Context, method E7Method, victimOpen bool) (E7Result, err
 
 	// Arrange the bank state: open the victim row itself, or leave the
 	// last aggressor row open.
-	state := "other row open"
 	if victimOpen {
 		// Read the victim line once; this activates (and recharges) row 1,
 		// so re-disturb it afterwards while keeping it open... impossible —
@@ -141,7 +144,6 @@ func runE7(ctx context.Context, method E7Method, victimOpen bool) (E7Result, err
 		}
 		now = res.Completion
 		m.DRAM.SeedDisturbance(victimDDR.Bank, victimDDR.Row, 400)
-		state = "victim row open"
 	}
 
 	actsBefore := m.MC.Stats().Counter("mc.acts")
@@ -189,7 +191,7 @@ func runE7(ctx context.Context, method E7Method, victimOpen bool) (E7Result, err
 	countEvents(ctx, &stats)
 	return E7Result{
 		Method:       method,
-		BankState:    state,
+		BankState:    e7BankState(victimOpen),
 		Cycles:       completion - start,
 		ACTs:         uint64(m.MC.Stats().Counter("mc.acts") - actsBefore),
 		BusTransfers: uint64(m.MC.Stats().Counter("mc.requests") - reqBefore),

@@ -62,73 +62,69 @@ func E9ECC(ctx context.Context, horizons []uint64) (*report.Table, []ECCOutcome,
 	if len(horizons) == 0 {
 		horizons = []uint64{2_000_000, 6_000_000, 16_000_000}
 	}
-	tb := report.NewTable("E9: SECDED ECC outcomes under double-sided attack (LPDDR4)",
-		"config", "horizon (cycles)", "raw flips", "words corrected", "words detected (DoS)", "words silent-corrupt")
-	run := runGrid(ctx, GridSpec{ID: "e9", Config: fmt.Sprintf("horizons=%v", horizons)},
-		2*len(horizons), func(ctx context.Context, i int) (ECCOutcome, error) {
+	tb, run, err := experiment[ECCOutcome]{
+		spec:  GridSpec{ID: "e9", Config: fmt.Sprintf("horizons=%v", horizons)},
+		title: "E9: SECDED ECC outcomes under double-sided attack (LPDDR4)",
+		headers: []string{"config", "horizon (cycles)", "raw flips", "words corrected",
+			"words detected (DoS)", "words silent-corrupt"},
+		rows: 2 * len(horizons), cols: 1, // odd cells add the patrol scrubber
+		label: func(r int) (lead, tail []any) {
+			return []any{[]string{"ecc", "ecc+scrub"}[r%2], horizons[r/2]}, nil
+		},
+		cell: func(ctx context.Context, i int) (ECCOutcome, error) {
 			return runE9(ctx, horizons[i/2], i%2 == 1)
-		})
-	if err := run.Err(); err != nil {
+		},
+		render: func(run *GridRun[ECCOutcome], i int) []any {
+			out := run.Results[i]
+			return []any{out.RawFlips, out.Corrected, out.Detected, out.Silent}
+		},
+	}.table(ctx)
+	if err != nil {
 		return nil, nil, err
 	}
-	outs := run.Results
-	for i, out := range outs {
-		label := "ecc"
-		if i%2 == 1 {
-			label = "ecc+scrub"
-		}
-		if ce := run.Failed(i); ce != nil {
-			errCell := report.ErrCellN(ce.Reason(), ce.Attempts)
-			tb.AddRowf(label, horizons[i/2], errCell, errCell, errCell, errCell)
-			continue
-		}
-		tb.AddRowf(label, horizons[i/2], out.RawFlips, out.Corrected, out.Detected, out.Silent)
-	}
-	return tb, outs, nil
+	return tb, run.Results, nil
 }
 
 func runE9(ctx context.Context, h uint64, scrub bool) (ECCOutcome, error) {
-	{
-		spec := E1Spec()
-		var d core.Defense = defense.ECC{}
-		if scrub {
-			// A fast patrol (full pass ~8M cycles) so the scrubber gets
-			// several passes within the attack window.
-			d = &defense.ECCScrub{Interval: 25_000, LinesPerPass: 100}
-		}
-		m, err := core.BuildWithDefense(spec, d)
-		if err != nil {
-			return ECCOutcome{}, err
-		}
-		defer m.Release()
-		tenants, err := SetupTenants(m, 3, 170)
-		if err != nil {
-			return ECCOutcome{}, err
-		}
-		defer ReleaseTenants(tenants)
-		// Victims fill their memory with real data so corruption is
-		// measured against known ground truth.
-		if err := fillTenantData(m, tenants[1:]); err != nil {
-			return ECCOutcome{}, err
-		}
-		attacker := tenants[0].Domain.ID
-		plan, err := attack.PlanDoubleSided(m.Kernel, m.Mapper, attacker, 1, spec.Profile.BlastRadius)
-		if err != nil {
-			return ECCOutcome{}, err
-		}
-		prog, err := attack.HammerVA(m.Kernel, attacker, plan, 1<<30, true)
-		if err != nil {
-			return ECCOutcome{}, err
-		}
-		c, err := cpu.NewCore(0, attacker, prog, m.Cache, m.MC)
-		if err != nil {
-			return ECCOutcome{}, err
-		}
-		if _, err := runMachine(ctx, m, []core.Agent{c}, h); err != nil {
-			return ECCOutcome{}, err
-		}
-		return scanECC(m, attacker)
+	spec := E1Spec()
+	var d core.Defense = defense.ECC{}
+	if scrub {
+		// A fast patrol (full pass ~8M cycles) so the scrubber gets
+		// several passes within the attack window.
+		d = &defense.ECCScrub{Interval: 25_000, LinesPerPass: 100}
 	}
+	m, err := core.BuildWithDefense(spec, d)
+	if err != nil {
+		return ECCOutcome{}, err
+	}
+	defer m.Release()
+	tenants, err := SetupTenants(m, 3, 170)
+	if err != nil {
+		return ECCOutcome{}, err
+	}
+	defer ReleaseTenants(tenants)
+	// Victims fill their memory with real data so corruption is
+	// measured against known ground truth.
+	if err := fillTenantData(m, tenants[1:]); err != nil {
+		return ECCOutcome{}, err
+	}
+	attacker := tenants[0].Domain.ID
+	plan, err := attack.PlanDoubleSided(m.Kernel, m.Mapper, attacker, 1, spec.Profile.BlastRadius)
+	if err != nil {
+		return ECCOutcome{}, err
+	}
+	prog, err := attack.HammerVA(m.Kernel, attacker, plan, 1<<30, true)
+	if err != nil {
+		return ECCOutcome{}, err
+	}
+	c, err := cpu.NewCore(0, attacker, prog, m.Cache, m.MC)
+	if err != nil {
+		return ECCOutcome{}, err
+	}
+	if _, err := runMachine(ctx, m, []core.Agent{c}, h); err != nil {
+		return ECCOutcome{}, err
+	}
+	return scanECC(m, attacker)
 }
 
 // fillTenantData writes a recognizable pattern into every line of the
@@ -164,15 +160,21 @@ func E10HalfDouble(ctx context.Context, horizon uint64) (*report.Table, error) {
 	prof := dram.DisturbanceProfile{
 		Name: "dense-r1", MAC: 1000, BlastRadius: 1, DistanceDecay: 0.5, FlipProb: 0.01,
 	}
-	tb := report.NewTable("E10: Half-Double relay through mitigation activations (radius-1 module)",
-		"TRR cure mechanism", "mitigations", "flips within radius", "flips beyond radius (relayed)")
 	type e10Row struct {
 		Mitigations uint64 `json:"mitigations"`
 		Within      uint64 `json:"within"`
 		Relayed     uint64 `json:"relayed"`
 	}
-	run := runGrid(ctx, GridSpec{ID: "e10", Config: fmt.Sprintf("horizon=%d", horizon)},
-		2, func(ctx context.Context, i int) (e10Row, error) {
+	tb, _, err := experiment[e10Row]{
+		spec:  GridSpec{ID: "e10", Config: fmt.Sprintf("horizon=%d", horizon)},
+		title: "E10: Half-Double relay through mitigation activations (radius-1 module)",
+		headers: []string{"TRR cure mechanism", "mitigations", "flips within radius",
+			"flips beyond radius (relayed)"},
+		rows: 2, cols: 1, // cell 1 cures with real activations
+		label: func(r int) (lead, tail []any) {
+			return []any{[]string{"internal recharge", "activate-based"}[r]}, nil
+		},
+		cell: func(ctx context.Context, i int) (e10Row, error) {
 			cureACT := i == 1
 			spec := core.DefaultSpec()
 			spec.Profile = prof
@@ -210,21 +212,11 @@ func E10HalfDouble(ctx context.Context, horizon uint64) (*report.Table, error) {
 				Within:      m.Flips() - m.MitigationFlips(),
 				Relayed:     m.MitigationFlips(),
 			}, nil
-		})
-	if err := run.Err(); err != nil {
-		return nil, err
-	}
-	for i, r := range run.Results {
-		mode := "internal recharge"
-		if i == 1 {
-			mode = "activate-based"
-		}
-		if ce := run.Failed(i); ce != nil {
-			errCell := report.ErrCellN(ce.Reason(), ce.Attempts)
-			tb.AddRow(mode, errCell, errCell, errCell)
-			continue
-		}
-		tb.AddRowf(mode, r.Mitigations, r.Within, r.Relayed)
-	}
-	return tb, nil
+		},
+		render: func(run *GridRun[e10Row], i int) []any {
+			r := run.Results[i]
+			return []any{r.Mitigations, r.Within, r.Relayed}
+		},
+	}.table(ctx)
+	return tb, err
 }

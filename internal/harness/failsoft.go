@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"hammertime/internal/obs"
-	"hammertime/internal/report"
 	"hammertime/internal/sim"
 	"hammertime/internal/telemetry"
 )
@@ -215,16 +214,6 @@ func (g *GridRun[T]) Err() error {
 		}
 	}
 	return first
-}
-
-// Cell renders cell i: render(result) on success, the ERR(reason)
-// placeholder — annotated with the attempt count when the cell was
-// retried — on failure.
-func (g *GridRun[T]) Cell(i int, render func(T) string) string {
-	if ce := g.Failed(i); ce != nil {
-		return report.ErrCellN(ce.Reason(), ce.Attempts)
-	}
-	return render(g.Results[i])
 }
 
 // failCellEnv is the fault-injection hook used by the end-to-end tests

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"hammertime/internal/obs"
-	"hammertime/internal/report"
 )
 
 // under returns a background context carrying r.
@@ -94,20 +93,16 @@ func TestRunGridFailSoftCompletesGrid(t *testing.T) {
 			t.Errorf("workers=%d: cell 5 not marked panicked", workers)
 		}
 		for i := 0; i < 6; i++ {
-			cell := run.Cell(i, func(v int) string { return fmt.Sprint(v) })
-			switch i {
-			case 2, 5:
-				if !report.IsErrCell(cell) {
-					t.Errorf("workers=%d: failed cell %d rendered %q", workers, i, cell)
-				}
-			default:
-				if cell != fmt.Sprint(10*i) {
-					t.Errorf("workers=%d: cell %d rendered %q", workers, i, cell)
-				}
+			failed := run.Failed(i) != nil
+			if failed != (i == 2 || i == 5) {
+				t.Errorf("workers=%d: cell %d failed = %v", workers, i, failed)
+			}
+			if !failed && run.Results[i] != 10*i {
+				t.Errorf("workers=%d: cell %d = %d, want %d", workers, i, run.Results[i], 10*i)
 			}
 		}
-		if got := run.Cell(2, func(v int) string { return "x" }); got != report.ErrCell("flaky dependency") {
-			t.Errorf("workers=%d: ERR cell = %q", workers, got)
+		if got := run.Failed(2).Reason(); got != "flaky dependency" {
+			t.Errorf("workers=%d: cell 2 reason = %q", workers, got)
 		}
 	}
 }

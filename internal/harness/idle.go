@@ -64,49 +64,43 @@ func IdleFastForward(ctx context.Context, horizon uint64) (*report.Table, error)
 	if horizon == 0 {
 		horizon = 400_000_000
 	}
-	tb := report.NewTable("IDLE: idle-heavy runs through the event-driven core",
-		"defense", "steps", "acts", "refs", "flips")
-	run := runGrid(ctx, GridSpec{
-		ID:     "idle",
-		Config: fmt.Sprintf("horizon=%d;defenses=%v", horizon, IdleDefenses),
-	}, len(IdleDefenses), func(ctx context.Context, i int) (idleCell, error) {
-		d, err := defense.New(IdleDefenses[i])
-		if err != nil {
-			return idleCell{}, err
-		}
-		m, err := core.BuildWithDefense(core.DefaultSpec(), d)
-		if err != nil {
-			return idleCell{}, err
-		}
-		defer m.Release()
-		geom := m.Spec.Geometry
-		stripe := uint64(geom.ColumnsPerRow) * uint64(geom.Banks)
-		agent := &idleBurstAgent{mc: m.MC, line: 512 * stripe, stripe: stripe, remaining: 4000}
-		res, err := runMachine(ctx, m, []core.Agent{agent}, horizon)
-		if err != nil {
-			return idleCell{}, fmt.Errorf("harness: idle %s: %w", IdleDefenses[i], err)
-		}
-		return idleCell{
-			Steps: res.Steps[0],
-			Acts:  res.Stats.Counter("dram.act"),
-			Refs:  res.Stats.Counter("mc.ref"),
-			Flips: res.Flips,
-		}, nil
-	})
-	if err := run.Err(); err != nil {
-		return nil, err
-	}
-	for i, name := range IdleDefenses {
-		if ce := run.Failed(i); ce != nil {
-			tb.AddRow(name, report.ErrCellN(ce.Reason(), ce.Attempts), "-", "-", "-")
-			continue
-		}
-		c := run.Results[i]
-		tb.AddRow(name,
-			fmt.Sprintf("%d", c.Steps),
-			fmt.Sprintf("%d", c.Acts),
-			fmt.Sprintf("%d", c.Refs),
-			fmt.Sprintf("%d", c.Flips))
-	}
-	return tb, nil
+	tb, _, err := experiment[idleCell]{
+		spec: GridSpec{
+			ID:     "idle",
+			Config: fmt.Sprintf("horizon=%d;defenses=%v", horizon, IdleDefenses),
+		},
+		title:   "IDLE: idle-heavy runs through the event-driven core",
+		headers: []string{"defense", "steps", "acts", "refs", "flips"},
+		rows:    len(IdleDefenses), cols: 1,
+		label: func(r int) (lead, tail []any) { return []any{IdleDefenses[r]}, nil },
+		cell: func(ctx context.Context, i int) (idleCell, error) {
+			d, err := defense.New(IdleDefenses[i])
+			if err != nil {
+				return idleCell{}, err
+			}
+			m, err := core.BuildWithDefense(core.DefaultSpec(), d)
+			if err != nil {
+				return idleCell{}, err
+			}
+			defer m.Release()
+			geom := m.Spec.Geometry
+			stripe := uint64(geom.ColumnsPerRow) * uint64(geom.Banks)
+			agent := &idleBurstAgent{mc: m.MC, line: 512 * stripe, stripe: stripe, remaining: 4000}
+			res, err := runMachine(ctx, m, []core.Agent{agent}, horizon)
+			if err != nil {
+				return idleCell{}, fmt.Errorf("harness: idle %s: %w", IdleDefenses[i], err)
+			}
+			return idleCell{
+				Steps: res.Steps[0],
+				Acts:  res.Stats.Counter("dram.act"),
+				Refs:  res.Stats.Counter("mc.ref"),
+				Flips: res.Flips,
+			}, nil
+		},
+		render: func(run *GridRun[idleCell], i int) []any {
+			c := run.Results[i]
+			return []any{c.Steps, c.Acts, c.Refs, c.Flips}
+		},
+	}.table(ctx)
+	return tb, err
 }
