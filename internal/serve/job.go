@@ -110,6 +110,9 @@ type Job struct {
 	runCtx context.Context
 
 	done chan struct{} // closed on any terminal transition
+	// store journals the job's snapshots: nil without a persistent
+	// store, and for jobs replayed from it, which never change again.
+	store *Store
 
 	// scope is the job's telemetry: its tracer (one trace per job), the
 	// hub its SSE subscribers attach to, and — only when the request
@@ -233,19 +236,43 @@ func (j *Job) transition(state JobState, errMsg string) bool {
 	case StateRunning:
 		j.started = time.Now()
 	case StateDone, StateFailed, StateCancelled:
-		j.finished = time.Now()
-		close(j.done)
+		j.finishLocked()
 	}
 	return true
 }
 
-// record snapshots the job as a store JobRecord under its lock. The
-// snapshot is complete — the journal's last-record-wins replay depends
-// on every append carrying the whole job, not a delta.
-func (j *Job) record() JobRecord {
+// finishLocked completes a terminal transition: it stamps the finish
+// time and journals the terminal record before closing done. Both
+// happen under j.mu, so by the time anyone sees Done fire, or sees the
+// terminal state at all (the retention sweep included), the store holds
+// the record. Caller holds j.mu.
+func (j *Job) finishLocked() {
+	j.finished = time.Now()
+	j.journalLocked()
+	close(j.done)
+}
+
+// persist journals the job's current snapshot. A terminal job's record
+// was journaled by the transition that ended it, so persist is then a
+// no-op: an append after the retention sweep forgot the job would
+// bring it back into the store.
+func (j *Job) persist() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return JobRecord{
+	if !j.state.Terminal() {
+		j.journalLocked()
+	}
+}
+
+// journalLocked appends the job's snapshot to its store, if it has one.
+// The snapshot is complete — the journal's last-record-wins replay
+// depends on every append carrying the whole job, not a delta. Caller
+// holds j.mu.
+func (j *Job) journalLocked() {
+	if j.store == nil {
+		return
+	}
+	j.store.Append(JobRecord{
 		ID:        j.ID,
 		Client:    j.Client,
 		Request:   j.Request,
@@ -257,7 +284,7 @@ func (j *Job) record() JobRecord {
 		Finished:  j.finished,
 		Table:     j.table,
 		Error:     j.errMsg,
-	}
+	})
 }
 
 // replayedJob rebuilds a terminal job from its journaled record: an
@@ -295,7 +322,6 @@ func (j *Job) setResult(table string) bool {
 	}
 	j.table = table
 	j.state = StateDone
-	j.finished = time.Now()
-	close(j.done)
+	j.finishLocked()
 	return true
 }

@@ -205,7 +205,7 @@ func NewManager(cfg Config) *Manager {
 	for _, job := range orphans {
 		m.queue <- job
 		m.jobs[job.ID] = job
-		m.persist(job)
+		job.persist()
 		m.log.Info("job resumed from store",
 			"job", job.ID, "trace", job.TraceID(), "client", job.Client,
 			"experiment", job.Request.Experiment, "restarts", job.Restarts)
@@ -405,6 +405,7 @@ func (m *Manager) newJob(id, client string, req JobRequest, restarts int, submit
 		submitted: submitted,
 		cancel:    cancel,
 		done:      make(chan struct{}),
+		store:     m.store,
 	}
 	job.runCtx = jctx
 
@@ -433,14 +434,6 @@ func (m *Manager) newJob(id, client string, req JobRequest, restarts int, submit
 	}
 	_, job.queuedSpan = telemetry.StartSpan(sctx, "queued")
 	return job
-}
-
-// persist journals the job's current snapshot (no-op without a store).
-func (m *Manager) persist(job *Job) {
-	if m.store == nil {
-		return
-	}
-	m.store.Append(job.record())
 }
 
 // Submit validates, admission-checks and enqueues a job. The typed
@@ -504,7 +497,7 @@ func (m *Manager) Submit(client string, req JobRequest) (*Job, error) {
 	}
 	m.jobs[job.ID] = job
 	m.mu.Unlock()
-	m.persist(job)
+	job.persist()
 	m.count("serve.jobs.submitted")
 	m.log.Info("job submitted",
 		"job", job.ID, "trace", job.TraceID(), "client", client,
@@ -552,7 +545,6 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	if queued && job.transition(StateCancelled, cause.Error()) {
 		m.count("serve.jobs.cancelled")
 		job.endSpans(cause)
-		m.persist(job)
 		m.removeCheckpoint(job)
 		m.log.Info("job cancelled while queued", "job", job.ID, "trace", job.TraceID())
 		m.publishState(job)
@@ -710,7 +702,6 @@ func (m *Manager) session(id int) {
 					if job.transition(StateCancelled, "serve: daemon shutdown") {
 						m.count("serve.jobs.cancelled")
 						job.endSpans(errors.New("serve: daemon shutdown"))
-						m.persist(job)
 						m.removeCheckpoint(job)
 						m.publishState(job)
 					}
@@ -772,7 +763,7 @@ func (m *Manager) runJob(session int, job *Job) {
 	ctx, runSpan := telemetry.StartSpan(ctx, "run")
 	runSpan.SetAttrs(telemetry.Int("session", int64(session)))
 	job.runSpan = runSpan
-	m.persist(job)
+	job.persist()
 
 	// Each job runs its grids under its own harness Run, so concurrent
 	// sessions share no settings: the harness warns in the daemon's log,
@@ -843,9 +834,8 @@ func (m *Manager) runJob(session int, job *Job) {
 			"elapsed", elapsed)
 	}
 	job.endSpans(err)
-	// Journal the terminal snapshot (the record now carries the table or
-	// error) and drop the cell checkpoint — a terminal job never resumes.
-	m.persist(job)
+	// The terminal transition journaled the record (it carries the table
+	// or error); drop the cell checkpoint — a terminal job never resumes.
 	m.removeCheckpoint(job)
 	m.publishState(job)
 }

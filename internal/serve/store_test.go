@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"testing"
@@ -580,5 +581,96 @@ func TestJobsSortedNewestFirst(t *testing.T) {
 	}
 	if got := m.Jobs(2); len(got) != 2 || got[0].ID != "job-6" {
 		t.Fatalf("Jobs(2) = %+v, want the 2 newest led by job-6", got)
+	}
+}
+
+// slowHandler makes every log record take a while. The manager logs
+// between a job's steps, so a slow log widens the gaps between them and
+// makes an ordering fault show on every run instead of now and then.
+type slowHandler struct{}
+
+func (slowHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (slowHandler) Handle(context.Context, slog.Record) error {
+	time.Sleep(200 * time.Microsecond)
+	return nil
+}
+func (h slowHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h slowHandler) WithGroup(string) slog.Handler      { return h }
+
+// TestTerminalRecordJournaledBeforeDone requires a job's terminal record
+// to be in the store by the time Done fires, on every terminal path:
+// done, failed, cancelled while queued and cancelled while running. A
+// record journaled after Done raced the retention sweep: a sweep in
+// that window forgot the job, and the late append brought it back.
+func TestTerminalRecordJournaledBeforeDone(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	defer st.Close()
+	stored := func(id string) JobState {
+		for _, rec := range st.Records() {
+			if rec.ID == id {
+				return rec.State
+			}
+		}
+		return ""
+	}
+	check := func(job *Job, want JobState) {
+		t.Helper()
+		waitTerminal(t, job)
+		if got := stored(job.ID); got != want {
+			t.Fatalf("%s: store holds state %q when Done fires, want %q", job.ID, got, want)
+		}
+	}
+
+	slow := slog.New(slowHandler{})
+	m := NewManager(Config{
+		Sessions: 2, QueueDepth: 64, RatePerSec: -1, Store: st, Logger: slow,
+		Run: func(ctx context.Context, req JobRequest) (string, error) {
+			if req.Horizon%2 == 1 {
+				return "", fmt.Errorf("odd horizon %d", req.Horizon)
+			}
+			return "ok\n", nil
+		},
+	})
+	for i := range 50 {
+		job, err := m.Submit("c1", JobRequest{Experiment: "e1", Horizon: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := StateDone
+		if i%2 == 1 {
+			want = StateFailed
+		}
+		check(job, want)
+	}
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// One session, held by a job that runs until cancelled, so the next
+	// job stays queued.
+	m = NewManager(Config{
+		Sessions: 1, QueueDepth: 4, RatePerSec: -1, Store: st, Logger: slow,
+		Run: func(ctx context.Context, req JobRequest) (string, error) {
+			<-ctx.Done()
+			return "", context.Cause(ctx)
+		},
+	})
+	defer m.Drain(context.Background())
+	running, err := m.Submit("c1", JobRequest{Experiment: "e1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for running.State() != StateRunning {
+		time.Sleep(time.Millisecond)
+	}
+	queued, err := m.Submit("c1", JobRequest{Experiment: "e1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range []*Job{queued, running} {
+		if _, err := m.Cancel(job.ID); err != nil {
+			t.Fatal(err)
+		}
+		check(job, StateCancelled)
 	}
 }
