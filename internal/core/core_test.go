@@ -241,7 +241,7 @@ func TestNewMachineVariants(t *testing.T) {
 	}
 
 	spec = DefaultSpec()
-	spec.Graphene = &GrapheneSpec{Entries: 8}
+	spec.Graphene = &GrapheneSpec{Entries: 8, Threshold: spec.Profile.MAC / 4, Radius: spec.Profile.BlastRadius}
 	spec.RateLimit = &RateLimitSpec{}
 	spec.PARAProb = 0.001
 	spec.TRR = &dram.TRRConfig{TrackerEntries: 4, MitigationsPerREF: 1, RefreshRadius: 1}

@@ -138,7 +138,7 @@ func TestRefreshWindowZeroSaturates(t *testing.T) {
 
 // TestNextEventSources checks each contributor to the controller's event
 // horizon: the refresh deadline, pending bank/bus-ready transitions, and
-// the admission policy's next autonomous release.
+// the rate limiter's next autonomous release.
 func TestNextEventSources(t *testing.T) {
 	c := newTestController(t, Config{})
 	if got, want := c.NextEvent(), c.timing.TREFI; got != want {
@@ -155,10 +155,10 @@ func TestNextEventSources(t *testing.T) {
 	}
 	_ = res
 
-	// With an admission policy attached, its epoch boundary joins the min.
+	// With a rate limiter attached, its epoch boundary joins the min.
 	geom := c.dram.Geometry()
 	rl := NewRateLimiter(geom, 64, c.timing.RefreshWindow, 0)
-	c2 := newTestController(t, Config{Admission: rl})
+	c2 := newTestController(t, Config{Plugins: []Plugin{rl}})
 	half := c2.timing.RefreshWindow / 2
 	if got := c2.NextEvent(); got != min64(c2.timing.TREFI, half) {
 		t.Fatalf("NextEvent = %d, want min(TREFI=%d, half-window=%d)", got, c2.timing.TREFI, half)
@@ -177,21 +177,21 @@ func TestNextEventSources(t *testing.T) {
 func TestRateLimiterNextRelease(t *testing.T) {
 	geom := dram.DefaultGeometry()
 	l := NewRateLimiter(geom, 64, 1000, 0)
-	if got := l.NextRelease(0); got != 500 {
-		t.Fatalf("NextRelease(0) = %d, want 500", got)
+	if got := l.NextEvent(0, 0); got != 500 {
+		t.Fatalf("NextEvent(0) = %d, want 500", got)
 	}
-	if got := l.NextRelease(499); got != 500 {
-		t.Fatalf("NextRelease(499) = %d, want 500", got)
+	if got := l.NextEvent(499, 0); got != 500 {
+		t.Fatalf("NextEvent(499) = %d, want 500", got)
 	}
-	if got := l.NextRelease(500); got != 1000 {
-		t.Fatalf("NextRelease(500) = %d, want 1000", got)
+	if got := l.NextEvent(500, 0); got != 1000 {
+		t.Fatalf("NextEvent(500) = %d, want 1000", got)
 	}
-	l.ObserveACT(0, 0, 1700) // rotate advances epochEnd past 1700
-	if got := l.NextRelease(1700); got != 2000 {
-		t.Fatalf("NextRelease(1700) = %d, want 2000", got)
+	l.OnACT(nil, 0, 0, 1700) // rotate advances epochEnd past 1700
+	if got := l.NextEvent(1700, 0); got != 2000 {
+		t.Fatalf("NextEvent(1700) = %d, want 2000", got)
 	}
-	if got := l.NextRelease(math.MaxUint64 - 1); got != math.MaxUint64 {
-		t.Fatalf("NextRelease near MaxUint64 = %d, want saturation", got)
+	if got := l.NextEvent(math.MaxUint64-1, 0); got != math.MaxUint64 {
+		t.Fatalf("NextEvent near MaxUint64 = %d, want saturation", got)
 	}
 }
 

@@ -35,17 +35,19 @@ func FuzzControllerStream(f *testing.F) {
 			Mapper:   addr.NewLineInterleave(geom),
 			DRAM:     mod,
 			OpenPage: seed&8 == 0,
-			Seed:     seed >> 8,
 		}
 		if seed&1 != 0 {
-			cfg.PARAProb = 0.25
-			cfg.PARARadius = 2
+			para, err := memctrl.NewPARA(0.25, 2, seed>>8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Plugins = append(cfg.Plugins, para)
 		}
 		if seed&2 != 0 {
-			cfg.Graphene = memctrl.NewGraphene(geom.Banks, 32, 64, 2)
+			cfg.Plugins = append(cfg.Plugins, memctrl.NewGraphene(geom.Banks, 32, 64, 2))
 		}
 		if seed&4 != 0 {
-			cfg.Admission = memctrl.NewRateLimiter(geom, 64, 100_000, 32)
+			cfg.Plugins = append(cfg.Plugins, memctrl.NewRateLimiter(geom, 64, 100_000, 32))
 		}
 		mc, err := memctrl.NewController(cfg)
 		if err != nil {

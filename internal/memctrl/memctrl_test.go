@@ -24,7 +24,6 @@ func build(t *testing.T, mutate func(*Config)) (*Controller, *dram.Module) {
 		Mapper:   addr.NewLineInterleave(mod.Geometry()),
 		DRAM:     mod,
 		OpenPage: true,
-		Seed:     3,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -47,11 +46,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewController(Config{DRAM: mod}); err == nil {
 		t.Fatal("missing mapper accepted")
 	}
-	if _, err := NewController(Config{
-		Mapper:   addr.NewLineInterleave(mod.Geometry()),
-		DRAM:     mod,
-		PARAProb: 1.5,
-	}); err == nil {
+	if _, err := NewPARA(1.5, 1, 0); err == nil {
 		t.Fatal("PARA probability > 1 accepted")
 	}
 }
@@ -332,10 +327,11 @@ func TestRefNeighborsCommand(t *testing.T) {
 }
 
 func TestPARARefreshesNeighbors(t *testing.T) {
-	c, mod := build(t, func(cfg *Config) {
-		cfg.PARAProb = 1 // always refresh a neighbor
-		cfg.PARARadius = 1
-	})
+	para, err := NewPARA(1, 1, 3) // always refresh a neighbor
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, mod := build(t, func(cfg *Config) { cfg.Plugins = []Plugin{para} })
 	g := mod.Geometry()
 	stripe := uint64(g.Banks * g.ColumnsPerRow)
 	now := uint64(0)
@@ -359,7 +355,7 @@ func TestPARARefreshesNeighbors(t *testing.T) {
 
 func TestGrapheneTriggersNeighborRefresh(t *testing.T) {
 	c, mod := build(t, func(cfg *Config) {
-		cfg.Graphene = NewGraphene(cfg.DRAM.Geometry().Banks, 8, 50, 2)
+		cfg.Plugins = []Plugin{NewGraphene(cfg.DRAM.Geometry().Banks, 8, 50, 2)}
 	})
 	g := mod.Geometry()
 	stripe := uint64(g.Banks * g.ColumnsPerRow)
@@ -385,7 +381,7 @@ func TestGrapheneUnderProvisionedMisses(t *testing.T) {
 	gr := NewGraphene(1, 2, 50, 1)
 	fired := 0
 	for i := 0; i < 5000; i++ {
-		if gr.onACT(0, i%8) >= 0 {
+		if gr.track(0, i%8) >= 0 {
 			fired++
 		}
 	}
@@ -399,25 +395,34 @@ func TestGrapheneUnderProvisionedMisses(t *testing.T) {
 
 func TestRateLimiterDelaysHotRow(t *testing.T) {
 	rl := NewRateLimiter(dram.DefaultGeometry(), 100, 1_000_000, 10)
-	req := Request{}
+	c, mod := build(t, func(cfg *Config) { cfg.Plugins = []Plugin{rl} })
+	g := mod.Geometry()
+	stripe := uint64(g.Banks * g.ColumnsPerRow)
 	now := uint64(0)
-	var totalDelay uint64
+	var delayed, totalDelay uint64
 	for i := 0; i < 200; i++ {
-		d := rl.Admit(req, 0, 5, true, now)
-		totalDelay += d
-		rl.ObserveACT(0, 5, now+d)
-		now += d + 55
+		// Alternate rows 0 and 2 of bank 0: every access activates.
+		res, err := c.ServeRequest(Request{Line: uint64(i%2) * 2 * stripe}, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ThrottleDelay > 0 {
+			delayed++
+			totalDelay += res.ThrottleDelay
+		}
+		now = res.Completion
 	}
 	if totalDelay == 0 {
 		t.Fatal("rate limiter never delayed a hot row")
 	}
-	count, wait := rl.Delayed()
-	if count == 0 || wait != totalDelay {
-		t.Fatalf("delayed=%d wait=%d total=%d", count, wait, totalDelay)
+	st := c.Stats()
+	if count, wait := st.Counter("mc.throttled"), st.Counter("mc.throttle_cycles"); count != int64(delayed) || wait != int64(totalDelay) {
+		t.Fatalf("mc.throttled=%d mc.throttle_cycles=%d, want %d and %d", count, wait, delayed, totalDelay)
 	}
 	// The imposed gap must keep the row under budget: 100 ACTs per 1M
-	// cycles means ≥ 10k cycles between ACTs once throttled.
-	if d := rl.Admit(req, 0, 5, true, now); d < 5000 {
+	// cycles means ≥ 10k cycles between ACTs once throttled. Row 0 was
+	// activated by the second-to-last request.
+	if d := rl.Admit(Request{}, 0, 0, true, now); d < 5000 {
 		t.Fatalf("throttle gap too small: %d", d)
 	}
 }
@@ -448,17 +453,28 @@ func TestDomainEnforcer(t *testing.T) {
 	// Rows in subarray 2 belong to group 2 (64 rows per subarray).
 	okRow := 2 * g.RowsPerSubarray
 	badRow := 3 * g.RowsPerSubarray
-	if !e.Check(1, okRow) {
+	if !e.Allowed(1, okRow) {
 		t.Fatal("in-group access rejected")
 	}
-	if e.Check(1, badRow) {
+	if e.Allowed(1, badRow) {
 		t.Fatal("out-of-group access allowed")
 	}
-	if !e.Check(42, badRow) {
+	if !e.Allowed(42, badRow) {
 		t.Fatal("unregistered domain constrained")
 	}
-	if e.Violations() != 1 {
-		t.Fatalf("violations = %d", e.Violations())
+	// The controller counts the one failing check among the same three
+	// accesses (line = row * banks * cols maps to bank 0).
+	c, _ := build(t, func(cfg *Config) { cfg.Enforcer = e })
+	now := uint64(0)
+	for _, a := range []struct{ domain, row int }{{1, okRow}, {1, badRow}, {42, badRow}} {
+		res, err := c.ServeRequest(Request{Line: uint64(a.row * g.Banks * g.ColumnsPerRow), Domain: a.domain}, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = res.Completion
+	}
+	if v := c.Stats().Counter("mc.domain_violations"); v != 1 {
+		t.Fatalf("violations = %d", v)
 	}
 }
 

@@ -29,7 +29,7 @@ func newRig(t *testing.T, mutate func(*memctrl.Config)) *rig {
 		t.Fatal(err)
 	}
 	mapper := addr.NewLineInterleave(geom)
-	cfg := memctrl.Config{Mapper: mapper, DRAM: mod, OpenPage: true, Seed: 12}
+	cfg := memctrl.Config{Mapper: mapper, DRAM: mod, OpenPage: true}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -103,7 +103,7 @@ func TestThrottleDelayAcrossRefreshEpochs(t *testing.T) {
 		// minGap = window/budget ~ 16 tREFI: one throttle spans many
 		// refresh epochs.
 		tim := dram.DDR4Timing()
-		cfg.Admission = memctrl.NewRateLimiter(dram.DefaultGeometry(), 4, 64*tim.TREFI, 2)
+		cfg.Plugins = []memctrl.Plugin{memctrl.NewRateLimiter(dram.DefaultGeometry(), 4, 64*tim.TREFI, 2)}
 	})
 	now := uint64(0)
 	for i := 0; i < 40; i++ {
@@ -180,10 +180,11 @@ func TestHammerGapIsExactlyTRC(t *testing.T) {
 // overwrite — that occupancy, or the next access starts while the bank
 // is mid-refresh.
 func TestMitigationOccupancyPreserved(t *testing.T) {
-	r := newRig(t, func(cfg *memctrl.Config) {
-		cfg.PARAProb = 1 // every ACT triggers a neighbor refresh
-		cfg.PARARadius = 1
-	})
+	para, err := memctrl.NewPARA(1, 1, 12) // every ACT triggers a neighbor refresh
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRig(t, func(cfg *memctrl.Config) { cfg.Plugins = []memctrl.Plugin{para} })
 	tim := r.mod.Timing()
 	res1, err := r.mc.ServeRequest(memctrl.Request{Line: r.line(0, 5)}, 0)
 	if err != nil {
