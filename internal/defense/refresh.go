@@ -90,9 +90,7 @@ type ANVIL struct {
 	// HotSamples flags a row seen this many times in one sampling period.
 	HotSamples int
 
-	cores     []*cpu.Core
-	refreshes uint64
-	triggers  uint64
+	cores []*cpu.Core
 }
 
 // Name implements core.Defense.
@@ -128,13 +126,6 @@ func (d *ANVIL) ObserveCores(cores []*cpu.Core) {
 	}
 	d.cores = cores
 }
-
-// Refreshes returns issued neighbor-row loads; Triggers returns how many
-// sampling periods flagged at least one hot row.
-func (d *ANVIL) Refreshes() uint64 { return d.refreshes }
-
-// Triggers returns how many hot rows the daemon reacted to.
-func (d *ANVIL) Triggers() uint64 { return d.triggers }
 
 type anvilDaemon struct {
 	defense *ANVIL
@@ -184,7 +175,6 @@ func (a *anvilDaemon) Step(now uint64) (uint64, bool, error) {
 		if hot[key] < d.HotSamples {
 			continue
 		}
-		d.triggers++
 		bank, row := key[0], key[1]
 		for dist := 1; dist <= radius; dist++ {
 			for _, victim := range [2]int{row - dist, row + dist} {
@@ -203,7 +193,6 @@ func (a *anvilDaemon) Step(now uint64) (uint64, bool, error) {
 					return now, false, err
 				}
 				t = res.Completion
-				d.refreshes++
 			}
 		}
 	}

@@ -18,11 +18,9 @@ import (
 type ECCScrub struct {
 	// Interval is the daemon's wake period in cycles (0 means 100_000).
 	Interval uint64
-	// LinesPerPass is how many lines one wake scrubs (0 means 64).
+	// LinesPerPass is how many lines one wake scrubs (0 means 64). The
+	// module counts outcomes in dram.scrub_corrected/_detected.
 	LinesPerPass int
-
-	corrected uint64
-	detected  uint64
 }
 
 // Name implements core.Defense.
@@ -48,9 +46,6 @@ func (d *ECCScrub) Attach(m *core.Machine) error {
 	m.AddDaemon(&scrubDaemon{defense: d, machine: m})
 	return nil
 }
-
-// Counts returns the cumulative scrub outcomes.
-func (d *ECCScrub) Counts() (corrected, detected uint64) { return d.corrected, d.detected }
 
 type scrubDaemon struct {
 	defense *ECCScrub
@@ -87,12 +82,9 @@ func (s *scrubDaemon) Step(now uint64) (uint64, bool, error) {
 		}
 		t = res.Completion
 		dd := m.Mapper.Map(line)
-		corr, det, err := m.DRAM.ScrubLine(dram.LineAddr{Bank: dd.Bank, Row: dd.Row, Column: dd.Column})
-		if err != nil {
+		if _, _, err := m.DRAM.ScrubLine(dram.LineAddr{Bank: dd.Bank, Row: dd.Row, Column: dd.Column}); err != nil {
 			return now, false, err
 		}
-		d.corrected += uint64(corr)
-		d.detected += uint64(det)
 	}
 	next := now + d.Interval
 	if t > next {

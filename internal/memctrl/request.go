@@ -9,8 +9,9 @@
 //   - a host-privileged targeted refresh instruction (§4.3).
 //
 // It also hosts the in-controller hardware baselines the paper compares
-// against: PARA-style probabilistic neighbor refresh, Graphene-style
-// Misra-Gries tracking, and a BlockHammer-style admission-control hook.
+// against as one ordered plugin chain (Plugin): PARA-style probabilistic
+// neighbor refresh, Graphene-style Misra-Gries tracking, and
+// BlockHammer-style admission control.
 package memctrl
 
 import "fmt"
