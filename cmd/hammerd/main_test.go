@@ -16,17 +16,38 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"hammertime/internal/cliutil"
 )
 
-// TestRunRejectsBadChaosSpec pins the flag wiring: a malformed -chaos
-// spec must fail startup, not silently disarm the middleware.
+// TestRunRejectsBadChaosSpec pins the flag wiring: a malformed -faults
+// spec, or one naming a fault site the process does not run, must fail
+// startup, not silently disarm the injector.
 func TestRunRejectsBadChaosSpec(t *testing.T) {
-	err := run(nil, options{
-		addr: "localhost:0", sessions: 1, queue: 1, rate: -1, burst: 1,
-		drainTimeout: time.Second, chaosSpec: "latency=nonsense", chaosSeed: 1,
+	for _, c := range []struct {
+		spec        string
+		coordinator bool
+	}{
+		{"serve.latency=nonsense:0.5", false},
+		{"rpc.drop:0.1", false},    // rpc runs on a coordinator only
+		{"worker.corrupt:1", true}, // worker runs on a worker only
+		{"cell.error=e7", true},    // missing cell index
+	} {
+		err := run(nil, options{
+			addr: "localhost:0", sessions: 1, queue: 1, rate: -1, burst: 1,
+			drainTimeout: time.Second, coordinator: c.coordinator,
+			faults: cliutil.FaultFlags{Spec: c.spec, Seed: 1},
+		})
+		if err == nil || !strings.Contains(err.Error(), "fault") {
+			t.Errorf("-faults %q (coordinator=%v) accepted: %v", c.spec, c.coordinator, err)
+		}
+	}
+	err := runWorker(nil, options{
+		addr: "localhost:0", workerOf: "http://localhost:1", drainTimeout: time.Second,
+		faults: cliutil.FaultFlags{Spec: "serve.panic:0.1", Seed: 1},
 	})
-	if err == nil || !strings.Contains(err.Error(), "chaos") {
-		t.Fatalf("bad chaos spec accepted: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "fault") {
+		t.Errorf("worker accepted a serve fault: %v", err)
 	}
 }
 
@@ -40,7 +61,7 @@ func TestCacheSpillLogCountsRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	var logs bytes.Buffer
-	disp, err := buildDispatcher(slog.New(slog.NewTextHandler(&logs, nil)), options{cacheSpill: path})
+	disp, err := buildDispatcher(slog.New(slog.NewTextHandler(&logs, nil)), options{cacheSpill: path}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +148,19 @@ func startDaemon(t *testing.T, stderr *syncBuf, extra ...string) (string, *exec.
 }
 
 // TestDaemonServesAndDrainsOnSIGTERM is the end-to-end satellite test:
-// the real binary comes up, serves /healthz and a submitted job, and a
+// the real binary comes up, serves /healthz and a submitted job (delayed
+// by an injected serve.latency fault that /metrics counts), and a
 // SIGTERM drains it to a zero exit.
 func TestDaemonServesAndDrainsOnSIGTERM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
 	}
 	var stderr syncBuf
-	url, cmd := startDaemon(t, &stderr, "-sessions", "1", "-rate", "-1", "-drain-timeout", "30s")
+	url, cmd := startDaemon(t, &stderr, "-sessions", "1", "-rate", "-1", "-drain-timeout", "30s",
+		"-faults", "serve.latency=1ms:1")
+	if !strings.Contains(stderr.String(), "faults=serve.latency=1ms:1)") {
+		t.Fatalf("startup banner does not show the armed faults:\n%s", stderr.String())
+	}
 
 	resp, err := http.Get(url + "/healthz")
 	if err != nil {
@@ -189,6 +215,30 @@ func TestDaemonServesAndDrainsOnSIGTERM(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(table), "E7") {
 		t.Fatalf("result: %d\n%s", resp.StatusCode, table)
+	}
+	resp, err = http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics struct {
+		Counters []struct {
+			Name  string `json:"name"`
+			Value int64  `json:"value"`
+		} `json:"counters"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&metrics)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	injected := int64(0)
+	for _, c := range metrics.Counters {
+		if c.Name == "fault.serve.latency" {
+			injected = c.Value
+		}
+	}
+	if injected != 1 {
+		t.Fatalf("fault.serve.latency = %d on /metrics, want 1: %+v", injected, metrics.Counters)
 	}
 
 	// SIGTERM: graceful drain, exit 0.

@@ -33,7 +33,8 @@
 // -cell-timeout bound a flaky or hung simulation, and with -fail-soft a
 // crash degrades into a reported ERR(reason) line and exit code 0
 // instead of aborting — useful when hammersim runs as one step of a
-// larger scripted sweep.
+// larger scripted sweep. -faults cell.panic=sim/0 (or cell.error,
+// cell.once) injects a failure into the scenario to exercise that path.
 package main
 
 import (
@@ -73,7 +74,7 @@ func main() {
 		robust      cliutil.RobustFlags
 	)
 	obsFlags.Register()
-	robust.Register()
+	robust.Register(os.Getenv(cliutil.FaultsEnv))
 	flag.Parse()
 	if *list {
 		fmt.Println("defenses:", strings.Join(defense.Names(), " "))

@@ -71,12 +71,6 @@ type Worker struct {
 	Probe bool
 }
 
-// NewRegistry builds a registry with the given heartbeat TTL (0 = 15s)
-// and default breaker/sweep settings.
-func NewRegistry(ttl time.Duration) *Registry {
-	return NewRegistryConfig(RegistryConfig{TTL: ttl})
-}
-
 // NewRegistryConfig builds a registry, filling config defaults.
 func NewRegistryConfig(cfg RegistryConfig) *Registry {
 	if cfg.TTL <= 0 {

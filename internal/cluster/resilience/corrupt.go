@@ -4,47 +4,47 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
-	"sync"
 
-	"hammertime/internal/sim"
+	"hammertime/internal/fault"
 )
 
 // CorruptCellResults wraps a worker's HTTP handler into a Byzantine
-// worker: with probability p per computed cell it rewrites the cell's
+// worker, the mechanism of the worker.corrupt fault: with the fault's
+// probability per computed cell it rewrites the cell's
 // result bytes — first decimal digit bumped by one — while leaving the
 // response shape, the echoed content keys and the config string intact.
 // The corruption therefore passes every transport- and key-level check
 // the coordinator runs; only a byte audit (re-executing the cell and
 // comparing results) can catch it, which is exactly what the corrupt-
-// result quarantine exists to do. Draws come from a seeded RNG under a
-// mutex, so a given seed corrupts a reproducible subsequence of cells.
+// result quarantine exists to do. The armed worker site draws one roll
+// per returned cell, so a given seed corrupts a reproducible subsequence
+// of cells.
 //
 // Paths other than POST /v1/cells pass through untouched. This is a
-// fault-injection device for soak tests and the CI chaos job (the
-// -chaos-corrupt-results worker flag); it has no production use.
-func CorruptCellResults(inner http.Handler, seed uint64, p float64) http.Handler {
-	rng := sim.NewRNG(seed)
-	var mu sync.Mutex
+// fault-injection device for soak tests and the CI chaos job
+// (-faults worker.corrupt:<p> on a worker); it has no production use.
+func CorruptCellResults(inner http.Handler, site *fault.Site) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost || r.URL.Path != "/v1/cells" {
 			inner.ServeHTTP(rw, r)
 			return
 		}
-		buf := &bufferedResponse{header: make(http.Header), status: http.StatusOK}
+		buf := httptest.NewRecorder()
 		inner.ServeHTTP(buf, r)
-		body := buf.body.Bytes()
-		if buf.status == http.StatusOK {
-			if mutated, changed := corruptResponse(body, rng, &mu, p); changed {
+		body := buf.Body.Bytes()
+		if buf.Code == http.StatusOK {
+			if mutated, changed := corruptResponse(body, site); changed {
 				body = mutated
 			}
 		}
 		h := rw.Header()
-		for k, v := range buf.header {
+		for k, v := range buf.Header() {
 			h[k] = v
 		}
 		h.Set("Content-Length", strconv.Itoa(len(body)))
-		rw.WriteHeader(buf.status)
+		rw.WriteHeader(buf.Code)
 		rw.Write(body)
 	})
 }
@@ -54,7 +54,7 @@ func CorruptCellResults(inner http.Handler, seed uint64, p float64) http.Handler
 // changed. Structurally generic — a map of raw JSON — so it tracks the
 // wire format without importing it (the cluster package imports this
 // one).
-func corruptResponse(body []byte, rng *sim.RNG, mu *sync.Mutex, p float64) ([]byte, bool) {
+func corruptResponse(body []byte, site *fault.Site) ([]byte, bool) {
 	var resp map[string]json.RawMessage
 	if json.Unmarshal(body, &resp) != nil {
 		return body, false
@@ -65,10 +65,7 @@ func corruptResponse(body []byte, rng *sim.RNG, mu *sync.Mutex, p float64) ([]by
 	}
 	changed := false
 	for _, cell := range cells {
-		mu.Lock()
-		roll := rng.Bool(p)
-		mu.Unlock()
-		if !roll {
+		if _, fired := site.Roll("corrupt"); !fired {
 			continue
 		}
 		if mutated, ok := bumpDigit(cell["result"]); ok {
@@ -102,16 +99,3 @@ func bumpDigit(raw json.RawMessage) (json.RawMessage, bool) {
 	out[i] = '0' + (out[i]-'0'+1)%10
 	return out, true
 }
-
-// bufferedResponse captures a handler's response for post-processing.
-type bufferedResponse struct {
-	header http.Header
-	status int
-	body   bytes.Buffer
-}
-
-func (b *bufferedResponse) Header() http.Header { return b.header }
-
-func (b *bufferedResponse) WriteHeader(status int) { b.status = status }
-
-func (b *bufferedResponse) Write(p []byte) (int, error) { return b.body.Write(p) }

@@ -16,6 +16,7 @@ import (
 
 	"hammertime/internal/check/diff"
 	"hammertime/internal/cluster/resilience"
+	"hammertime/internal/fault"
 	"hammertime/internal/harness"
 	"hammertime/internal/sim"
 )
@@ -65,7 +66,7 @@ func TestPartitionEdgeCases(t *testing.T) {
 }
 
 func TestRegistryTTLBoundary(t *testing.T) {
-	reg := NewRegistry(10 * time.Second)
+	reg := NewRegistryConfig(RegistryConfig{TTL: 10 * time.Second})
 	now := time.Unix(1000, 0)
 	reg.now = func() time.Time { return now }
 	reg.Register("a", "http://a")
@@ -83,7 +84,7 @@ func TestRegistryTTLBoundary(t *testing.T) {
 }
 
 func TestRegistryFlap(t *testing.T) {
-	reg := NewRegistry(10 * time.Second)
+	reg := NewRegistryConfig(RegistryConfig{TTL: 10 * time.Second})
 	now := time.Unix(1000, 0)
 	reg.now = func() time.Time { return now }
 
@@ -289,7 +290,7 @@ func TestDispatchRetriesTransientFault(t *testing.T) {
 	}))
 	t.Cleanup(flaky.Close)
 
-	reg := NewRegistry(time.Minute)
+	reg := NewRegistryConfig(RegistryConfig{TTL: time.Minute})
 	reg.Register("w1", flaky.URL)
 	d := NewDispatcher(DispatcherConfig{
 		Registry:        reg,
@@ -324,7 +325,7 @@ func TestBadRequestNotRetried(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	reg := NewRegistry(time.Minute)
+	reg := NewRegistryConfig(RegistryConfig{TTL: time.Minute})
 	reg.Register("w1", srv.URL)
 	d := NewDispatcher(DispatcherConfig{Registry: reg, RetryBase: time.Millisecond})
 	j := &jobDelegate{d: d, experiment: "e1", horizon: 1000}
@@ -349,7 +350,7 @@ func TestAuditQuarantinesCorruptingWorker(t *testing.T) {
 	// perfect keys; a partial audit (half the cells) must still catch
 	// it, purge everything it contributed, and converge byte-identical.
 	healthy := startWorker(t, "w2-healthy")
-	corrupt := httptest.NewServer(resilience.CorruptCellResults((&WorkerNode{Name: "w1-corrupt"}).Handler(), 7, 1))
+	corrupt := httptest.NewServer(resilience.CorruptCellResults((&WorkerNode{Name: "w1-corrupt"}).Handler(), fault.MustParse("worker.corrupt:1").Arm("worker", 7)))
 	t.Cleanup(corrupt.Close)
 
 	reg := NewRegistryConfig(RegistryConfig{
@@ -403,19 +404,16 @@ func TestClusterChaosSoak(t *testing.T) {
 	}
 	healthy := startWorker(t, "w1-healthy")
 	flappy := startWorker(t, "w2-flappy")
-	corrupt := httptest.NewServer(resilience.CorruptCellResults((&WorkerNode{Name: "w3-corrupt"}).Handler(), 11, 1))
+	corrupt := httptest.NewServer(resilience.CorruptCellResults((&WorkerNode{Name: "w3-corrupt"}).Handler(), fault.MustParse("worker.corrupt:1").Arm("worker", 11)))
 	t.Cleanup(corrupt.Close)
 
 	// The flapping worker is implemented as two partition windows on its
 	// host: reachable, gone, back, gone again — the repeated-crash shape,
 	// deterministic in the transport's call index.
 	flappyHost := strings.TrimPrefix(flappy.URL, "http://")
-	spec, err := resilience.ParseSpec(fmt.Sprintf(
-		"drop:0.1,delay=2ms:0.3,spike=10ms@6-9,spike=10ms@18-21,partition=%s@3-7,partition=%s@12-16", flappyHost, flappyHost))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaos := resilience.NewTransport(nil, spec, 42)
+	rpc := fault.MustParse(fmt.Sprintf(
+		"rpc.drop:0.1,rpc.delay=2ms:0.3,rpc.spike=10ms@6-9,rpc.spike=10ms@18-21,rpc.partition=%s@3-7,rpc.partition=%s@12-16", flappyHost, flappyHost)).Arm("rpc", 42)
+	chaos := resilience.NewTransport(nil, rpc)
 
 	reg := NewRegistryConfig(RegistryConfig{
 		TTL:     time.Minute,
@@ -427,7 +425,7 @@ func TestClusterChaosSoak(t *testing.T) {
 	d := NewDispatcher(DispatcherConfig{
 		Registry:        reg,
 		Client:          &http.Client{Transport: chaos},
-		Chaos:           chaos,
+		Faults:          rpc,
 		DispatchTimeout: time.Minute,
 		BatchSize:       2,
 		MaxRounds:       8,
@@ -477,8 +475,8 @@ func TestClusterChaosSoak(t *testing.T) {
 	// The injected faults must actually have fired and been counted into
 	// the metrics families the /metrics endpoint exposes.
 	injected := int64(0)
-	for _, fault := range []string{"dropped", "delayed", "spiked", "partitioned"} {
-		injected += st.Counter("cluster.chaos." + fault)
+	for _, kind := range []string{"drop", "delay", "spike", "partition"} {
+		injected += st.Counter("fault.rpc." + kind)
 	}
 	if injected == 0 {
 		t.Fatal("chaos transport injected nothing; the soak soaked nothing")
@@ -501,7 +499,13 @@ func TestClusterChaosSoak(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "serial-table.txt"), []byte(serial.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		counters, _ := json.MarshalIndent(chaos.Counters(), "", "  ")
+		injections := map[string]int64{}
+		for _, c := range st.Snapshot().Counters {
+			if strings.HasPrefix(c.Name, "fault.rpc.") {
+				injections[c.Name] = c.Value
+			}
+		}
+		counters, _ := json.MarshalIndent(injections, "", "  ")
 		if err := os.WriteFile(filepath.Join(dir, "chaos-counters.json"), counters, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
-	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -114,12 +112,4 @@ func (b *BenchCollector) Report() BenchReport {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.report
-}
-
-// WriteJSON serializes the report as indented JSON.
-func (b *BenchCollector) WriteJSON(w io.Writer) error {
-	rep := b.Report()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hammertime/internal/fault"
 	"hammertime/internal/report"
 )
 
@@ -262,8 +263,8 @@ func TestE1ResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Setenv(failCellEnv, "e1:5:error")
-	if _, err := E1Matrix(under(Run{Checkpoint: ck, Workers: 1}), defenses, 4, opts); err == nil {
+	failing := under(Run{Checkpoint: ck, Workers: 1, Faults: fault.MustParse("cell.error=e1/5")})
+	if _, err := E1Matrix(failing, defenses, 4, opts); err == nil {
 		t.Fatal("injected failure did not abort the strict run")
 	}
 	if err := ck.Close(); err != nil {
@@ -273,9 +274,8 @@ func TestE1ResumeByteIdentical(t *testing.T) {
 		t.Fatal("interrupted run checkpointed no cells")
 	}
 
-	// Restart: the failpoint is gone, completed cells restore from the
+	// Restart: the fault is gone, completed cells restore from the
 	// checkpoint, the rest compute fresh.
-	t.Setenv(failCellEnv, "")
 	ck2, err := OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"hammertime/internal/cpu"
 	"hammertime/internal/defense"
 	"hammertime/internal/dram"
-	"hammertime/internal/memctrl"
 	"hammertime/internal/report"
 	"hammertime/internal/workload"
 )
@@ -241,7 +240,14 @@ func E3DensityScaling(ctx context.Context, horizon uint64) (*report.Table, error
 		rows: len(gens), cols: len(names),
 		label: func(r int) (lead, tail []any) {
 			prof := gens[r]
-			entries := memctrl.RequiredEntries(core.DefaultSpec().Timing.MaxActsPerWindowPerBank(), prof.MAC/4)
+			// The table size the graphene defense itself configures for
+			// this generation, so the column tracks its defaults.
+			spec := core.DefaultSpec()
+			spec.Profile = prof
+			entries := any("-")
+			if (defense.Graphene{}).Configure(&spec) == nil {
+				entries = spec.Graphene.Entries
+			}
 			return []any{prof.Name, prof.MAC, prof.BlastRadius}, []any{entries}
 		},
 		cell: func(ctx context.Context, i int) (uint64, error) {

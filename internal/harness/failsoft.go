@@ -6,15 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"runtime/debug"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"hammertime/internal/fault"
 	"hammertime/internal/obs"
 	"hammertime/internal/sim"
 	"hammertime/internal/telemetry"
@@ -180,18 +178,6 @@ func (g *GridRun[T]) Failed(i int) *CellError {
 	return g.failures[i]
 }
 
-// Failures returns every recorded cell failure, ordered by cell index.
-func (g *GridRun[T]) Failures() []*CellError {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]*CellError, 0, len(g.failures))
-	for _, ce := range g.failures {
-		out = append(out, ce)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
-}
-
 // Err resolves the run per the active policy: a cancelled grid always
 // reports its cancellation (a partial table must never pass for a
 // complete one, fail-soft or not); otherwise nil when every cell
@@ -214,37 +200,6 @@ func (g *GridRun[T]) Err() error {
 		}
 	}
 	return first
-}
-
-// failCellEnv is the fault-injection hook used by the end-to-end tests
-// (and handy for poking a live binary): "grid:index" fails that cell,
-// with an optional ":panic" (crash instead of error) or ":once" (fail
-// only the first attempt, so retries succeed) suffix.
-const failCellEnv = "HAMMERTIME_FAIL_CELL"
-
-type failpoint struct {
-	index int
-	mode  string // "error", "panic", "once"
-}
-
-func parseFailpoint(grid string) *failpoint {
-	v := os.Getenv(failCellEnv)
-	if v == "" || grid == "" {
-		return nil
-	}
-	parts := strings.Split(v, ":")
-	if len(parts) < 2 || parts[0] != grid {
-		return nil
-	}
-	idx, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return nil
-	}
-	fp := &failpoint{index: idx, mode: "error"}
-	if len(parts) > 2 {
-		fp.mode = parts[2]
-	}
-	return fp
 }
 
 // runGrid executes fn(ctx, 0..n-1) on the worker pool as the context's
@@ -295,7 +250,6 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 	if spec.ID == "" {
 		ck = nil
 	}
-	fp := parseFailpoint(spec.ID)
 	var restored atomic.Int64
 
 	// Telemetry: the grid gets a span (the parent of every cell span)
@@ -329,7 +283,7 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 		span.SetAttrs(telemetry.String("grid", gname), telemetry.Int("cell", int64(i)))
 		unwatch := slowCellWatchdog(rc.Logger, pol.SlowCellWarn, gname, i)
 		start := time.Now()
-		ce := runCellGuarded(cctx, spec.ID, i, pol, rc.Events, fp, fn, &run.Results[i])
+		ce := runCellGuarded(cctx, spec.ID, i, pol, rc.Events, rc.Faults, fn, &run.Results[i])
 		wall := time.Since(start)
 		unwatch()
 		attempts, errMsg := 1, ""
@@ -437,11 +391,13 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 }
 
 // runCellGuarded runs one cell under the policy: contained panics,
-// optional deadline, bounded retries with deterministic backoff, and obs
-// events on retry/failure. On success the result is stored into *out; on
-// timeout *out is left untouched so a late attempt cannot race with
-// readers.
-func runCellGuarded[T any](ctx context.Context, grid string, i int, pol Policy, events *obs.Recorder, fp *failpoint, fn func(ctx context.Context, i int) (T, error), out *T) *CellError {
+// optional deadline, bounded retries with deterministic backoff, obs
+// events on retry/failure, and the cell faults aimed at it (cell.error
+// fails every attempt, cell.panic panics, cell.once fails the first
+// attempt only, so a retry recovers). On success the result is stored
+// into *out; on timeout *out is left untouched so a late attempt cannot
+// race with readers.
+func runCellGuarded[T any](ctx context.Context, grid string, i int, pol Policy, events *obs.Recorder, faults fault.Spec, fn func(ctx context.Context, i int) (T, error), out *T) *CellError {
 	attempts := 1 + pol.Retries
 	if attempts < 1 {
 		attempts = 1
@@ -449,18 +405,17 @@ func runCellGuarded[T any](ctx context.Context, grid string, i int, pol Policy, 
 	var last *CellError
 	for a := 1; a <= attempts; a++ {
 		wrapped := func(cctx context.Context) (T, error) {
-			if fp != nil && fp.index == i {
-				switch fp.mode {
+			if f, ok := faults.Cell(grid, i); ok {
+				var zero T
+				switch f.Kind {
 				case "panic":
-					panic(fmt.Sprintf("injected panic (%s=%s)", failCellEnv, os.Getenv(failCellEnv)))
+					panic(fmt.Sprintf("injected panic (%s)", f))
 				case "once":
 					if a == 1 {
-						var zero T
-						return zero, fmt.Errorf("injected transient failure (%s)", failCellEnv)
+						return zero, fmt.Errorf("injected transient failure (%s)", f)
 					}
 				default:
-					var zero T
-					return zero, fmt.Errorf("injected failure (%s)", failCellEnv)
+					return zero, fmt.Errorf("injected failure (%s)", f)
 				}
 			}
 			return fn(cctx, i)
@@ -644,7 +599,7 @@ func GuardedCtx[T any](ctx context.Context, label string, fn func(ctx context.Co
 	}
 	var v T
 	rc := RunFrom(ctx)
-	ce := runCellGuarded(ctx, label, 0, rc.Policy, rc.Events, parseFailpoint(label),
+	ce := runCellGuarded(ctx, label, 0, rc.Policy, rc.Events, rc.Faults,
 		func(cctx context.Context, _ int) (T, error) { return fn(cctx) }, &v)
 	return v, ce
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hammertime/internal/fault"
 	"hammertime/internal/obs"
 )
 
@@ -85,12 +86,11 @@ func TestRunGridFailSoftCompletesGrid(t *testing.T) {
 		if got := calls.Load(); got != 6 {
 			t.Errorf("workers=%d: %d cells ran, want all 6", workers, got)
 		}
-		fails := run.Failures()
-		if len(fails) != 2 || fails[0].Index != 2 || fails[1].Index != 5 {
-			t.Fatalf("workers=%d: failures = %+v", workers, fails)
+		if ce := run.Failed(5); ce == nil || ce.Index != 5 || !ce.Panicked {
+			t.Errorf("workers=%d: cell 5 not recorded as panicked: %+v", workers, ce)
 		}
-		if !fails[1].Panicked {
-			t.Errorf("workers=%d: cell 5 not marked panicked", workers)
+		if ce := run.Failed(2); ce == nil || ce.Index != 2 {
+			t.Errorf("workers=%d: cell 2 failure = %+v", workers, ce)
 		}
 		for i := 0; i < 6; i++ {
 			failed := run.Failed(i) != nil
@@ -194,8 +194,7 @@ func TestRunGridCellTimeout(t *testing.T) {
 }
 
 func TestRunGridFailpointInjection(t *testing.T) {
-	t.Setenv(failCellEnv, "t-inj:1:panic")
-	serial := under(Run{Workers: 1})
+	serial := under(Run{Workers: 1, Faults: fault.MustParse("cell.panic=t-inj/1")})
 	run := runGrid(serial, GridSpec{ID: "t-inj"}, 3, func(_ context.Context, i int) (int, error) { return i, nil })
 	var ce *CellError
 	if err := run.Err(); !errors.As(err, &ce) || !ce.Panicked || ce.Index != 1 {
@@ -207,8 +206,7 @@ func TestRunGridFailpointInjection(t *testing.T) {
 		t.Fatalf("failpoint leaked into another grid: %v", err)
 	}
 	// "once" mode fails only the first attempt, so one retry recovers.
-	t.Setenv(failCellEnv, "t-inj:0:once")
-	again := runGrid(under(Run{Policy: Policy{Retries: 1}, Workers: 1}), GridSpec{ID: "t-inj"}, 2, func(_ context.Context, i int) (int, error) { return i + 7, nil })
+	again := runGrid(under(Run{Policy: Policy{Retries: 1}, Workers: 1, Faults: fault.MustParse("cell.once=t-inj/0")}), GridSpec{ID: "t-inj"}, 2, func(_ context.Context, i int) (int, error) { return i + 7, nil })
 	if err := again.Err(); err != nil {
 		t.Fatalf("transient injected failure did not recover: %v", err)
 	}

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -74,7 +75,7 @@ func TestRunCellsResolvesWorkers(t *testing.T) {
 	if got := RunFrom(under(Run{Workers: 7})).WorkerCount(); got != 7 {
 		t.Fatalf("WorkerCount() of the context's Run = %d, want 7", got)
 	}
-	if got := RunFrom(context.Background()); got != (Run{}) {
+	if got := RunFrom(context.Background()); !reflect.DeepEqual(got, Run{}) {
 		t.Fatalf("RunFrom(no Run) = %+v, want the zero Run", got)
 	}
 }

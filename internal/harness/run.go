@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"runtime"
 
+	"hammertime/internal/fault"
 	"hammertime/internal/obs"
 )
 
@@ -56,6 +57,9 @@ type Run struct {
 	// degraded. It is not attached to machines: simulator events go to
 	// AttackOpts.Observer or the telemetry scope's Observer.
 	Events *obs.Recorder
+	// Faults holds the cell faults injected into identified grids
+	// (cell.error, cell.panic, cell.once; see package fault).
+	Faults fault.Spec
 }
 
 // WorkerCount resolves Workers to the pool size grids use (>= 1).

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"hammertime/internal/fault"
 )
 
 // updateTables regenerates the experiment-table golden file instead of
@@ -55,9 +57,8 @@ func TestExperimentTablesGolden(t *testing.T) {
 			t.Errorf("%s: %d ERR cells without an injected failure", id, n)
 		}
 	}
-	soft := under(Run{Policy: Policy{FailSoft: true}})
 	for _, id := range tableOrder {
-		t.Setenv(failCellEnv, id+":0")
+		soft := under(Run{Policy: Policy{FailSoft: true}, Faults: fault.MustParse("cell.error=" + id + "/0")})
 		if n := renderExperiment(t, &b, soft, id, id+" fail-soft, cell 0 failed"); n != 1 {
 			t.Errorf("%s: one failed cell rendered %d ERR cells, want 1", id, n)
 		}

@@ -9,8 +9,9 @@
 // cancellation threaded through core.Machine.RunCtx — a cancelled job
 // tears its machine down auditor-consistent, it is not abandoned), and
 // drain gracefully on SIGTERM (finish running jobs, reject new ones,
-// then exit 0). The chaos middleware (chaos.go) injects latency, panics
-// and cancellations into the pool so those properties stay tested.
+// then exit 0). The serve fault site (package fault) injects latency,
+// panics and cancellations into the pool so those properties stay
+// tested.
 package serve
 
 import (
@@ -24,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hammertime/internal/fault"
 	"hammertime/internal/harness"
 	"hammertime/internal/obs"
 	"hammertime/internal/sim"
@@ -37,7 +39,7 @@ type RunFunc func(ctx context.Context, req JobRequest) (string, error)
 
 // Config parametrizes a Manager. The zero value serves: 2 sessions, an
 // 8-deep queue, 5 submissions/s/client with burst 10, no job deadline,
-// no chaos.
+// no injected faults.
 type Config struct {
 	// Sessions is the pool size: at most this many jobs simulate
 	// concurrently (0 = 2).
@@ -52,8 +54,10 @@ type Config struct {
 	// JobTimeout is the per-job running deadline (0 = none). A request's
 	// own Timeout may only tighten it.
 	JobTimeout time.Duration
-	// Chaos, when non-nil, injects faults into the pool (see chaos.go).
-	Chaos *Chaos
+	// Faults, when non-nil, is the armed serve fault site: it injects
+	// latency, cancellations and session panics into the pool, counted
+	// on /metrics as fault.serve.*.
+	Faults *fault.Site
 	// Run overrides the simulation runner (nil = harness.Experiment).
 	Run RunFunc
 	// Logger receives structured request/job/drain logs and the
@@ -139,8 +143,8 @@ func (e *OverloadError) Error() string {
 	return fmt.Sprintf("serve: overloaded (%s), retry after %v", e.Reason, e.RetryAfter)
 }
 
-// errChaosCancel is the cancellation cause injected by chaos middleware.
-var errChaosCancel = errors.New("serve: chaos: injected cancellation")
+// errInjectedCancel is the cancellation cause of serve.cancel.
+var errInjectedCancel = errors.New("serve: injected cancellation (serve.cancel)")
 
 // Manager owns the session pool, the job queue and the job registry.
 type Manager struct {
@@ -318,14 +322,17 @@ func (m *Manager) Metrics() sim.StatsSnapshot {
 	m.stats.SetGauge("serve.queue.depth", float64(len(m.queue)))
 	m.stats.SetGauge("serve.queue.capacity", float64(m.cfg.QueueDepth))
 	m.stats.SetGauge("serve.jobs.running", float64(m.running.Load()))
-	if m.cfg.ExtraMetrics == nil {
+	if m.cfg.ExtraMetrics == nil && m.cfg.Faults == nil {
 		defer m.statsMu.Unlock()
 		return m.stats.Snapshot()
 	}
 	var merged sim.Stats
 	merged.Merge(m.stats)
 	m.statsMu.Unlock()
-	m.cfg.ExtraMetrics(&merged)
+	m.cfg.Faults.MergeInto(&merged)
+	if m.cfg.ExtraMetrics != nil {
+		m.cfg.ExtraMetrics(&merged)
+	}
 	return merged.Snapshot()
 }
 
@@ -734,19 +741,20 @@ func (m *Manager) runJob(session int, job *Job) {
 		defer cancelT()
 	}
 
-	// Chaos: pre-run latency and a mid-run cancellation timer.
-	if chaos := m.cfg.Chaos; chaos != nil {
-		if chaos.roll(chaos.LatencyP) {
-			t := time.NewTimer(chaos.Latency)
+	// Injected faults: pre-run latency and a mid-run cancellation timer.
+	if faults := m.cfg.Faults; faults != nil {
+		lat, fired := faults.Roll("latency")
+		if fired {
+			t := time.NewTimer(lat.Dur)
 			select {
 			case <-t.C:
 			case <-ctx.Done():
 				t.Stop()
 			}
 		}
-		if chaos.roll(chaos.CancelP) {
-			t := time.AfterFunc(chaos.Latency/2+time.Millisecond, func() {
-				job.cancel(errChaosCancel)
+		if _, fired := faults.Roll("cancel"); fired {
+			t := time.AfterFunc(lat.Dur/2+time.Millisecond, func() {
+				job.cancel(errInjectedCancel)
 			})
 			defer t.Stop()
 		}
@@ -850,8 +858,8 @@ func (m *Manager) attempt(ctx context.Context, job *Job) (table string, err erro
 			err = fmt.Errorf("serve: session panic: %v", r)
 		}
 	}()
-	if chaos := m.cfg.Chaos; chaos != nil && chaos.roll(chaos.PanicP) {
-		panic("serve: chaos: injected session panic")
+	if _, fired := m.cfg.Faults.Roll("panic"); fired {
+		panic("serve: injected session panic (serve.panic)")
 	}
 	table, err = m.cfg.Run(ctx, job.Request)
 	return table, err, false

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hammertime/internal/fault"
 )
 
 // TestChaosSoak hammers a chaos-armed pool with concurrent mixed
@@ -34,10 +36,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Skip("short mode")
 	}
 
-	chaos, err := ParseChaos("latency=5ms:0.4,panic:0.15,cancel:0.15", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	faults := fault.MustParse("serve.latency=5ms:0.4,serve.panic:0.15,serve.cancel:0.15").Arm("serve", 42)
 	// The fake run mixes quick successes, slow jobs (cancellation bait)
 	// and organic failures; chaos layers latency, panics and injected
 	// cancellations on top.
@@ -46,7 +45,7 @@ func TestChaosSoak(t *testing.T) {
 		Sessions: 3, QueueDepth: 6, RatePerSec: 200, Burst: 50,
 		JobTimeout:        250 * time.Millisecond,
 		TrustClientHeader: true,
-		Chaos:             chaos,
+		Faults:            faults,
 		Run: func(ctx context.Context, req JobRequest) (string, error) {
 			switch seq.Add(1) % 5 {
 			case 0: // slow: cancelled by timeout, DELETE, or chaos
