@@ -146,7 +146,7 @@ func main() {
 	flag.StringVar(&o.advertise, "advertise", "", "URL the coordinator should dial this worker on (default http://<listen addr>)")
 	flag.Int64Var(&o.cacheBytes, "cache-bytes", 64<<20, "coordinator result-cache budget in bytes (in-memory LRU)")
 	flag.StringVar(&o.cacheSpill, "cache-spill", "", "JSONL file persisting cache entries across restarts (empty = memory only)")
-	flag.DurationVar(&o.dispatchTimeout, "dispatch-timeout", 2*time.Minute, "per-batch worker deadline; overrun batches are stolen and re-dispatched")
+	flag.DurationVar(&o.dispatchTimeout, "dispatch-timeout", 2*time.Minute, "per-batch worker deadline, counted from the send; overrun batches are stolen and re-dispatched")
 	flag.DurationVar(&o.workerTTL, "worker-ttl", 15*time.Second, "silence after which a worker leaves the live set; heartbeats run at a third of this")
 	flag.IntVar(&o.batchCells, "batch-cells", 4, "max cells per dispatch batch")
 	flag.IntVar(&o.rpcRetries, "rpc-retries", 2, "extra attempts per batch RPC against the same worker before the batch is stolen (<0 disables)")

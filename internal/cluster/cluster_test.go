@@ -45,7 +45,7 @@ func newTestDispatcher(t *testing.T, workers map[string]string) *Dispatcher {
 	t.Helper()
 	reg := NewRegistryConfig(RegistryConfig{TTL: time.Minute})
 	for name, addr := range workers {
-		reg.Register(name, addr)
+		reg.Register(name, addr, 2)
 	}
 	return NewDispatcher(DispatcherConfig{
 		Registry:        reg,
@@ -196,15 +196,15 @@ func TestRegistryTTLAndFailure(t *testing.T) {
 	now := time.Unix(1000, 0)
 	reg.now = func() time.Time { return now }
 
-	reg.Register("a", "http://a")
-	reg.Register("b", "http://b")
-	if got := len(reg.Live()); got != 2 {
-		t.Fatalf("live %d, want 2", got)
+	reg.Register("a", "http://a", 4)
+	reg.Register("b", "http://b", 1)
+	if live := reg.Live(); len(live) != 2 || live[0].Slots != 4 {
+		t.Fatalf("live %+v, want 2 with a's 4 slots", live)
 	}
 
 	// b goes silent past the TTL.
 	now = now.Add(11 * time.Second)
-	reg.Register("a", "http://a")
+	reg.Register("a", "http://a", 4)
 	live := reg.Live()
 	if len(live) != 1 || live[0].Name != "a" {
 		t.Fatalf("live %v, want just a", live)
@@ -221,23 +221,24 @@ func TestRegistryTTLAndFailure(t *testing.T) {
 	if len(reg.Live()) != 0 {
 		t.Fatal("open-breaker worker still live")
 	}
-	reg.Register("a", "http://a")
+	reg.Register("a", "http://a", 4)
 	if len(reg.Live()) != 0 {
 		t.Fatal("heartbeat closed an open breaker")
 	}
 
 	// After the cooldown the worker half-opens: back in the live set, but
-	// only as a probe. A verified success closes it for real.
+	// only as a probe, with one credit. A verified success closes it for
+	// real.
 	now = now.Add(11 * time.Second) // past the default 10s cooldown
-	reg.Register("a", "http://a")
+	reg.Register("a", "http://a", 4)
 	live = reg.Live()
-	if len(live) != 1 || !live[0].Probe {
-		t.Fatalf("live %+v, want a as half-open probe", live)
+	if len(live) != 1 || !live[0].Probe || live[0].Slots != 1 {
+		t.Fatalf("live %+v, want a as half-open probe with 1 slot", live)
 	}
 	reg.ReportSuccess("a")
 	live = reg.Live()
-	if len(live) != 1 || live[0].Probe {
-		t.Fatalf("live %+v, want a fully closed after probe success", live)
+	if len(live) != 1 || live[0].Probe || live[0].Slots != 4 {
+		t.Fatalf("live %+v, want a fully closed with 4 slots after probe success", live)
 	}
 
 	views := reg.Views()
@@ -338,12 +339,10 @@ func TestDispatchImportsWorkerSpans(t *testing.T) {
 }
 
 // TestDispatcherReusesConnections checks the dispatcher's own connection
-// pool. Each job fans its 8 one-cell batches out to one worker at once,
-// and a connection is dialed only when every pooled one is busy, so
-// however the RPCs overlap, three jobs in a row open at most 8
-// connections in all: later jobs run on the first one's. (With two
-// idle connections per host, each later job would dial all but two of
-// its batches' connections again.)
+// pool. Each job sends its 8 one-cell batches to one worker with 2
+// slots, so at most 2 RPCs are in flight, and a connection is dialed
+// only when every pooled one is busy: three jobs in a row open at most
+// 2 connections in all.
 func TestDispatcherReusesConnections(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulations; skipped in -short")
@@ -358,7 +357,8 @@ func TestDispatcherReusesConnections(t *testing.T) {
 	w.Start()
 	t.Cleanup(w.Close)
 	reg := NewRegistryConfig(RegistryConfig{TTL: time.Minute})
-	reg.Register("w1", w.URL)
+	const slots = 2
+	reg.Register("w1", w.URL, slots)
 	d := NewDispatcher(DispatcherConfig{Registry: reg, DispatchTimeout: time.Minute, BatchSize: 1})
 	t.Cleanup(d.Close)
 
@@ -375,8 +375,8 @@ func TestDispatcherReusesConnections(t *testing.T) {
 			t.Fatalf("after job %d: %d cells dispatched, want %d", i+1, got, batches*(i+1))
 		}
 	}
-	if got := dials.Load(); got == 0 || got > batches {
-		t.Fatalf("three jobs opened %d connections to the worker, want 1..%d", got, batches)
+	if got := dials.Load(); got == 0 || got > slots {
+		t.Fatalf("three jobs opened %d connections to the worker, want 1..%d", got, slots)
 	}
 }
 

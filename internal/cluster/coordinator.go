@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hammertime/internal/cluster/resilience"
@@ -36,8 +37,9 @@ type DispatcherConfig struct {
 	// resilience.NewTransport (and set Faults) to run the whole dispatch
 	// plane under an injected fault schedule.
 	Client *http.Client
-	// DispatchTimeout bounds one batch RPC attempt; a batch that misses
-	// it is stolen back and re-dispatched (0 = 2m).
+	// DispatchTimeout bounds one batch RPC attempt from its send — time
+	// spent waiting for the worker's credit is not charged; a batch that
+	// misses it is stolen back and re-dispatched (0 = 2m).
 	DispatchTimeout time.Duration
 	// BatchSize caps the cells per RPC (0 = 4). Smaller batches steal
 	// back less work when a worker dies mid-run.
@@ -61,8 +63,8 @@ type DispatcherConfig struct {
 	// response wins (0 = 2, <0 = never). Cells are idempotent, so the
 	// losing response is simply discarded.
 	HedgeRounds int
-	// HedgeDelay is the head start the primary worker gets before the
-	// hedge fires (0 = DispatchTimeout/8).
+	// HedgeDelay is the head start the primary worker gets, from the
+	// primary's send, before the hedge fires (0 = DispatchTimeout/8).
 	HedgeDelay time.Duration
 	// AuditFraction in [0,1] is the fraction of remotely computed cells
 	// re-executed locally and byte-compared before the batch is trusted
@@ -97,6 +99,9 @@ type Dispatcher struct {
 	cfg  DispatcherConfig
 	log  *slog.Logger
 
+	credits *credits
+	jobs    atomic.Uint64 // the last job's ticket number
+
 	closeOnShutdown sync.Once // hooks Close onto the server Mount serves on
 
 	statsMu sync.Mutex
@@ -105,7 +110,7 @@ type Dispatcher struct {
 
 // NewDispatcher builds a dispatcher, filling config defaults.
 func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
-	d := &Dispatcher{cache: cfg.Cache, reg: cfg.Registry, client: cfg.Client, cfg: cfg}
+	d := &Dispatcher{cache: cfg.Cache, reg: cfg.Registry, client: cfg.Client, cfg: cfg, credits: newCredits()}
 	if d.cache == nil {
 		d.cache = NewResultCache(0)
 	}
@@ -114,7 +119,11 @@ func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
 	}
 	if d.client == nil {
 		d.pool = http.DefaultTransport.(*http.Transport).Clone()
-		d.pool.MaxIdleConnsPerHost = idleConnsPerWorker
+		// A worker never has more batch RPCs in flight than its credits,
+		// hedge legs included, so it never has more idle connections
+		// either; the default of 2 would make a worker with more cores
+		// dial and close connections for most batches.
+		d.pool.MaxIdleConnsPerHost = maxSlots
 		d.client = &http.Client{Transport: d.pool}
 	}
 	if d.cfg.DispatchTimeout <= 0 {
@@ -150,13 +159,6 @@ func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
 	d.log = telemetry.OrNop(cfg.Log)
 	return d
 }
-
-// idleConnsPerWorker is how many idle connections the dispatcher's own
-// pool keeps per worker. A job fans all of a round's batches out at
-// once (an E1 grid is 12 batches of 4 cells), plus hedges, for each
-// concurrent job; the default transport keeps 2, so most batch RPCs
-// would dial a fresh connection and close it afterwards.
-const idleConnsPerWorker = 64
 
 // Close releases the idle worker connections of the dispatcher's own
 // pool. A client supplied in DispatcherConfig is the caller's to close.
@@ -194,6 +196,9 @@ func (d *Dispatcher) MergeInto(dst *sim.Stats) {
 	dst.Add("cluster.cache.misses", misses)
 	dst.Add("cluster.cache.evicted", evicted)
 	dst.Add("cluster.workers.evicted", d.reg.Evicted())
+	queued, waited := d.credits.totals()
+	dst.Add("cluster.dispatch.queued", queued)
+	dst.Add("cluster.dispatch.wait_ms", waited.Milliseconds())
 	dst.SetGauge("cluster.cache.bytes", float64(d.cache.Bytes()))
 	dst.SetGauge("cluster.cache.entries", float64(d.cache.Len()))
 	dst.SetGauge("cluster.workers.live", float64(len(d.reg.Live())))
@@ -241,7 +246,11 @@ func (d *Dispatcher) Mount(mux *http.ServeMux) {
 			writeJSON(rw, http.StatusBadRequest, errorBody{Error: "register: " + err.Error()})
 			return
 		}
-		if !d.reg.Register(req.Name, req.Addr) {
+		if req.Slots < 0 || req.Slots > maxSlots {
+			writeJSON(rw, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("register: slots %d outside [0, %d]", req.Slots, maxSlots)})
+			return
+		}
+		if !d.reg.Register(req.Name, req.Addr, req.Slots) {
 			d.count("cluster.heartbeats.rejected", 1)
 			writeJSON(rw, http.StatusForbidden, errorBody{Error: "worker quarantined; heartbeats ignored until the penalty window ends"})
 			return
@@ -250,7 +259,11 @@ func (d *Dispatcher) Mount(mux *http.ServeMux) {
 		writeJSON(rw, http.StatusOK, map[string]string{"status": "registered"})
 	})
 	mux.HandleFunc("GET /v1/cluster/workers", func(rw http.ResponseWriter, r *http.Request) {
-		writeJSON(rw, http.StatusOK, d.reg.Views())
+		views := d.reg.Views()
+		for i := range views {
+			views[i].Inflight, _ = d.credits.load(views[i].Name)
+		}
+		writeJSON(rw, http.StatusOK, views)
 	})
 }
 
@@ -261,7 +274,7 @@ func (d *Dispatcher) ForJob(experiment string, horizon uint64, opts harness.Atta
 	if !harness.ValidExperiment(experiment) || !Distributable(opts) {
 		return nil
 	}
-	return &jobDelegate{d: d, experiment: experiment, horizon: horizon, opts: OptsFrom(opts)}
+	return &jobDelegate{d: d, experiment: experiment, horizon: horizon, opts: OptsFrom(opts), job: d.jobs.Add(1)}
 }
 
 // jobDelegate distributes one job's grids. It implements
@@ -272,6 +285,11 @@ type jobDelegate struct {
 	experiment string
 	horizon    uint64
 	opts       Opts
+	// job and batches number the job's batch tickets: job is the
+	// dispatcher-wide order of ForJob calls, batches the last batch
+	// number this job handed out.
+	job     uint64
+	batches atomic.Uint64
 }
 
 // batchOutcome is one dispatched batch's result, fed back to the round
@@ -298,13 +316,14 @@ type gridState struct {
 }
 
 // RunGrid computes every cell of the grid: cache first, then rounds of
-// partitioned dispatch across live workers — each batch RPC retried with
-// deterministic backoff, hedged to a second worker in the final rounds,
-// byte-audited by sample, and stolen back from failed or corrupting
-// workers — falling back to in-process execution when no workers are
-// live. Results enter the shared cache only after the grid completes, so
-// a corrupting worker's bytes never outlive the round that caught them.
-// Strict: either all n cells merge, or an error.
+// partitioned dispatch across live workers — each batch RPC gated on a
+// credit of its worker, retried with deterministic backoff, hedged to a
+// second worker in the final rounds, byte-audited by sample, and stolen
+// back from failed or corrupting workers — falling back to in-process
+// execution when no workers are live. Results enter the shared cache
+// only after the grid completes, so a corrupting worker's bytes never
+// outlive the round that caught them. Strict: either all n cells merge,
+// or an error.
 func (j *jobDelegate) RunGrid(ctx context.Context, spec harness.GridSpec, n int) (map[int]json.RawMessage, error) {
 	d := j.d
 	st := &gridState{
@@ -365,13 +384,24 @@ func (j *jobDelegate) RunGrid(ctx context.Context, spec harness.GridSpec, n int)
 				second = hedgeTarget(live, wi)
 			}
 			inflight++
+			t := ticket{job: j.job, batch: j.batches.Add(1)}
 			go func(w Worker, second *Worker, cells []int) {
-				resp, by, err := j.dispatchResilient(ctx, w, second, spec, cells)
+				resp, by, err := j.dispatchResilient(ctx, w, second, spec, cells, t)
 				outcomes <- batchOutcome{worker: by, cells: cells, resp: resp, err: err}
 			}(w, second, cells)
 		}
 		for k := 0; k < inflight; k++ {
 			out := <-outcomes
+			var unsent *unsentError
+			if errors.As(out.err, &unsent) {
+				// Never sent: the worker left the live set while the batch
+				// waited for its credit, or the job was cancelled (the
+				// next round returns its error).
+				d.log.Info("batch requeued unsent", "grid", spec.ID,
+					"worker", out.worker.Name, "cells", len(out.cells), "err", unsent.err)
+				requeue = append(requeue, out.cells...)
+				continue
+			}
 			if out.err != nil {
 				// Steal the batch back: the breaker has recorded the
 				// failure and the cells go into the next round, to
@@ -536,12 +566,13 @@ func (j *jobDelegate) auditPick(key string) bool {
 
 // dispatchResilient runs one batch against w with bounded retries, and —
 // when hedging is on for the round — races a second attempt on another
-// worker after a head start. The first verified transport-level success
-// wins; cells are idempotent, so the losing response is discarded.
-func (j *jobDelegate) dispatchResilient(ctx context.Context, w Worker, second *Worker, spec harness.GridSpec, cells []int) (*CellResponse, Worker, error) {
+// worker once the first has had a head start on the wire. The first
+// verified transport-level success wins; cells are idempotent, so the
+// losing response is discarded.
+func (j *jobDelegate) dispatchResilient(ctx context.Context, w Worker, second *Worker, spec harness.GridSpec, cells []int, t ticket) (*CellResponse, Worker, error) {
 	d := j.d
 	if second == nil {
-		resp, err := j.dispatchRetry(ctx, w, spec, cells)
+		resp, err := j.dispatchRetry(ctx, w, spec, cells, t, nil)
 		return resp, w, err
 	}
 	type leg struct {
@@ -550,28 +581,37 @@ func (j *jobDelegate) dispatchResilient(ctx context.Context, w Worker, second *W
 		err  error
 	}
 	ch := make(chan leg, 2)
-	launch := func(lw Worker) {
+	launch := func(lw Worker, sent func()) {
 		go func() {
-			resp, err := j.dispatchRetry(ctx, lw, spec, cells)
+			resp, err := j.dispatchRetry(ctx, lw, spec, cells, t, sent)
 			ch <- leg{resp: resp, w: lw, err: err}
 		}()
 	}
-	launch(w)
+	// The head start counts from the primary's send, not from its wait
+	// for a credit: the timer is armed when sent fires.
+	sent := make(chan struct{})
+	launch(w, func() { close(sent) })
 	timer := time.NewTimer(d.cfg.HedgeDelay)
+	timer.Stop()
 	defer timer.Stop()
+	var hedgeAt <-chan time.Time
 	hedged := false
 	outstanding := 1
 	var firstErr error
 	for {
 		select {
-		case <-timer.C:
+		case <-sent:
+			sent = nil
+			timer.Reset(d.cfg.HedgeDelay)
+			hedgeAt = timer.C
+		case <-hedgeAt:
 			if !hedged {
 				hedged = true
 				outstanding++
 				d.count("cluster.batches.hedged", 1)
 				d.log.Info("hedging straggler batch", "grid", spec.ID,
 					"primary", w.Name, "hedge", second.Name, "cells", len(cells))
-				launch(*second)
+				launch(*second, nil)
 			}
 		case l := <-ch:
 			if l.err == nil {
@@ -590,7 +630,7 @@ func (j *jobDelegate) dispatchResilient(ctx context.Context, w Worker, second *W
 				hedged = true
 				outstanding++
 				d.count("cluster.batches.hedged", 1)
-				launch(*second)
+				launch(*second, nil)
 				continue
 			}
 			if outstanding == 0 {
@@ -604,19 +644,26 @@ func (j *jobDelegate) dispatchResilient(ctx context.Context, w Worker, second *W
 
 // dispatchRetry attempts one batch RPC against one worker up to
 // 1+RPCRetries times, sleeping the deterministic harness backoff keyed
-// by (grid, worker, batch) between attempts. Breaker accounting is one
-// signal per exhausted sequence, not per attempt — retries exist
-// precisely so a transient hiccup is absorbed before the breaker hears
-// about anything.
-func (j *jobDelegate) dispatchRetry(ctx context.Context, w Worker, spec harness.GridSpec, cells []int) (*CellResponse, error) {
+// by (grid, worker, batch) between attempts. Every attempt waits for a
+// credit under the batch's ticket t, and sent (if not nil) is called as
+// the first attempt goes on the wire. Breaker accounting is one signal per
+// exhausted sequence, not per attempt — retries exist precisely so a
+// transient hiccup is absorbed before the breaker hears about anything —
+// and none for an attempt that was never sent.
+func (j *jobDelegate) dispatchRetry(ctx context.Context, w Worker, spec harness.GridSpec, cells []int, t ticket, sent func()) (*CellResponse, error) {
 	d := j.d
 	key := fmt.Sprintf("%s|%s|%d", spec.ID, w.Name, cells[0])
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		resp, err := j.dispatch(ctx, w, spec, cells)
+		resp, err := j.dispatch(ctx, w, spec, cells, t, sent)
+		sent = nil
 		if err == nil {
 			d.reg.ReportSuccess(w.Name)
 			return resp, nil
+		}
+		var unsent *unsentError
+		if errors.As(err, &unsent) {
+			return nil, err
 		}
 		lastErr = err
 		if !retryable(err) || attempt > d.cfg.RPCRetries {
@@ -693,13 +740,26 @@ func assignBatches(n int, live []Worker) []int {
 	return out
 }
 
+// unsentError is a batch attempt that never reached its worker: the job
+// was cancelled, or the worker left the live set, while the batch waited
+// for a credit. Neither says anything about the worker's health, so the
+// breaker hears nothing and the cells go back to the round's requeue.
+type unsentError struct{ err error }
+
+func (e *unsentError) Error() string { return "cluster: batch not sent: " + e.err.Error() }
+func (e *unsentError) Unwrap() error { return e.err }
+
+// errWorkerLeft is why a batch that waited for a credit is not sent.
+var errWorkerLeft = errors.New("worker left the live set")
+
 // dispatch sends one batch to one worker under the per-batch deadline,
-// grafting the worker's spans into the job's trace on success.
-func (j *jobDelegate) dispatch(ctx context.Context, w Worker, spec harness.GridSpec, cells []int) (*CellResponse, error) {
+// grafting the worker's spans into the job's trace on success. The send
+// takes one of the worker's credits, waiting behind older tickets when
+// all are held; the deadline starts once the credit is in hand, and the
+// credit is returned as soon as the reply is read.
+func (j *jobDelegate) dispatch(ctx context.Context, w Worker, spec harness.GridSpec, cells []int, t ticket, sent func()) (*CellResponse, error) {
 	d := j.d
-	dctx, cancel := context.WithTimeout(ctx, d.cfg.DispatchTimeout)
-	defer cancel()
-	dctx, span := telemetry.StartSpan(dctx, "dispatch:"+w.Name)
+	ctx, span := telemetry.StartSpan(ctx, "dispatch:"+w.Name)
 	span.SetAttrs(
 		telemetry.String("worker", w.Name),
 		telemetry.Int("cells", int64(len(cells))),
@@ -713,14 +773,33 @@ func (j *jobDelegate) dispatch(ctx context.Context, w Worker, spec harness.GridS
 		Cells:      cells,
 		Epoch:      sim.DeterminismEpoch,
 	}
-	if sc := telemetry.ScopeFrom(dctx); sc != nil && sc.Tracer != nil {
+	sc := telemetry.ScopeFrom(ctx)
+	if sc != nil && sc.Tracer != nil {
 		req.TraceID = sc.Tracer.ID().String()
 	}
-	resp, err := j.call(dctx, w.Addr, req)
+	// Encoded before the wait, so a granted credit goes straight to the
+	// wire.
+	body, err := json.Marshal(req)
+	if err != nil {
+		span.EndErr(err)
+		return nil, err
+	}
+	if err := j.acquire(ctx, w, t); err != nil {
+		err = &unsentError{err: err}
+		span.EndErr(err)
+		return nil, err
+	}
+	if sent != nil {
+		sent()
+	}
+	dctx, cancel := context.WithTimeout(ctx, d.cfg.DispatchTimeout)
+	resp, err := j.call(dctx, w.Addr, body)
+	cancel()
+	d.credits.release(w.Name)
 	if err == nil {
 		var spans []telemetry.SpanSnap
 		if spans, err = telemetry.DecodeSpans(resp.Spans, 0); err == nil {
-			if sc := telemetry.ScopeFrom(dctx); sc != nil && sc.Tracer != nil {
+			if sc != nil && sc.Tracer != nil {
 				sc.Tracer.ImportRemote(span.ID(), spans)
 			}
 		} else {
@@ -735,12 +814,30 @@ func (j *jobDelegate) dispatch(ctx context.Context, w Worker, spec harness.GridS
 	return resp, nil
 }
 
-// call performs the HTTP RPC.
-func (j *jobDelegate) call(ctx context.Context, addr string, req CellRequest) (*CellResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
+// acquire takes a credit on w for the batch holding ticket t. A batch
+// that has to wait records the wait as a queue:<worker> span under its
+// dispatch span, and after the wait is sent only if w is still live.
+func (j *jobDelegate) acquire(ctx context.Context, w Worker, t ticket) error {
+	d := j.d
+	if d.credits.take(w) {
+		return nil
 	}
+	_, span := telemetry.StartSpan(ctx, "queue:"+w.Name)
+	err := d.credits.wait(ctx, w, t)
+	if err == nil && !d.reg.IsLive(w.Name) {
+		d.credits.release(w.Name)
+		err = errWorkerLeft
+	}
+	if err != nil {
+		span.EndErr(err)
+		return err
+	}
+	span.End()
+	return nil
+}
+
+// call performs the HTTP RPC of one encoded CellRequest.
+func (j *jobDelegate) call(ctx context.Context, addr string, body []byte) (*CellResponse, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/cells", bytes.NewReader(body))
 	if err != nil {
 		return nil, err

@@ -57,6 +57,7 @@ type RegistryConfig struct {
 
 type regEntry struct {
 	addr             string
+	slots            int
 	lastSeen         time.Time
 	breaker          *resilience.Breaker
 	quarantinedUntil time.Time
@@ -66,6 +67,9 @@ type regEntry struct {
 type Worker struct {
 	Name string
 	Addr string
+	// Slots is how many batch RPCs the worker may hold at once: the cores
+	// it advertised, or 1 while it is a probe.
+	Slots int
 	// Probe marks a half-open worker: the dispatcher routes it at most
 	// one batch per round until its breaker closes again.
 	Probe bool
@@ -88,12 +92,13 @@ func NewRegistryConfig(cfg RegistryConfig) *Registry {
 	}
 }
 
-// Register adds or refreshes a worker. It reports whether the heartbeat
-// was accepted: a quarantined worker's heartbeats are ignored (false)
-// until its penalty window ends. Accepting a heartbeat refreshes
-// liveness only — breaker state recovers through probe batches, not
-// through the worker's own claim that it is fine.
-func (r *Registry) Register(name, addr string) bool {
+// Register adds or refreshes a worker with the number of batches it runs
+// at once (below 1 counts as 1). It reports whether the heartbeat was
+// accepted: a quarantined worker's heartbeats are ignored (false) until
+// its penalty window ends. Accepting a heartbeat refreshes liveness and
+// slots only — breaker state recovers through probe batches, not through
+// the worker's own claim that it is fine.
+func (r *Registry) Register(name, addr string, slots int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.now()
@@ -106,7 +111,7 @@ func (r *Registry) Register(name, addr string) bool {
 	if now.Before(e.quarantinedUntil) {
 		return false
 	}
-	e.addr = addr
+	e.addr, e.slots = addr, max(slots, 1)
 	e.lastSeen = now
 	return true
 }
@@ -168,23 +173,41 @@ func (r *Registry) Live() []Worker {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.now()
-	cutoff := now.Add(-r.ttl)
 	out := make([]Worker, 0, len(r.workers))
 	for name, e := range r.workers {
-		if e.lastSeen.Before(cutoff) || now.Before(e.quarantinedUntil) {
+		state, live := r.stateLocked(e, now)
+		if !live {
 			continue
 		}
-		switch e.breaker.State(now) {
-		case resilience.Open:
-			continue
-		case resilience.HalfOpen:
-			out = append(out, Worker{Name: name, Addr: e.addr, Probe: true})
-		default:
-			out = append(out, Worker{Name: name, Addr: e.addr})
+		w := Worker{Name: name, Addr: e.addr, Slots: e.slots}
+		if state == resilience.HalfOpen {
+			w.Slots, w.Probe = 1, true
 		}
+		out = append(out, w)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// IsLive reports whether one worker is in the live set — the check a
+// batch makes after waiting for the worker's credit.
+func (r *Registry) IsLive(name string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.workers[name]
+	if !ok {
+		return false
+	}
+	_, live := r.stateLocked(e, r.now())
+	return live
+}
+
+// stateLocked resolves an entry's breaker state at now and whether the
+// entry is dispatchable. Caller holds r.mu.
+func (r *Registry) stateLocked(e *regEntry, now time.Time) (resilience.State, bool) {
+	state := e.breaker.State(now)
+	live := !e.lastSeen.Before(now.Add(-r.ttl)) && !now.Before(e.quarantinedUntil) && state != resilience.Open
+	return state, live
 }
 
 // Views returns every registry entry (live or not) for the coordinator's
@@ -193,20 +216,21 @@ func (r *Registry) Views() []WorkerView {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.now()
-	cutoff := now.Add(-r.ttl)
 	out := make([]WorkerView, 0, len(r.workers))
 	for name, e := range r.workers {
 		quarantined := now.Before(e.quarantinedUntil)
-		state := e.breaker.State(now).String()
+		state, live := r.stateLocked(e, now)
+		breaker := state.String()
 		if quarantined {
-			state = "quarantined"
+			breaker = "quarantined"
 		}
 		out = append(out, WorkerView{
 			Name:        name,
 			Addr:        e.addr,
+			Slots:       e.slots,
 			LastSeen:    e.lastSeen,
-			Live:        !quarantined && !e.lastSeen.Before(cutoff) && e.breaker.State(now) != resilience.Open,
-			Breaker:     state,
+			Live:        live,
+			Breaker:     breaker,
 			Quarantined: quarantined,
 		})
 	}

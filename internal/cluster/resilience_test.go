@@ -69,7 +69,7 @@ func TestRegistryTTLBoundary(t *testing.T) {
 	reg := NewRegistryConfig(RegistryConfig{TTL: 10 * time.Second})
 	now := time.Unix(1000, 0)
 	reg.now = func() time.Time { return now }
-	reg.Register("a", "http://a")
+	reg.Register("a", "http://a", 1)
 
 	// Exactly at the TTL boundary the worker is still live; one
 	// nanosecond past it is not.
@@ -91,7 +91,7 @@ func TestRegistryFlap(t *testing.T) {
 	// A flapping worker: registers, goes silent past TTL, comes back —
 	// repeatedly. Each return restores liveness under the same entry.
 	for i := 0; i < 5; i++ {
-		reg.Register("flappy", "http://f")
+		reg.Register("flappy", "http://f", 1)
 		if len(reg.Live()) != 1 {
 			t.Fatalf("cycle %d: flapping worker not live after heartbeat", i)
 		}
@@ -113,12 +113,12 @@ func TestRegistryEvictsSilentWorkers(t *testing.T) {
 	// Flapping workers re-registering under fresh names must not grow
 	// the map forever: entries silent for SweepAfter×TTL are removed.
 	for i := 0; i < 20; i++ {
-		reg.Register(fmt.Sprintf("ephemeral-%d", i), "http://e")
+		reg.Register(fmt.Sprintf("ephemeral-%d", i), "http://e", 1)
 		now = now.Add(11 * time.Second)
 	}
 	// 4×10s of silence evicts; at 11s per cycle, only the last ~4 names
 	// can still be within the sweep window.
-	reg.Register("fresh", "http://f")
+	reg.Register("fresh", "http://f", 1)
 	if got := len(reg.Views()); got > 5 {
 		t.Fatalf("registry holds %d entries after churn, want <= 5 (map must shrink)", got)
 	}
@@ -128,14 +128,14 @@ func TestRegistryEvictsSilentWorkers(t *testing.T) {
 
 	// A quarantined entry survives the sweep: eviction must not launder
 	// the penalty.
-	reg.Register("corrupt", "http://c")
+	reg.Register("corrupt", "http://c", 1)
 	reg.Quarantine("corrupt", time.Hour)
 	now = now.Add(10 * time.Minute)
-	reg.Register("poke", "http://p") // triggers a sweep
+	reg.Register("poke", "http://p", 1) // triggers a sweep
 	if !reg.IsQuarantined("corrupt") {
 		t.Fatal("sweep laundered an active quarantine")
 	}
-	if reg.Register("corrupt", "http://c") {
+	if reg.Register("corrupt", "http://c", 1) {
 		t.Fatal("quarantined heartbeat accepted")
 	}
 }
@@ -148,14 +148,14 @@ func TestRegistryQuarantineLifecycle(t *testing.T) {
 	now := time.Unix(1000, 0)
 	reg.now = func() time.Time { return now }
 
-	reg.Register("w", "http://w")
+	reg.Register("w", "http://w", 1)
 	if !reg.Quarantine("w", 10*time.Minute) {
 		t.Fatal("quarantine of a known worker failed")
 	}
 	if len(reg.Live()) != 0 {
 		t.Fatal("quarantined worker still live")
 	}
-	if reg.Register("w", "http://w") {
+	if reg.Register("w", "http://w", 1) {
 		t.Fatal("heartbeat accepted during quarantine")
 	}
 	if reg.Quarantined() != 1 {
@@ -169,7 +169,7 @@ func TestRegistryQuarantineLifecycle(t *testing.T) {
 	// Penalty ends: heartbeats resume, but the worker re-enters only as
 	// a half-open probe — one clean batch gates real traffic.
 	now = now.Add(10*time.Minute + time.Second)
-	if !reg.Register("w", "http://w") {
+	if !reg.Register("w", "http://w", 1) {
 		t.Fatal("heartbeat rejected after penalty ended")
 	}
 	live := reg.Live()
@@ -209,6 +209,8 @@ func TestMountValidatesAddr(t *testing.T) {
 		`{"name":"w","addr":"http://"}`,             // no host
 		`{"name":"w","addr":""}`,                    // empty
 		`{"addr":"http://10.0.0.7:9091"}`,           // no name
+		`{"name":"w","addr":"http://10.0.0.7:9091","slots":-1}`,
+		`{"name":"w","addr":"http://10.0.0.7:9091","slots":1025}`,
 	} {
 		if got := post(bad); got != http.StatusBadRequest {
 			t.Errorf("register %s -> %d, want 400", bad, got)
@@ -217,9 +219,34 @@ func TestMountValidatesAddr(t *testing.T) {
 	if got := post(`{"name":"w","addr":"http://10.0.0.7:9091"}`); got != http.StatusOK {
 		t.Fatalf("valid register -> %d, want 200", got)
 	}
-	if got := len(d.Registry().Live()); got != 1 {
-		t.Fatalf("live %d after register, want 1", got)
+	if live := d.Registry().Live(); len(live) != 1 || live[0].Slots != 1 {
+		t.Fatalf("live %+v after register, want w with 1 slot", live)
 	}
+
+	// The fleet listing carries each worker's slots and the credits its
+	// batches hold.
+	if got := post(`{"name":"big","addr":"http://10.0.0.9:9091","slots":1024}`); got != http.StatusOK {
+		t.Fatalf("register with 1024 slots -> %d, want 200", got)
+	}
+	if !d.credits.take(Worker{Name: "big", Slots: 1024}) {
+		t.Fatal("no credit free on an idle worker")
+	}
+	resp, err := http.Get(srv.URL + "/v1/cluster/workers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var views []WorkerView
+	err = json.NewDecoder(resp.Body).Decode(&views)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(views) != 2 || views[0].Name != "big" || views[0].Slots != 1024 || views[0].Inflight != 1 ||
+		views[1].Slots != 1 || views[1].Inflight != 0 {
+		t.Fatalf("workers %+v, want big with 1024 slots and 1 in flight, w with 1 slot", views)
+	}
+	d.credits.release("big")
+	post(`{"name":"big","deregister":true}`)
 
 	// Deregister drops the worker from dispatch immediately.
 	if got := post(`{"name":"w","deregister":true}`); got != http.StatusOK {
@@ -291,7 +318,7 @@ func TestDispatchRetriesTransientFault(t *testing.T) {
 	t.Cleanup(flaky.Close)
 
 	reg := NewRegistryConfig(RegistryConfig{TTL: time.Minute})
-	reg.Register("w1", flaky.URL)
+	reg.Register("w1", flaky.URL, 2)
 	d := NewDispatcher(DispatcherConfig{
 		Registry:        reg,
 		DispatchTimeout: time.Minute,
@@ -326,11 +353,11 @@ func TestBadRequestNotRetried(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	reg := NewRegistryConfig(RegistryConfig{TTL: time.Minute})
-	reg.Register("w1", srv.URL)
+	reg.Register("w1", srv.URL, 1)
 	d := NewDispatcher(DispatcherConfig{Registry: reg, RetryBase: time.Millisecond})
 	j := &jobDelegate{d: d, experiment: "e1", horizon: 1000}
 	_, err := j.dispatchRetry(context.Background(), Worker{Name: "w1", Addr: srv.URL},
-		harness.GridSpec{ID: "e1", Config: "c"}, []int{0})
+		harness.GridSpec{ID: "e1", Config: "c"}, []int{0}, ticket{}, nil)
 	if err == nil {
 		t.Fatal("4xx reply did not error")
 	}
@@ -357,8 +384,8 @@ func TestAuditQuarantinesCorruptingWorker(t *testing.T) {
 		TTL:     time.Minute,
 		Breaker: resilience.BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond},
 	})
-	reg.Register("w1-corrupt", corrupt.URL)
-	reg.Register("w2-healthy", healthy.URL)
+	reg.Register("w1-corrupt", corrupt.URL, 2)
+	reg.Register("w2-healthy", healthy.URL, 2)
 	d := NewDispatcher(DispatcherConfig{
 		Registry:        reg,
 		DispatchTimeout: time.Minute,
@@ -419,9 +446,9 @@ func TestClusterChaosSoak(t *testing.T) {
 		TTL:     time.Minute,
 		Breaker: resilience.BreakerConfig{Threshold: 2, Cooldown: 10 * time.Millisecond},
 	})
-	reg.Register("w1-healthy", healthy.URL)
-	reg.Register("w2-flappy", flappy.URL)
-	reg.Register("w3-corrupt", corrupt.URL)
+	reg.Register("w1-healthy", healthy.URL, 2)
+	reg.Register("w2-flappy", flappy.URL, 2)
+	reg.Register("w3-corrupt", corrupt.URL, 2)
 	d := NewDispatcher(DispatcherConfig{
 		Registry:        reg,
 		Client:          &http.Client{Transport: chaos},

@@ -125,6 +125,11 @@ type RegisterRequest struct {
 	// an absolute http(s) URL; the coordinator rejects anything else with
 	// a 400 at registration rather than failing dispatches later.
 	Addr string `json:"addr"`
+	// Slots is how many batches the worker runs at once: its GOMAXPROCS,
+	// which Heartbeat fills in. The coordinator holds the worker to that
+	// many batch RPCs at a time. 0 counts as 1; a negative count or one
+	// above 1024 gets a 400.
+	Slots int `json:"slots,omitempty"`
 	// Deregister, when true, is a draining worker's goodbye: the
 	// coordinator drops it from dispatch immediately instead of waiting
 	// out the heartbeat TTL.
@@ -138,6 +143,10 @@ type WorkerView struct {
 	Addr     string    `json:"addr"`
 	LastSeen time.Time `json:"last_seen"`
 	Live     bool      `json:"live"`
+	// Slots is the worker's credit count (its advertised cores), and
+	// Inflight how many of them batch RPCs hold now.
+	Slots    int `json:"slots"`
+	Inflight int `json:"inflight"`
 	// Breaker is the worker's circuit-breaker state: "closed", "open",
 	// "half-open", or "quarantined".
 	Breaker string `json:"breaker"`

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -178,9 +179,10 @@ func (w *WorkerNode) Handler() http.Handler {
 }
 
 // Heartbeat registers the worker with the coordinator now and then every
-// interval until ctx ends. Registration doubles as the liveness beacon;
-// failures are logged and retried on the next tick — a coordinator
-// restart just loses one beat.
+// interval until ctx ends, advertising runtime.GOMAXPROCS(0) as its
+// slots. Registration doubles as the liveness beacon; failures are
+// logged and retried on the next tick — a coordinator restart just loses
+// one beat.
 func Heartbeat(ctx context.Context, client *http.Client, coordinator, name, selfAddr string, every time.Duration, log *slog.Logger) {
 	if client == nil {
 		client = http.DefaultClient
@@ -190,7 +192,7 @@ func Heartbeat(ctx context.Context, client *http.Client, coordinator, name, self
 	}
 	log = telemetry.OrNop(log)
 	beat := func() {
-		body, _ := json.Marshal(RegisterRequest{Name: name, Addr: selfAddr})
+		body, _ := json.Marshal(RegisterRequest{Name: name, Addr: selfAddr, Slots: runtime.GOMAXPROCS(0)})
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 			coordinator+"/v1/cluster/register", bytes.NewReader(body))
 		if err != nil {
