@@ -15,7 +15,9 @@
 //
 // -metrics-out emits a machine-readable performance report (the
 // BENCH_harness.json shape): per-experiment and per-cell wall-clock plus
-// simulated events/sec, as collected by the parallel harness.
+// simulated events/sec. It is read from the run's spans — each
+// experiment runs under one span, each computed cell under a cell span
+// below it — and from the telemetry hub's simulated-event counter.
 // -trace-events records the simulator event stream of E1's cells (the
 // sink is mutex-wrapped, so parallel cells interleave safely; use
 // -parallel 1 for a single-machine-ordered trace).
@@ -59,6 +61,7 @@ import (
 
 	"hammertime/internal/cliutil"
 	"hammertime/internal/harness"
+	"hammertime/internal/telemetry"
 )
 
 func main() {
@@ -111,20 +114,30 @@ func run(ctx context.Context, experiment string, horizon uint64, csv bool, paral
 		}
 	}()
 	hrun.Workers = parallel
-	collector := harness.NewBenchCollector("hammerbench", hrun.WorkerCount())
-	hrun.Bench = collector
-	// With -trace-events the grids record spans (grid, cells, machine
-	// phases) into the trace alongside the event stream.
+	// With -trace-events or -metrics-out the grids record spans (grid,
+	// cells, machine phases): into the trace alongside the event stream,
+	// and as the source of the performance report.
 	ctx = harness.WithRun(session.Context(ctx), hrun)
+	var tracer *telemetry.Tracer
+	if sc := telemetry.ScopeFrom(ctx); sc != nil {
+		tracer = sc.Tracer
+	}
+	hub := telemetry.HubFrom(ctx)
+	var runs []experimentRun
+	report := func() BenchReport {
+		return buildReport("hammerbench", hrun.WorkerCount(), runs, tracer.Snapshot())
+	}
 
 	for _, id := range harness.ExperimentIDs() {
 		if experiment != "all" && experiment != id {
 			continue
 		}
 		start := time.Now()
-		collector.Begin(id)
-		tb, err := harness.Experiment(ctx, id, horizon, harness.AttackOpts{Observer: session.Recorder})
-		collector.End()
+		ectx, span := telemetry.StartSpan(ctx, "experiment:"+id)
+		events := hub.Events()
+		tb, err := harness.Experiment(ectx, id, horizon, harness.AttackOpts{Observer: session.Recorder})
+		span.End()
+		runs = append(runs, experimentRun{id: id, span: span.ID(), events: hub.Events() - events})
 		if err != nil {
 			err = fmt.Errorf("%s: %w", id, err)
 			// An interrupted run still flushes what it measured: the
@@ -132,7 +145,7 @@ func run(ctx context.Context, experiment string, horizon uint64, csv bool, paral
 			// partial performance report is written here so a SIGTERM'd
 			// grid leaves analyzable artifacts behind its nonzero exit.
 			if errors.Is(err, core.ErrCancelled) || errors.Is(err, context.Canceled) {
-				if werr := session.WriteMetrics(collector.Report()); werr != nil {
+				if werr := session.WriteMetrics(report()); werr != nil {
 					fmt.Fprintln(os.Stderr, "hammerbench: flush on interrupt:", werr)
 				}
 			}
@@ -156,5 +169,5 @@ func run(ctx context.Context, experiment string, horizon uint64, csv bool, paral
 		}
 		fmt.Println()
 	}
-	return session.WriteMetrics(collector.Report())
+	return session.WriteMetrics(report())
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -29,7 +30,8 @@ func buildHammerbench(t *testing.T) string {
 // TestSIGTERMLeavesResumableCheckpoint is the satellite regression test
 // for interrupted grids: a SIGTERM mid-grid must exit nonzero but leave
 // a non-torn checkpoint — one that OpenCheckpoint parses cleanly and a
-// restart with identical flags resumes to completion.
+// restart with identical flags resumes to completion — and the partial
+// -metrics-out report of the cells it computed.
 func TestSIGTERMLeavesResumableCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
@@ -40,8 +42,9 @@ func TestSIGTERMLeavesResumableCheckpoint(t *testing.T) {
 	// slow enough to land the signal mid-grid, fast enough to resume.
 	args := []string{"-experiment", "e1", "-horizon", "40000000", "-parallel", "1", "-resume", ckpt}
 
+	metrics := filepath.Join(t.TempDir(), "bench.json")
 	var stderr bytes.Buffer
-	cmd := exec.Command(bin, args...)
+	cmd := exec.Command(bin, append(args, "-metrics-out", metrics)...)
 	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -85,6 +88,17 @@ func TestSIGTERMLeavesResumableCheckpoint(t *testing.T) {
 	}
 	if loaded == 0 {
 		t.Fatal("checkpoint parsed but holds no completed cells")
+	}
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatalf("SIGTERM left no metrics report: %v", err)
+	}
+	var rep BenchReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Experiments) != 1 || rep.Experiments[0].ID != "e1" || len(rep.Experiments[0].Cells) < loaded {
+		t.Fatalf("partial report does not list the %d checkpointed cells: %s", loaded, data)
 	}
 
 	// Resumable: the same flags skip the completed cells and finish.

@@ -165,9 +165,10 @@ type Session struct {
 	// machines under test (e.g. via AttackOpts.Observer).
 	Recorder *obs.Recorder
 
-	// scope carries the CLI run's tracer; spans started by the harness
-	// (grid, cells) and the core (machine.run/drain) land in the trace
-	// file next to the simulator events at Close.
+	// scope carries the CLI run's tracer, and with -metrics-out a hub
+	// counting simulated events; spans started by the harness (grid,
+	// cells) and the core (machine.run/drain) land in the trace file
+	// next to the simulator events at Close.
 	scope      *telemetry.Scope
 	chromeSink *obs.ChromeTrace
 	jsonlSink  *obs.JSONL
@@ -179,9 +180,9 @@ type Session struct {
 }
 
 // Context threads the session's telemetry scope into ctx: with
-// -trace-events set, experiment grids and machine runs started under
-// the returned context record spans into the trace file. Without a
-// scope it returns ctx unchanged.
+// -trace-events or -metrics-out set, experiment grids and machine runs
+// started under the returned context record spans. Without a scope it
+// returns ctx unchanged.
 func (s *Session) Context(ctx context.Context) context.Context {
 	return telemetry.NewContext(ctx, s.scope)
 }
@@ -216,7 +217,15 @@ func (f *ObsFlags) Start(syncSinks bool) (*Session, error) {
 		}
 		s.traceFile = file
 		s.Recorder = obs.NewRecorder(sink)
+	}
+	// Spans go into the trace file next to the simulator events, and
+	// hammerbench reads its -metrics-out report from them and from the
+	// hub's simulated-event counter.
+	if f.TraceEvents != "" || f.MetricsOut != "" {
 		s.scope = &telemetry.Scope{Tracer: telemetry.NewTracer()}
+		if f.MetricsOut != "" {
+			s.scope.Hub = telemetry.NewHub()
+		}
 	}
 	if f.PprofCPU != "" {
 		file, err := os.Create(f.PprofCPU)
@@ -242,9 +251,9 @@ func (f *ObsFlags) Start(syncSinks bool) (*Session, error) {
 	return s, nil
 }
 
-// WriteMetrics serializes v (a sim.StatsSnapshot, a harness.BenchReport,
-// or any other JSON-ready report) to the -metrics-out file. No-op when
-// the flag was not given.
+// WriteMetrics serializes v (a sim.StatsSnapshot, hammerbench's
+// performance report, or any other JSON-ready report) to the
+// -metrics-out file. No-op when the flag was not given.
 func (s *Session) WriteMetrics(v interface{}) error {
 	if s.metricsPath == "" {
 		return nil

@@ -278,8 +278,8 @@ func (d *Dispatcher) ForJob(experiment string, horizon uint64, opts harness.Atta
 }
 
 // jobDelegate distributes one job's grids. It implements
-// harness.GridDelegate: runGrid hands it (spec, n) and restores whatever
-// JSON it returns.
+// harness.GridDelegate: runGrid hands it (spec, the cells its
+// checkpoint lacks) and restores whatever JSON it returns.
 type jobDelegate struct {
 	d          *Dispatcher
 	experiment string
@@ -304,7 +304,8 @@ type batchOutcome struct {
 
 // gridState is the mutable merge state of one RunGrid call.
 type gridState struct {
-	spec    harness.GridSpec
+	spec harness.GridSpec
+	// keys holds each requested cell's key at its index.
 	keys    []string
 	results map[int]json.RawMessage
 	// origin tracks which worker produced each merged-but-unaudited
@@ -315,24 +316,28 @@ type gridState struct {
 	origin map[int]string
 }
 
-// RunGrid computes every cell of the grid: cache first, then rounds of
+// RunGrid computes the given cells of the grid: cache first, then rounds of
 // partitioned dispatch across live workers — each batch RPC gated on a
 // credit of its worker, retried with deterministic backoff, hedged to a
 // second worker in the final rounds, byte-audited by sample, and stolen
 // back from failed or corrupting workers — falling back to in-process
 // execution when no workers are live. Results enter the shared cache
 // only after the grid completes, so a corrupting worker's bytes never
-// outlive the round that caught them. Strict: either all n cells merge,
-// or an error.
-func (j *jobDelegate) RunGrid(ctx context.Context, spec harness.GridSpec, n int) (map[int]json.RawMessage, error) {
+// outlive the round that caught them. Strict: either every requested
+// cell merges, or an error.
+func (j *jobDelegate) RunGrid(ctx context.Context, spec harness.GridSpec, cells []int) (map[int]json.RawMessage, error) {
 	d := j.d
+	size := 0
+	for _, i := range cells {
+		size = max(size, i+1)
+	}
 	st := &gridState{
 		spec:    spec,
-		keys:    make([]string, n),
-		results: make(map[int]json.RawMessage, n),
+		keys:    make([]string, size),
+		results: make(map[int]json.RawMessage, len(cells)),
 	}
 	var pending []int
-	for i := 0; i < n; i++ {
+	for _, i := range cells {
 		st.keys[i] = harness.CellKey(spec, i)
 		if raw, ok := d.cache.Get(st.keys[i]); ok {
 			st.results[i] = raw
@@ -340,8 +345,8 @@ func (j *jobDelegate) RunGrid(ctx context.Context, spec harness.GridSpec, n int)
 		}
 		pending = append(pending, i)
 	}
-	if len(pending) < n {
-		d.log.Info("cells served from cache", "grid", spec.ID, "hits", n-len(pending), "total", n)
+	if len(pending) < len(cells) {
+		d.log.Info("cells served from cache", "grid", spec.ID, "hits", len(cells)-len(pending), "total", len(cells))
 	}
 
 	for round := 0; len(pending) > 0; round++ {
@@ -392,13 +397,9 @@ func (j *jobDelegate) RunGrid(ctx context.Context, spec harness.GridSpec, n int)
 		}
 		for k := 0; k < inflight; k++ {
 			out := <-outcomes
-			var unsent *unsentError
-			if errors.As(out.err, &unsent) {
-				// Never sent: the worker left the live set while the batch
-				// waited for its credit, or the job was cancelled (the
-				// next round returns its error).
-				d.log.Info("batch requeued unsent", "grid", spec.ID,
-					"worker", out.worker.Name, "cells", len(out.cells), "err", unsent.err)
+			if out.err != nil && uncharged(ctx, out.err) {
+				d.log.Info("batch requeued uncharged", "grid", spec.ID,
+					"worker", out.worker.Name, "cells", len(out.cells), "err", out.err)
 				requeue = append(requeue, out.cells...)
 				continue
 			}
@@ -422,15 +423,16 @@ func (j *jobDelegate) RunGrid(ctx context.Context, spec harness.GridSpec, n int)
 		pending = requeue
 	}
 
-	for i := 0; i < n; i++ {
+	for _, i := range cells {
 		if _, ok := st.results[i]; !ok {
 			return nil, fmt.Errorf("cluster: cell %d of %q never computed", i, spec.ID)
 		}
 	}
 	// Commit to the shared cache only now: any worker caught corrupting
 	// mid-run has had its cells purged and recomputed above, so nothing
-	// unverified-and-suspect persists beyond this grid.
-	for i := 0; i < n; i++ {
+	// unverified-and-suspect persists beyond this grid. runGrid records
+	// the cells in the job's checkpoint at the same point.
+	for _, i := range cells {
 		d.cache.Put(st.keys[i], st.results[i])
 	}
 	return st.results, nil
@@ -503,7 +505,7 @@ func (j *jobDelegate) auditBatch(ctx context.Context, st *gridState, out batchOu
 		return nil, false, nil
 	}
 	d.count("cluster.cells.audited", int64(len(sample)))
-	local, err := j.computeLocal(ctx, st.spec, sample, st.keys)
+	local, err := j.computeLocal(ctx, st.spec, sample, st.keys, false)
 	if err != nil {
 		return nil, false, fmt.Errorf("cluster: audit of %q cells from %s: %w", st.spec.ID, out.worker.Name, err)
 	}
@@ -649,11 +651,11 @@ func (j *jobDelegate) dispatchResilient(ctx context.Context, w Worker, second *W
 // the first attempt goes on the wire. Breaker accounting is one signal per
 // exhausted sequence, not per attempt — retries exist precisely so a
 // transient hiccup is absorbed before the breaker hears about anything —
-// and none for an attempt that was never sent.
+// and none for an attempt that was never sent or that failed after the
+// job ended.
 func (j *jobDelegate) dispatchRetry(ctx context.Context, w Worker, spec harness.GridSpec, cells []int, t ticket, sent func()) (*CellResponse, error) {
 	d := j.d
 	key := fmt.Sprintf("%s|%s|%d", spec.ID, w.Name, cells[0])
-	var lastErr error
 	for attempt := 1; ; attempt++ {
 		resp, err := j.dispatch(ctx, w, spec, cells, t, sent)
 		sent = nil
@@ -661,23 +663,20 @@ func (j *jobDelegate) dispatchRetry(ctx context.Context, w Worker, spec harness.
 			d.reg.ReportSuccess(w.Name)
 			return resp, nil
 		}
-		var unsent *unsentError
-		if errors.As(err, &unsent) {
+		if uncharged(ctx, err) {
 			return nil, err
 		}
-		lastErr = err
 		if !retryable(err) || attempt > d.cfg.RPCRetries {
-			break
+			d.reg.ReportFailure(w.Name)
+			return nil, err
 		}
 		d.count("cluster.rpc.retries", 1)
 		d.log.Info("batch RPC retrying", "grid", spec.ID, "worker", w.Name,
 			"attempt", attempt, "err", err)
 		if !harness.Sleep(ctx, harness.Backoff(d.cfg.RetryBase, key, attempt)) {
-			break
+			return nil, err
 		}
 	}
-	d.reg.ReportFailure(w.Name)
-	return nil, lastErr
 }
 
 // statusError is a non-2xx worker reply, kept typed so the retry loop
@@ -740,17 +739,17 @@ func assignBatches(n int, live []Worker) []int {
 	return out
 }
 
-// unsentError is a batch attempt that never reached its worker: the job
-// was cancelled, or the worker left the live set, while the batch waited
-// for a credit. Neither says anything about the worker's health, so the
-// breaker hears nothing and the cells go back to the round's requeue.
-type unsentError struct{ err error }
-
-func (e *unsentError) Error() string { return "cluster: batch not sent: " + e.err.Error() }
-func (e *unsentError) Unwrap() error { return e.err }
-
 // errWorkerLeft is why a batch that waited for a credit is not sent.
-var errWorkerLeft = errors.New("worker left the live set")
+var errWorkerLeft = errors.New("cluster: batch not sent: worker left the live set")
+
+// uncharged reports whether a failed batch attempt says nothing about
+// its worker's health: the batch was never sent because its worker left
+// the live set while it waited for a credit, or the job ended while the
+// batch waited or ran. The breaker hears nothing and the cells go back
+// to the round's requeue (whose next round returns the job's error).
+func uncharged(ctx context.Context, err error) bool {
+	return errors.Is(err, errWorkerLeft) || ctx.Err() != nil
+}
 
 // dispatch sends one batch to one worker under the per-batch deadline,
 // grafting the worker's spans into the job's trace on success. The send
@@ -785,7 +784,6 @@ func (j *jobDelegate) dispatch(ctx context.Context, w Worker, spec harness.GridS
 		return nil, err
 	}
 	if err := j.acquire(ctx, w, t); err != nil {
-		err = &unsentError{err: err}
 		span.EndErr(err)
 		return nil, err
 	}
@@ -901,10 +899,16 @@ func (j *jobDelegate) verify(spec harness.GridSpec, keys []string, out batchOutc
 // mechanism a worker uses — identical code path, identical bytes — with
 // the delegate cleared so the run cannot recurse into dispatch. It is
 // both the no-fleet fallback and the audit's authoritative executor.
-func (j *jobDelegate) computeLocal(ctx context.Context, spec harness.GridSpec, cells []int, keys []string) (map[int]json.RawMessage, error) {
+// With record set (the fallback) the cells go into the job's checkpoint
+// as they finish; the audit runs with no checkpoint, so bytes recorded
+// from a worker can never vouch for themselves.
+func (j *jobDelegate) computeLocal(ctx context.Context, spec harness.GridSpec, cells []int, keys []string, record bool) (map[int]json.RawMessage, error) {
 	capture := harness.NewCellCapture(spec.ID, cells)
 	run := harness.RunFrom(ctx)
 	run.Capture, run.Delegate = capture, nil
+	if !record {
+		run.Checkpoint = nil
+	}
 	_, runErr := harness.Experiment(harness.WithRun(ctx, run), j.experiment, j.horizon, j.opts.Attack())
 	if err := capture.Err(); err != nil {
 		return nil, err
@@ -929,7 +933,7 @@ func (j *jobDelegate) computeLocal(ctx context.Context, spec harness.GridSpec, c
 
 // runLocal computes cells in-process and merges them as trusted results.
 func (j *jobDelegate) runLocal(ctx context.Context, st *gridState, cells []int) error {
-	local, err := j.computeLocal(ctx, st.spec, cells, st.keys)
+	local, err := j.computeLocal(ctx, st.spec, cells, st.keys, true)
 	if err != nil {
 		return err
 	}

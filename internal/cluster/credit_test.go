@@ -113,6 +113,15 @@ func fakeJob(t *testing.T, d *Dispatcher) *jobDelegate {
 	return d.ForJob("e1", 1000, harness.AttackOpts{}).(*jobDelegate)
 }
 
+// firstCells returns the cell indices 0..n-1, a whole grid of n cells.
+func firstCells(n int) []int {
+	cells := make([]int, n)
+	for i := range cells {
+		cells[i] = i
+	}
+	return cells
+}
+
 // waitQueued blocks until n batches wait for a credit of the worker.
 func waitQueued(t *testing.T, d *Dispatcher, worker string, n int) {
 	t.Helper()
@@ -136,7 +145,7 @@ func TestCreditsBoundWorkerConcurrency(t *testing.T) {
 	d := fakeDispatcher(t, DispatcherConfig{BatchSize: 4}, 2, f)
 	tr := telemetry.NewTracer()
 	ctx := telemetry.NewContext(context.Background(), &telemetry.Scope{Tracer: tr})
-	if _, err := fakeJob(t, d).RunGrid(ctx, harness.GridSpec{ID: "g", Config: "c"}, 48); err != nil {
+	if _, err := fakeJob(t, d).RunGrid(ctx, harness.GridSpec{ID: "g", Config: "c"}, firstCells(48)); err != nil {
 		t.Fatal(err)
 	}
 	grids, peak := f.seen()
@@ -170,13 +179,13 @@ func TestCreditsServeOldestJobFirst(t *testing.T) {
 	first, second := fakeJob(t, d), fakeJob(t, d)
 	errs := make(chan error, 2)
 	go func() {
-		_, err := first.RunGrid(context.Background(), harness.GridSpec{ID: "first", Config: "c"}, 4)
+		_, err := first.RunGrid(context.Background(), harness.GridSpec{ID: "first", Config: "c"}, firstCells(4))
 		errs <- err
 	}()
 	<-f.arrived
 	waitQueued(t, d, "w1", 3)
 	go func() {
-		_, err := second.RunGrid(context.Background(), harness.GridSpec{ID: "second", Config: "c"}, 4)
+		_, err := second.RunGrid(context.Background(), harness.GridSpec{ID: "second", Config: "c"}, firstCells(4))
 		errs <- err
 	}()
 	for i := 0; i < 2; i++ {
@@ -200,7 +209,7 @@ func TestCreditsServeOldestJobFirst(t *testing.T) {
 func TestQueuedTimeNotCharged(t *testing.T) {
 	f := startFake(t, &fakeWorker{hold: 200 * time.Millisecond, serial: true})
 	d := fakeDispatcher(t, DispatcherConfig{BatchSize: 1, DispatchTimeout: 300 * time.Millisecond}, 1, f)
-	if _, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "g", Config: "c"}, 4); err != nil {
+	if _, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "g", Config: "c"}, firstCells(4)); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"cluster.rpc.retries", "cluster.cells.stolen", "cluster.worker.failures"} {
@@ -221,7 +230,7 @@ func TestCancelWhileQueued(t *testing.T) {
 	d := fakeDispatcher(t, DispatcherConfig{Breaker: resilience.BreakerConfig{Threshold: 1, Cooldown: time.Hour}}, 1, f)
 	holder := make(chan error, 1)
 	go func() {
-		_, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "holder", Config: "c"}, 1)
+		_, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "holder", Config: "c"}, firstCells(1))
 		holder <- err
 	}()
 	<-f.arrived
@@ -229,7 +238,7 @@ func TestCancelWhileQueued(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancelled := make(chan error, 1)
 	go func() {
-		_, err := fakeJob(t, d).RunGrid(ctx, harness.GridSpec{ID: "cancelled", Config: "c"}, 1)
+		_, err := fakeJob(t, d).RunGrid(ctx, harness.GridSpec{ID: "cancelled", Config: "c"}, firstCells(1))
 		cancelled <- err
 	}()
 	waitQueued(t, d, "w1", 1)
@@ -252,6 +261,34 @@ func TestCancelWhileQueued(t *testing.T) {
 	}
 }
 
+// TestCancelInFlightNotCharged: a job cancelled while its batch RPC is
+// on the wire charges no breaker and steals nothing back.
+func TestCancelInFlightNotCharged(t *testing.T) {
+	f := startFake(t, &fakeWorker{release: make(chan struct{})})
+	defer close(f.release)
+	// One failure would open the breaker and take the worker out.
+	d := fakeDispatcher(t, DispatcherConfig{Breaker: resilience.BreakerConfig{Threshold: 1, Cooldown: time.Hour}}, 1, f)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelled := make(chan error, 1)
+	go func() {
+		_, err := fakeJob(t, d).RunGrid(ctx, harness.GridSpec{ID: "cancelled", Config: "c"}, firstCells(1))
+		cancelled <- err
+	}()
+	<-f.arrived
+	cancel()
+	if err := <-cancelled; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled job returned %v, want context.Canceled", err)
+	}
+	if live := len(d.Registry().Live()); live != 1 {
+		t.Fatalf("%d live workers after the cancel, want 1", live)
+	}
+	for _, name := range []string{"cluster.worker.failures", "cluster.cells.stolen"} {
+		if got := counter(d, name); got != 0 {
+			t.Errorf("%s = %d, want 0", name, got)
+		}
+	}
+}
+
 // TestWorkerLeavesWhileQueued: a batch waiting on a worker that leaves
 // the live set goes back to its round's requeue and runs on the worker
 // that is left, unsent and uncharged.
@@ -260,13 +297,13 @@ func TestWorkerLeavesWhileQueued(t *testing.T) {
 	d := fakeDispatcher(t, DispatcherConfig{}, 1, leaving)
 	holder := make(chan error, 1)
 	go func() {
-		_, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "holder", Config: "c"}, 1)
+		_, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "holder", Config: "c"}, firstCells(1))
 		holder <- err
 	}()
 	<-leaving.arrived
 	moved := make(chan error, 1)
 	go func() {
-		_, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "moved", Config: "c"}, 1)
+		_, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "moved", Config: "c"}, firstCells(1))
 		moved <- err
 	}()
 	waitQueued(t, d, "w1", 1)
@@ -343,12 +380,12 @@ func TestHedgeDelayCountsFromSend(t *testing.T) {
 	cfg := DispatcherConfig{MaxRounds: 2, HedgeRounds: 2, HedgeDelay: 20 * time.Millisecond}
 	d := fakeDispatcher(t, cfg, 1, primary, spare)
 	// The holder takes w1's credit and, 20 ms later, is hedged to w2.
-	if _, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "holder", Config: "c"}, 1); err != nil {
+	if _, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "holder", Config: "c"}, firstCells(1)); err != nil {
 		t.Fatal(err)
 	}
 	waited := make(chan error, 1)
 	go func() {
-		_, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "waiter", Config: "c"}, 1)
+		_, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "waiter", Config: "c"}, firstCells(1))
 		waited <- err
 	}()
 	waitQueued(t, d, "w1", 1)

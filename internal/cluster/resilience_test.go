@@ -551,8 +551,9 @@ func TestCachedPathAllocs(t *testing.T) {
 		d.cache.Put(harness.CellKey(spec, i), json.RawMessage(`{"v":1}`))
 	}
 	j := &jobDelegate{d: d, experiment: "e1", horizon: 1000}
+	cells := firstCells(n)
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := j.RunGrid(context.Background(), spec, n); err != nil {
+		if _, err := j.RunGrid(context.Background(), spec, cells); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -90,21 +91,27 @@ func (c *Checkpoint) lookup(key string) (json.RawMessage, bool) {
 	return raw, ok
 }
 
-// record appends one completed cell. Errors are sticky and surfaced by
-// Close; the in-memory map is updated regardless so the current run
-// stays consistent.
-func (c *Checkpoint) record(grid string, cell int, key string, result any) {
+// record appends one completed cell, unless its key already holds
+// exactly these bytes (the coordinator's local fallback records its
+// cells as it computes them, before its grid's delegate returns). Errors
+// are sticky and surfaced by Close; the in-memory map is updated
+// regardless so the current run stays consistent.
+func (c *Checkpoint) record(spec GridSpec, cell int, result any) {
+	key := CellKey(spec, cell)
 	raw, err := json.Marshal(result)
 	var line []byte
 	if err == nil {
-		line, err = json.Marshal(ckRecord{Key: key, Grid: grid, Cell: cell, Result: raw})
+		line, err = json.Marshal(ckRecord{Key: key, Grid: spec.ID, Cell: cell, Result: raw})
 	}
 	if err != nil {
-		c.log.Fail(fmt.Errorf("checkpoint: %s cell %d: %w", grid, cell, err))
+		c.log.Fail(fmt.Errorf("checkpoint: %s cell %d: %w", spec.ID, cell, err))
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if held, ok := c.done[key]; ok && bytes.Equal(held, raw) {
+		return
+	}
 	c.done[key] = raw
 	c.added++
 	c.log.Append(line)

@@ -4,10 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
-
-	"hammertime/internal/telemetry"
 )
 
 // Distribution hooks: the two halves of the coordinator/worker split
@@ -16,24 +15,27 @@ import (
 // never knows whether its cells were computed in-process, fetched from
 // a content-addressed cache, or simulated on another node.
 //
-//   - A GridDelegate (coordinator side) intercepts a whole grid: runGrid
-//     hands it (spec, n) and restores every cell from the JSON the
-//     delegate returns, exactly the way checkpoint resume restores cells
-//     — so a distributed run is byte-identical to a serial one for the
-//     same reason a resumed run is.
+//   - A GridDelegate (coordinator side) computes the cells of a named
+//     grid that the run's checkpoint does not hold: runGrid hands it
+//     (spec, missing cells) and restores each from the JSON the
+//     delegate returns, exactly the way checkpoint resume restores
+//     cells — so a distributed run is byte-identical to a serial one
+//     for the same reason a resumed run is.
 //
 //   - A CellCapture (worker side) narrows a grid to an assigned subset
 //     of cells and records each computed result as JSON keyed by
 //     CellKey. Grids other than the capture's target are skipped
 //     entirely: the worker simulates only what it was assigned.
 
-// GridDelegate computes a whole grid out-of-process. RunGrid must return
-// one JSON-encoded result per cell index in [0, n) — each the exact
+// GridDelegate computes grid cells out-of-process. RunGrid must return
+// one JSON-encoded result per requested cell index — each the exact
 // marshal of the cell value the local cell function would have produced
-// — or an error; partial maps fail the grid. Implementations live in
-// internal/cluster (the coordinator); the harness only restores.
+// — or an error; partial maps fail the grid. runGrid checkpoints the
+// returned cells once RunGrid returns, so an implementation returns
+// only results it trusts. Implementations live in internal/cluster (the
+// coordinator); the harness only restores.
 type GridDelegate interface {
-	RunGrid(ctx context.Context, spec GridSpec, n int) (map[int]json.RawMessage, error)
+	RunGrid(ctx context.Context, spec GridSpec, cells []int) (map[int]json.RawMessage, error)
 }
 
 // WithGridDelegate returns ctx carrying ctx's Run with d as its
@@ -53,7 +55,7 @@ func WithGridDelegate(ctx context.Context, d GridDelegate) context.Context {
 // Run.Capture, run the experiment, then read Results.
 type CellCapture struct {
 	grid  string
-	cells map[int]struct{}
+	cells []int // sorted ascending, without duplicates
 
 	mu      sync.Mutex
 	out     map[int]CapturedCell
@@ -71,28 +73,17 @@ type CapturedCell struct {
 
 // NewCellCapture builds a capture for the given cells of grid.
 func NewCellCapture(grid string, cells []int) *CellCapture {
-	c := &CellCapture{
-		grid:  grid,
-		cells: make(map[int]struct{}, len(cells)),
-		out:   make(map[int]CapturedCell, len(cells)),
-	}
-	for _, i := range cells {
-		c.cells[i] = struct{}{}
-	}
-	return c
+	sorted := slices.Clone(cells)
+	sort.Ints(sorted)
+	sorted = slices.Compact(sorted)
+	return &CellCapture{grid: grid, cells: sorted, out: make(map[int]CapturedCell, len(sorted))}
 }
 
 // indices returns the capture's assigned cells that exist in a grid of
-// n cells, sorted ascending.
+// n cells, sorted ascending. The slice is shared: callers must not
+// modify it.
 func (c *CellCapture) indices(n int) []int {
-	out := make([]int, 0, len(c.cells))
-	for i := range c.cells {
-		if i >= 0 && i < n {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
+	return c.cells[sort.SearchInts(c.cells, 0):sort.SearchInts(c.cells, n)]
 }
 
 // arm records that the target grid was reached and its config string —
@@ -151,49 +142,4 @@ func (c *CellCapture) Results() map[int]CapturedCell {
 		out[i] = v
 	}
 	return out
-}
-
-// runGridDelegated is the coordinator path of runGrid: the delegate
-// produces every cell's JSON (from its cache or from workers) and the
-// run restores them the way checkpoint resume does. Strict by
-// construction: a delegate error fails the grid — partial distributed
-// grids are re-dispatched inside the delegate, never surfaced as
-// half-filled tables.
-func runGridDelegated[T any](ctx context.Context, spec GridSpec, n int, del GridDelegate) *GridRun[T] {
-	run := &GridRun[T]{
-		spec:     spec,
-		Results:  make([]T, n),
-		strict:   true,
-		failures: make(map[int]*CellError),
-	}
-	gname := gridName(spec.ID)
-	ctx, gspan := telemetry.StartSpan(ctx, "grid:"+gname)
-	gspan.SetAttrs(
-		telemetry.String("grid", gname),
-		telemetry.Int("cells", int64(n)),
-		telemetry.String("mode", "distributed"),
-	)
-	defer func() { gspan.EndErr(run.Err()) }()
-	prog := newGridProgress(telemetry.HubFrom(ctx), gname, n)
-
-	fail := func(err error) *GridRun[T] {
-		run.cancelled = fmt.Errorf("harness: %s distributed: %w", gname, err)
-		return run
-	}
-	results, err := del.RunGrid(ctx, spec, n)
-	if err != nil {
-		return fail(err)
-	}
-	for i := 0; i < n; i++ {
-		raw, ok := results[i]
-		if !ok {
-			return fail(fmt.Errorf("delegate returned no result for cell %d", i))
-		}
-		if err := json.Unmarshal(raw, &run.Results[i]); err != nil {
-			return fail(fmt.Errorf("cell %d result: %w", i, err))
-		}
-		prog.cellDone(i, 0, 0, true, "")
-	}
-	run.Restored = n
-	return run
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -109,28 +110,27 @@ func TestCellCaptureSkipsOtherGrids(t *testing.T) {
 	}
 }
 
-// captureDelegate computes cells in-process through a CellCapture — the
-// local-fallback shape — so the delegate restore path can be tested
-// against the serial path without HTTP.
+// captureDelegate computes cells in-process through a CellCapture, the
+// way a worker does, so the delegate restore path can be tested against
+// the serial path without HTTP.
 type captureDelegate struct {
 	t       *testing.T
 	calls   int
-	partial bool // return one cell short, to test strictness
+	asked   []int // the cells of the last call
+	partial bool  // return one cell short, to test strictness
 	fail    error
 }
 
-func (d *captureDelegate) RunGrid(ctx context.Context, spec GridSpec, n int) (map[int]json.RawMessage, error) {
+func (d *captureDelegate) RunGrid(ctx context.Context, spec GridSpec, cells []int) (map[int]json.RawMessage, error) {
 	d.calls++
+	d.asked = cells
 	if d.fail != nil {
 		return nil, d.fail
 	}
-	cells := make([]int, n)
-	for i := range cells {
-		cells[i] = i
-	}
 	capture := NewCellCapture(spec.ID, cells)
+	// A worker's run: no delegate to recurse into, no checkpoint.
 	rc := RunFrom(ctx)
-	rc.Capture, rc.Delegate = capture, nil
+	rc.Capture, rc.Delegate, rc.Checkpoint = capture, nil, nil
 	ctx = WithRun(ctx, rc)
 	defenses, sided, opts := fastE1()
 	if _, err := E1Matrix(ctx, defenses, sided, opts); err != nil {
@@ -139,12 +139,12 @@ func (d *captureDelegate) RunGrid(ctx context.Context, spec GridSpec, n int) (ma
 	if err := capture.Err(); err != nil {
 		return nil, err
 	}
-	out := make(map[int]json.RawMessage, n)
+	out := make(map[int]json.RawMessage, len(cells))
 	for i, cell := range capture.Results() {
 		out[i] = cell.Result
 	}
 	if d.partial {
-		delete(out, n-1)
+		delete(out, cells[len(cells)-1])
 	}
 	return out, nil
 }
@@ -163,6 +163,74 @@ func TestGridDelegateByteIdentical(t *testing.T) {
 	}
 	if del.calls != 1 {
 		t.Fatalf("delegate called %d times, want 1", del.calls)
+	}
+	if s, d := serial.String(), delegated.String(); s != d {
+		t.Fatalf("delegated run differs from serial:\n--- serial ---\n%s\n--- delegated ---\n%s", s, d)
+	}
+}
+
+// TestDelegatedGridCheckpointed: a delegated grid under a checkpoint
+// records every cell the delegate returns, so a rerun on the reopened
+// file restores the grid without calling the delegate.
+func TestDelegatedGridCheckpointed(t *testing.T) {
+	defenses, sided, opts := fastE1()
+	const n = 8
+	path := filepath.Join(t.TempDir(), "job.ckpt")
+	var tables []string
+	for run := 0; run < 2; run++ {
+		ck, err := OpenCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 1 && ck.Loaded() != n {
+			t.Fatalf("reopened checkpoint holds %d cells, want %d", ck.Loaded(), n)
+		}
+		del := &captureDelegate{t: t}
+		tb, err := E1Matrix(under(Run{Checkpoint: ck, Delegate: del}), defenses, sided, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ck.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if want := 1 - run; del.calls != want {
+			t.Fatalf("run %d called the delegate %d times, want %d", run, del.calls, want)
+		}
+		if want := n * (1 - run); ck.Added() != want {
+			t.Fatalf("run %d recorded %d cells, want %d", run, ck.Added(), want)
+		}
+		tables = append(tables, tb.String())
+	}
+	if tables[0] != tables[1] {
+		t.Fatalf("restored run differs from the delegated one:\n%s\n%s", tables[0], tables[1])
+	}
+}
+
+// TestDelegateAskedOnlyMissingCells: with some cells already in the
+// checkpoint, the delegate is asked for exactly the others, and the
+// table matches a serial run.
+func TestDelegateAskedOnlyMissingCells(t *testing.T) {
+	defenses, sided, opts := fastE1()
+	serial, err := E1Matrix(context.Background(), defenses, sided, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := OpenCheckpoint(filepath.Join(t.TempDir(), "job.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	// Preload cells 1, 4 and 6 by computing just those.
+	if _, err := E1Matrix(under(Run{Checkpoint: ck, Capture: NewCellCapture("e1", []int{6, 1, 4})}), defenses, sided, opts); err != nil {
+		t.Fatal(err)
+	}
+	del := &captureDelegate{t: t}
+	delegated, err := E1Matrix(under(Run{Checkpoint: ck, Delegate: del}), defenses, sided, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(del.asked), "[0 2 3 5 7]"; del.calls != 1 || got != want {
+		t.Fatalf("delegate called %d times, last for cells %s; want once, for %s", del.calls, got, want)
 	}
 	if s, d := serial.String(), delegated.String(); s != d {
 		t.Fatalf("delegated run differs from serial:\n--- serial ---\n%s\n--- delegated ---\n%s", s, d)

@@ -161,8 +161,8 @@ type GridRun[T any] struct {
 	// Results holds one entry per cell; entries of failed cells are the
 	// zero value and must be guarded with Failed.
 	Results []T
-	// Restored counts cells whose results came from the checkpoint
-	// instead of being computed.
+	// Restored counts cells whose results came from the checkpoint or
+	// the delegate instead of being computed locally.
 	Restored int
 
 	strict    bool
@@ -202,27 +202,25 @@ func (g *GridRun[T]) Err() error {
 	return first
 }
 
-// runGrid executes fn(ctx, 0..n-1) on the worker pool as the context's
-// Run says (policy, workers, checkpoint, ...). Cells must be independent
-// and return their result instead of writing shared state: the runner
-// assigns Results[i] only when an attempt completes within its deadline,
-// which is what keeps late (timed-out) attempts from racing with table
+// runGrid executes fn(ctx, 0..n-1) as the context's Run says (policy,
+// workers, checkpoint, delegate, capture, ...). It first restores every
+// cell the Run's checkpoint holds, then hands the missing cells to one
+// executor: the Run's GridDelegate for an identified grid when one is
+// set, otherwise the worker pool. Cells must be independent and return
+// their result instead of writing shared state: the runner assigns
+// Results[i] only when an attempt completes within its deadline, which
+// is what keeps late (timed-out) attempts from racing with table
 // assembly. The context a cell receives carries the grid context plus
 // the per-cell deadline; cells thread it into core.Machine.RunCtx so a
 // deadline or a caller's cancellation actually stops the simulation.
-// Parallel and serial runs produce byte-identical results; so do
-// checkpointed and uncheckpointed ones, because restored cells are exact
-// JSON round trips of values the same code computed.
+// Parallel, serial, delegated and checkpointed runs produce
+// byte-identical results, because restored cells are exact JSON round
+// trips of values the same code computed.
 func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx context.Context, i int) (T, error)) *GridRun[T] {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	rc := RunFrom(ctx)
-	if rc.Delegate != nil && spec.ID != "" {
-		// Coordinator path: the delegate computes the grid (cache +
-		// workers) and every cell restores from its JSON.
-		return runGridDelegated[T](ctx, spec, n, rc.Delegate)
-	}
 	pol := rc.Policy
 	run := &GridRun[T]{
 		spec:     spec,
@@ -237,20 +235,20 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 	if capture != nil && capture.grid != spec.ID {
 		return run
 	}
-	order := make([]int, 0, n)
+	var cells []int
 	if capture != nil {
 		capture.arm(spec.Config)
-		order = append(order, capture.indices(n)...)
+		cells = capture.indices(n)
 	} else {
-		for i := 0; i < n; i++ {
-			order = append(order, i)
+		cells = make([]int, n)
+		for i := range cells {
+			cells[i] = i
 		}
 	}
-	ck := rc.Checkpoint
+	ck, del := rc.Checkpoint, rc.Delegate
 	if spec.ID == "" {
-		ck = nil
+		ck, del = nil, nil
 	}
-	var restored atomic.Int64
 
 	// Telemetry: the grid gets a span (the parent of every cell span)
 	// and publishes per-cell completions plus progress records to the
@@ -258,27 +256,73 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 	gname := gridName(spec.ID)
 	ctx, gspan := telemetry.StartSpan(ctx, "grid:"+gname)
 	gspan.SetAttrs(telemetry.String("grid", gname), telemetry.Int("cells", int64(n)))
+	if del != nil {
+		gspan.SetAttrs(telemetry.String("mode", "distributed"))
+	}
 	defer func() { gspan.EndErr(run.Err()) }()
 	prog := newGridProgress(telemetry.HubFrom(ctx), gname, n)
 
-	bc := rc.Bench
-	cell := func(i int) *CellError {
-		var key string
-		if ck != nil {
-			key = CellKey(spec, i)
-			if raw, ok := ck.lookup(key); ok {
-				if jerr := json.Unmarshal(raw, &run.Results[i]); jerr == nil {
-					restored.Add(1)
-					if capture != nil {
-						capture.record(spec, i, run.Results[i])
-					}
-					prog.cellDone(i, 0, 0, true, "")
-					return nil
-				}
-				// Undecodable record (e.g. the cell type changed):
-				// recompute and overwrite below.
+	// restore decodes cell i from the checkpoint's or the delegate's
+	// JSON and books it as restored.
+	restore := func(i int, raw json.RawMessage) error {
+		if err := json.Unmarshal(raw, &run.Results[i]); err != nil {
+			return err
+		}
+		run.Restored++
+		if capture != nil {
+			capture.record(spec, i, run.Results[i])
+		}
+		prog.cellDone(i, 0, 0, true, "")
+		return nil
+	}
+	missing := cells
+	if ck != nil {
+		missing = make([]int, 0, len(cells))
+		for _, i := range cells {
+			// A cell not recorded, or undecodable (e.g. the cell type
+			// changed), is computed and recorded again.
+			if raw, ok := ck.lookup(CellKey(spec, i)); !ok || restore(i, raw) != nil {
+				missing = append(missing, i)
 			}
 		}
+	}
+	if len(missing) == 0 {
+		return run
+	}
+
+	if del != nil {
+		// Coordinator path: the delegate computes the missing cells
+		// (cache + workers) and they restore like checkpointed ones. A
+		// delegate error fails the grid under every policy: partial
+		// distributed grids are re-dispatched inside the delegate, never
+		// surfaced as half-filled tables. The cells are checkpointed
+		// only now, once the delegate has audited them.
+		err := func() error {
+			results, err := del.RunGrid(ctx, spec, missing)
+			if err != nil {
+				return err
+			}
+			for _, i := range missing {
+				raw, ok := results[i]
+				if !ok {
+					return fmt.Errorf("delegate returned no result for cell %d", i)
+				}
+				if err := restore(i, raw); err != nil {
+					return fmt.Errorf("cell %d result: %w", i, err)
+				}
+				if ck != nil {
+					ck.record(spec, i, raw)
+				}
+			}
+			return nil
+		}()
+		if err != nil {
+			run.cancelled = fmt.Errorf("harness: %s distributed: %w", gname, err)
+		}
+		return run
+	}
+
+	cell := func(i int) *CellError {
 		cctx, span := telemetry.StartLane(ctx, "cell")
 		span.SetAttrs(telemetry.String("grid", gname), telemetry.Int("cell", int64(i)))
 		unwatch := slowCellWatchdog(rc.Logger, pol.SlowCellWarn, gname, i)
@@ -296,11 +340,8 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 			}
 		}
 		span.End()
-		if bc != nil {
-			bc.recordCell(i, wall)
-		}
 		if ce == nil && ck != nil {
-			ck.record(spec.ID, i, key, run.Results[i])
+			ck.record(spec, i, run.Results[i])
 		}
 		if ce == nil && capture != nil {
 			capture.record(spec, i, run.Results[i])
@@ -314,79 +355,57 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 	noteCancel := func() {
 		run.mu.Lock()
 		if run.cancelled == nil {
-			id := spec.ID
-			if id == "" {
-				id = "grid"
-			}
-			run.cancelled = fmt.Errorf("harness: %s cancelled: %w", id, context.Cause(ctx))
+			run.cancelled = fmt.Errorf("harness: %s cancelled: %w", gname, context.Cause(ctx))
 		}
 		run.mu.Unlock()
 	}
 
-	workers := rc.WorkerCount()
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers <= 1 {
-		for _, i := range order {
-			if ctx.Err() != nil {
-				noteCancel()
-				break
-			}
-			if ce := cell(i); ce != nil {
-				if ce.Cancelled {
-					noteCancel()
-					break
-				}
-				run.failures[i] = ce
-				if !pol.FailSoft {
-					break
-				}
-			}
-		}
-		run.Restored = int(restored.Load())
-		return run
-	}
-
+	// The pool: workers take the missing cells in order until they run
+	// out, the grid is cancelled, or a strict grid fails. The calling
+	// goroutine is one of the workers, so a one-worker pool runs every
+	// cell on it.
 	var (
 		next atomic.Int64
 		stop atomic.Bool
 		wg   sync.WaitGroup
 	)
 	next.Store(-1)
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for {
+			if ctx.Err() != nil {
+				noteCancel()
+				return
+			}
+			idx := int(next.Add(1))
+			if idx >= len(missing) || stop.Load() {
+				return
+			}
+			i := missing[idx]
+			if ce := cell(i); ce != nil {
+				if ce.Cancelled {
+					noteCancel()
+					stop.Store(true)
+					return
+				}
+				run.mu.Lock()
+				run.failures[i] = ce
+				run.mu.Unlock()
+				if !pol.FailSoft {
+					stop.Store(true)
+					return
+				}
+			}
+		}
+	}
+	for w := 1; w < min(rc.WorkerCount(), len(missing)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					noteCancel()
-					return
-				}
-				idx := int(next.Add(1))
-				if idx >= len(order) || stop.Load() {
-					return
-				}
-				i := order[idx]
-				if ce := cell(i); ce != nil {
-					if ce.Cancelled {
-						noteCancel()
-						stop.Store(true)
-						return
-					}
-					run.mu.Lock()
-					run.failures[i] = ce
-					run.mu.Unlock()
-					if !pol.FailSoft {
-						stop.Store(true)
-						return
-					}
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
-	run.Restored = int(restored.Load())
 	return run
 }
 

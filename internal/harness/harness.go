@@ -290,16 +290,12 @@ func runMachine(ctx context.Context, m *core.Machine, agents []core.Agent, horiz
 }
 
 // countEvents adds the simulated events in s — memory requests plus DRAM
-// ACTs and REFs — to the run's bench collector and the telemetry
-// throughput counter. Every cell counts through here, whether it ran a
-// machine or drove the controller directly (E7). Counting is
-// observer-only.
+// ACTs and REFs — to the telemetry hub's throughput counter, which
+// progress records and hammerbench's -metrics-out report read. Every
+// cell counts through here, whether it ran a machine or drove the
+// controller directly (E7). Counting is observer-only.
 func countEvents(ctx context.Context, s *sim.Stats) {
-	events := uint64(s.Counter("mc.requests") + s.Counter("dram.act") + s.Counter("dram.ref"))
-	if c := RunFrom(ctx).Bench; c != nil {
-		c.addEvents(events)
-	}
-	telemetry.CountEvents(ctx, events)
+	telemetry.CountEvents(ctx, uint64(s.Counter("mc.requests")+s.Counter("dram.act")+s.Counter("dram.ref")))
 }
 
 // planAttack plans kind's hammering pattern from the attacker domain

@@ -57,9 +57,10 @@ func (a *idleBurstAgent) Step(now uint64) (uint64, bool, error) {
 // burst followed by a long quiet tail to the horizon. The table reports
 // the deterministic simulation outcomes (identical with the fast-forward
 // on or off — see TestDefendedIdleFastForwardEquivalence); wall-clock
-// throughput lands in the BENCH_harness.json report via the Run's
-// BenchCollector, which records simulated events/sec per cell. horizon 0
-// means 400_000_000 cycles (~5 refresh windows of idle tail).
+// throughput lands in hammerbench's -metrics-out report, which reads
+// each cell's time from its span and the simulated events from the
+// telemetry hub. horizon 0 means 400_000_000 cycles (~5 refresh windows
+// of idle tail).
 func IdleFastForward(ctx context.Context, horizon uint64) (*report.Table, error) {
 	if horizon == 0 {
 		horizon = 400_000_000

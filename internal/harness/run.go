@@ -42,14 +42,13 @@ type Run struct {
 	// Checkpoint, when set, restores identified grids' completed cells
 	// and records the cells they compute.
 	Checkpoint *Checkpoint
-	// Delegate, when set, computes identified grids out-of-process (the
-	// cluster coordinator); anonymous grids always run locally.
+	// Delegate, when set, computes the cells of identified grids that
+	// the checkpoint does not hold out-of-process (the cluster
+	// coordinator); anonymous grids always run locally.
 	Delegate GridDelegate
 	// Capture, when set, narrows the run to one grid's assigned cells
 	// and collects their results (the cluster worker).
 	Capture *CellCapture
-	// Bench, when set, times every cell and counts simulated events.
-	Bench *BenchCollector
 	// Logger receives failed-cell and slow-cell warnings (nil = silent).
 	Logger *slog.Logger
 	// Events receives the grid's cell-retry and cell-failure events
