@@ -138,7 +138,7 @@ func main() {
 	o.faults.Register(os.Getenv(cliutil.FaultsEnv))
 	flag.BoolVar(&o.trustClient, "trust-client-header", false, "key rate limiting by the unauthenticated X-Hammertime-Client header; enable only behind a proxy that strips or validates it")
 	flag.StringVar(&o.stateDir, "state-dir", "", "persist jobs (journal + per-job checkpoints) under this directory; on restart, finished jobs reappear and interrupted ones resume from their last completed cells (empty = in-memory only)")
-	flag.DurationVar(&o.retentionAge, "job-retention", 6*time.Hour, "evict finished jobs from the registry (and state dir) this long after completion (<0 disables the age bound)")
+	flag.DurationVar(&o.retentionAge, "job-retention", 6*time.Hour, "evict finished jobs from the registry (and, at the next start, the state dir journal) this long after completion (<0 disables the age bound)")
 	flag.IntVar(&o.retentionCount, "job-retention-count", 4096, "max finished jobs retained; the oldest beyond this are evicted (<0 disables the count bound)")
 	flag.BoolVar(&o.coordinator, "coordinator", false, "shard experiment grids across registered workers (see -worker)")
 	flag.StringVar(&o.workerOf, "worker", "", "run as a cell worker for the coordinator at this URL (e.g. http://host:8077)")

@@ -244,8 +244,8 @@ func (j *Job) transition(state JobState, errMsg string) bool {
 // finishLocked completes a terminal transition: it stamps the finish
 // time and journals the terminal record before closing done. Both
 // happen under j.mu, so by the time anyone sees Done fire, or sees the
-// terminal state at all (the retention sweep included), the store holds
-// the record. Caller holds j.mu.
+// terminal state at all (the retention sweep included), the journal
+// holds the record. Caller holds j.mu.
 func (j *Job) finishLocked() {
 	j.finished = time.Now()
 	j.journalLocked()
@@ -254,8 +254,8 @@ func (j *Job) finishLocked() {
 
 // persist journals the job's current snapshot. A terminal job's record
 // was journaled by the transition that ended it, so persist is then a
-// no-op: an append after the retention sweep forgot the job would
-// bring it back into the store.
+// no-op: an append after the retention sweep evicted the job would
+// bring it back at the next start.
 func (j *Job) persist() {
 	j.mu.Lock()
 	defer j.mu.Unlock()

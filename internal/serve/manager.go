@@ -80,8 +80,9 @@ type Config struct {
 	// per-job harness checkpoint, and NewManager replays the journal —
 	// terminal jobs reappear with their tables, orphaned queued/running
 	// jobs are resubmitted under their original id and trace and resume
-	// from their last completed cells. cmd/hammerd wires -state-dir here
-	// via OpenStore.
+	// from their last completed cells. NewManager takes the store's
+	// replay, so a store serves one manager. cmd/hammerd wires -state-dir
+	// here via OpenStore.
 	Store *Store
 	// RetentionAge evicts terminal jobs from the registry (and the
 	// store's next compaction) once they have been finished this long
@@ -146,6 +147,9 @@ func (e *OverloadError) Error() string {
 // errInjectedCancel is the cancellation cause of serve.cancel.
 var errInjectedCancel = errors.New("serve: injected cancellation (serve.cancel)")
 
+// errShutdown cancels the jobs still queued when the daemon shuts down.
+var errShutdown = errors.New("serve: daemon shutdown")
+
 // Manager owns the session pool, the job queue and the job registry.
 type Manager struct {
 	cfg     Config
@@ -208,7 +212,6 @@ func NewManager(cfg Config) *Manager {
 	m.queue = make(chan *Job, cfg.QueueDepth+len(orphans))
 	for _, job := range orphans {
 		m.queue <- job
-		m.jobs[job.ID] = job
 		job.persist()
 		m.log.Info("job resumed from store",
 			"job", job.ID, "trace", job.TraceID(), "client", job.Client,
@@ -222,18 +225,19 @@ func NewManager(cfg Config) *Manager {
 }
 
 // recover replays the store into the registry. Terminal records become
-// inert jobs (after the same retention filter the live sweep applies,
-// so a restart does not resurrect evicted history); queued or running
-// records are orphans of the dead process — rebuilt as live jobs under
-// their original id, submission time and trace id, with Restarts
-// bumped, and returned for the caller to enqueue. Also restores the id
-// counter past every recovered id and clears checkpoint debris of jobs
-// that no longer need one.
+// inert jobs; queued or running records are orphans of the dead
+// process — rebuilt as live jobs under their original id, submission
+// time and trace id, with Restarts bumped, and returned for the caller
+// to enqueue. The live retention sweep then evicts the replayed history
+// the running daemon would already have dropped, and the journal is
+// rewritten once from what survived, in journal order. Also restores
+// the id counter past every recovered id and clears checkpoint debris
+// of jobs that no longer need one.
 func (m *Manager) recover() []*Job {
 	if m.store == nil {
 		return nil
 	}
-	recs := applyRetention(m.store.Records(), m.now(), m.cfg.RetentionAge, m.cfg.RetentionMax)
+	recs := m.store.replayed()
 	live := make(map[string]bool)
 	var orphans []*Job
 	var maxID uint64
@@ -244,7 +248,6 @@ func (m *Manager) recover() []*Job {
 		}
 		if rec.State.Terminal() {
 			m.jobs[rec.ID] = replayedJob(rec)
-			m.replayed++
 			continue
 		}
 		// Orphan: the previous process died with this job queued or
@@ -255,30 +258,32 @@ func (m *Manager) recover() []*Job {
 			tracer = telemetry.NewTracerWithID(tid)
 		}
 		job := m.newJob(rec.ID, rec.Client, rec.Request, rec.Restarts+1, rec.Submitted, tracer)
+		m.jobs[rec.ID] = job
 		orphans = append(orphans, job)
 		live[rec.ID] = true
-		m.resumed++
 	}
 	// Keep only the id namespace monotonic: replayed and resumed ids
 	// must never be re-minted for new submissions.
 	m.nextID.Store(maxID)
-	m.store.SweepCheckpoints(live)
-	// Drop evicted history from the store's view too, so its next
-	// compaction shrinks with the registry.
-	kept := make(map[string]bool, len(recs))
+	m.mu.Lock()
+	m.sweepRetentionLocked(true)
+	kept := recs[:0]
 	for _, rec := range recs {
-		kept[rec.ID] = true
-	}
-	for _, rec := range m.store.Records() {
-		if !kept[rec.ID] {
-			m.store.Forget(rec.ID)
+		if m.jobs[rec.ID] != nil {
+			kept = append(kept, rec)
 		}
 	}
+	m.mu.Unlock()
+	m.replayed, m.resumed = len(kept)-len(orphans), len(orphans)
+	m.store.SweepCheckpoints(live)
 	// Rewrite the journal to the retained view: without this, records
 	// evicted here (or by the previous process's live sweep) survive on
-	// disk and are re-filtered at every restart forever.
-	if err := m.store.Compact(); err != nil {
-		m.log.Warn("store compaction after recovery failed", "err", err)
+	// disk and are re-filtered at every restart forever. An empty replay
+	// leaves nothing to compact.
+	if len(recs) > 0 {
+		if err := m.store.rewrite(kept); err != nil {
+			m.log.Warn("store compaction after recovery failed", "err", err)
+		}
 	}
 	return orphans
 }
@@ -549,22 +554,36 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	job.mu.Lock()
 	queued := job.state == StateQueued
 	job.mu.Unlock()
-	if queued && job.transition(StateCancelled, cause.Error()) {
-		m.count("serve.jobs.cancelled")
-		job.endSpans(cause)
-		m.removeCheckpoint(job)
-		m.log.Info("job cancelled while queued", "job", job.ID, "trace", job.TraceID())
-		m.publishState(job)
+	if queued {
+		m.finish(job, StateCancelled, "", cause, "serve.jobs.cancelled", slog.LevelInfo, "job cancelled while queued")
 	}
 	return job, nil
 }
 
-// removeCheckpoint drops a terminal job's checkpoint file: the job will
-// never resume, so its per-cell state is dead weight in the state dir.
-func (m *Manager) removeCheckpoint(job *Job) {
+// finish is every terminal transition. It moves job to state — done
+// with table, otherwise failed or cancelled by cause — which journals
+// the terminal record before Done fires; then it bumps counter, ends
+// the job's spans, removes its checkpoint (a terminal job never
+// resumes, so its per-cell state is dead weight), logs msg at level
+// and publishes the final state. A job already terminal is left as it
+// is.
+func (m *Manager) finish(job *Job, state JobState, table string, cause error, counter string, level slog.Level, msg string, attrs ...any) {
+	var applied bool
+	if state == StateDone {
+		applied = job.setResult(table)
+	} else {
+		applied = job.transition(state, cause.Error())
+	}
+	if !applied {
+		return
+	}
+	m.count(counter)
+	job.endSpans(cause)
 	if m.store != nil {
 		m.store.RemoveCheckpoint(job.ID)
 	}
+	m.log.Log(context.Background(), level, msg, append([]any{"job", job.ID, "trace", job.TraceID()}, attrs...)...)
+	m.publishState(job)
 }
 
 // Jobs lists every known job, newest first bounded by max (0 = all).
@@ -642,15 +661,12 @@ func (m *Manager) sweepRetentionLocked(force bool) {
 	}
 }
 
-// evictLocked removes one terminal job from the registry, the store's
-// compaction view, and the checkpoint directory. Caller holds m.mu.
+// evictLocked removes one terminal job from the registry. Its
+// checkpoint went when it finished, and its journal line goes at the
+// next start's compaction. Caller holds m.mu.
 func (m *Manager) evictLocked(id string) {
 	delete(m.jobs, id)
 	m.evicted++
-	if m.store != nil {
-		m.store.Forget(id)
-		m.store.RemoveCheckpoint(id)
-	}
 }
 
 // Drain stops admission and waits for in-flight jobs. Queued jobs still
@@ -692,36 +708,31 @@ func (m *Manager) Drain(ctx context.Context) error {
 }
 
 // session is one pool worker: it pops jobs until the queue closes
-// (drain) or the base context dies, running each with panic isolation
-// so a crashing simulation takes down its job, not the daemon.
+// (drain), running each with panic isolation so a crashing simulation
+// takes down its job, not the daemon. Once the base context dies (hard
+// shutdown) no popped job starts: each still queued ends cancelled, and
+// the session returns when the queue is empty.
 func (m *Manager) session(id int) {
 	defer m.wg.Done()
 	for {
+		var job *Job
+		ok := false
 		select {
 		case <-m.baseCtx.Done():
-			// Hard shutdown: mark whatever is still queued cancelled.
-			for {
-				select {
-				case job, ok := <-m.queue:
-					if !ok {
-						return
-					}
-					if job.transition(StateCancelled, "serve: daemon shutdown") {
-						m.count("serve.jobs.cancelled")
-						job.endSpans(errors.New("serve: daemon shutdown"))
-						m.removeCheckpoint(job)
-						m.publishState(job)
-					}
-				default:
-					return
-				}
+			select {
+			case job, ok = <-m.queue:
+			default:
 			}
-		case job, ok := <-m.queue:
-			if !ok {
-				return
-			}
-			m.runJob(id, job)
+		case job, ok = <-m.queue:
 		}
+		if !ok {
+			return
+		}
+		if m.baseCtx.Err() != nil {
+			m.finish(job, StateCancelled, "", errShutdown, "serve.jobs.cancelled", slog.LevelInfo, "job cancelled at shutdown")
+			continue
+		}
+		m.runJob(id, job)
 	}
 }
 
@@ -818,34 +829,18 @@ func (m *Manager) runJob(session int, job *Job) {
 
 	switch {
 	case panicked:
-		m.count("serve.jobs.panicked")
-		job.transition(StateFailed, err.Error())
-		m.log.Error("job session panicked",
-			"job", job.ID, "trace", job.TraceID(), "session", session, "err", err)
+		m.finish(job, StateFailed, "", err, "serve.jobs.panicked", slog.LevelError, "job session panicked",
+			"session", session, "err", err)
 	case err != nil && (ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
-		m.count("serve.jobs.cancelled")
-		job.transition(StateCancelled, err.Error())
-		m.log.Info("job cancelled",
-			"job", job.ID, "trace", job.TraceID(), "session", session,
-			"elapsed", elapsed, "cause", err)
+		m.finish(job, StateCancelled, "", err, "serve.jobs.cancelled", slog.LevelInfo, "job cancelled",
+			"session", session, "elapsed", elapsed, "cause", err)
 	case err != nil:
-		m.count("serve.jobs.failed")
-		job.transition(StateFailed, err.Error())
-		m.log.Warn("job failed",
-			"job", job.ID, "trace", job.TraceID(), "session", session,
-			"elapsed", elapsed, "err", err)
+		m.finish(job, StateFailed, "", err, "serve.jobs.failed", slog.LevelWarn, "job failed",
+			"session", session, "elapsed", elapsed, "err", err)
 	default:
-		m.count("serve.jobs.done")
-		job.setResult(table)
-		m.log.Info("job done",
-			"job", job.ID, "trace", job.TraceID(), "session", session,
-			"elapsed", elapsed)
+		m.finish(job, StateDone, table, nil, "serve.jobs.done", slog.LevelInfo, "job done",
+			"session", session, "elapsed", elapsed)
 	}
-	job.endSpans(err)
-	// The terminal transition journaled the record (it carries the table
-	// or error); drop the cell checkpoint — a terminal job never resumes.
-	m.removeCheckpoint(job)
-	m.publishState(job)
 }
 
 // attempt runs the job's simulation with panic isolation: a panic — a

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"hammertime/internal/journal"
@@ -34,10 +32,11 @@ import (
 //     table is byte-identical to an uninterrupted run because restored
 //     cells are exact JSON round trips (see DESIGN.md, "Durable jobs").
 //
-// The journal is compacted at open (one surviving record per job,
-// oldest first) so it stays proportional to the registry rather than to
-// the daemon's lifetime submission count; the in-memory registry itself
-// is bounded by the manager's retention sweep.
+// The store keeps no registry of its own: OpenStore replays the
+// journal once, the manager takes those records (replayed), loads them
+// into its registry, applies retention there, and rewrites the journal
+// once from what survived (rewrite). Between starts the journal only
+// grows, by one line per lifecycle transition.
 
 // JobRecord is the journaled snapshot of one job — everything needed to
 // rebuild its registry entry (terminal jobs) or resubmit it (orphans).
@@ -55,62 +54,69 @@ type JobRecord struct {
 	Error     string     `json:"error,omitempty"`
 }
 
-// Store owns the journal file and the checkpoint directory. Safe for
-// concurrent use: sessions journal transitions while HTTP handlers
-// submit.
+// Store owns the journal file and the checkpoint directory. Append is
+// safe for concurrent use (sessions journal transitions while HTTP
+// handlers submit); replayed and rewrite belong to the manager's
+// startup, before its sessions run.
 type Store struct {
 	dir string
 	log *journal.Log
-
-	mu    sync.Mutex
-	last  map[string]JobRecord
-	order []string // job ids by first appearance (journal order)
+	// recs is the journal's replay, the last record per job in journal
+	// order, held only until the manager takes it.
+	recs []JobRecord
 }
 
 // storeJournal is the journal's file name inside the state dir.
 const storeJournal = "jobs.jsonl"
 
-// OpenStore opens (creating if needed) the state directory, replays the
-// journal, and compacts it to one line per job. The returned store's
-// Records reflect the previous process's registry at the moment it
-// died; a torn final line — the signature of a SIGKILL mid-append — is
+// OpenStore opens (creating if needed) the state directory and replays
+// the journal, keeping the last record per job for the manager to take.
+// A torn final line — the signature of a SIGKILL mid-append — is
 // dropped, and any line after the first corrupt one is ignored.
 func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, last: make(map[string]JobRecord)}
+	s := &Store{dir: dir}
+	at := make(map[string]int)
 	log, err := journal.Open(filepath.Join(dir, storeJournal), func(_ int64, line []byte) bool {
 		var rec JobRecord
 		if json.Unmarshal(line, &rec) != nil || rec.ID == "" {
 			return false
 		}
-		s.remember(rec)
+		if i, seen := at[rec.ID]; seen {
+			s.recs[i] = rec
+		} else {
+			at[rec.ID] = len(s.recs)
+			s.recs = append(s.recs, rec)
+		}
 		return true
 	})
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s.log = log
-	if err := s.Compact(); err != nil {
-		log.Close()
-		return nil, err
-	}
 	return s, nil
 }
 
-// Compact rewrites the journal to the current in-memory view. The
-// manager calls it after recovery applies retention, so jobs evicted by
-// Forget actually leave the disk. When compaction fails the store goes
-// on appending to the old journal.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	lines := make([][]byte, len(s.order))
-	for i, id := range s.order {
-		line, err := json.Marshal(s.last[id])
+// replayed hands over the records OpenStore replayed and drops the
+// store's reference to them: a second call returns nil.
+func (s *Store) replayed() []JobRecord {
+	recs := s.recs
+	s.recs = nil
+	return recs
+}
+
+// rewrite replaces the journal with recs, one line each. The manager
+// calls it once per start, after recovery applies retention, so jobs
+// evicted since the last start leave the disk. When it fails the store
+// goes on appending to the old journal.
+func (s *Store) rewrite(recs []JobRecord) error {
+	lines := make([][]byte, len(recs))
+	for i, rec := range recs {
+		line, err := json.Marshal(rec)
 		if err != nil {
-			return fmt.Errorf("store: compact %s: %w", id, err)
+			return fmt.Errorf("store: compact %s: %w", rec.ID, err)
 		}
 		lines[i] = line
 	}
@@ -120,37 +126,9 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// remember makes rec the job's current state. Caller holds s.mu, or owns
-// s exclusively during replay.
-func (s *Store) remember(rec JobRecord) {
-	if _, seen := s.last[rec.ID]; !seen {
-		s.order = append(s.order, rec.ID)
-	}
-	s.last[rec.ID] = rec
-}
-
-// Len returns the number of distinct jobs in the journal.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.last)
-}
-
-// Records returns the last journaled record of every job, in journal
-// (submission) order.
-func (s *Store) Records() []JobRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobRecord, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.last[id])
-	}
-	return out
-}
-
 // Append journals one job snapshot. Write errors are sticky and
-// surfaced by Err — the in-memory view stays consistent regardless, so
-// the running daemon keeps serving; only durability across the next
+// surfaced by Err — the manager's registry is unaffected, so the
+// running daemon keeps serving; only durability across the next
 // restart is lost.
 func (s *Store) Append(rec JobRecord) {
 	line, err := json.Marshal(rec)
@@ -158,29 +136,7 @@ func (s *Store) Append(rec JobRecord) {
 		s.log.Fail(fmt.Errorf("store: job %s: %w", rec.ID, err))
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.remember(rec)
 	s.log.Append(line)
-}
-
-// Forget drops a job from the store's in-memory view so the next
-// compaction (at restart) omits it. The manager's retention sweep calls
-// this alongside registry eviction; nothing is rewritten now — the
-// journal stays append-only while the daemon lives.
-func (s *Store) Forget(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.last[id]; !ok {
-		return
-	}
-	delete(s.last, id)
-	for i, o := range s.order {
-		if o == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
 }
 
 // Err returns the first append failure, if any.
@@ -217,45 +173,4 @@ func (s *Store) SweepCheckpoints(keep map[string]bool) {
 		}
 		_ = os.Remove(filepath.Join(s.dir, "checkpoints", e.Name()))
 	}
-}
-
-// applyRetention filters terminal records the same way the manager's
-// in-memory sweep does — drop those finished before the age cutoff,
-// then the oldest beyond the count bound — so a restart does not
-// resurrect jobs the running daemon would already have evicted.
-// Non-terminal records (the orphans to resume) always survive. age or
-// max <= 0 disables that bound. Returns the surviving records in
-// journal order.
-func applyRetention(recs []JobRecord, now time.Time, age time.Duration, max int) []JobRecord {
-	type aged struct {
-		idx      int
-		finished time.Time
-	}
-	var terminal []aged
-	drop := make(map[int]bool)
-	for i, rec := range recs {
-		if !rec.State.Terminal() {
-			continue
-		}
-		if age > 0 && now.Sub(rec.Finished) > age {
-			drop[i] = true
-			continue
-		}
-		terminal = append(terminal, aged{i, rec.Finished})
-	}
-	if max > 0 && len(terminal) > max {
-		sort.Slice(terminal, func(a, b int) bool {
-			return terminal[a].finished.Before(terminal[b].finished)
-		})
-		for _, t := range terminal[:len(terminal)-max] {
-			drop[t.idx] = true
-		}
-	}
-	out := recs[:0:0]
-	for i, rec := range recs {
-		if !drop[i] {
-			out = append(out, rec)
-		}
-	}
-	return out
 }
