@@ -895,34 +895,26 @@ func (j *jobDelegate) verify(spec harness.GridSpec, keys []string, out batchOutc
 	return batch, nil
 }
 
-// computeLocal runs the given cells in-process through the same capture
-// mechanism a worker uses — identical code path, identical bytes — with
-// the delegate cleared so the run cannot recurse into dispatch. It is
-// both the no-fleet fallback and the audit's authoritative executor.
-// With record set (the fallback) the cells go into the job's checkpoint
-// as they finish; the audit runs with no checkpoint, so bytes recorded
-// from a worker can never vouch for themselves.
+// computeLocal runs the given cells in-process through
+// harness.ComputeCells, the executor a worker uses — identical code
+// path, identical bytes. It is both the no-fleet fallback and the
+// audit's authoritative executor. With record set (the fallback) the
+// cells go into the job's checkpoint as they finish; the audit runs
+// with no checkpoint, so bytes recorded from a worker can never vouch
+// for themselves.
 func (j *jobDelegate) computeLocal(ctx context.Context, spec harness.GridSpec, cells []int, keys []string, record bool) (map[int]json.RawMessage, error) {
-	capture := harness.NewCellCapture(spec.ID, cells)
-	run := harness.RunFrom(ctx)
-	run.Capture, run.Delegate = capture, nil
 	if !record {
+		run := harness.RunFrom(ctx)
 		run.Checkpoint = nil
+		ctx = harness.WithRun(ctx, run)
 	}
-	_, runErr := harness.Experiment(harness.WithRun(ctx, run), j.experiment, j.horizon, j.opts.Attack())
-	if err := capture.Err(); err != nil {
-		return nil, err
+	_, got, err := harness.ComputeCells(ctx, j.experiment, j.horizon, j.opts.Attack(), spec.ID, cells)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: local cells: %w", err)
 	}
-	got := capture.Results()
 	out := make(map[int]json.RawMessage, len(cells))
 	for _, i := range cells {
-		c, ok := got[i]
-		if !ok {
-			if runErr != nil {
-				return nil, fmt.Errorf("cluster: local cell %d: %w", i, runErr)
-			}
-			return nil, fmt.Errorf("cluster: local cell %d never computed", i)
-		}
+		c := got[i]
 		if c.Key != keys[i] {
 			return nil, fmt.Errorf("cluster: local cell %d key mismatch: want %s, got %s", i, keys[i], c.Key)
 		}

@@ -3,7 +3,7 @@
 // worker nodes by content-addressed cell key, fronted by a result cache,
 // and merges the returned cells into a table byte-identical to a serial
 // run. The split rides the harness's distribution hooks — a GridDelegate
-// on the coordinator, a CellCapture on each worker — so the experiment
+// on the coordinator, harness.ComputeCells on each worker — so the experiment
 // code itself never changes.
 //
 // The protocol is deliberately idempotent: cells are pure functions of

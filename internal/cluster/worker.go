@@ -18,8 +18,8 @@ import (
 )
 
 // WorkerNode executes assigned cells: it rebuilds the requested grid
-// from the wire options under a CellCapture narrowed to the assigned
-// indices, so only those cells are simulated, and returns each result as
+// from the wire options through harness.ComputeCells, narrowed to the
+// assigned indices, so only those cells are simulated, and returns each result as
 // the exact JSON the coordinator will merge. A worker keeps no job
 // state — every request is self-contained, which is what makes killing
 // a worker mid-run recoverable by re-dispatching elsewhere.
@@ -99,42 +99,26 @@ func (w *WorkerNode) RunCells(ctx context.Context, req CellRequest) (CellRespons
 	}
 	ctx = telemetry.NewContext(ctx, &telemetry.Scope{Tracer: tracer})
 
-	capture := harness.NewCellCapture(req.Grid, req.Cells)
-	run := harness.RunFrom(ctx)
-	run.Capture, run.Delegate = capture, nil
-	if run.Logger == nil {
+	if run := harness.RunFrom(ctx); run.Logger == nil {
 		// A request's context carries no Run: warn in the node's log.
 		run.Logger, run.Policy.SlowCellWarn = w.Log, harness.DefaultSlowCellWarn
+		ctx = harness.WithRun(ctx, run)
 	}
-	ctx = harness.WithRun(ctx, run)
 	start := time.Now()
-	_, runErr := harness.Experiment(ctx, req.Experiment, req.Horizon, req.Opts.Attack())
-	if err := capture.Err(); err != nil {
+	config, results, err := harness.ComputeCells(ctx, req.Experiment, req.Horizon, req.Opts.Attack(), req.Grid, req.Cells)
+	if config != "" && req.Config != "" && config != req.Config {
+		return resp, fmt.Errorf("cluster: grid config skew on %q: coordinator %q, worker %q — option or version drift",
+			req.Grid, req.Config, config)
+	}
+	if err != nil {
 		return resp, err
 	}
-	if !capture.Reached() {
-		if runErr != nil {
-			return resp, fmt.Errorf("cluster: grid %q never ran: %w", req.Grid, runErr)
-		}
-		return resp, fmt.Errorf("cluster: experiment %q has no grid %q", req.Experiment, req.Grid)
-	}
-	if cfg := capture.Config(); req.Config != "" && cfg != req.Config {
-		return resp, fmt.Errorf("cluster: grid config skew on %q: coordinator %q, worker %q — option or version drift",
-			req.Grid, req.Config, cfg)
-	}
-	results := capture.Results()
 	for _, i := range req.Cells {
-		cell, ok := results[i]
-		if !ok {
-			if runErr != nil {
-				return resp, fmt.Errorf("cluster: cell %d incomplete: %w", i, runErr)
-			}
-			return resp, fmt.Errorf("cluster: cell %d out of range for grid %q", i, req.Grid)
-		}
+		cell := results[i]
 		resp.Cells = append(resp.Cells, CellResult{Index: i, Key: cell.Key, Result: cell.Result})
 	}
 	sort.Slice(resp.Cells, func(a, b int) bool { return resp.Cells[a].Index < resp.Cells[b].Index })
-	resp.Config = capture.Config()
+	resp.Config = config
 	resp.Spans = telemetry.EncodeSpans(tracer.Snapshot())
 	telemetry.OrNop(w.Log).Info("cells computed",
 		"grid", req.Grid, "cells", len(resp.Cells), "elapsed", time.Since(start))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -11,7 +12,7 @@ import (
 
 // Distribution hooks: the two halves of the coordinator/worker split
 // (internal/cluster) are fields of the context's Run (Delegate and
-// Capture), so the experiment code itself — E1Matrix and friends —
+// capture), so the experiment code itself — E1Matrix and friends —
 // never knows whether its cells were computed in-process, fetched from
 // a content-addressed cache, or simulated on another node.
 //
@@ -22,10 +23,11 @@ import (
 //     cells — so a distributed run is byte-identical to a serial one
 //     for the same reason a resumed run is.
 //
-//   - A CellCapture (worker side) narrows a grid to an assigned subset
-//     of cells and records each computed result as JSON keyed by
-//     CellKey. Grids other than the capture's target are skipped
-//     entirely: the worker simulates only what it was assigned.
+//   - ComputeCells (worker side, and the coordinator's in-process
+//     fallback and audit) runs an experiment narrowed to an assigned
+//     subset of one grid's cells and returns each computed result as
+//     JSON keyed by CellKey. Grids other than the target are skipped
+//     entirely: the caller simulates only what it was assigned.
 
 // GridDelegate computes grid cells out-of-process. RunGrid must return
 // one JSON-encoded result per requested cell index — each the exact
@@ -49,11 +51,46 @@ func WithGridDelegate(ctx context.Context, d GridDelegate) context.Context {
 	return WithRun(ctx, r)
 }
 
-// CellCapture restricts a run to one grid's assigned cells and collects
-// their results as (CellKey, JSON) pairs — the worker half of the
-// coordinator/worker protocol. Construct with NewCellCapture, set it as
-// Run.Capture, run the experiment, then read Results.
-type CellCapture struct {
+// ComputeCells runs experiment in-process with the context's Run
+// narrowed to the given cells of grid and its delegate cleared, so the
+// run cannot recurse into dispatch, and returns each cell's key and
+// JSON. config is the grid's config string as observed here ("" when
+// the grid never ran), for the caller to check against its own. It
+// fails when a cell value does not marshal, the grid never ran, or a
+// requested cell was not computed; the last two carry the run's error
+// when it had one.
+func ComputeCells(ctx context.Context, experiment string, horizon uint64, opts AttackOpts, grid string, cells []int) (config string, results map[int]CapturedCell, err error) {
+	capture := newCellCapture(grid, cells)
+	run := RunFrom(ctx)
+	run.capture, run.Delegate = capture, nil
+	_, runErr := Experiment(WithRun(ctx, run), experiment, horizon, opts)
+	capture.mu.Lock()
+	defer capture.mu.Unlock()
+	if capture.err != nil {
+		return capture.config, nil, capture.err
+	}
+	if !capture.reached {
+		if runErr != nil {
+			return "", nil, fmt.Errorf("harness: grid %q never ran: %w", grid, runErr)
+		}
+		return "", nil, fmt.Errorf("harness: experiment %q has no grid %q", experiment, grid)
+	}
+	for _, i := range capture.cells {
+		if _, ok := capture.out[i]; ok {
+			continue
+		}
+		if runErr != nil {
+			return capture.config, nil, fmt.Errorf("harness: cell %d incomplete: %w", i, runErr)
+		}
+		return capture.config, nil, fmt.Errorf("harness: cell %d out of range for grid %q", i, grid)
+	}
+	return capture.config, maps.Clone(capture.out), nil
+}
+
+// cellCapture restricts a run to one grid's assigned cells and collects
+// their results as (CellKey, JSON) pairs: ComputeCells sets it as the
+// Run's capture.
+type cellCapture struct {
 	grid  string
 	cells []int // sorted ascending, without duplicates
 
@@ -71,24 +108,24 @@ type CapturedCell struct {
 	Result json.RawMessage
 }
 
-// NewCellCapture builds a capture for the given cells of grid.
-func NewCellCapture(grid string, cells []int) *CellCapture {
+// newCellCapture builds a capture for the given cells of grid.
+func newCellCapture(grid string, cells []int) *cellCapture {
 	sorted := slices.Clone(cells)
 	sort.Ints(sorted)
 	sorted = slices.Compact(sorted)
-	return &CellCapture{grid: grid, cells: sorted, out: make(map[int]CapturedCell, len(sorted))}
+	return &cellCapture{grid: grid, cells: sorted, out: make(map[int]CapturedCell, len(sorted))}
 }
 
 // indices returns the capture's assigned cells that exist in a grid of
 // n cells, sorted ascending. The slice is shared: callers must not
 // modify it.
-func (c *CellCapture) indices(n int) []int {
+func (c *cellCapture) indices(n int) []int {
 	return c.cells[sort.SearchInts(c.cells, 0):sort.SearchInts(c.cells, n)]
 }
 
 // arm records that the target grid was reached and its config string —
 // the worker compares it against the coordinator's to detect skew.
-func (c *CellCapture) arm(config string) {
+func (c *cellCapture) arm(config string) {
 	c.mu.Lock()
 	c.reached = true
 	c.config = config
@@ -96,7 +133,7 @@ func (c *CellCapture) arm(config string) {
 }
 
 // record captures one computed cell.
-func (c *CellCapture) record(spec GridSpec, i int, v any) {
+func (c *cellCapture) record(spec GridSpec, i int, v any) {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		c.mu.Lock()
@@ -109,37 +146,4 @@ func (c *CellCapture) record(spec GridSpec, i int, v any) {
 	c.mu.Lock()
 	c.out[i] = CapturedCell{Key: CellKey(spec, i), Result: raw}
 	c.mu.Unlock()
-}
-
-// Reached reports whether the target grid ran at all.
-func (c *CellCapture) Reached() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reached
-}
-
-// Config returns the target grid's config string as observed locally.
-func (c *CellCapture) Config() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.config
-}
-
-// Err returns the first capture failure (a cell value that would not
-// marshal), if any.
-func (c *CellCapture) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-// Results returns the captured cells. The map is a copy.
-func (c *CellCapture) Results() map[int]CapturedCell {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[int]CapturedCell, len(c.out))
-	for i, v := range c.out {
-		out[i] = v
-	}
-	return out
 }

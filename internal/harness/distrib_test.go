@@ -58,27 +58,26 @@ func fastE1() ([]string, int, AttackOpts) {
 	return []string{"none", "para"}, 4, AttackOpts{Horizon: 200_000, Tenants: 2, PagesPerTenant: 60}
 }
 
-func TestCellCaptureNarrowsGrid(t *testing.T) {
+// fastE1Opts is fastE1 as the experiment dispatcher's options.
+func fastE1Opts() AttackOpts {
 	defenses, sided, opts := fastE1()
-	capture := NewCellCapture("e1", []int{1, 3, 99})
-	ctx := under(Run{Capture: capture})
-	if _, err := E1Matrix(ctx, defenses, sided, opts); err != nil {
+	opts.Defenses, opts.ManySided = defenses, sided
+	return opts
+}
+
+func TestCellCaptureNarrowsGrid(t *testing.T) {
+	opts := fastE1Opts()
+	config, got, err := ComputeCells(under(Run{}), "e1", opts.Horizon, opts, "e1", []int{3, 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := capture.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !capture.Reached() {
-		t.Fatal("target grid not reached")
-	}
-	if capture.Config() == "" {
+	if config == "" {
 		t.Fatal("config string not captured")
 	}
-	got := capture.Results()
 	if len(got) != 2 {
-		t.Fatalf("captured %d cells, want 2 (out-of-range 99 dropped)", len(got))
+		t.Fatalf("captured %d cells, want 2", len(got))
 	}
-	spec := GridSpec{ID: "e1", Config: capture.Config()}
+	spec := GridSpec{ID: "e1", Config: config}
 	for _, i := range []int{1, 3} {
 		cell, ok := got[i]
 		if !ok {
@@ -91,26 +90,28 @@ func TestCellCaptureNarrowsGrid(t *testing.T) {
 			t.Fatalf("cell %d result is not JSON: %s", i, cell.Result)
 		}
 	}
+	// A cell beyond the grid is never computed, and says so.
+	_, _, err = ComputeCells(under(Run{}), "e1", opts.Horizon, opts, "e1", []int{1, 3, 99})
+	if err == nil || !strings.Contains(err.Error(), "cell 99 out of range") {
+		t.Fatalf("out-of-range cell: err = %v", err)
+	}
 }
 
 func TestCellCaptureSkipsOtherGrids(t *testing.T) {
-	defenses, sided, opts := fastE1()
-	capture := NewCellCapture("some-other-grid", []int{0})
-	ctx := under(Run{Capture: capture})
-	// The run must neither error nor simulate: a worker assigned grid X
-	// skips experiment phases that build other grids.
-	if _, err := E1Matrix(ctx, defenses, sided, opts); err != nil {
-		t.Fatal(err)
+	opts := fastE1Opts()
+	// The run must not simulate: a worker assigned grid X skips
+	// experiment phases that build other grids, and reports that X
+	// never ran.
+	config, got, err := ComputeCells(under(Run{}), "e1", opts.Horizon, opts, "some-other-grid", []int{0})
+	if err == nil || !strings.Contains(err.Error(), `has no grid "some-other-grid"`) {
+		t.Fatalf("capture for a different grid: err = %v", err)
 	}
-	if capture.Reached() {
-		t.Fatal("capture for a different grid claims the target ran")
-	}
-	if len(capture.Results()) != 0 {
-		t.Fatal("cells captured for the wrong grid")
+	if config != "" || len(got) != 0 {
+		t.Fatalf("capture for a different grid reached it (config %q, %d cells)", config, len(got))
 	}
 }
 
-// captureDelegate computes cells in-process through a CellCapture, the
+// captureDelegate computes cells in-process through ComputeCells, the
 // way a worker does, so the delegate restore path can be tested against
 // the serial path without HTTP.
 type captureDelegate struct {
@@ -127,20 +128,16 @@ func (d *captureDelegate) RunGrid(ctx context.Context, spec GridSpec, cells []in
 	if d.fail != nil {
 		return nil, d.fail
 	}
-	capture := NewCellCapture(spec.ID, cells)
-	// A worker's run: no delegate to recurse into, no checkpoint.
+	// A worker's run: no checkpoint (ComputeCells clears the delegate).
 	rc := RunFrom(ctx)
-	rc.Capture, rc.Delegate, rc.Checkpoint = capture, nil, nil
-	ctx = WithRun(ctx, rc)
-	defenses, sided, opts := fastE1()
-	if _, err := E1Matrix(ctx, defenses, sided, opts); err != nil {
-		return nil, err
-	}
-	if err := capture.Err(); err != nil {
+	rc.Checkpoint = nil
+	opts := fastE1Opts()
+	_, got, err := ComputeCells(WithRun(ctx, rc), "e1", opts.Horizon, opts, spec.ID, cells)
+	if err != nil {
 		return nil, err
 	}
 	out := make(map[int]json.RawMessage, len(cells))
-	for i, cell := range capture.Results() {
+	for i, cell := range got {
 		out[i] = cell.Result
 	}
 	if d.partial {
@@ -221,7 +218,7 @@ func TestDelegateAskedOnlyMissingCells(t *testing.T) {
 	}
 	defer ck.Close()
 	// Preload cells 1, 4 and 6 by computing just those.
-	if _, err := E1Matrix(under(Run{Checkpoint: ck, Capture: NewCellCapture("e1", []int{6, 1, 4})}), defenses, sided, opts); err != nil {
+	if _, _, err := ComputeCells(under(Run{Checkpoint: ck}), "e1", opts.Horizon, fastE1Opts(), "e1", []int{6, 1, 4}); err != nil {
 		t.Fatal(err)
 	}
 	del := &captureDelegate{t: t}
@@ -291,15 +288,15 @@ func TestCellCaptureRecordsRestoredCells(t *testing.T) {
 	if err := runGrid(under(Run{Checkpoint: ck, Workers: 1}), spec, 2, fn).Err(); err != nil {
 		t.Fatal(err)
 	}
-	capture := NewCellCapture("t-cap", []int{0, 1, 2})
-	run := runGrid(under(Run{Checkpoint: ck, Capture: capture, Workers: 1}), spec, 3, fn)
+	capture := newCellCapture("t-cap", []int{0, 1, 2})
+	run := runGrid(under(Run{Checkpoint: ck, capture: capture, Workers: 1}), spec, 3, fn)
 	if err := run.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if run.Restored != 2 {
 		t.Fatalf("restored %d cells, want 2", run.Restored)
 	}
-	got := capture.Results()
+	got := capture.out
 	for i := 0; i < 3; i++ {
 		want := CapturedCell{Key: CellKey(spec, i), Result: json.RawMessage(strconv.Itoa(5 * i))}
 		if c, ok := got[i]; !ok || c.Key != want.Key || string(c.Result) != string(want.Result) {

@@ -231,7 +231,7 @@ func runGrid[T any](ctx context.Context, spec GridSpec, n int, fn func(ctx conte
 	// Worker path: a capture narrows the run to its assigned cells of
 	// its target grid; other grids of the same experiment are skipped
 	// entirely (their tables are discarded by the worker anyway).
-	capture := rc.Capture
+	capture := rc.capture
 	if capture != nil && capture.grid != spec.ID {
 		return run
 	}

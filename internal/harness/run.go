@@ -46,9 +46,6 @@ type Run struct {
 	// the checkpoint does not hold out-of-process (the cluster
 	// coordinator); anonymous grids always run locally.
 	Delegate GridDelegate
-	// Capture, when set, narrows the run to one grid's assigned cells
-	// and collects their results (the cluster worker).
-	Capture *CellCapture
 	// Logger receives failed-cell and slow-cell warnings (nil = silent).
 	Logger *slog.Logger
 	// Events receives the grid's cell-retry and cell-failure events
@@ -59,6 +56,10 @@ type Run struct {
 	// Faults holds the cell faults injected into identified grids
 	// (cell.error, cell.panic, cell.once; see package fault).
 	Faults fault.Spec
+
+	// capture, when set, narrows the run to one grid's assigned cells
+	// and collects their results (ComputeCells).
+	capture *cellCapture
 }
 
 // WorkerCount resolves Workers to the pool size grids use (>= 1).
