@@ -120,7 +120,6 @@ type options struct {
 	rpcRetries       int
 	breakerThreshold int
 	breakerCooldown  time.Duration
-	hedgeRounds      int
 	auditFraction    float64
 	auditSeed        uint64
 	quarantineFor    time.Duration
@@ -152,7 +151,6 @@ func main() {
 	flag.IntVar(&o.rpcRetries, "rpc-retries", 2, "extra attempts per batch RPC against the same worker before the batch is stolen (<0 disables)")
 	flag.IntVar(&o.breakerThreshold, "breaker-threshold", 3, "consecutive batch failures that open a worker's circuit breaker")
 	flag.DurationVar(&o.breakerCooldown, "breaker-cooldown", 10*time.Second, "open-breaker cooldown before the worker half-opens for a probe batch")
-	flag.IntVar(&o.hedgeRounds, "hedge-rounds", 2, "during the final N dispatch rounds, straggler batches are hedged to a second worker (<0 disables)")
 	flag.Float64Var(&o.auditFraction, "audit-fraction", 0.05, "fraction of remotely computed cells re-executed locally and byte-compared; a mismatch quarantines the worker (0 disables)")
 	flag.Uint64Var(&o.auditSeed, "audit-seed", 1, "seed selecting which cells the byte audit samples")
 	flag.DurationVar(&o.quarantineFor, "quarantine-for", 10*time.Minute, "penalty window of a worker caught returning corrupt bytes; its heartbeats are ignored until it ends")
@@ -221,7 +219,6 @@ func buildDispatcher(logger *slog.Logger, o options, rpc *fault.Site) (*cluster.
 		BatchSize:       o.batchCells,
 		RPCRetries:      o.rpcRetries,
 		Breaker:         breaker,
-		HedgeRounds:     o.hedgeRounds,
 		AuditFraction:   o.auditFraction,
 		AuditSeed:       o.auditSeed,
 		QuarantineFor:   o.quarantineFor,

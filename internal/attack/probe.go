@@ -1,14 +1,12 @@
 package attack
 
 import (
-	"context"
 	"fmt"
 
 	"hammertime/internal/addr"
 	"hammertime/internal/core"
 	"hammertime/internal/dram"
 	"hammertime/internal/memctrl"
-	"hammertime/internal/sim"
 )
 
 // Prober implements the inference methods of §2.1/§4.1: an attacker (or a
@@ -23,22 +21,12 @@ type Prober struct {
 	// receives HammerFactor * MAC activations (default 3).
 	HammerFactor int
 
-	now  uint64
-	gate *sim.Canceler
+	now uint64
 }
 
 // NewProber returns a prober for the given domain.
 func NewProber(m *core.Machine, domain int) *Prober {
 	return &Prober{machine: m, domain: domain, HammerFactor: 3}
-}
-
-// SetContext arms cooperative cancellation on the prober: the hammer loop
-// — the prober's hot path, MAC-scaled thousands of raw controller
-// requests per probe — polls the context at a bounded interval and
-// returns its cause once cancelled. A nil or never-cancellable context
-// disables the gate (the default).
-func (p *Prober) SetContext(ctx context.Context) {
-	p.gate = sim.NewCanceler(ctx, 256)
 }
 
 // ownLines returns the domain's lines in the given bank-local row.
@@ -66,9 +54,6 @@ func (p *Prober) hammer(bank, row int, acts int) error {
 	lineA := p.machine.Mapper.Unmap(ddr(bank, row, 0))
 	lineB := p.machine.Mapper.Unmap(ddr(bank, companion, 0))
 	for i := 0; i < acts; i++ {
-		if err := p.gate.Check(); err != nil {
-			return fmt.Errorf("attack: probe cancelled: %w", err)
-		}
 		for _, line := range [2]uint64{lineA, lineB} {
 			res, err := p.machine.MC.ServeRequest(memctrl.Request{
 				Line:   line,

@@ -418,8 +418,8 @@ func TestDispatcherReleasesPoolOnShutdown(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("register: status %d", resp.StatusCode)
 	}
-	// One RPC through the pool leaves an idle connection to the worker.
-	resp, err = d.client.Get(w.URL + "/healthz")
+	// One RPC through the worker's pool leaves an idle connection to it.
+	resp, err = d.clientFor(Worker{Name: "w1", Addr: w.URL, Slots: 1}).Get(w.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,33 +24,36 @@ import (
 
 // DispatcherConfig parametrizes a Dispatcher. The zero value works:
 // memory-only cache, 15s worker TTL, 2m per-batch deadline, 2 RPC
-// retries with 50ms-base backoff, hedging in the final 2 rounds, audit
-// off.
+// retries with 50ms-base backoff, backup copies after 15s on the wire,
+// audit off.
+//
+// Every batch goes through the dispatcher's one queue: a free credit on
+// any live worker takes the oldest waiting batch, and a failed, stolen,
+// rejected or quarantined batch puts its cells back. A cell that enters
+// the queue 8 times fails its grid.
 type DispatcherConfig struct {
 	// Cache fronts dispatch (nil = a fresh 64 MiB memory-only cache).
 	Cache *ResultCache
 	// Registry tracks the worker fleet (nil = a fresh 15s-TTL registry
 	// configured with Breaker).
 	Registry *Registry
-	// Client performs worker RPCs (nil = a client on the dispatcher's
-	// own connection pool, released by Close). Wrap its transport with
-	// resilience.NewTransport (and set Faults) to run the whole dispatch
-	// plane under an injected fault schedule.
+	// Client performs worker RPCs (nil = the dispatcher's own connection
+	// pool per worker, capped at the worker's slots and released by
+	// Close). Wrap its transport with resilience.NewTransport (and set
+	// Faults) to run the whole dispatch plane under an injected fault
+	// schedule.
 	Client *http.Client
 	// DispatchTimeout bounds one batch RPC attempt from its send — time
-	// spent waiting for the worker's credit is not charged; a batch that
-	// misses it is stolen back and re-dispatched (0 = 2m).
+	// spent waiting for a credit is not charged; a batch that misses it
+	// is stolen back and queued again (0 = 2m).
 	DispatchTimeout time.Duration
 	// BatchSize caps the cells per RPC (0 = 4). Smaller batches steal
 	// back less work when a worker dies mid-run.
 	BatchSize int
-	// MaxRounds bounds the dispatch-steal-redispatch loop (0 = 8); the
-	// local fallback makes the final round when workers keep dying.
-	MaxRounds int
 	// RPCRetries is how many extra attempts one batch gets against the
 	// same worker before the batch counts as failed (0 = 2, <0 = none).
 	// Retries absorb transient faults — a dropped packet no longer
-	// steals a whole batch and burns a dispatch round.
+	// steals a whole batch.
 	RPCRetries int
 	// RetryBase is the base of the deterministic jittered backoff slept
 	// between attempts, harness.Backoff-shaped (0 = 50ms).
@@ -58,13 +61,15 @@ type DispatcherConfig struct {
 	// Breaker configures per-worker circuit breakers (used when Registry
 	// is nil; a supplied Registry carries its own).
 	Breaker resilience.BreakerConfig
-	// HedgeRounds: during the final N dispatch rounds each batch is also
-	// dispatched to a second worker after HedgeDelay, first verified
-	// response wins (0 = 2, <0 = never). Cells are idempotent, so the
-	// losing response is simply discarded.
+	// Deprecated: HedgeRounds is ignored; HedgeDelay alone times backup
+	// copies. ROADMAP item 17 deletes it together with perfledger's use
+	// of it.
 	HedgeRounds int
-	// HedgeDelay is the head start the primary worker gets, from the
-	// primary's send, before the hedge fires (0 = DispatchTimeout/8).
+	// HedgeDelay is how long a batch must have been on the wire, counted
+	// from its send, before an idle credit on another worker takes a
+	// backup copy of it, once nothing waits in the queue (0 =
+	// DispatchTimeout/8). The first verified response wins; cells are
+	// idempotent, so the losing leg is cancelled and discarded.
 	HedgeDelay time.Duration
 	// AuditFraction in [0,1] is the fraction of remotely computed cells
 	// re-executed locally and byte-compared before the batch is trusted
@@ -91,16 +96,19 @@ type DispatcherConfig struct {
 // them, so a cell computed for one job serves every later job that needs
 // the same key.
 type Dispatcher struct {
-	cache  *ResultCache
-	reg    *Registry
+	cache *ResultCache
+	reg   *Registry
+	// client is the caller's DispatcherConfig.Client; without one, each
+	// worker gets its own pool in pools.
 	client *http.Client
-	// pool is the transport behind client when the dispatcher made it.
-	pool *http.Transport
-	cfg  DispatcherConfig
-	log  *slog.Logger
+	cfg    DispatcherConfig
+	log    *slog.Logger
 
-	credits *credits
-	jobs    atomic.Uint64 // the last job's ticket number
+	queue queue
+	jobs  atomic.Uint64 // the last job's ticket number
+
+	poolMu sync.Mutex
+	pools  map[string]*workerPool
 
 	closeOnShutdown sync.Once // hooks Close onto the server Mount serves on
 
@@ -108,32 +116,31 @@ type Dispatcher struct {
 	stats   sim.Stats
 }
 
+// workerPool is the dispatcher's own connection pool to one worker. It
+// holds at most the worker's slots in connections: a worker never has
+// more legs on the wire than credits, so a dial beyond that would only
+// race a connection about to free up, and idle unused.
+type workerPool struct {
+	addr   string
+	slots  int
+	client *http.Client
+}
+
 // NewDispatcher builds a dispatcher, filling config defaults.
 func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
-	d := &Dispatcher{cache: cfg.Cache, reg: cfg.Registry, client: cfg.Client, cfg: cfg, credits: newCredits()}
+	d := &Dispatcher{cache: cfg.Cache, reg: cfg.Registry, client: cfg.Client, cfg: cfg, pools: make(map[string]*workerPool)}
+	d.queue.held = make(map[string]int)
 	if d.cache == nil {
 		d.cache = NewResultCache(0)
 	}
 	if d.reg == nil {
 		d.reg = NewRegistryConfig(RegistryConfig{Breaker: cfg.Breaker})
 	}
-	if d.client == nil {
-		d.pool = http.DefaultTransport.(*http.Transport).Clone()
-		// A worker never has more batch RPCs in flight than its credits,
-		// hedge legs included, so it never has more idle connections
-		// either; the default of 2 would make a worker with more cores
-		// dial and close connections for most batches.
-		d.pool.MaxIdleConnsPerHost = maxSlots
-		d.client = &http.Client{Transport: d.pool}
-	}
 	if d.cfg.DispatchTimeout <= 0 {
 		d.cfg.DispatchTimeout = 2 * time.Minute
 	}
 	if d.cfg.BatchSize <= 0 {
 		d.cfg.BatchSize = 4
-	}
-	if d.cfg.MaxRounds <= 0 {
-		d.cfg.MaxRounds = 8
 	}
 	switch {
 	case d.cfg.RPCRetries == 0:
@@ -143,12 +150,6 @@ func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
 	}
 	if d.cfg.RetryBase <= 0 {
 		d.cfg.RetryBase = 50 * time.Millisecond
-	}
-	switch {
-	case d.cfg.HedgeRounds == 0:
-		d.cfg.HedgeRounds = 2
-	case d.cfg.HedgeRounds < 0:
-		d.cfg.HedgeRounds = 0
 	}
 	if d.cfg.HedgeDelay <= 0 {
 		d.cfg.HedgeDelay = d.cfg.DispatchTimeout / 8
@@ -160,14 +161,37 @@ func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
 	return d
 }
 
-// Close releases the idle worker connections of the dispatcher's own
-// pool. A client supplied in DispatcherConfig is the caller's to close.
-// RPCs still in flight finish; the dispatcher stays usable, dialing
-// afresh.
+// Close releases the idle connections of the dispatcher's own pools. A
+// client supplied in DispatcherConfig is the caller's to close. RPCs
+// still in flight finish; the dispatcher stays usable, dialing afresh.
 func (d *Dispatcher) Close() {
-	if d.pool != nil {
-		d.pool.CloseIdleConnections()
+	d.poolMu.Lock()
+	defer d.poolMu.Unlock()
+	for _, p := range d.pools {
+		p.client.CloseIdleConnections()
 	}
+}
+
+// clientFor returns the client for RPCs to w: the caller's, or w's own
+// pool, rebuilt when w's address or slots change.
+func (d *Dispatcher) clientFor(w Worker) *http.Client {
+	if d.client != nil {
+		return d.client
+	}
+	slots := max(w.Slots, 1)
+	d.poolMu.Lock()
+	defer d.poolMu.Unlock()
+	p := d.pools[w.Name]
+	if p == nil || p.addr != w.Addr || p.slots != slots {
+		if p != nil {
+			p.client.CloseIdleConnections()
+		}
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxConnsPerHost, t.MaxIdleConnsPerHost = slots, slots
+		p = &workerPool{addr: w.Addr, slots: slots, client: &http.Client{Transport: t}}
+		d.pools[w.Name] = p
+	}
+	return p.client
 }
 
 // Registry returns the worker registry (for HTTP registration wiring).
@@ -196,7 +220,7 @@ func (d *Dispatcher) MergeInto(dst *sim.Stats) {
 	dst.Add("cluster.cache.misses", misses)
 	dst.Add("cluster.cache.evicted", evicted)
 	dst.Add("cluster.workers.evicted", d.reg.Evicted())
-	queued, waited := d.credits.totals()
+	queued, waited := d.queue.totals()
 	dst.Add("cluster.dispatch.queued", queued)
 	dst.Add("cluster.dispatch.wait_ms", waited.Milliseconds())
 	dst.SetGauge("cluster.cache.bytes", float64(d.cache.Bytes()))
@@ -207,7 +231,7 @@ func (d *Dispatcher) MergeInto(dst *sim.Stats) {
 }
 
 // validateWorkerAddr rejects anything but an absolute http(s) URL — a
-// garbage addr accepted here would otherwise surface rounds later as
+// garbage addr accepted here would otherwise surface batches later as
 // opaque dispatch failures against a dial string that never could work.
 func validateWorkerAddr(addr string) error {
 	u, err := url.Parse(addr)
@@ -261,7 +285,7 @@ func (d *Dispatcher) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/cluster/workers", func(rw http.ResponseWriter, r *http.Request) {
 		views := d.reg.Views()
 		for i := range views {
-			views[i].Inflight, _ = d.credits.load(views[i].Name)
+			views[i].Inflight = d.queue.inflight(views[i].Name)
 		}
 		writeJSON(rw, http.StatusOK, views)
 	})
@@ -292,14 +316,15 @@ type jobDelegate struct {
 	batches atomic.Uint64
 }
 
-// batchOutcome is one dispatched batch's result, fed back to the round
-// loop: either resp is set (worker names who answered), or err and the
-// cells to steal back.
+// batchOutcome is one batch's result, fed back to its grid: resp is set
+// (worker names who answered), or err, or local when no worker was live
+// to take the batch.
 type batchOutcome struct {
 	worker Worker
 	cells  []int
 	resp   *CellResponse
 	err    error
+	local  bool
 }
 
 // gridState is the mutable merge state of one RunGrid call.
@@ -316,14 +341,29 @@ type gridState struct {
 	origin map[int]string
 }
 
-// RunGrid computes the given cells of the grid: cache first, then rounds of
-// partitioned dispatch across live workers — each batch RPC gated on a
-// credit of its worker, retried with deterministic backoff, hedged to a
-// second worker in the final rounds, byte-audited by sample, and stolen
-// back from failed or corrupting workers — falling back to in-process
+// gridRun is one RunGrid call's share of the dispatch queue.
+type gridRun struct {
+	j   *jobDelegate
+	ctx context.Context
+	st  *gridState
+	// out receives one outcome per batch. Its capacity is the grid's
+	// pending cells: the unresolved batches hold disjoint cells, so a
+	// send never blocks, even after the grid has returned.
+	out chan batchOutcome
+	// outstanding counts the batches queued or on the wire, and tries
+	// how often each cell has entered the queue.
+	outstanding int
+	tries       []uint8
+}
+
+// RunGrid computes the given cells of the grid: cache first, then the
+// dispatcher's queue — each batch sent on a free credit of any live
+// worker, retried with deterministic backoff, backed up to an idle worker
+// when it straggles, byte-audited by sample, and queued again when it
+// fails or its worker is caught corrupting — falling back to in-process
 // execution when no workers are live. Results enter the shared cache
 // only after the grid completes, so a corrupting worker's bytes never
-// outlive the round that caught them. Strict: either every requested
+// outlive the grid that caught them. Strict: either every requested
 // cell merges, or an error.
 func (j *jobDelegate) RunGrid(ctx context.Context, spec harness.GridSpec, cells []int) (map[int]json.RawMessage, error) {
 	d := j.d
@@ -348,79 +388,10 @@ func (j *jobDelegate) RunGrid(ctx context.Context, spec harness.GridSpec, cells 
 	if len(pending) < len(cells) {
 		d.log.Info("cells served from cache", "grid", spec.ID, "hits", len(cells)-len(pending), "total", len(cells))
 	}
-
-	for round := 0; len(pending) > 0; round++ {
-		if err := ctx.Err(); err != nil {
+	if len(pending) > 0 {
+		if err := j.dispatchAll(ctx, st, pending); err != nil {
 			return nil, err
 		}
-		if round >= d.cfg.MaxRounds {
-			return nil, fmt.Errorf("cluster: %d cells still pending after %d dispatch rounds", len(pending), round)
-		}
-		d.count("cluster.dispatch.rounds", 1)
-		live := d.reg.Live()
-		if len(live) == 0 {
-			// No fleet (or the whole fleet died): the coordinator is
-			// always its own worker of last resort.
-			d.log.Warn("no live workers, computing locally", "grid", spec.ID, "cells", len(pending))
-			if err := j.runLocal(ctx, st, pending); err != nil {
-				return nil, err
-			}
-			pending = nil
-			break
-		}
-
-		hedge := d.cfg.HedgeRounds > 0 && round >= d.cfg.MaxRounds-d.cfg.HedgeRounds && len(live) > 1
-		batches := partition(pending, len(live), d.cfg.BatchSize)
-		assignment := assignBatches(len(batches), live)
-		outcomes := make(chan batchOutcome, len(batches))
-		inflight := 0
-		var requeue []int
-		for bi, cells := range batches {
-			wi := assignment[bi]
-			if wi < 0 {
-				// Every placeable worker is a probe already holding its
-				// one batch; these cells wait for the next round.
-				requeue = append(requeue, cells...)
-				continue
-			}
-			w := live[wi]
-			var second *Worker
-			if hedge && !w.Probe {
-				second = hedgeTarget(live, wi)
-			}
-			inflight++
-			t := ticket{job: j.job, batch: j.batches.Add(1)}
-			go func(w Worker, second *Worker, cells []int) {
-				resp, by, err := j.dispatchResilient(ctx, w, second, spec, cells, t)
-				outcomes <- batchOutcome{worker: by, cells: cells, resp: resp, err: err}
-			}(w, second, cells)
-		}
-		for k := 0; k < inflight; k++ {
-			out := <-outcomes
-			if out.err != nil && uncharged(ctx, out.err) {
-				d.log.Info("batch requeued uncharged", "grid", spec.ID,
-					"worker", out.worker.Name, "cells", len(out.cells), "err", out.err)
-				requeue = append(requeue, out.cells...)
-				continue
-			}
-			if out.err != nil {
-				// Steal the batch back: the breaker has recorded the
-				// failure and the cells go into the next round, to
-				// another worker or the local fallback.
-				d.count("cluster.worker.failures", 1)
-				d.count("cluster.cells.stolen", int64(len(out.cells)))
-				d.log.Warn("batch failed, stealing cells back",
-					"grid", spec.ID, "worker", out.worker.Name, "cells", len(out.cells), "err", out.err)
-				requeue = append(requeue, out.cells...)
-				continue
-			}
-			stolen, err := j.mergeBatch(ctx, st, out)
-			requeue = append(requeue, stolen...)
-			if err != nil {
-				return nil, err
-			}
-		}
-		pending = requeue
 	}
 
 	for _, i := range cells {
@@ -436,6 +407,86 @@ func (j *jobDelegate) RunGrid(ctx context.Context, spec harness.GridSpec, cells 
 		d.cache.Put(st.keys[i], st.results[i])
 	}
 	return st.results, nil
+}
+
+// dispatchAll queues the pending cells and merges the batch outcomes as
+// they arrive, putting back the cells of every batch that fails, until
+// each cell has merged.
+func (j *jobDelegate) dispatchAll(ctx context.Context, st *gridState, pending []int) error {
+	d := j.d
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	g := &gridRun{j: j, ctx: ctx, st: st, out: make(chan batchOutcome, len(pending)), tries: make([]uint8, len(st.keys))}
+	defer d.abandon(g)
+	for cells := pending; ; {
+		if err := g.enqueue(cells); err != nil {
+			return err
+		}
+		if g.outstanding == 0 {
+			return nil
+		}
+		var out batchOutcome
+		select {
+		case out = <-g.out:
+		case <-ctx.Done():
+		}
+		if err := ctx.Err(); err != nil {
+			// The job ended: an outcome now says nothing about its worker.
+			return err
+		}
+		g.outstanding--
+		cells = nil
+		switch {
+		case out.local:
+			if err := j.runLocal(ctx, st, out.cells); err != nil {
+				return err
+			}
+		case out.err != nil:
+			// Steal the batch back: the breaker has recorded the failure
+			// and the cells go back in the queue, to another worker or
+			// the local fallback.
+			d.count("cluster.worker.failures", 1)
+			d.count("cluster.cells.stolen", int64(len(out.cells)))
+			d.log.Warn("batch failed, stealing cells back",
+				"grid", st.spec.ID, "worker", out.worker.Name, "cells", len(out.cells), "err", out.err)
+			cells = out.cells
+		default:
+			var err error
+			if cells, err = j.mergeBatch(ctx, st, out); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// enqueue puts cells in the dispatcher's queue, in batches sized to
+// spread over the live workers, or computes them locally when no worker
+// is live.
+func (g *gridRun) enqueue(cells []int) error {
+	if len(cells) == 0 {
+		return nil
+	}
+	d := g.j.d
+	for _, i := range cells {
+		if g.tries[i]++; g.tries[i] > maxAttempts {
+			return fmt.Errorf("cluster: cell %d of %q still pending after %d dispatch attempts", i, g.st.spec.ID, maxAttempts)
+		}
+	}
+	live := len(d.reg.Live())
+	if live == 0 {
+		// No fleet (or the whole fleet died): the coordinator is always
+		// its own worker of last resort.
+		d.log.Warn("no live workers, computing locally", "grid", g.st.spec.ID, "cells", len(cells))
+		return g.j.runLocal(g.ctx, g.st, cells)
+	}
+	parts := partition(cells, live, d.cfg.BatchSize)
+	bs := make([]*batch, len(parts))
+	for k, part := range parts {
+		bs[k] = &batch{g: g, t: ticket{job: g.j.job, batch: g.j.batches.Add(1)}, cells: part}
+	}
+	g.outstanding += len(bs)
+	d.enqueue(bs)
+	return nil
 }
 
 // mergeBatch verifies, audits and commits one successful batch response.
@@ -551,7 +602,7 @@ func (j *jobDelegate) auditBatch(ctx context.Context, st *gridState, out batchOu
 
 // auditPick reports whether the audit samples this cell: an FNV-64a of
 // (cell key, audit seed) mapped to [0,1) against AuditFraction — a
-// deterministic per-cell coin that every round and every job flips the
+// deterministic per-cell coin that every attempt and every job flips the
 // same way.
 func (j *jobDelegate) auditPick(key string) bool {
 	f := j.d.cfg.AuditFraction
@@ -566,104 +617,24 @@ func (j *jobDelegate) auditPick(key string) bool {
 	return float64(h.Sum64()>>11)/(1<<53) < f
 }
 
-// dispatchResilient runs one batch against w with bounded retries, and —
-// when hedging is on for the round — races a second attempt on another
-// worker once the first has had a head start on the wire. The first
-// verified transport-level success wins; cells are idempotent, so the
-// losing response is discarded.
-func (j *jobDelegate) dispatchResilient(ctx context.Context, w Worker, second *Worker, spec harness.GridSpec, cells []int, t ticket) (*CellResponse, Worker, error) {
-	d := j.d
-	if second == nil {
-		resp, err := j.dispatchRetry(ctx, w, spec, cells, t, nil)
-		return resp, w, err
-	}
-	type leg struct {
-		resp *CellResponse
-		w    Worker
-		err  error
-	}
-	ch := make(chan leg, 2)
-	launch := func(lw Worker, sent func()) {
-		go func() {
-			resp, err := j.dispatchRetry(ctx, lw, spec, cells, t, sent)
-			ch <- leg{resp: resp, w: lw, err: err}
-		}()
-	}
-	// The head start counts from the primary's send, not from its wait
-	// for a credit: the timer is armed when sent fires.
-	sent := make(chan struct{})
-	launch(w, func() { close(sent) })
-	timer := time.NewTimer(d.cfg.HedgeDelay)
-	timer.Stop()
-	defer timer.Stop()
-	var hedgeAt <-chan time.Time
-	hedged := false
-	outstanding := 1
-	var firstErr error
-	for {
-		select {
-		case <-sent:
-			sent = nil
-			timer.Reset(d.cfg.HedgeDelay)
-			hedgeAt = timer.C
-		case <-hedgeAt:
-			if !hedged {
-				hedged = true
-				outstanding++
-				d.count("cluster.batches.hedged", 1)
-				d.log.Info("hedging straggler batch", "grid", spec.ID,
-					"primary", w.Name, "hedge", second.Name, "cells", len(cells))
-				launch(*second, nil)
-			}
-		case l := <-ch:
-			if l.err == nil {
-				if hedged && l.w.Name == second.Name {
-					d.count("cluster.hedge.wins", 1)
-				}
-				return l.resp, l.w, nil
-			}
-			if firstErr == nil {
-				firstErr = l.err
-			}
-			outstanding--
-			if !hedged {
-				// The primary failed before the hedge delay: fire the
-				// hedge immediately rather than waiting out the timer.
-				hedged = true
-				outstanding++
-				d.count("cluster.batches.hedged", 1)
-				launch(*second, nil)
-				continue
-			}
-			if outstanding == 0 {
-				return nil, w, firstErr
-			}
-		case <-ctx.Done():
-			return nil, w, ctx.Err()
-		}
-	}
-}
-
 // dispatchRetry attempts one batch RPC against one worker up to
-// 1+RPCRetries times, sleeping the deterministic harness backoff keyed
-// by (grid, worker, batch) between attempts. Every attempt waits for a
-// credit under the batch's ticket t, and sent (if not nil) is called as
-// the first attempt goes on the wire. Breaker accounting is one signal per
-// exhausted sequence, not per attempt — retries exist precisely so a
-// transient hiccup is absorbed before the breaker hears about anything —
-// and none for an attempt that was never sent or that failed after the
-// job ended.
-func (j *jobDelegate) dispatchRetry(ctx context.Context, w Worker, spec harness.GridSpec, cells []int, t ticket, sent func()) (*CellResponse, error) {
+// 1+RPCRetries times, holding one of the worker's credits throughout and
+// sleeping the deterministic harness backoff keyed by (grid, worker,
+// batch) between attempts. Breaker accounting is one signal per exhausted
+// sequence, not per attempt — retries exist precisely so a transient
+// hiccup is absorbed before the breaker hears about anything — and none
+// for an attempt that failed because ctx ended: the job was cancelled,
+// or another leg of the batch won.
+func (j *jobDelegate) dispatchRetry(ctx context.Context, w Worker, spec harness.GridSpec, cells []int) (*CellResponse, error) {
 	d := j.d
 	key := fmt.Sprintf("%s|%s|%d", spec.ID, w.Name, cells[0])
 	for attempt := 1; ; attempt++ {
-		resp, err := j.dispatch(ctx, w, spec, cells, t, sent)
-		sent = nil
+		resp, err := j.dispatch(ctx, w, spec, cells)
 		if err == nil {
 			d.reg.ReportSuccess(w.Name)
 			return resp, nil
 		}
-		if uncharged(ctx, err) {
+		if ctx.Err() != nil {
 			return nil, err
 		}
 		if !retryable(err) || attempt > d.cfg.RPCRetries {
@@ -700,63 +671,9 @@ func retryable(err error) bool {
 	return true
 }
 
-// hedgeTarget picks the hedge worker for a batch assigned to live[wi]:
-// the next distinct non-probe worker in the stable round order, nil when
-// none exists.
-func hedgeTarget(live []Worker, wi int) *Worker {
-	for off := 1; off < len(live); off++ {
-		c := live[(wi+off)%len(live)]
-		if c.Probe || c.Name == live[wi].Name {
-			continue
-		}
-		return &c
-	}
-	return nil
-}
-
-// assignBatches maps each batch to a live-worker index round-robin, with
-// half-open (probe) workers capped at one batch — the breaker's contract
-// is that a probation worker proves itself on one batch, not a full
-// share. A batch that cannot be placed gets -1 and waits for the next
-// round.
-func assignBatches(n int, live []Worker) []int {
-	out := make([]int, n)
-	used := make([]int, len(live))
-	next := 0
-	for b := 0; b < n; b++ {
-		out[b] = -1
-		for tries := 0; tries < len(live); tries++ {
-			wi := next % len(live)
-			next++
-			if live[wi].Probe && used[wi] >= 1 {
-				continue
-			}
-			used[wi]++
-			out[b] = wi
-			break
-		}
-	}
-	return out
-}
-
-// errWorkerLeft is why a batch that waited for a credit is not sent.
-var errWorkerLeft = errors.New("cluster: batch not sent: worker left the live set")
-
-// uncharged reports whether a failed batch attempt says nothing about
-// its worker's health: the batch was never sent because its worker left
-// the live set while it waited for a credit, or the job ended while the
-// batch waited or ran. The breaker hears nothing and the cells go back
-// to the round's requeue (whose next round returns the job's error).
-func uncharged(ctx context.Context, err error) bool {
-	return errors.Is(err, errWorkerLeft) || ctx.Err() != nil
-}
-
 // dispatch sends one batch to one worker under the per-batch deadline,
-// grafting the worker's spans into the job's trace on success. The send
-// takes one of the worker's credits, waiting behind older tickets when
-// all are held; the deadline starts once the credit is in hand, and the
-// credit is returned as soon as the reply is read.
-func (j *jobDelegate) dispatch(ctx context.Context, w Worker, spec harness.GridSpec, cells []int, t ticket, sent func()) (*CellResponse, error) {
+// grafting the worker's spans into the job's trace on success.
+func (j *jobDelegate) dispatch(ctx context.Context, w Worker, spec harness.GridSpec, cells []int) (*CellResponse, error) {
 	d := j.d
 	ctx, span := telemetry.StartSpan(ctx, "dispatch:"+w.Name)
 	span.SetAttrs(
@@ -776,24 +693,14 @@ func (j *jobDelegate) dispatch(ctx context.Context, w Worker, spec harness.GridS
 	if sc != nil && sc.Tracer != nil {
 		req.TraceID = sc.Tracer.ID().String()
 	}
-	// Encoded before the wait, so a granted credit goes straight to the
-	// wire.
 	body, err := json.Marshal(req)
 	if err != nil {
 		span.EndErr(err)
 		return nil, err
 	}
-	if err := j.acquire(ctx, w, t); err != nil {
-		span.EndErr(err)
-		return nil, err
-	}
-	if sent != nil {
-		sent()
-	}
 	dctx, cancel := context.WithTimeout(ctx, d.cfg.DispatchTimeout)
-	resp, err := j.call(dctx, w.Addr, body)
+	resp, err := j.call(dctx, w, body)
 	cancel()
-	d.credits.release(w.Name)
 	if err == nil {
 		var spans []telemetry.SpanSnap
 		if spans, err = telemetry.DecodeSpans(resp.Spans, 0); err == nil {
@@ -812,36 +719,14 @@ func (j *jobDelegate) dispatch(ctx context.Context, w Worker, spec harness.GridS
 	return resp, nil
 }
 
-// acquire takes a credit on w for the batch holding ticket t. A batch
-// that has to wait records the wait as a queue:<worker> span under its
-// dispatch span, and after the wait is sent only if w is still live.
-func (j *jobDelegate) acquire(ctx context.Context, w Worker, t ticket) error {
-	d := j.d
-	if d.credits.take(w) {
-		return nil
-	}
-	_, span := telemetry.StartSpan(ctx, "queue:"+w.Name)
-	err := d.credits.wait(ctx, w, t)
-	if err == nil && !d.reg.IsLive(w.Name) {
-		d.credits.release(w.Name)
-		err = errWorkerLeft
-	}
-	if err != nil {
-		span.EndErr(err)
-		return err
-	}
-	span.End()
-	return nil
-}
-
 // call performs the HTTP RPC of one encoded CellRequest.
-func (j *jobDelegate) call(ctx context.Context, addr string, body []byte) (*CellResponse, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/cells", bytes.NewReader(body))
+func (j *jobDelegate) call(ctx context.Context, w Worker, body []byte) (*CellResponse, error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Addr+"/v1/cells", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := j.d.client.Do(hreq)
+	hresp, err := j.d.clientFor(w).Do(hreq)
 	if err != nil {
 		return nil, err
 	}
@@ -936,8 +821,8 @@ func (j *jobDelegate) runLocal(ctx context.Context, st *gridState, cells []int) 
 	return nil
 }
 
-// partition splits cells into batches of at most batchSize, sized so one
-// round spreads the work across all workers: ceil(len/workers) capped at
+// partition splits cells into batches of at most batchSize, sized so the
+// batches spread over all workers: ceil(len/workers) capped at
 // batchSize.
 func partition(cells []int, workers, batchSize int) [][]int {
 	if len(cells) == 0 {

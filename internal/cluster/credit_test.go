@@ -19,22 +19,26 @@ import (
 // fakeWorker answers /v1/cells with a placeholder result per cell, under
 // the key the coordinator expects, without simulating anything. It
 // records the peak number of requests in flight and each request's grid
-// in arrival order.
+// and arrival time, in arrival order.
 type fakeWorker struct {
 	srv *httptest.Server
 	// hold is how long each request takes. serial makes the worker run
 	// one request at a time, a 1-core worker; release, when set, holds
-	// every request until it is closed.
+	// every request until it is closed, and gates holds the requests of
+	// one grid until its channel is closed.
 	hold    time.Duration
 	serial  bool
 	release chan struct{}
+	gates   map[string]chan struct{}
 
-	run      sync.Mutex // held while a serial worker runs a request
-	mu       sync.Mutex
-	inflight int
-	peak     int
-	grids    []string
-	arrived  chan string // each request's grid, as it arrives
+	run       sync.Mutex // held while a serial worker runs a request
+	mu        sync.Mutex
+	inflight  int
+	peak      int
+	grids     []string
+	times     []time.Time
+	cancelled int         // requests whose client went away while held
+	arrived   chan string // each request's grid, as it arrives
 }
 
 func startFake(t *testing.T, f *fakeWorker) *fakeWorker {
@@ -55,6 +59,7 @@ func (f *fakeWorker) serve(rw http.ResponseWriter, r *http.Request) {
 	f.inflight++
 	f.peak = max(f.peak, f.inflight)
 	f.grids = append(f.grids, req.Grid)
+	f.times = append(f.times, time.Now())
 	f.mu.Unlock()
 	defer func() {
 		f.mu.Lock()
@@ -66,10 +71,17 @@ func (f *fakeWorker) serve(rw http.ResponseWriter, r *http.Request) {
 		f.run.Lock()
 		defer f.run.Unlock()
 	}
-	if f.release != nil {
+	gate := f.release
+	if g, ok := f.gates[req.Grid]; ok {
+		gate = g
+	}
+	if gate != nil {
 		select {
-		case <-f.release:
+		case <-gate:
 		case <-r.Context().Done():
+			f.mu.Lock()
+			f.cancelled++
+			f.mu.Unlock()
 			return
 		}
 	}
@@ -122,19 +134,42 @@ func firstCells(n int) []int {
 	return cells
 }
 
-// waitQueued blocks until n batches wait for a credit of the worker.
-func waitQueued(t *testing.T, d *Dispatcher, worker string, n int) {
+// waiting returns how many batches wait in the dispatcher's queue.
+func waiting(d *Dispatcher) int {
+	d.queue.mu.Lock()
+	defer d.queue.mu.Unlock()
+	return len(d.queue.waiting)
+}
+
+// eventually polls cond until it holds, failing with msg after 10 s.
+func eventually(t *testing.T, msg string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, q := d.credits.load(worker); q == n {
-			return
-		}
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d batches never queued for %s", n, worker)
+			t.Fatal(msg)
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// waitQueued blocks until n batches wait in the dispatcher's queue.
+func waitQueued(t *testing.T, d *Dispatcher, n int) {
+	t.Helper()
+	eventually(t, fmt.Sprintf("%d batches never queued", n), func() bool { return waiting(d) == n })
+}
+
+// arrivals returns when the worker received each request of the grid.
+func (f *fakeWorker) arrivals(grid string) []time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var out []time.Time
+	for i, g := range f.grids {
+		if g == grid {
+			out = append(out, f.times[i])
+		}
+	}
+	return out
 }
 
 // TestCreditsBoundWorkerConcurrency: a worker advertising 2 slots never
@@ -161,12 +196,17 @@ func TestCreditsBoundWorkerConcurrency(t *testing.T) {
 	}
 	var spans int64
 	for _, s := range tr.Snapshot() {
-		if s.Name == "queue:w1" {
-			spans++
+		if s.Name != "queue" {
+			continue
+		}
+		for _, a := range s.Attrs {
+			if a.Key == "worker" && a.Val == "w1" {
+				spans++
+			}
 		}
 	}
 	if spans != queued {
-		t.Fatalf("%d queue:w1 spans for %d queued batches", spans, queued)
+		t.Fatalf("%d queue spans taken by w1 for %d queued batches", spans, queued)
 	}
 }
 
@@ -183,7 +223,7 @@ func TestCreditsServeOldestJobFirst(t *testing.T) {
 		errs <- err
 	}()
 	<-f.arrived
-	waitQueued(t, d, "w1", 3)
+	waitQueued(t, d, 3)
 	go func() {
 		_, err := second.RunGrid(context.Background(), harness.GridSpec{ID: "second", Config: "c"}, firstCells(4))
 		errs <- err
@@ -241,12 +281,12 @@ func TestCancelWhileQueued(t *testing.T) {
 		_, err := fakeJob(t, d).RunGrid(ctx, harness.GridSpec{ID: "cancelled", Config: "c"}, firstCells(1))
 		cancelled <- err
 	}()
-	waitQueued(t, d, "w1", 1)
+	waitQueued(t, d, 1)
 	cancel()
 	if err := <-cancelled; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled job returned %v, want context.Canceled", err)
 	}
-	if inflight, queued := d.credits.load("w1"); inflight != 1 || queued != 0 {
+	if inflight, queued := d.queue.inflight("w1"), waiting(d); inflight != 1 || queued != 0 {
 		t.Fatalf("after the cancel: %d credits held, %d batches queued; want 1, 0", inflight, queued)
 	}
 	if len(d.Registry().Live()) != 1 || counter(d, "cluster.worker.failures") != 0 {
@@ -289,9 +329,9 @@ func TestCancelInFlightNotCharged(t *testing.T) {
 	}
 }
 
-// TestWorkerLeavesWhileQueued: a batch waiting on a worker that leaves
-// the live set goes back to its round's requeue and runs on the worker
-// that is left, unsent and uncharged.
+// TestWorkerLeavesWhileQueued: a batch waits in the queue bound to no
+// worker, so when the busy worker leaves the live set, the batch runs on
+// the worker that is left, and nothing is charged or stolen.
 func TestWorkerLeavesWhileQueued(t *testing.T) {
 	leaving := startFake(t, &fakeWorker{release: make(chan struct{})})
 	d := fakeDispatcher(t, DispatcherConfig{}, 1, leaving)
@@ -306,7 +346,7 @@ func TestWorkerLeavesWhileQueued(t *testing.T) {
 		_, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "moved", Config: "c"}, firstCells(1))
 		moved <- err
 	}()
-	waitQueued(t, d, "w1", 1)
+	waitQueued(t, d, 1)
 
 	staying := startFake(t, &fakeWorker{})
 	d.Registry().Register("w2", staying.srv.URL, 1)
@@ -330,74 +370,168 @@ func TestWorkerLeavesWhileQueued(t *testing.T) {
 	}
 }
 
-// TestCreditsGrantByTicket: a freed credit goes to the oldest ticket
-// waiting, whatever order the batches queued in — the job first, then
-// the batch.
+// TestCreditsGrantByTicket: the queue keeps its batches in ticket order
+// — the job first, then the batch — whatever order they queued in, and
+// a freed credit takes the oldest.
 func TestCreditsGrantByTicket(t *testing.T) {
-	c := newCredits()
-	w := Worker{Name: "w", Slots: 1}
-	if !c.take(w) {
-		t.Fatal("no credit free on an idle worker")
-	}
-	tickets := []ticket{{job: 2, batch: 1}, {job: 1, batch: 7}, {job: 1, batch: 3}}
-	granted := make(chan ticket, len(tickets))
-	for i, tk := range tickets {
+	f := startFake(t, &fakeWorker{release: make(chan struct{})})
+	d := fakeDispatcher(t, DispatcherConfig{BatchSize: 1}, 1, f)
+	holder, older, newer := fakeJob(t, d), fakeJob(t, d), fakeJob(t, d)
+	errs := make(chan error, 3)
+	run := func(j *jobDelegate, grid string, n int) {
 		go func() {
-			if err := c.wait(context.Background(), w, tk); err != nil {
-				t.Error(err)
-			}
-			granted <- tk
+			_, err := j.RunGrid(context.Background(), harness.GridSpec{ID: grid, Config: "c"}, firstCells(n))
+			errs <- err
 		}()
-		for {
-			if _, q := c.load("w"); q == i+1 {
-				break
-			}
-			time.Sleep(time.Millisecond)
+	}
+	run(holder, "holder", 1)
+	<-f.arrived
+	run(newer, "newer", 1)
+	waitQueued(t, d, 1)
+	run(older, "older", 2)
+	waitQueued(t, d, 3)
+
+	d.queue.mu.Lock()
+	var order []ticket
+	for _, b := range d.queue.waiting {
+		order = append(order, b.t)
+	}
+	d.queue.mu.Unlock()
+	want := []ticket{{job: older.job, batch: 1}, {job: older.job, batch: 2}, {job: newer.job, batch: 1}}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("queue holds tickets %v, want %v", order, want)
+	}
+	close(f.release)
+	for i := 0; i < 3; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
-	var order []ticket
-	for range tickets {
-		c.release("w")
-		order = append(order, <-granted)
+	if grids, _ := f.seen(); fmt.Sprint(grids) != "[holder older older newer]" {
+		t.Fatalf("batches sent in order %v, want the holder's, the older job's, then the newer job's", grids)
 	}
-	c.release("w")
-	want := []ticket{{job: 1, batch: 3}, {job: 1, batch: 7}, {job: 2, batch: 1}}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Fatalf("credits granted in order %v, want %v", order, want)
-	}
-	if inflight, queued := c.load("w"); inflight != 0 || queued != 0 {
-		t.Fatalf("%d held, %d queued after every release", inflight, queued)
+	if inflight, queued := d.queue.inflight("w1"), waiting(d); inflight != 0 || queued != 0 {
+		t.Fatalf("%d held, %d queued after every batch", inflight, queued)
 	}
 }
 
-// TestHedgeDelayCountsFromSend: a hedged batch waiting for its primary
-// worker's credit is not hedged, however long it waits; the head start
-// begins when the primary is sent.
+// TestHedgeDelayCountsFromSend: a batch waiting for any credit is never
+// backed up, however long it waits, and once sent it gets its full head
+// start: the backup copy goes out HedgeDelay after the send, not after
+// the queueing.
 func TestHedgeDelayCountsFromSend(t *testing.T) {
-	primary := startFake(t, &fakeWorker{release: make(chan struct{})})
-	spare := startFake(t, &fakeWorker{})
-	// Every round hedges, after 20 ms on the wire.
-	cfg := DispatcherConfig{MaxRounds: 2, HedgeRounds: 2, HedgeDelay: 20 * time.Millisecond}
-	d := fakeDispatcher(t, cfg, 1, primary, spare)
-	// The holder takes w1's credit and, 20 ms later, is hedged to w2.
-	if _, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "holder", Config: "c"}, firstCells(1)); err != nil {
+	const delay = 100 * time.Millisecond
+	holder, waiter := make(chan struct{}), make(chan struct{})
+	gates := map[string]chan struct{}{"holder": holder, "waiter": waiter}
+	w1 := startFake(t, &fakeWorker{gates: gates})
+	w2 := startFake(t, &fakeWorker{gates: gates})
+	d := fakeDispatcher(t, DispatcherConfig{BatchSize: 1, HedgeDelay: delay}, 1, w1, w2)
+	errs := make(chan error, 2)
+	run := func(grid string, n int) {
+		go func() {
+			_, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: grid, Config: "c"}, firstCells(n))
+			errs <- err
+		}()
+	}
+	// The holder's two batches take both credits and stay on the wire.
+	run("holder", 2)
+	<-w1.arrived
+	<-w2.arrived
+	run("waiter", 1)
+	waitQueued(t, d, 1)
+	time.Sleep(3 * delay)
+	if got := counter(d, "cluster.batches.hedged"); got != 0 {
+		t.Fatalf("%d backups sent while every credit was held", got)
+	}
+	if len(w1.arrivals("waiter"))+len(w2.arrivals("waiter")) != 0 {
+		t.Fatal("the waiting batch was sent with no credit free")
+	}
+
+	// Both credits free up: one takes the waiter, which waited 3×delay;
+	// the other sits idle until the waiter has been on the wire for
+	// delay, then takes its backup copy.
+	close(holder)
+	eventually(t, "the waiting batch was never backed up", func() bool {
+		return len(w1.arrivals("waiter"))+len(w2.arrivals("waiter")) >= 2
+	})
+	sends := append(w1.arrivals("waiter"), w2.arrivals("waiter")...)
+	if len(sends) != 2 {
+		t.Fatalf("the waiting batch was sent %d times, want a first leg and a backup", len(sends))
+	}
+	head := sends[1].Sub(sends[0])
+	if head < 0 {
+		head = -head
+	}
+	if head < delay/2 {
+		t.Fatalf("backup sent %v after the first leg, want about HedgeDelay (%v) after it", head, delay)
+	}
+	close(waiter)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := counter(d, "cluster.batches.hedged"); got != 1 {
+		t.Fatalf("%d backups sent, want 1", got)
+	}
+}
+
+// TestStragglerDoesNotHoldGrid: a worker 10× slower than the other holds
+// one batch, not half the grid. Each freed credit takes the next batch,
+// so the fast worker serves the rest while the slow one runs its first.
+func TestStragglerDoesNotHoldGrid(t *testing.T) {
+	slow := startFake(t, &fakeWorker{hold: 200 * time.Millisecond})
+	fast := startFake(t, &fakeWorker{hold: 20 * time.Millisecond})
+	d := fakeDispatcher(t, DispatcherConfig{BatchSize: 2}, 1, slow, fast)
+	start := time.Now()
+	if _, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "g", Config: "c"}, firstCells(16)); err != nil {
 		t.Fatal(err)
 	}
-	waited := make(chan error, 1)
-	go func() {
-		_, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "waiter", Config: "c"}, firstCells(1))
-		waited <- err
-	}()
-	waitQueued(t, d, "w1", 1)
-	time.Sleep(10 * cfg.HedgeDelay)
-	if grids, _ := spare.seen(); fmt.Sprint(grids) != "[holder]" {
-		t.Fatalf("spare worker saw %v while the waiter was queued, want only the holder's hedge", grids)
+	if took := time.Since(start); took >= 400*time.Millisecond {
+		t.Fatalf("grid took %v, want under 400ms: the slow worker held it", took)
 	}
-	close(primary.release)
-	if err := <-waited; err != nil {
+	slowGrids, _ := slow.seen()
+	fastGrids, _ := fast.seen()
+	if len(slowGrids)+len(fastGrids) != 8 || len(fastGrids) < 6 {
+		t.Fatalf("slow worker served %d batches and fast %d, want 8 with at least 6 fast", len(slowGrids), len(fastGrids))
+	}
+}
+
+// TestBackupCopyCancelsBlockedLeg: a batch stuck on a worker that never
+// answers is backed up by the idle worker once it has been on the wire
+// for HedgeDelay. The grid finishes in about HedgeDelay plus the other
+// worker's own time, not in DispatchTimeout; the stuck leg is cancelled
+// and its worker's breaker is not charged.
+func TestBackupCopyCancelsBlockedLeg(t *testing.T) {
+	stuck := startFake(t, &fakeWorker{release: make(chan struct{})})
+	fast := startFake(t, &fakeWorker{hold: 20 * time.Millisecond})
+	d := fakeDispatcher(t, DispatcherConfig{BatchSize: 2, HedgeDelay: 50 * time.Millisecond}, 1, stuck, fast)
+	start := time.Now()
+	if _, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "g", Config: "c"}, firstCells(16)); err != nil {
 		t.Fatal(err)
 	}
-	if grids, _ := primary.seen(); fmt.Sprint(grids) != "[holder waiter]" {
-		t.Fatalf("primary worker saw %v, want the holder's then the waiter's batch", grids)
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("grid took %v, want about HedgeDelay plus 8 batches of 20ms", took)
+	}
+	if grids, _ := stuck.seen(); len(grids) != 1 {
+		t.Fatalf("stuck worker received %d batches, want 1", len(grids))
+	}
+	for name, want := range map[string]int64{
+		"cluster.batches.hedged":  1,
+		"cluster.hedge.wins":      1,
+		"cluster.worker.failures": 0,
+		"cluster.cells.stolen":    0,
+	} {
+		if got := counter(d, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	eventually(t, "the stuck leg was never cancelled", func() bool {
+		stuck.mu.Lock()
+		defer stuck.mu.Unlock()
+		return stuck.cancelled == 1
+	})
+	if live := len(d.Registry().Live()); live != 2 {
+		t.Fatalf("%d live workers after the backup won, want 2", live)
 	}
 }

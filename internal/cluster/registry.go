@@ -70,8 +70,9 @@ type Worker struct {
 	// Slots is how many batch RPCs the worker may hold at once: the cores
 	// it advertised, or 1 while it is a probe.
 	Slots int
-	// Probe marks a half-open worker: the dispatcher routes it at most
-	// one batch per round until its breaker closes again.
+	// Probe marks a half-open worker: with one slot, it holds at most one
+	// batch until its breaker closes again, and it takes no backup
+	// copies.
 	Probe bool
 }
 
@@ -167,8 +168,8 @@ func (r *Registry) Quarantine(name string, penalty time.Duration) bool {
 }
 
 // Live returns the dispatchable workers — heartbeat within TTL, breaker
-// closed or half-open (Probe), not quarantined — sorted by name so round
-// partitioning is stable.
+// closed or half-open (Probe), not quarantined — sorted by name so the
+// dispatcher breaks ties between workers the same way every time.
 func (r *Registry) Live() []Worker {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -187,19 +188,6 @@ func (r *Registry) Live() []Worker {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// IsLive reports whether one worker is in the live set — the check a
-// batch makes after waiting for the worker's credit.
-func (r *Registry) IsLive(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.workers[name]
-	if !ok {
-		return false
-	}
-	_, live := r.stateLocked(e, r.now())
-	return live
 }
 
 // stateLocked resolves an entry's breaker state at now and whether the

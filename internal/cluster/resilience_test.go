@@ -228,9 +228,9 @@ func TestMountValidatesAddr(t *testing.T) {
 	if got := post(`{"name":"big","addr":"http://10.0.0.9:9091","slots":1024}`); got != http.StatusOK {
 		t.Fatalf("register with 1024 slots -> %d, want 200", got)
 	}
-	if !d.credits.take(Worker{Name: "big", Slots: 1024}) {
-		t.Fatal("no credit free on an idle worker")
-	}
+	d.queue.mu.Lock()
+	d.queue.held["big"] = 1
+	d.queue.mu.Unlock()
 	resp, err := http.Get(srv.URL + "/v1/cluster/workers")
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,9 @@ func TestMountValidatesAddr(t *testing.T) {
 		views[1].Slots != 1 || views[1].Inflight != 0 {
 		t.Fatalf("workers %+v, want big with 1024 slots and 1 in flight, w with 1 slot", views)
 	}
-	d.credits.release("big")
+	d.queue.mu.Lock()
+	delete(d.queue.held, "big")
+	d.queue.mu.Unlock()
 	post(`{"name":"big","deregister":true}`)
 
 	// Deregister drops the worker from dispatch immediately.
@@ -357,7 +359,7 @@ func TestBadRequestNotRetried(t *testing.T) {
 	d := NewDispatcher(DispatcherConfig{Registry: reg, RetryBase: time.Millisecond})
 	j := &jobDelegate{d: d, experiment: "e1", horizon: 1000}
 	_, err := j.dispatchRetry(context.Background(), Worker{Name: "w1", Addr: srv.URL},
-		harness.GridSpec{ID: "e1", Config: "c"}, []int{0}, ticket{}, nil)
+		harness.GridSpec{ID: "e1", Config: "c"}, []int{0})
 	if err == nil {
 		t.Fatal("4xx reply did not error")
 	}
@@ -422,7 +424,7 @@ func TestAuditQuarantinesCorruptingWorker(t *testing.T) {
 // the network twice), one Byzantine (corrupting result bytes) — under a
 // seeded RPC fault schedule of drops, delays and two latency spikes. The
 // merged table must come out byte-identical to a serial run, within the
-// dispatch-round bound, with the corrupting worker quarantined and every
+// per-cell attempt cap, with the corrupting worker quarantined and every
 // resilience counter accounted for. Set HAMMERTIME_CHAOS_ARTIFACTS to a
 // directory to keep the fault schedule and merged-table artifacts.
 func TestClusterChaosSoak(t *testing.T) {
@@ -455,11 +457,8 @@ func TestClusterChaosSoak(t *testing.T) {
 		Faults:          rpc,
 		DispatchTimeout: time.Minute,
 		BatchSize:       2,
-		MaxRounds:       8,
 		RPCRetries:      2,
 		RetryBase:       time.Millisecond,
-		HedgeRounds:     2,
-		HedgeDelay:      5 * time.Millisecond,
 		AuditFraction:   1, // soak audits everything: any corrupt byte is terminal
 		QuarantineFor:   time.Hour,
 	})
@@ -484,9 +483,6 @@ func TestClusterChaosSoak(t *testing.T) {
 
 	var st sim.Stats
 	d.MergeInto(&st)
-	if got := st.Counter("cluster.dispatch.rounds"); got < 1 || got > 8 {
-		t.Fatalf("dispatch rounds %d, want within [1, MaxRounds=8]", got)
-	}
 	if got := st.Counter("cluster.worker.quarantined"); got != 1 {
 		t.Fatalf("quarantined %d workers, want exactly the Byzantine one", got)
 	}
@@ -544,7 +540,7 @@ func TestClusterChaosSoak(t *testing.T) {
 // particular the resilience layer's provenance map, audit sampling and
 // hedging must cost nothing when no cell is dispatched.
 func TestCachedPathAllocs(t *testing.T) {
-	d := NewDispatcher(DispatcherConfig{AuditFraction: 0.5, HedgeRounds: 2})
+	d := NewDispatcher(DispatcherConfig{AuditFraction: 0.5})
 	spec := harness.GridSpec{ID: "g", Config: "c"}
 	const n = 16
 	for i := 0; i < n; i++ {

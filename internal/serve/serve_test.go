@@ -616,10 +616,15 @@ func retryAfterSecs(t *testing.T, hdr http.Header) int {
 // hardcoded constant (the draining value must track the drain deadline).
 func TestHTTPShedRetryAfterDerived(t *testing.T) {
 	block := make(chan struct{})
+	started := make(chan struct{}, 1)
 	srv, m := newTestServer(t, Config{
 		Sessions: 1, QueueDepth: 2, RatePerSec: 0.001, Burst: 2,
 		TrustClientHeader: true,
 		Run: func(ctx context.Context, req JobRequest) (string, error) {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
 			select {
 			case <-block:
 			case <-ctx.Done():
@@ -644,10 +649,12 @@ func TestHTTPShedRetryAfterDerived(t *testing.T) {
 	// is on the order of the refill time (~1000s), never the old
 	// constant's scale of seconds. (The rate path must be probed while
 	// the queue has room: queue-full is checked first and sheds without
-	// consulting — or charging — the limiter.)
+	// consulting — or charging — the limiter. So job 1 must be running,
+	// out of the queue, before the next two submissions.)
 	if code, _ := submit("a"); code != http.StatusAccepted {
 		t.Fatalf("first: want 202, got %d", code)
 	}
+	<-started
 	if code, _ := submit("a"); code != http.StatusAccepted {
 		t.Fatalf("second: want 202, got %d", code)
 	}

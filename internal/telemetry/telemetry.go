@@ -375,10 +375,6 @@ func (nopHandler) WithGroup(string) slog.Handler             { return nopHandler
 
 var nopLogger = slog.New(nopHandler{})
 
-// NopLogger returns a logger that discards everything — the default
-// wherever a *slog.Logger is optional.
-func NopLogger() *slog.Logger { return nopLogger }
-
 // OrNop returns l, or the nop logger when l is nil.
 func OrNop(l *slog.Logger) *slog.Logger {
 	if l == nil {
