@@ -29,8 +29,8 @@ import (
 //
 // Every batch goes through the dispatcher's one queue: a free credit on
 // any live worker takes the oldest waiting batch, and a failed, stolen,
-// rejected or quarantined batch puts its cells back. A cell that enters
-// the queue 8 times fails its grid.
+// rejected or quarantined batch puts its cells back. A cell gets 8
+// tries: when its eighth batch comes back too, its grid fails.
 type DispatcherConfig struct {
 	// Cache fronts dispatch (nil = a fresh 64 MiB memory-only cache).
 	Cache *ResultCache

@@ -371,6 +371,29 @@ func TestBadRequestNotRetried(t *testing.T) {
 	}
 }
 
+// TestAttemptCapFailsGrid: a cell whose batches keep failing gets 8
+// tries, then its grid fails instead of cycling through the queue.
+func TestAttemptCapFailsGrid(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		writeJSON(rw, http.StatusBadRequest, errorBody{Error: "no such grid"})
+	}))
+	t.Cleanup(srv.Close)
+	reg := NewRegistryConfig(RegistryConfig{TTL: time.Minute, Breaker: resilience.BreakerConfig{Threshold: 100}})
+	reg.Register("w1", srv.URL, 1)
+	d := NewDispatcher(DispatcherConfig{Registry: reg, BatchSize: 1})
+	t.Cleanup(d.Close)
+	j := d.ForJob("e1", 1000, harness.AttackOpts{})
+	_, err := j.RunGrid(context.Background(), harness.GridSpec{ID: "g", Config: "c"}, []int{0})
+	if err == nil || !strings.Contains(err.Error(), "8 dispatch attempts") {
+		t.Fatalf("grid returned %v, want the attempt cap's error", err)
+	}
+	if got := calls.Load(); got != maxAttempts {
+		t.Fatalf("worker saw %d batches, want %d", got, maxAttempts)
+	}
+}
+
 func TestAuditQuarantinesCorruptingWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulations; skipped in -short")
