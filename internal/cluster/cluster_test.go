@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"encoding/json"
 	"io"
 	"net"
@@ -440,6 +441,26 @@ func TestDispatcherReleasesPoolOnShutdown(t *testing.T) {
 	case <-closed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("the pool's worker connection is still open after the coordinator shut down")
+	}
+}
+
+// TestDispatcherDropsDepartedPools: building a worker's pool drops the
+// pools of workers that left the live set, so workers coming and going
+// under fresh names leave one pool, not one each.
+func TestDispatcherDropsDepartedPools(t *testing.T) {
+	reg := NewRegistryConfig(RegistryConfig{TTL: time.Minute})
+	d := NewDispatcher(DispatcherConfig{Registry: reg})
+	t.Cleanup(d.Close)
+	for i := 0; i < 5; i++ {
+		w := Worker{Name: fmt.Sprintf("w%d", i), Addr: "http://127.0.0.1:1", Slots: 1}
+		reg.Register(w.Name, w.Addr, w.Slots)
+		d.clientFor(w)
+		reg.Deregister(w.Name)
+	}
+	d.poolMu.Lock()
+	defer d.poolMu.Unlock()
+	if len(d.pools) != 1 {
+		t.Fatalf("%d pools after 5 workers came and went, want 1", len(d.pools))
 	}
 }
 

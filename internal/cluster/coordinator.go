@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,6 +187,15 @@ func (d *Dispatcher) clientFor(w Worker) *http.Client {
 		if p != nil {
 			p.client.CloseIdleConnections()
 		}
+		// Drop the pools of workers that left the live set, so a fleet
+		// re-registering under fresh names cannot grow the map.
+		live := d.reg.Live()
+		for name, old := range d.pools {
+			if !slices.ContainsFunc(live, func(l Worker) bool { return l.Name == name }) {
+				old.client.CloseIdleConnections()
+				delete(d.pools, name)
+			}
+		}
 		t := http.DefaultTransport.(*http.Transport).Clone()
 		t.MaxConnsPerHost, t.MaxIdleConnsPerHost = slots, slots
 		p = &workerPool{addr: w.Addr, slots: slots, client: &http.Client{Transport: t}}
@@ -280,6 +290,7 @@ func (d *Dispatcher) Mount(mux *http.ServeMux) {
 			return
 		}
 		d.count("cluster.heartbeats", 1)
+		d.pump() // the worker's free credits take waiting batches now
 		writeJSON(rw, http.StatusOK, map[string]string{"status": "registered"})
 	})
 	mux.HandleFunc("GET /v1/cluster/workers", func(rw http.ResponseWriter, r *http.Request) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -367,6 +368,53 @@ func TestWorkerLeavesWhileQueued(t *testing.T) {
 		if got := counter(d, name); got != 0 {
 			t.Errorf("%s = %d, want 0", name, got)
 		}
+	}
+}
+
+// TestRegistrationTakesWaitingBatch: a worker registering while a batch
+// waits takes the batch at once, not when a credit frees on the busy
+// worker.
+func TestRegistrationTakesWaitingBatch(t *testing.T) {
+	busy := startFake(t, &fakeWorker{release: make(chan struct{})})
+	d := fakeDispatcher(t, DispatcherConfig{}, 1, busy)
+	mux := http.NewServeMux()
+	d.Mount(mux)
+	coord := httptest.NewServer(mux)
+	t.Cleanup(coord.Close)
+	errs := make(chan error, 2)
+	run := func(grid string) {
+		go func() {
+			_, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: grid, Config: "c"}, firstCells(1))
+			errs <- err
+		}()
+	}
+	run("holder")
+	<-busy.arrived
+	run("waiter")
+	waitQueued(t, d, 1)
+
+	idle := startFake(t, &fakeWorker{})
+	resp, err := http.Post(coord.URL+"/v1/cluster/register", "application/json",
+		strings.NewReader(`{"name":"w2","addr":"`+idle.srv.URL+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	select {
+	case err := <-errs:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(busy.release)
+		t.Fatal("the waiting batch stayed queued after a worker registered")
+	}
+	if grids, _ := idle.seen(); fmt.Sprint(grids) != "[waiter]" {
+		t.Fatalf("the new worker saw %v, want the waiting batch", grids)
+	}
+	close(busy.release)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
 	}
 }
 
