@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
