@@ -384,7 +384,9 @@ func TestDispatcherReusesConnections(t *testing.T) {
 // TestDispatcherReleasesPoolOnShutdown checks that shutting down the
 // server the dispatcher is mounted on closes the pool's idle worker
 // connections. A worker's Shutdown waits up to 5 s for a connection the
-// pool dialed but never used; with the pool released, it need not.
+// pool dialed but never used; with the pool released, it need not. A
+// pool replaced while an RPC still holds it closes its connection once
+// that RPC ends.
 func TestDispatcherReleasesPoolOnShutdown(t *testing.T) {
 	closed := make(chan struct{}, 1)
 	w := httptest.NewUnstartedServer((&WorkerNode{Name: "w1"}).Handler())
@@ -419,13 +421,36 @@ func TestDispatcherReleasesPoolOnShutdown(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("register: status %d", resp.StatusCode)
 	}
-	// One RPC through the worker's pool leaves an idle connection to it.
-	resp, err = d.clientFor(Worker{Name: "w1", Addr: w.URL, Slots: 1}).Get(w.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	// get sends one RPC through a pool, leaving an idle connection in it.
+	get := func(p *workerPool) {
+		t.Helper()
+		resp, err := p.client.Get(w.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) // read to EOF, or the connection is not reused
+		resp.Body.Close()
 	}
-	io.Copy(io.Discard, resp.Body) // read to EOF, or the connection is not reused
-	resp.Body.Close()
+	// The worker's slots change while an RPC holds its pool: the replaced
+	// pool keeps its connection until that RPC ends, then closes it.
+	old := d.pool(Worker{Name: "w1", Addr: w.URL, Slots: 1})
+	d.release(d.pool(Worker{Name: "w1", Addr: w.URL, Slots: 2}))
+	get(old)
+	select {
+	case <-closed:
+		t.Fatal("the replaced pool's connection closed while its RPC was in flight")
+	default:
+	}
+	d.release(old)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the replaced pool's connection is still open after its last RPC")
+	}
+
+	p := d.pool(Worker{Name: "w1", Addr: w.URL, Slots: 2})
+	get(p)
+	d.release(p)
 	select {
 	case <-closed:
 		t.Fatal("the pool's worker connection closed before the coordinator shut down")
@@ -454,7 +479,7 @@ func TestDispatcherDropsDepartedPools(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		w := Worker{Name: fmt.Sprintf("w%d", i), Addr: "http://127.0.0.1:1", Slots: 1}
 		reg.Register(w.Name, w.Addr, w.Slots)
-		d.clientFor(w)
+		d.release(d.pool(w))
 		reg.Deregister(w.Name)
 	}
 	d.poolMu.Lock()

@@ -26,12 +26,8 @@ import (
 // DispatcherConfig parametrizes a Dispatcher. The zero value works:
 // memory-only cache, 15s worker TTL, 2m per-batch deadline, 2 RPC
 // retries with 50ms-base backoff, backup copies after 15s on the wire,
-// audit off.
-//
-// Every batch goes through the dispatcher's one queue: a free credit on
-// any live worker takes the oldest waiting batch, and a failed, stolen,
-// rejected or quarantined batch puts its cells back. A cell gets 8
-// tries: when its eighth batch comes back too, its grid fails.
+// audit off. Every batch goes through the dispatcher's one queue (see
+// queue), and a cell gets 8 tries before its grid fails.
 type DispatcherConfig struct {
 	// Cache fronts dispatch (nil = a fresh 64 MiB memory-only cache).
 	Cache *ResultCache
@@ -69,8 +65,9 @@ type DispatcherConfig struct {
 	// HedgeDelay is how long a batch must have been on the wire, counted
 	// from its send, before an idle credit on another worker takes a
 	// backup copy of it, once nothing waits in the queue (0 =
-	// DispatchTimeout/8). The first verified response wins; cells are
-	// idempotent, so the losing leg is cancelled and discarded.
+	// DispatchTimeout/8); with the audit on, the batch's worker must have
+	// passed it. The first verified response wins and the losing leg is
+	// cancelled; a batch queued meanwhile stops the backup leg instead.
 	HedgeDelay time.Duration
 	// AuditFraction in [0,1] is the fraction of remotely computed cells
 	// re-executed locally and byte-compared before the batch is trusted
@@ -99,17 +96,14 @@ type DispatcherConfig struct {
 type Dispatcher struct {
 	cache *ResultCache
 	reg   *Registry
-	// client is the caller's DispatcherConfig.Client; without one, each
-	// worker gets its own pool in pools.
-	client *http.Client
-	cfg    DispatcherConfig
-	log    *slog.Logger
+	cfg   DispatcherConfig
+	log   *slog.Logger
 
 	queue queue
 	jobs  atomic.Uint64 // the last job's ticket number
 
 	poolMu sync.Mutex
-	pools  map[string]*workerPool
+	pools  map[string]*workerPool // without cfg.Client, one per worker
 
 	closeOnShutdown sync.Once // hooks Close onto the server Mount serves on
 
@@ -120,16 +114,21 @@ type Dispatcher struct {
 // workerPool is the dispatcher's own connection pool to one worker. It
 // holds at most the worker's slots in connections: a worker never has
 // more legs on the wire than credits, so a dial beyond that would only
-// race a connection about to free up, and idle unused.
+// race a connection about to free up, and idle unused. Its fields are
+// guarded by Dispatcher.poolMu.
 type workerPool struct {
 	addr   string
 	slots  int
 	client *http.Client
+	// rpcs counts the RPCs using the pool. A retired pool, replaced or
+	// its worker gone, closes its idle connections when the last ends.
+	rpcs    int
+	retired bool
 }
 
 // NewDispatcher builds a dispatcher, filling config defaults.
 func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
-	d := &Dispatcher{cache: cfg.Cache, reg: cfg.Registry, client: cfg.Client, cfg: cfg, pools: make(map[string]*workerPool)}
+	d := &Dispatcher{cache: cfg.Cache, reg: cfg.Registry, cfg: cfg, pools: make(map[string]*workerPool)}
 	d.queue.held = make(map[string]int)
 	if d.cache == nil {
 		d.cache = NewResultCache(0)
@@ -173,26 +172,24 @@ func (d *Dispatcher) Close() {
 	}
 }
 
-// clientFor returns the client for RPCs to w: the caller's, or w's own
-// pool, rebuilt when w's address or slots change.
-func (d *Dispatcher) clientFor(w Worker) *http.Client {
-	if d.client != nil {
-		return d.client
-	}
+// pool returns w's own pool, rebuilt when w's address or slots change
+// (a probe's one credit keeps its pool), and counts one RPC on it until
+// release.
+func (d *Dispatcher) pool(w Worker) *workerPool {
 	slots := max(w.Slots, 1)
 	d.poolMu.Lock()
 	defer d.poolMu.Unlock()
 	p := d.pools[w.Name]
-	if p == nil || p.addr != w.Addr || p.slots != slots {
-		if p != nil {
-			p.client.CloseIdleConnections()
-		}
-		// Drop the pools of workers that left the live set, so a fleet
-		// re-registering under fresh names cannot grow the map.
+	if p == nil || p.addr != w.Addr || p.slots != slots && !w.Probe {
+		// Retire w's old pool, and the pools of workers that left the
+		// live set, so a fleet re-registering under fresh names cannot
+		// grow the map.
 		live := d.reg.Live()
 		for name, old := range d.pools {
-			if !slices.ContainsFunc(live, func(l Worker) bool { return l.Name == name }) {
-				old.client.CloseIdleConnections()
+			if name == w.Name || !slices.ContainsFunc(live, func(l Worker) bool { return l.Name == name }) {
+				if old.retired = true; old.rpcs == 0 {
+					old.client.CloseIdleConnections()
+				}
 				delete(d.pools, name)
 			}
 		}
@@ -201,7 +198,17 @@ func (d *Dispatcher) clientFor(w Worker) *http.Client {
 		p = &workerPool{addr: w.Addr, slots: slots, client: &http.Client{Transport: t}}
 		d.pools[w.Name] = p
 	}
-	return p.client
+	p.rpcs++
+	return p
+}
+
+// release ends an RPC that pool counted.
+func (d *Dispatcher) release(p *workerPool) {
+	d.poolMu.Lock()
+	defer d.poolMu.Unlock()
+	if p.rpcs--; p.retired && p.rpcs == 0 {
+		p.client.CloseIdleConnections()
+	}
 }
 
 // Registry returns the worker registry (for HTTP registration wiring).
@@ -230,9 +237,10 @@ func (d *Dispatcher) MergeInto(dst *sim.Stats) {
 	dst.Add("cluster.cache.misses", misses)
 	dst.Add("cluster.cache.evicted", evicted)
 	dst.Add("cluster.workers.evicted", d.reg.Evicted())
-	queued, waited := d.queue.totals()
-	dst.Add("cluster.dispatch.queued", queued)
-	dst.Add("cluster.dispatch.wait_ms", waited.Milliseconds())
+	d.queue.mu.Lock()
+	dst.Add("cluster.dispatch.queued", d.queue.queued)
+	dst.Add("cluster.dispatch.wait_ms", d.queue.waited.Milliseconds())
+	d.queue.mu.Unlock()
 	dst.SetGauge("cluster.cache.bytes", float64(d.cache.Bytes()))
 	dst.SetGauge("cluster.cache.entries", float64(d.cache.Len()))
 	dst.SetGauge("cluster.workers.live", float64(len(d.reg.Live())))
@@ -449,6 +457,9 @@ func (j *jobDelegate) dispatchAll(ctx context.Context, st *gridState, pending []
 		cells = nil
 		switch {
 		case out.local:
+			// No fleet (or the whole fleet died): the coordinator is always
+			// its own worker of last resort.
+			d.log.Warn("no live workers, computing locally", "grid", st.spec.ID, "cells", len(out.cells))
 			if err := j.runLocal(ctx, st, out.cells); err != nil {
 				return err
 			}
@@ -471,8 +482,8 @@ func (j *jobDelegate) dispatchAll(ctx context.Context, st *gridState, pending []
 }
 
 // enqueue puts cells in the dispatcher's queue, in batches sized to
-// spread over the live workers, or computes them locally when no worker
-// is live.
+// spread over the live workers; with none live, in one batch for the
+// local fallback.
 func (g *gridRun) enqueue(cells []int) error {
 	if len(cells) == 0 {
 		return nil
@@ -483,14 +494,11 @@ func (g *gridRun) enqueue(cells []int) error {
 			return fmt.Errorf("cluster: cell %d of %q still pending after %d dispatch attempts", i, g.st.spec.ID, maxAttempts)
 		}
 	}
-	live := len(d.reg.Live())
+	live, size := len(d.reg.Live()), d.cfg.BatchSize
 	if live == 0 {
-		// No fleet (or the whole fleet died): the coordinator is always
-		// its own worker of last resort.
-		d.log.Warn("no live workers, computing locally", "grid", g.st.spec.ID, "cells", len(cells))
-		return g.j.runLocal(g.ctx, g.st, cells)
+		size = len(cells)
 	}
-	parts := partition(cells, live, d.cfg.BatchSize)
+	parts := partition(cells, max(live, 1), size)
 	bs := make([]*batch, len(parts))
 	for k, part := range parts {
 		bs[k] = &batch{g: g, t: ticket{job: g.j.job, batch: g.j.batches.Add(1)}, cells: part}
@@ -578,6 +586,7 @@ func (j *jobDelegate) auditBatch(ctx context.Context, st *gridState, out batchOu
 		}
 	}
 	if len(mismatched) == 0 {
+		d.reg.ReportAudited(out.worker.Name)
 		return nil, false, nil
 	}
 
@@ -737,7 +746,13 @@ func (j *jobDelegate) call(ctx context.Context, w Worker, body []byte) (*CellRes
 		return nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := j.d.clientFor(w).Do(hreq)
+	client := j.d.cfg.Client
+	if client == nil {
+		p := j.d.pool(w)
+		defer j.d.release(p) // after the body closes, its connection idle
+		client = p.client
+	}
+	hresp, err := client.Do(hreq)
 	if err != nil {
 		return nil, err
 	}
@@ -836,23 +851,11 @@ func (j *jobDelegate) runLocal(ctx context.Context, st *gridState, cells []int) 
 // batches spread over all workers: ceil(len/workers) capped at
 // batchSize.
 func partition(cells []int, workers, batchSize int) [][]int {
-	if len(cells) == 0 {
-		return nil
-	}
-	size := (len(cells) + workers - 1) / workers
-	if size > batchSize {
-		size = batchSize
-	}
-	if size < 1 {
-		size = 1
-	}
+	size := max(min((len(cells)+workers-1)/workers, batchSize), 1)
 	var out [][]int
-	for start := 0; start < len(cells); start += size {
-		end := start + size
-		if end > len(cells) {
-			end = len(cells)
-		}
-		out = append(out, cells[start:end])
+	for len(cells) > 0 {
+		n := min(size, len(cells))
+		out, cells = append(out, cells[:n]), cells[n:]
 	}
 	return out
 }

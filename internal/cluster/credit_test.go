@@ -524,6 +524,63 @@ func TestHedgeDelayCountsFromSend(t *testing.T) {
 	}
 }
 
+// TestBackupYieldsToWaitingBatch: a backup copy only uses a credit that
+// nothing waits for. A batch queued while every credit is held stops
+// the backup leg and runs on its credit at once; nothing is charged or
+// stolen, and the straggler is backed up again once the credit idles.
+func TestBackupYieldsToWaitingBatch(t *testing.T) {
+	gate := make(chan struct{})
+	gates := map[string]chan struct{}{"slow": gate}
+	w1 := startFake(t, &fakeWorker{gates: gates})
+	w2 := startFake(t, &fakeWorker{gates: gates})
+	d := fakeDispatcher(t, DispatcherConfig{HedgeDelay: 20 * time.Millisecond}, 1, w1, w2)
+	slow := make(chan error, 1)
+	go func() {
+		_, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "slow", Config: "c"}, firstCells(1))
+		slow <- err
+	}()
+	eventually(t, "the slow batch was never backed up", func() bool { return len(w2.arrivals("slow")) == 1 })
+
+	next := make(chan error, 1)
+	go func() {
+		_, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "next", Config: "c"}, firstCells(1))
+		next <- err
+	}()
+	select {
+	case err := <-next:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(gate)
+		t.Fatal("the queued batch waited behind a backup copy")
+	}
+	if grids, _ := w2.seen(); fmt.Sprint(grids[:2]) != "[slow next]" {
+		t.Fatalf("the backup's worker saw %v, want the backup, then the queued batch", grids)
+	}
+	w2.mu.Lock()
+	cancelled := w2.cancelled
+	w2.mu.Unlock()
+	if cancelled != 1 {
+		t.Fatalf("%d legs cancelled on the backup's worker, want the backup", cancelled)
+	}
+	if got := counter(d, "cluster.batches.hedged"); got != 2 {
+		t.Fatalf("%d backups sent, want 2: the preempted one and its successor", got)
+	}
+	close(gate)
+	if err := <-slow; err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"cluster.worker.failures", "cluster.cells.stolen"} {
+		if got := counter(d, name); got != 0 {
+			t.Errorf("%s = %d, want 0", name, got)
+		}
+	}
+	if live := len(d.Registry().Live()); live != 2 {
+		t.Fatalf("%d live workers, want 2", live)
+	}
+}
+
 // TestStragglerDoesNotHoldGrid: a worker 10× slower than the other holds
 // one batch, not half the grid. Each freed credit takes the next batch,
 // so the fast worker serves the rest while the slow one runs its first.

@@ -34,20 +34,23 @@ type batch struct {
 	g     *gridRun
 	t     ticket
 	cells []int
-	// queuedAt is when the batch entered the queue; waited says it found
-	// no free credit there, and span times that wait.
+	// queuedAt is when the batch entered the queue; span, when it found
+	// no free credit there, times its wait.
 	queuedAt time.Time
-	waited   bool
 	span     *telemetry.Span
 	// Set when a credit takes the batch. ctx is every leg's context and
 	// is cancelled once the batch resolves, which ends a losing leg.
-	ctx    context.Context
-	cancel context.CancelFunc
-	worker string // the worker of the first leg
-	sentAt time.Time
-	legs   int  // legs on the wire
-	backup bool // a backup leg has been sent
-	done   bool // the batch's outcome went to its grid
+	ctx     context.Context
+	cancel  context.CancelFunc
+	primary Worker // the worker of the first leg
+	sentAt  time.Time
+	legs    int  // legs on the wire
+	hedged  bool // a backup leg has been sent and not preempted
+	// backup is the context of the backup leg not preempted, and
+	// stopBackup cancels that leg alone.
+	backup     context.Context
+	stopBackup context.CancelFunc
+	done       bool // the batch's outcome went to its grid
 }
 
 // queue is the dispatcher's one queue of batches. A worker holds as many
@@ -56,13 +59,17 @@ type batch struct {
 // any live worker, it takes the oldest waiting batch, across every job;
 // the batch is bound to that worker only then. When nothing waits, an
 // idle credit takes a backup copy of the oldest batch that has been on
-// the wire on another worker for longer than HedgeDelay.
+// the wire on another worker for longer than HedgeDelay, and gives it up
+// again as soon as a batch waits. With the audit on, only a worker that
+// has passed it has its batches backed up: one whose every leg lost a
+// race would never be audited.
 type queue struct {
-	mu      sync.Mutex
-	waiting []*batch // in ticket order
-	flying  []*batch // unresolved batches on the wire, in send order
-	held    map[string]int
-	timer   *time.Timer // wakes pump when the next backup falls due
+	mu         sync.Mutex
+	waiting    []*batch // in ticket order
+	flying     []*batch // unresolved batches on the wire, in send order
+	held       map[string]int
+	preempting int         // backup legs stopped but not yet returned
+	timer      *time.Timer // wakes pump when the next backup falls due
 	// queued and waited are lifetime totals over the batches that had
 	// to wait: how many, and for how long.
 	queued int64
@@ -84,7 +91,6 @@ func (d *Dispatcher) enqueue(bs []*batch) {
 	d.pumpLocked()
 	for _, b := range bs {
 		if b.ctx == nil && !b.done {
-			b.waited = true
 			_, b.span = telemetry.StartSpan(b.g.ctx, "queue")
 			b.span.SetAttrs(telemetry.Int("cells", int64(len(b.cells))))
 		}
@@ -115,7 +121,8 @@ func (d *Dispatcher) pump() {
 }
 
 // pumpLocked hands each free credit, freest worker first, the oldest
-// waiting batch. With nothing left waiting, it sends backup copies of
+// waiting batch, preempting backup legs for the batches no credit is
+// free for. With nothing left waiting, it sends backup copies of
 // batches that outlived HedgeDelay on the wire, and arms the timer for
 // the next one. With no worker live, the waiting batches go back to
 // their grids to be computed locally. Caller holds q.mu.
@@ -141,21 +148,23 @@ func (d *Dispatcher) pumpLocked() {
 	for len(q.waiting) > 0 {
 		w, ok := q.freest(live, "", true)
 		if !ok {
+			q.preempt()
 			return
 		}
 		b := q.waiting[0]
 		q.waiting = slices.Delete(q.waiting, 0, 1)
 		q.leave(b, now, w.Name)
 		b.ctx, b.cancel = context.WithCancel(b.g.ctx)
-		b.worker, b.sentAt = w.Name, now
+		b.primary, b.sentAt = w, now
 		q.flying = append(q.flying, b)
-		d.launch(b, w)
+		d.count("cluster.batches.sent", 1)
+		d.launch(b, w, false)
 	}
 	for _, b := range q.flying {
-		if b.backup || b.g.ctx.Err() != nil {
+		if b.hedged || b.g.ctx.Err() != nil || d.cfg.AuditFraction > 0 && !b.primary.Audited {
 			continue
 		}
-		w, ok := q.freest(live, b.worker, false)
+		w, ok := q.freest(live, b.primary.Name, false)
 		if !ok {
 			continue
 		}
@@ -168,11 +177,27 @@ func (d *Dispatcher) pumpLocked() {
 			}
 			return
 		}
-		b.backup = true
+		b.hedged = true
 		d.count("cluster.batches.hedged", 1)
 		d.log.Info("backing up straggler batch", "grid", b.g.st.spec.ID,
-			"primary", b.worker, "backup", w.Name, "cells", len(b.cells))
-		d.launch(b, w)
+			"primary", b.primary.Name, "backup", w.Name, "cells", len(b.cells))
+		d.launch(b, w, true)
+	}
+}
+
+// preempt stops backup legs whose first leg is on the wire too, newest
+// batch first, until a credit is on its way back for every waiting
+// batch: backups only use credits that nothing waits for. A preempted
+// batch may be backed up again later. Caller holds q.mu.
+func (q *queue) preempt() {
+	for i := len(q.flying) - 1; i >= 0 && q.preempting < len(q.waiting); i-- {
+		b := q.flying[i]
+		if b.backup != nil && b.legs == 2 {
+			b.stopBackup()
+			b.backup, b.hedged = nil, false
+			b.legs--
+			q.preempting++
+		}
 	}
 }
 
@@ -193,7 +218,7 @@ func (q *queue) freest(live []Worker, skip string, probes bool) (Worker, bool) {
 // leave accounts for a batch leaving the waiting list, to worker (or
 // nowhere, when worker is empty). Caller holds q.mu.
 func (q *queue) leave(b *batch, now time.Time, worker string) {
-	if !b.waited {
+	if b.span == nil {
 		return
 	}
 	q.queued++
@@ -206,29 +231,40 @@ func (q *queue) leave(b *batch, now time.Time, worker string) {
 
 // launch sends one leg of b to w on one of w's credits. Caller holds
 // q.mu.
-func (d *Dispatcher) launch(b *batch, w Worker) {
+func (d *Dispatcher) launch(b *batch, w Worker, backup bool) {
 	d.queue.held[w.Name]++
 	b.legs++
-	go d.leg(b, w)
+	ctx := b.ctx
+	if backup {
+		ctx, b.stopBackup = context.WithCancel(b.ctx)
+		b.backup = ctx
+	}
+	go d.run(ctx, b, w, backup)
 }
 
-// leg runs one leg of b against w and returns w's credit. The first leg
-// to succeed resolves the batch and cancels the other; the batch fails
-// only when its last leg does.
-func (d *Dispatcher) leg(b *batch, w Worker) {
-	resp, err := b.g.j.dispatchRetry(b.ctx, w, b.g.st.spec, b.cells)
+// run runs one leg and returns its worker's credit. The first leg to
+// succeed resolves the batch and cancels the other; the batch fails only
+// when its last leg does. A preempted leg no longer counts among the
+// batch's legs, but its reply still resolves the batch if it is first.
+func (d *Dispatcher) run(ctx context.Context, b *batch, w Worker, backup bool) {
+	resp, err := b.g.j.dispatchRetry(ctx, w, b.g.st.spec, b.cells)
 	q := &d.queue
 	q.mu.Lock()
 	if q.held[w.Name]--; q.held[w.Name] == 0 {
 		delete(q.held, w.Name)
 	}
-	b.legs--
-	resolved := !b.done && (err == nil || b.legs == 0)
+	preempted := backup && b.backup != ctx
+	if preempted {
+		q.preempting--
+	} else {
+		b.legs--
+	}
+	resolved := !b.done && (err == nil || !preempted && b.legs == 0)
 	if resolved {
 		b.done = true
 		b.cancel()
 		q.flying = slices.DeleteFunc(q.flying, func(f *batch) bool { return f == b })
-		if err == nil && w.Name != b.worker {
+		if err == nil && backup {
 			d.count("cluster.hedge.wins", 1)
 		}
 	}
@@ -244,12 +280,4 @@ func (q *queue) inflight(name string) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.held[name]
-}
-
-// totals reports how many batches have waited for a credit, and their
-// total wait.
-func (q *queue) totals() (queued int64, waited time.Duration) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.queued, q.waited
 }

@@ -61,6 +61,7 @@ type regEntry struct {
 	lastSeen         time.Time
 	breaker          *resilience.Breaker
 	quarantinedUntil time.Time
+	audited          bool
 }
 
 // Worker is one live registry entry as dispatch sees it.
@@ -74,6 +75,9 @@ type Worker struct {
 	// batch until its breaker closes again, and it takes no backup
 	// copies.
 	Probe bool
+	// Audited says a batch of the worker's has passed a byte audit since
+	// it registered or was last quarantined.
+	Audited bool
 }
 
 // NewRegistryConfig builds a registry, filling config defaults.
@@ -162,9 +166,18 @@ func (r *Registry) Quarantine(name string, penalty time.Duration) bool {
 		return false
 	}
 	until := r.now().Add(penalty)
-	e.quarantinedUntil = until
+	e.quarantinedUntil, e.audited = until, false
 	e.breaker.ForceOpen(until)
 	return true
+}
+
+// ReportAudited records that a batch of the worker's passed a byte audit.
+func (r *Registry) ReportAudited(name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e, ok := r.workers[name]; ok {
+		e.audited = true
+	}
 }
 
 // Live returns the dispatchable workers — heartbeat within TTL, breaker
@@ -180,7 +193,7 @@ func (r *Registry) Live() []Worker {
 		if !live {
 			continue
 		}
-		w := Worker{Name: name, Addr: e.addr, Slots: e.slots}
+		w := Worker{Name: name, Addr: e.addr, Slots: e.slots, Audited: e.audited}
 		if state == resilience.HalfOpen {
 			w.Slots, w.Probe = 1, true
 		}

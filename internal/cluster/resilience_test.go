@@ -442,6 +442,63 @@ func TestAuditQuarantinesCorruptingWorker(t *testing.T) {
 	}
 }
 
+// TestBackupsOnlyForAuditedWorkers: with the audit on, only a worker
+// that has passed it has its batches backed up. In the first job the
+// fast honest worker takes no backup copies of the slow Byzantine
+// worker's batches: backups would win every race, so the corrupt bytes
+// would never reach the audit. Unraced, they do, and the worker is
+// quarantined. In the second job the slow honest worker, audited in
+// the first, is backed up by the fast one, and the table stays
+// byte-identical to serial.
+func TestBackupsOnlyForAuditedWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulations; skipped in -short")
+	}
+	slow := func(h http.Handler) *httptest.Server {
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			time.Sleep(100 * time.Millisecond)
+			h.ServeHTTP(rw, r)
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	corrupt := slow(resilience.CorruptCellResults((&WorkerNode{Name: "w1-corrupt"}).Handler(), fault.MustParse("worker.corrupt:1").Arm("worker", 7)))
+	fast := startWorker(t, "w2-fast")
+	honest := slow((&WorkerNode{Name: "w3-slow"}).Handler())
+	reg := NewRegistryConfig(RegistryConfig{TTL: time.Minute})
+	reg.Register("w1-corrupt", corrupt.URL, 2)
+	reg.Register("w2-fast", fast.URL, 2)
+	reg.Register("w3-slow", honest.URL, 2)
+	d := NewDispatcher(DispatcherConfig{
+		Registry:      reg,
+		BatchSize:     2,
+		HedgeDelay:    time.Millisecond,
+		AuditFraction: 1,
+		QuarantineFor: time.Hour,
+	})
+	t.Cleanup(d.Close)
+	run := func(horizon uint64) {
+		t.Helper()
+		opts := fastOpts()
+		opts.Horizon = horizon // a new horizon per job: every cell misses the cache
+		if err := diff.SerialVsDistributed(context.Background(), d.ForJob("e1", horizon, opts), "e1", horizon, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(300_000)
+	if got := counter(d, "cluster.worker.quarantined"); got != 1 || !reg.IsQuarantined("w1-corrupt") {
+		t.Fatalf("quarantined %d workers, want the corrupting one", got)
+	}
+	hedged := counter(d, "cluster.batches.hedged")
+	run(300_001)
+	if got := counter(d, "cluster.batches.hedged") - hedged; got == 0 {
+		t.Fatal("the audited workers never raced in the second job")
+	}
+	if got := counter(d, "cluster.worker.quarantined"); got != 1 {
+		t.Fatalf("quarantined %d workers, want only the corrupting one", got)
+	}
+}
+
 // TestClusterChaosSoak is the capstone e2e: a coordinator and three
 // in-process workers — one healthy, one flapping (partition-windowed off
 // the network twice), one Byzantine (corrupting result bytes) — under a
@@ -482,6 +539,7 @@ func TestClusterChaosSoak(t *testing.T) {
 		BatchSize:       2,
 		RPCRetries:      2,
 		RetryBase:       time.Millisecond,
+		HedgeDelay:      5 * time.Millisecond,
 		AuditFraction:   1, // soak audits everything: any corrupt byte is terminal
 		QuarantineFor:   time.Hour,
 	})

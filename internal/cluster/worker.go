@@ -168,30 +168,13 @@ func (w *WorkerNode) Handler() http.Handler {
 // logged and retried on the next tick — a coordinator restart just loses
 // one beat.
 func Heartbeat(ctx context.Context, client *http.Client, coordinator, name, selfAddr string, every time.Duration, log *slog.Logger) {
-	if client == nil {
-		client = http.DefaultClient
-	}
 	if every <= 0 {
 		every = 5 * time.Second
 	}
 	log = telemetry.OrNop(log)
 	beat := func() {
-		body, _ := json.Marshal(RegisterRequest{Name: name, Addr: selfAddr, Slots: runtime.GOMAXPROCS(0)})
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			coordinator+"/v1/cluster/register", bytes.NewReader(body))
-		if err != nil {
-			log.Warn("heartbeat request", "err", err)
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(req)
-		if err != nil {
+		if err := register(ctx, client, coordinator, RegisterRequest{Name: name, Addr: selfAddr, Slots: runtime.GOMAXPROCS(0)}); err != nil {
 			log.Warn("heartbeat failed", "coordinator", coordinator, "err", err)
-			return
-		}
-		resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			log.Warn("heartbeat rejected", "coordinator", coordinator, "status", resp.StatusCode)
 		}
 	}
 	beat()
@@ -211,10 +194,16 @@ func Heartbeat(ctx context.Context, client *http.Client, coordinator, name, self
 // the worker from dispatch immediately instead of waiting out the TTL.
 // Best-effort — a coordinator that misses it just ages the entry out.
 func Deregister(ctx context.Context, client *http.Client, coordinator, name string) error {
+	return register(ctx, client, coordinator, RegisterRequest{Name: name, Deregister: true})
+}
+
+// register posts one registration request to the coordinator (nil
+// client = http.DefaultClient).
+func register(ctx context.Context, client *http.Client, coordinator string, rr RegisterRequest) error {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	body, _ := json.Marshal(RegisterRequest{Name: name, Deregister: true})
+	body, _ := json.Marshal(rr)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		coordinator+"/v1/cluster/register", bytes.NewReader(body))
 	if err != nil {
@@ -227,7 +216,7 @@ func Deregister(ctx context.Context, client *http.Client, coordinator, name stri
 	}
 	resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("cluster: deregister status %d", resp.StatusCode)
+		return fmt.Errorf("cluster: register status %d", resp.StatusCode)
 	}
 	return nil
 }
