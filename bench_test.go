@@ -8,6 +8,7 @@ package hammertime
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -628,6 +629,38 @@ func BenchmarkFrozenTrace(b *testing.B) {
 	}
 	b.ReportMetric(float64(size)/float64(spans), "B/span")
 	b.ReportMetric(float64(spans), "spans")
+}
+
+// BenchmarkResultCache measures what the coordinator's result cache
+// costs per cached cell. Each iteration puts 30 000 CellKey entries with
+// e1-shaped results (a short JSON string) into a fresh cache, making the
+// keys and values as it goes as the coordinator does, and the benchmark
+// reports the live heap the cache grew by per entry. The benchgate
+// baseline caps it: an entry layout with per-entry pointers and
+// allocations (list element, entry struct, string-keyed map slot, kept
+// key and value) costs about twice the cap.
+func BenchmarkResultCache(b *testing.B) {
+	const n = 30_000
+	spec := harness.GridSpec{ID: "e1", Config: "bench"}
+	var before, after runtime.MemStats
+	var grown int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		c := cluster.NewResultCache(0)
+		for j := 0; j < n; j++ {
+			c.Put(harness.CellKey(spec, j), json.RawMessage(fmt.Sprintf(`"%d (%d%%)"`, j%53, j%100)))
+		}
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		grown = int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		runtime.KeepAlive(c)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(grown)/n, "B/entry")
 }
 
 // BenchmarkSpanWire measures the spans of one E1 batch — four cells at a

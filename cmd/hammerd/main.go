@@ -143,7 +143,7 @@ func main() {
 	flag.StringVar(&o.workerOf, "worker", "", "run as a cell worker for the coordinator at this URL (e.g. http://host:8077)")
 	flag.StringVar(&o.workerName, "worker-name", "", "worker identity in the coordinator's registry (default hostname-pid)")
 	flag.StringVar(&o.advertise, "advertise", "", "URL the coordinator should dial this worker on (default http://<listen addr>)")
-	flag.Int64Var(&o.cacheBytes, "cache-bytes", 64<<20, "coordinator result-cache budget in bytes (in-memory LRU)")
+	flag.Int64Var(&o.cacheBytes, "cache-bytes", 64<<20, fmt.Sprintf("coordinator result-cache budget in bytes (in-memory LRU; each entry counts its key and result bytes plus %d B of overhead, ~60 B per e1 cell)", cluster.EntryOverhead))
 	flag.StringVar(&o.cacheSpill, "cache-spill", "", "JSONL file persisting cache entries across restarts (empty = memory only)")
 	flag.DurationVar(&o.dispatchTimeout, "dispatch-timeout", 2*time.Minute, "per-batch worker deadline, counted from the send; overrun batches are stolen and re-dispatched")
 	flag.DurationVar(&o.workerTTL, "worker-ttl", 15*time.Second, "silence after which a worker leaves the live set; heartbeats run at a third of this")

@@ -150,6 +150,10 @@ var errInjectedCancel = errors.New("serve: injected cancellation (serve.cancel)"
 // errShutdown cancels the jobs still queued when the daemon shuts down.
 var errShutdown = errors.New("serve: daemon shutdown")
 
+// errJobFinished cancels a job's context once the job is terminal, so
+// the manager's base context stops holding it.
+var errJobFinished = errors.New("serve: job finished")
+
 // Manager owns the session pool, the job queue and the job registry.
 type Manager struct {
 	cfg     Config
@@ -562,11 +566,12 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 
 // finish is every terminal transition. It moves job to state — done
 // with table, otherwise failed or cancelled by cause — which journals
-// the terminal record before Done fires; then it bumps counter, ends
-// the job's spans, removes its checkpoint (a terminal job never
-// resumes, so its per-cell state is dead weight), logs msg at level
-// and publishes the final state. A job already terminal is left as it
-// is.
+// the terminal record before Done fires; then it cancels the job's
+// context with errJobFinished (an earlier cause wins), so the base
+// context no longer holds the job, bumps counter, ends the job's spans,
+// removes its checkpoint (a terminal job never resumes, so its per-cell
+// state is dead weight), logs msg at level and publishes the final
+// state. A job already terminal is left as it is.
 func (m *Manager) finish(job *Job, state JobState, table string, cause error, counter string, level slog.Level, msg string, attrs ...any) {
 	var applied bool
 	if state == StateDone {
@@ -577,6 +582,7 @@ func (m *Manager) finish(job *Job, state JobState, table string, cause error, co
 	if !applied {
 		return
 	}
+	job.cancel(errJobFinished)
 	m.count(counter)
 	job.endSpans(cause)
 	if m.store != nil {

@@ -61,6 +61,49 @@ func TestSubmitRunsJob(t *testing.T) {
 	}
 }
 
+// TestFinishedJobReleasesItsContext: a job that ends done or failed has
+// its run context cancelled with the "job finished" cause, so the
+// manager's base context drops it, and that leaves its view, result and
+// error text as they were.
+func TestFinishedJobReleasesItsContext(t *testing.T) {
+	m := NewManager(Config{
+		Sessions: 1, RatePerSec: -1,
+		Run: func(ctx context.Context, req JobRequest) (string, error) {
+			if req.Experiment == "e2" {
+				return "", errors.New("grid broke")
+			}
+			return "table\n", nil
+		},
+	})
+	defer m.Drain(context.Background())
+	for _, tc := range []struct {
+		experiment string
+		state      JobState
+		errText    string
+	}{{"e1", StateDone, ""}, {"e2", StateFailed, "grid broke"}} {
+		job, err := m.Submit("c1", JobRequest{Experiment: tc.experiment})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := waitTerminal(t, job)
+		select {
+		case <-job.runCtx.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s job's context still live after it finished", tc.state)
+		}
+		if cause := context.Cause(job.runCtx); !errors.Is(cause, errJobFinished) {
+			t.Fatalf("%s job's context cause %v, want %v", tc.state, cause, errJobFinished)
+		}
+		after := job.View()
+		if v.State != tc.state || after.State != tc.state || after.Error != tc.errText || v.Error != tc.errText {
+			t.Fatalf("view %s (%q) then %s (%q), want %s (%q)", v.State, v.Error, after.State, after.Error, tc.state, tc.errText)
+		}
+		if table, ok := job.Result(); ok != (tc.state == StateDone) || ok && table != "table\n" {
+			t.Fatalf("%s job's result %q, %v", tc.state, table, ok)
+		}
+	}
+}
+
 func TestSubmitValidatesExperiment(t *testing.T) {
 	m := NewManager(Config{Run: fakeRun(0)})
 	defer m.Drain(context.Background())
