@@ -21,6 +21,7 @@ import (
 	"hammertime/internal/dram"
 	"hammertime/internal/harness"
 	"hammertime/internal/memctrl"
+	"hammertime/internal/serve"
 	"hammertime/internal/sim"
 	"hammertime/internal/telemetry"
 )
@@ -661,6 +662,57 @@ func BenchmarkResultCache(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(grown)/n, "B/entry")
+}
+
+// BenchmarkRetainedJob measures what a finished job costs a daemon for
+// as long as its retention window keeps it. Each iteration runs 1000
+// jobs through a serve.Manager whose stub Run ends spans until the job's
+// trace holds 186, the span count of a fresh e1 job on a coordinator
+// plus worker, and returns a freshly rendered e1 table (1.4 KB), as a
+// served job does. The benchmark reports the live heap the manager grew
+// by per job, after a forced GC: the job record, its hub, its frozen
+// trace and its table. The benchgate baseline caps it, so a finished job
+// that keeps its *Span objects fails CI.
+func BenchmarkRetainedJob(b *testing.B) {
+	const jobs, spans = 1000, 186
+	tb, err := harness.Experiment(context.Background(), "e1", 100_000, harness.AttackOpts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := []string{"grid:e1", "cell", "machine.build", "machine.run"}
+	run := func(ctx context.Context, req serve.JobRequest) (string, error) {
+		for i := 0; i < spans-3; i++ { // the manager opens job, queued and run
+			_, s := telemetry.StartSpan(ctx, names[i%len(names)])
+			s.SetAttrs(telemetry.Int("cell", int64(i)), telemetry.String("defense", "trr"))
+			s.End()
+		}
+		return tb.String(), nil
+	}
+	var before, after runtime.MemStats
+	var grown int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		m := serve.NewManager(serve.Config{QueueDepth: jobs, RatePerSec: -1, Run: run})
+		for j := 0; j < jobs; j++ {
+			job, err := m.Submit("bench", serve.JobRequest{Experiment: "e1", Horizon: 100_000})
+			if err != nil {
+				b.Fatal(err)
+			}
+			<-job.Done()
+		}
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		grown = int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		if err := m.Drain(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(grown)/jobs, "B/job")
 }
 
 // BenchmarkSpanWire measures the spans of one E1 batch — four cells at a

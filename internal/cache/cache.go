@@ -57,18 +57,17 @@ type Result struct {
 
 // Cache is a set-associative LLC model. Not safe for concurrent use.
 //
-// Tags are flat and set-major: way w of set i lives at tag[i*Ways+w]. A
-// tag holds line+1, with 0 marking an invalid way, so the hit scan
-// compares one contiguous run of uint64s (line indices are below the
-// module size, never MaxUint64). Everything else about a set — its
-// recency order and its valid, dirty and locked ways — is one setState.
-// Release hands both arrays to free lists for the next cache of the same
-// organization.
+// All of a set's state — its ways' tags, its recency order and its
+// valid, dirty and locked ways — is one 48-byte setState. A way's tag is
+// line/Sets+1 in 16 bits, 0 marking an invalid way, so a cache reaches
+// Sets × 65 535 lines (Config.Reach); the set index recovers the rest of
+// the line. Release hands the set array to a free list for the next cache
+// of the same organization.
 type Cache struct {
-	cfg  Config
-	pow2 bool // Sets is a power of two: the set index is line & (Sets-1)
+	cfg   Config
+	pow2  bool // Sets is a power of two: the set index is line & (Sets-1)
+	shift uint // log2(Sets) when pow2
 
-	tag  []uint64
 	sets []setState
 
 	hits, misses, flushes, writebacks uint64
@@ -78,16 +77,19 @@ type Cache struct {
 	clock func() uint64 // event timestamps; nil means cycle 0
 }
 
-// setState is one set's replacement state. order is the set's recency
-// stack: 16 four-bit way indices, the most recently used way in the low
-// nibble. valid, dirty and locked hold one bit per way; a dirty or
-// locked way is always valid.
+// setState is one set's state. tags holds the 16 ways' tags, way w in
+// bits 16*(w%4) of tags[w/4]. order is the set's recency stack: 16
+// four-bit way indices, the most recently used way in the low nibble.
+// valid, dirty and locked hold one bit per way; a dirty or locked way is
+// always valid, and an invalid way's tag is 0.
 //
 // This is exact LRU: every hit or fill moves its way to the front, so the
 // valid ways appear in order of their last touch, and a flush leaves the
 // stack alone because invalid ways are always filled first. Nibbles at
-// positions >= Ways keep their initial values and are never searched.
+// positions >= Ways keep their initial values and are never searched, and
+// tags of ways >= Ways stay 0.
 type setState struct {
+	tags                 [4]uint64
 	order                uint64
 	valid, dirty, locked uint16
 }
@@ -96,8 +98,17 @@ type setState struct {
 // holds 16 four-bit way indices.
 const maxWays = 16
 
+// maxTag is the largest tag a way holds: tags are 16 bits and 0 marks an
+// invalid way, so line/Sets must stay below maxTag.
+const maxTag = 1<<16 - 1
+
 // identityOrder is a fresh set's recency stack: way i at position i.
 const identityOrder = 0xFEDCBA9876543210
+
+// Reach returns how many lines a cache of this organization can hold
+// tags for: lines 0 to Reach()-1. An access beyond it panics, so a
+// machine must not give the cache a larger memory.
+func (c Config) Reach() uint64 { return uint64(c.Sets) * maxTag }
 
 // New validates cfg and builds a cache.
 func New(cfg Config) (*Cache, error) {
@@ -111,29 +122,25 @@ func New(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache: locked-way budget %d out of [0,%d]", cfg.MaxLockedWays, cfg.Ways)
 	}
 	c := &Cache{cfg: cfg, lockedLines: make(map[uint64]bool)}
-	c.tag, _ = tagArrays.Get(cfg.Sets * cfg.Ways)
 	c.sets, _ = setArrays.Get(cfg.Sets)
 	for i := range c.sets {
 		c.sets[i].order = identityOrder
 	}
 	c.pow2 = cfg.Sets&(cfg.Sets-1) == 0
+	c.shift = uint(bits.TrailingZeros(uint(cfg.Sets)))
 	return c, nil
 }
 
-// tagArrays and setArrays recycle released caches' way state.
-var (
-	tagArrays = sim.NewFreeList[uint64]()
-	setArrays = sim.NewFreeList[setState]()
-)
+// setArrays recycles released caches' set state.
+var setArrays = sim.NewFreeList[setState]()
 
-// Release hands the cache's arrays back for reuse by the next New. The
-// cache must not be used afterwards: its arrays are gone, so any access
-// panics instead of reading another cache's state. Releasing twice is a
-// no-op.
+// Release hands the cache's set array back for reuse by the next New.
+// The cache must not be used afterwards: its array is gone, so any
+// access panics instead of reading another cache's state. Releasing
+// twice is a no-op.
 func (c *Cache) Release() {
-	tagArrays.Put(c.tag)
 	setArrays.Put(c.sets)
-	c.tag, c.sets = nil, nil
+	c.sets = nil
 }
 
 // SetRecorder attaches an event recorder and a clock supplying event
@@ -155,26 +162,63 @@ func (c *Cache) nowCycle() uint64 {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// setOf returns line's set index and the start of its ways in tag.
-func (c *Cache) setOf(line uint64) (set, lo int) {
+// locate returns line's set index and its tag, line/Sets+1. A line
+// beyond the cache's reach panics: its tag would not fit a way.
+func (c *Cache) locate(line uint64) (set, t uint64) {
 	if c.pow2 {
-		set = int(line & uint64(c.cfg.Sets-1))
+		set, t = line&uint64(c.cfg.Sets-1), line>>c.shift
 	} else {
-		set = int(line % uint64(c.cfg.Sets))
+		set, t = line%uint64(c.cfg.Sets), line/uint64(c.cfg.Sets)
 	}
-	return set, set * c.cfg.Ways
+	if t >= maxTag {
+		c.beyondReach(line)
+	}
+	return set, t + 1
 }
 
-// find returns the way of the set starting at tag[lo] that holds line,
-// or -1.
-func (c *Cache) find(line uint64, lo int) int {
-	t := line + 1
-	for w, tag := range c.tag[lo : lo+c.cfg.Ways] {
-		if tag == t {
-			return w
-		}
+// beyondReach panics for a line locate cannot tag.
+func (c *Cache) beyondReach(line uint64) {
+	panic(fmt.Sprintf("cache: line %#x is beyond the tag reach of %d lines (%d sets × %d tags)",
+		line, c.cfg.Reach(), c.cfg.Sets, maxTag))
+}
+
+// Lane constants for the tag words: every 16-bit lane's low bit, its low
+// 15 bits, and its top bit.
+const (
+	laneOnes = 0x0001_0001_0001_0001
+	laneLow  = 0x7FFF_7FFF_7FFF_7FFF
+	laneHigh = 0x8000_8000_8000_8000
+)
+
+// zeroLanes sets the top bit of every zero 16-bit lane of x and clears
+// every other bit. It is exact: adding 0x7FFF to a lane's low 15 bits
+// carries into the lane's top bit unless they are all zero, and never
+// into the next lane.
+func zeroLanes(x uint64) uint64 { return ^((x&laneLow + laneLow) | x) & laneHigh }
+
+// find returns the way of s holding tag t (t >= 1), or -1. It compares
+// all 16 ways without a branch: a lane of tags[i] ^ t·laneOnes is zero
+// exactly where way 4i+lane holds t. Each word's flags shift to bits
+// 16·lane+i, so one OR gathers them; at most one way holds t, so the
+// lowest flag is the way.
+func (s *setState) find(t uint64) int {
+	p := t * laneOnes
+	m := zeroLanes(s.tags[0]^p)>>15 | zeroLanes(s.tags[1]^p)>>14 |
+		zeroLanes(s.tags[2]^p)>>13 | zeroLanes(s.tags[3]^p)>>12
+	if m == 0 {
+		return -1
 	}
-	return -1
+	b := bits.TrailingZeros64(m)
+	return b&3<<2 | b>>4
+}
+
+// tag returns way w's tag.
+func (s *setState) tag(w int) uint64 { return s.tags[w>>2&3] >> (uint(w&3) * 16) & 0xFFFF }
+
+// setTag stores t as way w's tag.
+func (s *setState) setTag(w int, t uint64) {
+	sh := uint(w&3) * 16
+	s.tags[w>>2&3] = s.tags[w>>2&3]&^(0xFFFF<<sh) | t<<sh
 }
 
 // touch moves way w to the front of s's recency stack. The way's
@@ -206,9 +250,9 @@ func (c *Cache) victim(s *setState) int {
 	}
 }
 
-// fill installs line in way w of s, whose tags start at tag[lo].
-func (c *Cache) fill(s *setState, lo, w int, line uint64, dirty, locked bool) {
-	c.tag[lo+w] = line + 1
+// fill installs tag t in way w of s.
+func (s *setState) fill(w int, t uint64, dirty, locked bool) {
+	s.setTag(w, t)
 	bit := uint16(1) << w
 	s.valid |= bit
 	s.dirty = s.dirty&^bit | boolBit(dirty, w)
@@ -227,9 +271,9 @@ func boolBit(b bool, w int) uint16 {
 // Access looks up line, updating LRU state; on miss it allocates, evicting
 // the LRU unlocked way. write marks the line dirty.
 func (c *Cache) Access(line uint64, write bool) Result {
-	set, lo := c.setOf(line)
+	set, t := c.locate(line)
 	s := &c.sets[set]
-	if w := c.find(line, lo); w >= 0 {
+	if w := s.find(t); w >= 0 {
 		s.touch(w)
 		s.dirty |= boolBit(write, w)
 		c.hits++
@@ -244,17 +288,17 @@ func (c *Cache) Access(line uint64, write bool) Result {
 	res := Result{Filled: true}
 	if s.dirty&(1<<v) != 0 {
 		res.Writeback = true
-		res.WritebackLine = c.tag[lo+v] - 1
+		res.WritebackLine = (s.tag(v)-1)*uint64(c.cfg.Sets) + set
 		c.writebacks++
 	}
-	c.fill(s, lo, v, line, write, false)
+	s.fill(v, t, write, false)
 	return res
 }
 
 // Contains reports whether line is currently cached.
 func (c *Cache) Contains(line uint64) bool {
-	_, lo := c.setOf(line)
-	return c.find(line, lo) >= 0
+	set, t := c.locate(line)
+	return c.sets[set].find(t) >= 0
 }
 
 // Flush invalidates line (CLFLUSH). It returns true with the dirty flag
@@ -262,15 +306,15 @@ func (c *Cache) Contains(line uint64) bool {
 // lockdown mechanism (§4.2) exists precisely so an attacker's own flushes
 // cannot force the line back to DRAM; the flush is absorbed.
 func (c *Cache) Flush(line uint64) (present, dirty bool) {
-	set, lo := c.setOf(line)
+	set, t := c.locate(line)
 	s := &c.sets[set]
-	w := c.find(line, lo)
+	w := s.find(t)
 	if w < 0 || s.locked&(1<<w) != 0 {
 		return false, false
 	}
 	bit := uint16(1) << w
 	dirty = s.dirty&bit != 0
-	c.tag[lo+w] = 0
+	s.setTag(w, 0)
 	s.valid &^= bit
 	s.dirty &^= bit
 	c.flushes++
@@ -288,10 +332,10 @@ func (c *Cache) Lock(line uint64) error {
 	if c.cfg.MaxLockedWays == 0 {
 		return fmt.Errorf("cache: locking disabled: %w", ErrLockBudget)
 	}
-	set, lo := c.setOf(line)
+	set, t := c.locate(line)
 	s := &c.sets[set]
 	full := bits.OnesCount16(s.locked) >= c.cfg.MaxLockedWays
-	if w := c.find(line, lo); w >= 0 {
+	if w := s.find(t); w >= 0 {
 		if s.locked&(1<<w) != 0 {
 			return nil
 		}
@@ -311,7 +355,7 @@ func (c *Cache) Lock(line uint64) error {
 	if v < 0 {
 		return fmt.Errorf("cache: line %#x: %w", line, ErrLockBudget)
 	}
-	c.fill(s, lo, v, line, false, true)
+	s.fill(v, t, false, true)
 	c.lockedLines[line] = true
 	c.emitLock(obs.KindLineLock, line)
 	return nil
@@ -326,9 +370,10 @@ func (c *Cache) emitLock(kind obs.Kind, line uint64) {
 
 // Unlock releases a previously locked line (it stays cached).
 func (c *Cache) Unlock(line uint64) {
-	set, lo := c.setOf(line)
-	if w := c.find(line, lo); w >= 0 {
-		c.sets[set].locked &^= 1 << w
+	set, t := c.locate(line)
+	s := &c.sets[set]
+	if w := s.find(t); w >= 0 {
+		s.locked &^= 1 << w
 	}
 	if c.lockedLines[line] {
 		c.emitLock(obs.KindLineUnlock, line)

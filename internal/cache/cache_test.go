@@ -2,8 +2,10 @@ package cache
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func small(t *testing.T, sets, ways, locked int) *Cache {
@@ -222,5 +224,49 @@ func TestContainsMatchesAccessHistory(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSetStateIs48Bytes pins the per-set record: 16 two-byte tags, the
+// eight-byte recency stack and three two-byte way masks, padded to 48.
+// The default LLC's state is then 2048 × 48 B = 96 KB.
+func TestSetStateIs48Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(setState{}); got != 48 {
+		t.Fatalf("setState is %d bytes, want 48", got)
+	}
+}
+
+// TestLineBeyondReachPanics checks that every entry point refuses a line
+// whose tag would not fit 16 bits, naming the line and the reach, and
+// accepts the last line within it.
+func TestLineBeyondReachPanics(t *testing.T) {
+	for _, sets := range []int{4, 6} {
+		c := small(t, sets, 2, 1)
+		reach := c.Config().Reach()
+		if reach != uint64(sets)*65535 {
+			t.Fatalf("%d sets: reach %d, want %d", sets, reach, sets*65535)
+		}
+		last := reach - 1
+		c.Access(last, true)
+		if !c.Contains(last) {
+			t.Fatalf("%d sets: last line within reach not cached", sets)
+		}
+		for name, op := range map[string]func(uint64){
+			"Access":   func(l uint64) { c.Access(l, false) },
+			"Contains": func(l uint64) { c.Contains(l) },
+			"Flush":    func(l uint64) { c.Flush(l) },
+			"Lock":     func(l uint64) { _ = c.Lock(l) },
+			"Unlock":   func(l uint64) { c.Unlock(l) },
+		} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "beyond the tag reach") || !strings.Contains(msg, "0x") {
+						t.Errorf("%d sets: %s(reach) panicked with %q, want a tag-reach message", sets, name, msg)
+					}
+				}()
+				op(reach)
+			}()
+		}
 	}
 }

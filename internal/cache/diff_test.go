@@ -156,34 +156,60 @@ func (r *refCache) Unlock(line uint64) {
 // all-ways-locked bypass happens), full 16-way recency stacks with and
 // without a full lock budget, and the default LLC shape; the line space
 // is a few ways per set so hits, LRU evictions and dirty writebacks are
-// all frequent.
+// all frequent. The top configurations draw lines whose tags reach the
+// 16-bit limit, with tags that differ only in their top bit, so the
+// branch-free tag match is checked where a carry would show.
 func TestCacheMatchesReference(t *testing.T) {
-	for _, cfg := range []Config{
-		{Sets: 7, Ways: 3, MaxLockedWays: 3},
-		{Sets: 1, Ways: 4, MaxLockedWays: 4},
-		{Sets: 16, Ways: 4, MaxLockedWays: 2},
-		{Sets: 12, Ways: 2, MaxLockedWays: 0},
-		{Sets: 3, Ways: 16, MaxLockedWays: 16},
-		{Sets: 5, Ways: 16, MaxLockedWays: 4},
-		{Sets: 2048, Ways: 16, MaxLockedWays: 4},
-		DefaultConfig(),
+	for _, tc := range []struct {
+		cfg Config
+		top bool
+	}{
+		{cfg: Config{Sets: 7, Ways: 3, MaxLockedWays: 3}},
+		{cfg: Config{Sets: 1, Ways: 4, MaxLockedWays: 4}},
+		{cfg: Config{Sets: 16, Ways: 4, MaxLockedWays: 2}},
+		{cfg: Config{Sets: 12, Ways: 2, MaxLockedWays: 0}},
+		{cfg: Config{Sets: 3, Ways: 16, MaxLockedWays: 16}},
+		{cfg: Config{Sets: 5, Ways: 16, MaxLockedWays: 4}},
+		{cfg: Config{Sets: 2048, Ways: 16, MaxLockedWays: 4}},
+		{cfg: DefaultConfig()},
+		{cfg: Config{Sets: 6, Ways: 4, MaxLockedWays: 2}, top: true},
+		{cfg: Config{Sets: 8, Ways: 8, MaxLockedWays: 8}, top: true},
 	} {
 		for seed := uint64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("%dx%d/lock%d/seed%d", cfg.Sets, cfg.Ways, cfg.MaxLockedWays, seed), func(t *testing.T) {
-				diffStream(t, cfg, seed)
+			name := fmt.Sprintf("%dx%d/lock%d/seed%d", tc.cfg.Sets, tc.cfg.Ways, tc.cfg.MaxLockedWays, seed)
+			if tc.top {
+				name = "top/" + name
+			}
+			t.Run(name, func(t *testing.T) {
+				diffStream(t, tc.cfg, seed, tc.top)
 			})
 		}
 	}
 }
 
-func diffStream(t *testing.T, cfg Config, seed uint64) {
+// topQuotients are the line/Sets values a top stream draws from: the
+// lowest, both sides of the tags' top-bit boundary (tag = quotient+1),
+// and the highest the tags reach.
+var topQuotients = []uint64{0, 1, 2, 0x7FFD, 0x7FFE, 0x7FFF, 0x8000, 0x8001, 0xFFF0, 0xFFFC, 0xFFFD, maxTag - 1}
+
+func diffStream(t *testing.T, cfg Config, seed uint64, top bool) {
 	got, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := newRef(cfg)
 	rng := rand.New(rand.NewPCG(seed, 0x11c))
-	span := uint64(cfg.Sets * (cfg.Ways + 2))
+	sets := uint64(cfg.Sets)
+	span := sets * uint64(cfg.Ways+2)
+	nextLine := func() uint64 { return rng.Uint64N(span) }
+	if top {
+		nextLine = func() uint64 {
+			return topQuotients[rng.IntN(len(topQuotients))]*sets + rng.Uint64N(sets)
+		}
+		if last := (maxTag-1)*sets + sets - 1; last != cfg.Reach()-1 {
+			t.Fatalf("highest drawn line %d, reach %d", last, cfg.Reach())
+		}
+	}
 	bypasses := 0
 	step := func(i, op int, line uint64) {
 		where := fmt.Sprintf("step %d (op %d, line %d)", i, op, line)
@@ -218,13 +244,12 @@ func diffStream(t *testing.T, cfg Config, seed uint64) {
 	}
 	const steps, lockOp = 20000, 85
 	for i := 0; i < steps; i++ {
-		line := rng.Uint64N(span)
+		line := nextLine()
 		step(i, rng.IntN(100), line)
 	}
 	if cfg.MaxLockedWays == cfg.Ways {
 		// Pin every way of set 0 with distinct lines, then miss in it:
 		// the miss must bypass. Wide sets rarely get there at random.
-		sets := uint64(cfg.Sets)
 		for k := uint64(0); k < uint64(cfg.Ways)+2; k++ {
 			step(steps, lockOp, k*sets)
 		}

@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -286,6 +288,40 @@ func TestWorkerInjectsCellFaults(t *testing.T) {
 	req.Cells = []int{0}
 	if resp, err := w.RunCells(ctx, req); err != nil || len(resp.Cells) != 1 {
 		t.Fatalf("batch without the faulted cell: %+v, %v", resp, err)
+	}
+}
+
+// TestWorkerRunsBatchCellsSerially: one credit is one core, so a worker
+// runs a batch's cells one after another whatever GOMAXPROCS says. The
+// cell spans of a 4-cell batch, ordered by their start, never overlap:
+// each starts after the previous one ended, in the tracer's sequence.
+func TestWorkerRunsBatchCellsSerially(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	w := &WorkerNode{Name: "w"}
+	resp, err := w.RunCells(context.Background(), CellRequest{
+		Experiment: "e1", Horizon: 100_000, Grid: "e1", Cells: []int{0, 1, 2, 3}, Epoch: sim.DeterminismEpoch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, err := telemetry.DecodeSpans(resp.Spans, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []telemetry.SpanSnap
+	for _, s := range spans {
+		if s.Name == "cell" {
+			cells = append(cells, s)
+		}
+	}
+	if len(cells) != 4 {
+		t.Fatalf("batch returned %d cell spans, want 4", len(cells))
+	}
+	sort.Slice(cells, func(i, j int) bool { return cells[i].StartSeq < cells[j].StartSeq })
+	for i := 1; i < len(cells); i++ {
+		if prev, cur := cells[i-1], cells[i]; cur.StartSeq < prev.EndSeq {
+			t.Fatalf("cell spans overlap: one runs seq %d..%d, the next starts at %d", prev.StartSeq, prev.EndSeq, cur.StartSeq)
+		}
 	}
 }
 

@@ -482,8 +482,8 @@ func (j *jobDelegate) dispatchAll(ctx context.Context, st *gridState, pending []
 }
 
 // enqueue puts cells in the dispatcher's queue, in batches sized to
-// spread over the live workers; with none live, in one batch for the
-// local fallback.
+// spread over the live workers' credits; with none live, in one batch
+// for the local fallback.
 func (g *gridRun) enqueue(cells []int) error {
 	if len(cells) == 0 {
 		return nil
@@ -494,11 +494,14 @@ func (g *gridRun) enqueue(cells []int) error {
 			return fmt.Errorf("cluster: cell %d of %q still pending after %d dispatch attempts", i, g.st.spec.ID, maxAttempts)
 		}
 	}
-	live, size := len(d.reg.Live()), d.cfg.BatchSize
-	if live == 0 {
+	credits, size := 0, d.cfg.BatchSize
+	for _, w := range d.reg.Live() {
+		credits += w.Slots
+	}
+	if credits == 0 {
 		size = len(cells)
 	}
-	parts := partition(cells, max(live, 1), size)
+	parts := partition(cells, max(credits, 1), size)
 	bs := make([]*batch, len(parts))
 	for k, part := range parts {
 		bs[k] = &batch{g: g, t: ticket{job: g.j.job, batch: g.j.batches.Add(1)}, cells: part}
@@ -848,10 +851,10 @@ func (j *jobDelegate) runLocal(ctx context.Context, st *gridState, cells []int) 
 }
 
 // partition splits cells into batches of at most batchSize, sized so the
-// batches spread over all workers: ceil(len/workers) capped at
+// batches spread over all credits: ceil(len/credits) capped at
 // batchSize.
-func partition(cells []int, workers, batchSize int) [][]int {
-	size := max(min((len(cells)+workers-1)/workers, batchSize), 1)
+func partition(cells []int, credits, batchSize int) [][]int {
+	size := max(min((len(cells)+credits-1)/credits, batchSize), 1)
 	var out [][]int
 	for len(cells) > 0 {
 		n := min(size, len(cells))

@@ -211,6 +211,21 @@ func TestCreditsBoundWorkerConcurrency(t *testing.T) {
 	}
 }
 
+// TestBatchesSpreadOverCredits: a grid's batches are sized over the live
+// workers' credits, not their count, so a 5-cell grid on one 16-slot
+// worker goes out as 5 one-cell batches that run side by side, where
+// sizing by workers would send a 4-cell batch and a 1-cell one.
+func TestBatchesSpreadOverCredits(t *testing.T) {
+	f := startFake(t, &fakeWorker{})
+	d := fakeDispatcher(t, DispatcherConfig{BatchSize: 4}, 16, f)
+	if _, err := fakeJob(t, d).RunGrid(context.Background(), harness.GridSpec{ID: "g", Config: "c"}, firstCells(5)); err != nil {
+		t.Fatal(err)
+	}
+	if grids, _ := f.seen(); len(grids) != 5 {
+		t.Fatalf("worker saw %d batches of a 5-cell grid on 16 credits, want 5", len(grids))
+	}
+}
+
 // TestCreditsServeOldestJobFirst: of two jobs started back to back on a
 // 1-slot worker, every batch of the first is sent before any batch of
 // the second.

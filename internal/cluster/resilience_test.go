@@ -32,7 +32,7 @@ func TestPartitionEdgeCases(t *testing.T) {
 	cases := []struct {
 		name      string
 		cells     []int
-		workers   int
+		credits   int
 		batchSize int
 		want      [][]int
 	}{
@@ -44,12 +44,14 @@ func TestPartitionEdgeCases(t *testing.T) {
 		{"uneven tail", seq(7), 3, 4, [][]int{{0, 1, 2}, {3, 4, 5}, {6}}},
 		{"no cells", nil, 3, 4, nil},
 		{"single worker", seq(5), 1, 2, [][]int{{0, 1}, {2, 3}, {4}}},
+		{"five cells on one 16-slot worker", seq(5), 16, 4, [][]int{{0}, {1}, {2}, {3}, {4}}},
+		{"two 2-slot workers", seq(8), 4, 4, [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := partition(tc.cells, tc.workers, tc.batchSize)
+			got := partition(tc.cells, tc.credits, tc.batchSize)
 			if len(got) != len(tc.want) {
-				t.Fatalf("partition(%v, %d, %d) = %v, want %v", tc.cells, tc.workers, tc.batchSize, got, tc.want)
+				t.Fatalf("partition(%v, %d, %d) = %v, want %v", tc.cells, tc.credits, tc.batchSize, got, tc.want)
 			}
 			for i := range got {
 				if len(got[i]) != len(tc.want[i]) {

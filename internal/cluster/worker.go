@@ -73,10 +73,10 @@ func (w *WorkerNode) beginBatch() (func(), bool) {
 	return w.inflight.Done, true
 }
 
-// RunCells computes one CellRequest. The experiment may fail outside the
-// target grid without failing the request — the capture's completeness
-// is the contract, not the experiment's own result (whose table the
-// worker discards anyway).
+// RunCells computes one CellRequest, one cell at a time. The experiment
+// may fail outside the target grid without failing the request — the
+// capture's completeness is the contract, not the experiment's own
+// result (whose table the worker discards anyway).
 func (w *WorkerNode) RunCells(ctx context.Context, req CellRequest) (CellResponse, error) {
 	resp := CellResponse{Worker: w.Name}
 	if !harness.ValidExperiment(req.Experiment) {
@@ -99,11 +99,15 @@ func (w *WorkerNode) RunCells(ctx context.Context, req CellRequest) (CellRespons
 	}
 	ctx = telemetry.NewContext(ctx, &telemetry.Scope{Tracer: tracer})
 
-	if run := harness.RunFrom(ctx); run.Logger == nil {
+	// One credit is one core: a batch's cells run one at a time, so a
+	// worker holding one batch per slot keeps one live machine per slot.
+	run := harness.RunFrom(ctx)
+	run.Workers = 1
+	if run.Logger == nil {
 		// A request's context carries no Run: warn in the node's log.
 		run.Logger, run.Policy.SlowCellWarn = w.Log, harness.DefaultSlowCellWarn
-		ctx = harness.WithRun(ctx, run)
 	}
+	ctx = harness.WithRun(ctx, run)
 	start := time.Now()
 	config, results, err := harness.ComputeCells(ctx, req.Experiment, req.Horizon, req.Opts.Attack(), req.Grid, req.Cells)
 	if config != "" && req.Config != "" && config != req.Config {

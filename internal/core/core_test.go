@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"hammertime/internal/cache"
 	"hammertime/internal/dram"
 	"hammertime/internal/memctrl"
 )
@@ -42,6 +44,28 @@ func TestNewMachineValidation(t *testing.T) {
 	if _, err := NewMachine(spec); err == nil {
 		t.Fatal("indivisible group count accepted")
 	}
+}
+
+// TestNewMachineRejectsModuleBeyondCacheReach checks the LLC's 16-bit
+// tags against the module: the default module's 2^20 lines fit 32 sets
+// but not 16 (16 × 65 535 lines is 16 short), and the machine says so
+// instead of panicking on the first access to a line past the reach.
+func TestNewMachineRejectsModuleBeyondCacheReach(t *testing.T) {
+	spec := DefaultSpec()
+	if lines := spec.Geometry.TotalLines(); lines != 1<<20 {
+		t.Fatalf("default module has %d lines, want 2^20", lines)
+	}
+	spec.Cache = cache.Config{Sets: 16, Ways: 4}
+	_, err := NewMachine(spec)
+	if err == nil || !strings.Contains(err.Error(), "tag reach") {
+		t.Fatalf("16-set LLC over a 2^20-line module: err = %v, want a tag-reach error", err)
+	}
+	spec.Cache.Sets = 32
+	m, err := NewMachine(spec)
+	if err != nil {
+		t.Fatalf("32-set LLC over a 2^20-line module: %v", err)
+	}
+	m.Release()
 }
 
 func TestClassString(t *testing.T) {

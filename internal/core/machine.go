@@ -278,6 +278,10 @@ func NewMachine(spec MachineSpec) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: build cache: %w", err)
 	}
+	if lines, reach := spec.Geometry.TotalLines(), spec.Cache.Reach(); lines > reach {
+		return nil, fmt.Errorf("core: build cache: the module's %d lines exceed the LLC's tag reach of %d (%d sets × 65535)",
+			lines, reach, spec.Cache.Sets)
+	}
 
 	var alloc hostos.Allocator
 	switch spec.Alloc {

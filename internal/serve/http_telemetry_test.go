@@ -476,3 +476,70 @@ func TestTraceKeepsSpansImportedAfterTerminal(t *testing.T) {
 		t.Fatalf("late cell's parent chain %v, want %v", chain, want)
 	}
 }
+
+// TestDoneJobKeepsNoSpans: a finished job keeps its trace only as frozen
+// bytes. It drops its job, queued and run spans at the terminal
+// transition, nothing of its trace stays live, and the JSONL trace still
+// serves every span the job's tracer held before the job finished.
+func TestDoneJobKeepsNoSpans(t *testing.T) {
+	const cells = 20
+	before := make(chan int, 1)
+	m := NewManager(Config{
+		Run: func(ctx context.Context, req JobRequest) (string, error) {
+			for i := 0; i < cells; i++ {
+				_, s := telemetry.StartSpan(ctx, "cell")
+				s.SetAttrs(telemetry.Int("cell", int64(i)))
+				s.End()
+			}
+			before <- len(telemetry.ScopeFrom(ctx).Tracer.Snapshot())
+			return "table", nil
+		},
+	})
+	defer m.Drain(context.Background())
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+
+	job, err := m.Submit("c", JobRequest{Experiment: "e7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-job.done:
+	case <-time.After(time.Minute):
+		t.Fatal("job never finished")
+	}
+	if table, ok := job.Result(); !ok || table != "table" {
+		t.Fatalf("job result %q, %v", table, ok)
+	}
+	if job.jobSpan != nil || job.queuedSpan != nil || job.runSpan != nil {
+		t.Fatalf("done job still holds spans: job %p, queued %p, run %p", job.jobSpan, job.queuedSpan, job.runSpan)
+	}
+	want := <-before // job, queued, run and the cells
+	if want != cells+3 {
+		t.Fatalf("tracer held %d spans before finish, want %d", want, cells+3)
+	}
+	if n, _ := job.scope.Tracer.Freeze(); n != want {
+		t.Fatalf("the done job's trace froze %d of its %d spans; the rest are live", n, want)
+	}
+
+	jl, err := http.Get(srv.URL + "/v1/jobs/" + job.ID + "/trace?format=jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Body.Close()
+	sc := bufio.NewScanner(jl.Body)
+	lines := 0
+	for sc.Scan() {
+		var span struct {
+			Type string `json:"type"`
+			Name string `json:"name"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &span); err != nil || span.Type != "span" || span.Name == "" {
+			t.Fatalf("bad JSONL span line %q: %v", sc.Text(), err)
+		}
+		lines++
+	}
+	if lines != want {
+		t.Fatalf("JSONL trace of the done job has %d spans, the tracer held %d before finish", lines, want)
+	}
+}

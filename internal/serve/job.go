@@ -126,9 +126,11 @@ type Job struct {
 	// leave it empty and answer from the scope's tracer.
 	traceID string
 	// Lifecycle spans: job covers submit→terminal, queued covers the
-	// queue wait, run covers the session's execution. Ended by the
-	// manager at the matching transitions; Span.End is first-wins, so
-	// the belt-and-braces endSpans on terminal transitions is safe.
+	// queue wait, run covers the session's execution. Set at submission
+	// (job, queued) and by start (run), ended at the matching
+	// transitions and dropped by the terminal one; guarded by mu after
+	// submission. Span.End is first-wins, so the belt-and-braces
+	// endSpans on terminal transitions is safe.
 	jobSpan, queuedSpan, runSpan *telemetry.Span
 }
 
@@ -145,10 +147,11 @@ func (j *Job) TraceID() string {
 // endSpans closes any still-open lifecycle spans (End keeps the first
 // end, so spans already closed at their proper transition are not
 // moved) and freezes the finished trace into its compact encoding, which
-// the job keeps for as long as it is retained. Called on terminal
-// transitions so a cancelled-while-queued job doesn't leak open spans
-// into its trace. Spans that start or arrive later (a losing hedged
-// batch's import) stay live after the frozen ones.
+// the job keeps for as long as it is retained. Spans that start or
+// arrive later (a losing hedged batch's import) stay live after the
+// frozen ones. The job then drops its lifecycle spans: the frozen trace
+// holds what they recorded, and a retained job keeps only bytes. Caller
+// holds j.mu, in the terminal transition.
 func (j *Job) endSpans(err error) {
 	j.runSpan.EndErr(err)
 	j.queuedSpan.End()
@@ -156,6 +159,7 @@ func (j *Job) endSpans(err error) {
 	if j.scope != nil {
 		j.scope.Tracer.Freeze()
 	}
+	j.jobSpan, j.queuedSpan, j.runSpan = nil, nil, nil
 }
 
 // JobView is an immutable snapshot of a job for status responses.
@@ -220,24 +224,47 @@ func (j *Job) Result() (string, bool) {
 // Done is closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// transition moves the job to state under its lock; terminal
-// transitions are idempotent and first-wins (a job cancelled while its
-// session is finishing stays cancelled). Reports whether the
-// transition applied.
-func (j *Job) transition(state JobState, errMsg string) bool {
+// start moves a queued job to running under its lock. The queue wait is
+// over, so it ends the queued span and opens the run span under the job
+// span: the returned ctx carries the job's scope and the run span, so
+// grid and machine spans started inside the harness land in this trace.
+// It reports false, changing nothing, when the job is already terminal
+// (cancelled while queued).
+func (j *Job) start(ctx context.Context, session int) (context.Context, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.Terminal() {
+		return ctx, false
+	}
+	j.state = StateRunning
+	j.started = time.Now()
+	j.queuedSpan.End()
+	ctx = telemetry.WithSpan(telemetry.NewContext(ctx, j.scope), j.jobSpan)
+	ctx, j.runSpan = telemetry.StartSpan(ctx, "run")
+	j.runSpan.SetAttrs(telemetry.Int("session", int64(session)))
+	return ctx, true
+}
+
+// end moves the job to a terminal state under its lock: done with table,
+// otherwise failed or cancelled by cause. Terminal transitions are
+// first-wins (a job cancelled while its session is finishing stays
+// cancelled); end reports whether this one applied. The lifecycle spans
+// end and the trace freezes before Done fires, so whoever waits on Done
+// reads a finished trace.
+func (j *Job) end(state JobState, table string, cause error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
 		return false
 	}
 	j.state = state
-	j.errMsg = errMsg
-	switch state {
-	case StateRunning:
-		j.started = time.Now()
-	case StateDone, StateFailed, StateCancelled:
-		j.finishLocked()
+	if state == StateDone {
+		j.table = table
+	} else {
+		j.errMsg = cause.Error()
 	}
+	j.endSpans(cause)
+	j.finishLocked()
 	return true
 }
 
@@ -311,17 +338,4 @@ func replayedJob(rec JobRecord) *Job {
 	}
 	close(j.done)
 	return j
-}
-
-// setResult records the rendered table and marks the job done.
-func (j *Job) setResult(table string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
-	}
-	j.table = table
-	j.state = StateDone
-	j.finishLocked()
-	return true
 }

@@ -565,26 +565,19 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 }
 
 // finish is every terminal transition. It moves job to state — done
-// with table, otherwise failed or cancelled by cause — which journals
-// the terminal record before Done fires; then it cancels the job's
-// context with errJobFinished (an earlier cause wins), so the base
-// context no longer holds the job, bumps counter, ends the job's spans,
-// removes its checkpoint (a terminal job never resumes, so its per-cell
-// state is dead weight), logs msg at level and publishes the final
-// state. A job already terminal is left as it is.
+// with table, otherwise failed or cancelled by cause — which ends the
+// job's spans, freezes its trace and journals the terminal record before
+// Done fires; then it cancels the job's context with errJobFinished (an
+// earlier cause wins), so the base context no longer holds the job,
+// bumps counter, removes its checkpoint (a terminal job never resumes,
+// so its per-cell state is dead weight), logs msg at level and
+// publishes the final state. A job already terminal is left as it is.
 func (m *Manager) finish(job *Job, state JobState, table string, cause error, counter string, level slog.Level, msg string, attrs ...any) {
-	var applied bool
-	if state == StateDone {
-		applied = job.setResult(table)
-	} else {
-		applied = job.transition(state, cause.Error())
-	}
-	if !applied {
+	if !job.end(state, table, cause) {
 		return
 	}
 	job.cancel(errJobFinished)
 	m.count(counter)
-	job.endSpans(cause)
 	if m.store != nil {
 		m.store.RemoveCheckpoint(job.ID)
 	}
@@ -777,17 +770,10 @@ func (m *Manager) runJob(session int, job *Job) {
 		}
 	}
 
-	if !job.transition(StateRunning, "") {
+	ctx, ok := job.start(ctx, session)
+	if !ok {
 		return
 	}
-	// The queue wait is over; the run span nests under the job span (the
-	// session's cancellable ctx gains the job's scope + job span so grid
-	// and machine spans started inside the harness land in this trace).
-	job.queuedSpan.End()
-	ctx = telemetry.WithSpan(telemetry.NewContext(ctx, job.scope), job.jobSpan)
-	ctx, runSpan := telemetry.StartSpan(ctx, "run")
-	runSpan.SetAttrs(telemetry.Int("session", int64(session)))
-	job.runSpan = runSpan
 	job.persist()
 
 	// Each job runs its grids under its own harness Run, so concurrent

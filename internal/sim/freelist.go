@@ -13,8 +13,11 @@ import (
 //
 // The list is bounded: it holds at most 2×GOMAXPROCS arrays and drops
 // any Put beyond that, so the memory it keeps alive is a few machines'
-// worth whatever the grid size. (A sync.Pool would keep every recycled
-// array alive until the next GC cycles and raises the heap peak.)
+// worth whatever the grid size. That covers the machines a process runs
+// at once: a local grid's GOMAXPROCS, and a cluster worker's slots'
+// machines (each batch runs its cells one at a time) plus the
+// coordinator audit's. (A sync.Pool would keep every recycled array
+// alive until the next GC cycles and raises the heap peak.)
 type FreeList[T any] struct {
 	ch chan []T
 }
