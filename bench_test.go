@@ -17,6 +17,7 @@ import (
 	"hammertime/internal/cache"
 	"hammertime/internal/cluster"
 	"hammertime/internal/core"
+	"hammertime/internal/cpu"
 	"hammertime/internal/defense"
 	"hammertime/internal/dram"
 	"hammertime/internal/harness"
@@ -24,6 +25,7 @@ import (
 	"hammertime/internal/serve"
 	"hammertime/internal/sim"
 	"hammertime/internal/telemetry"
+	"hammertime/internal/workload"
 )
 
 // --- Experiment benchmarks (E1-E8) ---
@@ -364,6 +366,35 @@ func BenchmarkHammerThroughput(b *testing.B) {
 		}
 		now = res.Completion
 	}
+}
+
+// BenchmarkProgramFill measures benign access generation: one op fills
+// a core's buffer from Mix(Stream, Random), built as E4's benign tenants
+// build it, over a 512-page working set. Steady state is 0 allocs/op.
+func BenchmarkProgramFill(b *testing.B) {
+	frames := make([]uint64, 512)
+	for i := range frames {
+		frames[i] = uint64(3*i + 1)
+	}
+	lines := workload.Lines{Frames: frames, Shift: 6}
+	st, err := workload.Stream(lines, 1<<30, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rd, err := workload.Random(lines, 1<<30, 0, 0.3, sim.NewRNG(1).Fork())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := workload.Mix(st, rd)
+	buf := make([]cpu.Access, cpu.BatchLen)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p.Fill(buf) != cpu.BatchLen {
+			b.Fatal("short fill")
+		}
+	}
+	b.ReportMetric(float64(b.N)*cpu.BatchLen/b.Elapsed().Seconds(), "accesses/s")
 }
 
 // --- ACT hot-path benchmarks (dense per-bank state) ---

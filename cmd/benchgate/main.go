@@ -17,7 +17,9 @@
 //
 // A min gate fails when the measured value drops below min*(1-tolerance);
 // a max gate fails when it exceeds max*(1+tolerance) (so max 0 means
-// exactly zero). A ratio gate (ratio_of + max_ratio) divides the gated
+// exactly zero). A max on an allocation count or a byte count (allocs/op
+// or any B/... metric) is absolute: those counts do not vary with the
+// host, so the cap is the ceiling and gets no tolerance. A ratio gate (ratio_of + max_ratio) divides the gated
 // metric by the same metric of the ratio_of benchmark from the same run
 // and fails when the quotient exceeds max_ratio*(1+tolerance) — it pins
 // relative overhead (e.g. tracing on vs off) without pinning absolute
@@ -136,6 +138,9 @@ func run(baseline string, tolerance float64, inputs []string, out io.Writer) err
 			failures++
 			fmt.Fprintf(out, "FAIL %s %s: %g below floor %g (tolerance %g%%)\n",
 				g.Benchmark, g.Metric, val, *g.Min, tolerance*100)
+		case g.Max != nil && absolute(g.Metric) && val > *g.Max:
+			failures++
+			fmt.Fprintf(out, "FAIL %s %s: %g above ceiling %g\n", g.Benchmark, g.Metric, val, *g.Max)
 		case g.Max != nil && val > *g.Max*(1+tolerance):
 			failures++
 			fmt.Fprintf(out, "FAIL %s %s: %g above ceiling %g (tolerance %g%%)\n",
@@ -149,6 +154,12 @@ func run(baseline string, tolerance float64, inputs []string, out io.Writer) err
 	}
 	fmt.Fprintf(out, "all %d gates passed\n", len(gates))
 	return nil
+}
+
+// absolute reports whether a max on metric is taken as written: an
+// allocation or byte count is deterministic, so no tolerance applies.
+func absolute(metric string) bool {
+	return metric == "allocs/op" || strings.HasPrefix(metric, "B/")
 }
 
 func (g Gate) validate() error {

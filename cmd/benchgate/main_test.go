@@ -92,6 +92,37 @@ func TestRunGates(t *testing.T) {
 		}
 	})
 
+	t.Run("byte-cap-absolute", func(t *testing.T) {
+		// SchedulerManyAgents allocates 9464 B/op: 5 % above a 9014 cap
+		// fails although the 10 % tolerance would have covered it, and
+		// the cap itself passes.
+		for _, c := range []struct {
+			max  string
+			pass bool
+		}{{"9014", false}, {"9464", true}} {
+			base := writeFile(t, "base.json", `[
+				{"benchmark": "BenchmarkSchedulerManyAgents", "metric": "B/op", "max": `+c.max+`}
+			]`)
+			var out strings.Builder
+			err := run(base, 0.10, []string{bench}, &out)
+			if (err == nil) != c.pass {
+				t.Fatalf("9464 B/op against cap %s: err %v, want pass=%v\n%s", c.max, err, c.pass, out.String())
+			}
+		}
+	})
+
+	t.Run("time-ceiling-tolerant", func(t *testing.T) {
+		// A max on a time metric keeps its tolerance: 28506544 ns/op is
+		// 5 % above a 27149090 cap.
+		base := writeFile(t, "base.json", `[
+			{"benchmark": "BenchmarkSchedulerManyAgents", "metric": "ns/op", "max": 27149090}
+		]`)
+		var out strings.Builder
+		if err := run(base, 0.10, []string{bench}, &out); err != nil {
+			t.Fatalf("time ceiling within tolerance failed: %v\n%s", err, out.String())
+		}
+	})
+
 	t.Run("missing-benchmark-fails", func(t *testing.T) {
 		base := writeFile(t, "base.json", `[
 			{"benchmark": "BenchmarkDoesNotExist", "metric": "ns/op", "min": 1}

@@ -96,10 +96,8 @@ func genCmd(args []string) error {
 	}
 	tw := trace.NewWriter(w)
 	rec := trace.Record(prog, tw)
-	for {
-		if _, ok := rec.Next(); !ok {
-			break
-		}
+	var one [1]cpu.Access
+	for rec.Fill(one[:]) > 0 {
 	}
 	if tw.Count() != uint64(*count) {
 		return fmt.Errorf("recorded %d of %d accesses (sink failed?)", tw.Count(), *count)

@@ -6,6 +6,7 @@ import (
 
 	"hammertime/internal/addr"
 	"hammertime/internal/core"
+	"hammertime/internal/cpu"
 	"hammertime/internal/hostos"
 )
 
@@ -153,7 +154,7 @@ func TestHammerRoundRobinWithFlush(t *testing.T) {
 	}
 	want := []uint64{7, 9, 7, 9}
 	for i, w := range want {
-		a, ok := prog.Next()
+		a, ok := next(t, prog)
 		if !ok {
 			t.Fatalf("program ended at %d", i)
 		}
@@ -161,9 +162,21 @@ func TestHammerRoundRobinWithFlush(t *testing.T) {
 			t.Fatalf("access %d = %+v", i, a)
 		}
 	}
-	if _, ok := prog.Next(); ok {
+	if _, ok := next(t, prog); ok {
 		t.Fatal("program did not end after iterations*lines accesses")
 	}
+}
+
+// next takes one access from p through a core-sized buffer; it fails the
+// test if p fills ahead.
+func next(t *testing.T, p cpu.Program) (cpu.Access, bool) {
+	t.Helper()
+	var buf [cpu.BatchLen]cpu.Access
+	n := p.Fill(buf[:])
+	if n > 1 {
+		t.Fatalf("program filled %d accesses ahead", n)
+	}
+	return buf[0], n == 1
 }
 
 func TestHammerValidates(t *testing.T) {
@@ -185,7 +198,10 @@ func TestHammerVAFollowsMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, _ := prog.Next()
+	// Take the accesses through a feed, as a core does: HammerVA must not
+	// translate ahead of the access being issued.
+	feed := cpu.NewFeed(prog)
+	a1 := feed.Take()
 	if a1.Line != plan.AggressorLines[0] {
 		t.Fatalf("first access line %d, want %d", a1.Line, plan.AggressorLines[0])
 	}
@@ -196,7 +212,7 @@ func TestHammerVAFollowsMigration(t *testing.T) {
 	if _, err := m.Kernel.MigratePage(ids[0], vpn, 0); err != nil {
 		t.Fatal(err)
 	}
-	a2, _ := prog.Next()
+	a2 := feed.Take()
 	if a2.Line == plan.AggressorLines[1] {
 		t.Fatal("attack kept hammering the old physical line after migration")
 	}
@@ -243,7 +259,7 @@ func TestHammerVATranslationCache(t *testing.T) {
 	ref := uncachedHammerVA(m.Kernel, ids[0], plan, iterations)
 	step := func(n int) (int, bool) {
 		for i := 0; i < n; i++ {
-			acc, ok := prog.Next()
+			acc, ok := next(t, prog)
 			want, wantOK := ref()
 			if ok != wantOK || (ok && acc.Line != want) {
 				t.Fatalf("access %d: line %d ok=%v, uncached %d ok=%v", i, acc.Line, ok, want, wantOK)
@@ -261,7 +277,7 @@ func TestHammerVATranslationCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, _ := prog.Next()
+	acc, _ := next(t, prog)
 	ref()
 	lpp := hostos.LinesPerPage(m.Mapper.Geometry())
 	if acc.Line/lpp != mig.NewFrame {

@@ -41,12 +41,13 @@ func DefaultConfig() Config {
 	return Config{Sets: 2048, Ways: 16, MaxLockedWays: 4}
 }
 
-// Result describes the outcome of one cache access.
+// Result describes the outcome of one cache access. It keeps to four
+// fields so that it is returned and used in registers: the compiler
+// spills a wider struct field by field and copies it back whole, and
+// that copy stalls the core on every access.
 type Result struct {
 	// Hit is true when the line was present.
 	Hit bool
-	// Filled is true when the line was inserted (miss path).
-	Filled bool
 	// WritebackLine holds the evicted dirty line when Writeback is true.
 	Writeback     bool
 	WritebackLine uint64
@@ -54,6 +55,10 @@ type Result struct {
 	// the access had to go straight to memory without allocation.
 	Bypassed bool
 }
+
+// Filled reports whether the access inserted the line: a miss that was
+// not bypassed.
+func (r Result) Filled() bool { return !r.Hit && !r.Bypassed }
 
 // Cache is a set-associative LLC model. Not safe for concurrent use.
 //
@@ -285,7 +290,7 @@ func (c *Cache) Access(line uint64, write bool) Result {
 		// Every way locked: serve from memory without allocating.
 		return Result{Bypassed: true}
 	}
-	res := Result{Filled: true}
+	var res Result
 	if s.dirty&(1<<v) != 0 {
 		res.Writeback = true
 		res.WritebackLine = (s.tag(v)-1)*uint64(c.cfg.Sets) + set

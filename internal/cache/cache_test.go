@@ -180,7 +180,7 @@ func TestFullyLockedSetBypasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := c.Access(11, false)
-	if !r.Bypassed || r.Filled {
+	if !r.Bypassed || r.Filled() {
 		t.Fatalf("access to fully-locked set: %+v, want bypass", r)
 	}
 	if c.Contains(11) {

@@ -73,7 +73,7 @@ func (r *refCache) Access(line uint64, write bool) Result {
 	if v < 0 {
 		return Result{Bypassed: true}
 	}
-	res := Result{Filled: true}
+	var res Result
 	if set[v].valid && set[v].dirty {
 		res.Writeback, res.WritebackLine = true, set[v].line
 		r.writebacks++

@@ -25,17 +25,76 @@ type Access struct {
 	Think uint64
 }
 
-// Program generates a core's access stream. Next returns ok=false when the
-// program has finished.
+// Program generates a core's access stream in batches. Fill writes the
+// program's next accesses to the front of buf, which is never empty, and
+// returns how many it wrote; it may write fewer than len(buf). 0 means
+// the program has ended.
+//
+// The consumer issues what Fill wrote in order, after the call returns,
+// so a program that writes several accesses computes them before the
+// first is issued. Only a program whose accesses depend on nothing
+// simulated (no page table, no machine state) and whose fill has no side
+// effect may do that. Every other program is a ProgramFunc, which writes
+// one access per call and is therefore called only once the previous
+// access has been issued.
 type Program interface {
-	Next() (Access, bool)
+	Fill(buf []Access) int
 }
 
-// ProgramFunc adapts a function to the Program interface.
+// ProgramFunc adapts a one-access function to the Program interface;
+// ok=false ends the program.
 type ProgramFunc func() (Access, bool)
 
-// Next implements Program.
-func (f ProgramFunc) Next() (Access, bool) { return f() }
+// Fill implements Program. It writes at most one access.
+func (f ProgramFunc) Fill(buf []Access) int {
+	acc, ok := f()
+	if !ok {
+		return 0
+	}
+	buf[0] = acc
+	return 1
+}
+
+// BatchLen is how many accesses a Feed buffers: large enough that a
+// benign generator's fill loop pays for one interface call, small enough
+// that a core's buffer (24 B an access) stays within a few hundred bytes.
+const BatchLen = 16
+
+// Feed buffers a program's accesses for one consumer, a core or a DMA
+// device, and refills from the program only once it is empty.
+type Feed struct {
+	prog   Program
+	buf    [BatchLen]Access
+	pos, n int
+}
+
+// NewFeed returns an empty feed over prog.
+func NewFeed(prog Program) Feed { return Feed{prog: prog} }
+
+// Take returns the next access, refilling the buffer from the program
+// when it is empty, or nil once the program has ended. The access stays
+// valid until the next Take.
+func (f *Feed) Take() *Access {
+	if f.pos < f.n {
+		f.pos++
+		return &f.buf[f.pos-1]
+	}
+	return f.refill()
+}
+
+// refill asks the program for the next batch and takes its first access,
+// or returns nil if the program has ended. It stays a call so that Take
+// inlines.
+//
+//go:noinline
+func (f *Feed) refill() *Access {
+	f.pos, f.n = 0, f.prog.Fill(f.buf[:])
+	if f.n == 0 {
+		return nil
+	}
+	f.pos = 1
+	return &f.buf[0]
+}
 
 // PerfCounters is the per-core PMU state visible to system software.
 // ANVIL-style defenses poll LLCMisses; note there is no DMA counter.
@@ -50,7 +109,7 @@ type Core struct {
 	ID     int
 	Domain int
 
-	prog  Program
+	feed  Feed
 	cache *cache.Cache
 	mc    *memctrl.Controller
 
@@ -90,33 +149,29 @@ func NewCore(id, domain int, prog Program, c *cache.Cache, mc *memctrl.Controlle
 	if c == nil || mc == nil {
 		return nil, fmt.Errorf("cpu: core %d needs a cache and a memory controller", id)
 	}
-	return &Core{ID: id, Domain: domain, prog: prog, cache: c, mc: mc,
+	return &Core{ID: id, Domain: domain, feed: NewFeed(prog), cache: c, mc: mc,
 		HitLatency: 20, FlushLatency: 40}, nil
 }
 
 // EnableSampling turns on the core's PEBS-like sampling buffer: from now
-// on every LLC miss is recorded for Samples. A defense that reads the PMU
-// calls it before the core runs. Enabling twice keeps the buffer.
+// on every LLC miss is recorded for AppendSamples. A defense that reads
+// the PMU calls it before the core runs. Enabling twice keeps the buffer.
 func (c *Core) EnableSampling() {
 	if c.samples == nil {
 		c.samples = new([sampleCap]uint64)
 	}
 }
 
-// Samples returns the recent LLC-miss line addresses captured by the
-// core's PEBS-like sampling buffer (most recent last) and clears it. The
-// returned slice belongs to the caller; it is nil when the buffer is
-// empty or sampling was never enabled.
-func (c *Core) Samples() []uint64 {
-	if c.sampleLen == 0 {
-		return nil
-	}
-	out := make([]uint64, c.sampleLen)
-	for i := range out {
-		out[i] = c.samples[(c.sampleHead+i)%sampleCap]
+// AppendSamples appends the recent LLC-miss line addresses captured by
+// the core's PEBS-like sampling buffer (oldest first) to dst, clears the
+// buffer and returns the extended slice. It appends nothing when the
+// buffer is empty or sampling was never enabled.
+func (c *Core) AppendSamples(dst []uint64) []uint64 {
+	for i := 0; i < c.sampleLen; i++ {
+		dst = append(dst, c.samples[(c.sampleHead+i)%sampleCap])
 	}
 	c.sampleHead, c.sampleLen = 0, 0
-	return out
+	return dst
 }
 
 // recordSample appends one miss to the sample ring, overwriting the
@@ -152,8 +207,8 @@ func (c *Core) Step(now uint64) (next uint64, ok bool, err error) {
 	issued := 0
 	var think uint64
 	for i := 0; i < width; i++ {
-		acc, more := c.prog.Next()
-		if !more {
+		acc := c.feed.Take()
+		if acc == nil {
 			if issued == 0 {
 				c.done = true
 				return now, false, nil
@@ -175,7 +230,7 @@ func (c *Core) Step(now uint64) (next uint64, ok bool, err error) {
 
 // access executes one program access beginning at cycle now and returns
 // its completion cycle.
-func (c *Core) access(acc Access, now uint64) (uint64, error) {
+func (c *Core) access(acc *Access, now uint64) (uint64, error) {
 	t := now
 	if acc.Flush {
 		if present, dirty := c.cache.Flush(acc.Line); present && dirty {

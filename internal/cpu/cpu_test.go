@@ -169,12 +169,12 @@ func TestCoreSamplesCaptureMisses(t *testing.T) {
 		}
 		now = next
 	}
-	s := core.Samples()
+	s := core.AppendSamples(nil)
 	if len(s) != 10 {
 		t.Fatalf("samples = %d, want 10", len(s))
 	}
-	if got := core.Samples(); len(got) != 0 {
-		t.Fatal("Samples did not drain the ring")
+	if got := core.AppendSamples(s[:0]); len(got) != 0 {
+		t.Fatal("AppendSamples did not drain the ring")
 	}
 }
 
@@ -196,7 +196,7 @@ func TestCoreSamplingOffByDefault(t *testing.T) {
 		}
 		now = next
 	}
-	if core.samples != nil || core.Samples() != nil {
+	if core.samples != nil || core.AppendSamples(nil) != nil {
 		t.Fatal("sampling ring allocated or filled without EnableSampling")
 	}
 	if core.Counters().LLCMisses != 2 {
@@ -204,7 +204,7 @@ func TestCoreSamplingOffByDefault(t *testing.T) {
 	}
 }
 
-// TestCoreSamplesRingKeepsNewest overfills the sample ring: Samples must
+// TestCoreSamplesRingKeepsNewest overfills the sample ring: AppendSamples must
 // return exactly the last sampleCap misses, oldest first, and the ring
 // must refill cleanly after the drain.
 func TestCoreSamplesRingKeepsNewest(t *testing.T) {
@@ -230,7 +230,7 @@ func TestCoreSamplesRingKeepsNewest(t *testing.T) {
 	for i := 0; i < n; i++ {
 		step()
 	}
-	s := core.Samples()
+	s := core.AppendSamples(nil)
 	if len(s) != sampleCap {
 		t.Fatalf("samples = %d, want %d", len(s), sampleCap)
 	}
@@ -242,8 +242,9 @@ func TestCoreSamplesRingKeepsNewest(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		step()
 	}
-	if s := core.Samples(); len(s) != 3 || s[0] != n || s[2] != n+2 {
-		t.Fatalf("samples after drain = %v, want [%d %d %d]", s, n, n+1, n+2)
+	// Appending keeps what dst already holds.
+	if s := core.AppendSamples([]uint64{7}); len(s) != 4 || s[0] != 7 || s[1] != n || s[3] != n+2 {
+		t.Fatalf("samples after drain = %v, want [7 %d %d %d]", s, n, n+1, n+2)
 	}
 }
 
@@ -258,5 +259,95 @@ func TestCoreStepAfterDone(t *testing.T) {
 	}
 	if _, ok, _ := core.Step(0); ok {
 		t.Fatal("done core stepped again")
+	}
+}
+
+// TestProgramFuncCalledAfterIssue checks that a core asks a ProgramFunc
+// for its next access only after it has issued the previous one, at
+// every MLP width: the function records the core's access count at each
+// call, which must equal the number of accesses it has returned.
+func TestProgramFuncCalledAfterIssue(t *testing.T) {
+	for _, mlp := range []int{1, 3} {
+		llc, mc := buildParts(t)
+		var core *Core
+		var seen []uint64
+		prog := ProgramFunc(func() (Access, bool) {
+			seen = append(seen, core.Counters().Accesses)
+			if len(seen) > 20 {
+				return Access{}, false
+			}
+			return Access{Line: uint64(len(seen) * 1000)}, true
+		})
+		var err error
+		core, err = NewCore(0, 1, prog, llc, mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core.MLP = mlp
+		for now := uint64(0); ; {
+			next, ok, err := core.Step(now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			now = next
+		}
+		// A core that ends mid-batch asks once more on its next step.
+		if len(seen) < 21 || len(seen) > 22 {
+			t.Fatalf("MLP %d: program called %d times, want 21 or 22", mlp, len(seen))
+		}
+		for i, n := range seen {
+			if want := uint64(min(i, 20)); n != want {
+				t.Fatalf("MLP %d: call %d saw %d accesses issued, want %d", mlp, i, n, want)
+			}
+		}
+	}
+}
+
+// batchProgram fills up to len(buf) accesses a call from a fixed list.
+type batchProgram struct{ accs []Access }
+
+func (b *batchProgram) Fill(buf []Access) int {
+	n := copy(buf, b.accs)
+	b.accs = b.accs[n:]
+	return n
+}
+
+// TestCoreIssuesBatchInOrder runs the same accesses through a program
+// that fills in batches and one that fills one at a time: the cores must
+// end in the same state at the same cycle.
+func TestCoreIssuesBatchInOrder(t *testing.T) {
+	var accs []Access
+	for i := 0; i < 3*BatchLen+5; i++ {
+		accs = append(accs, Access{Line: uint64(i * 977 % 5000), Write: i%3 == 0, Flush: i%7 == 0, Think: uint64(i % 4)})
+	}
+	run := func(p Program) (uint64, PerfCounters) {
+		llc, mc := buildParts(t)
+		core, err := NewCore(0, 1, p, llc, mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core.MLP = 2
+		now := uint64(0)
+		for {
+			next, ok, err := core.Step(now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return now, core.Counters()
+			}
+			now = next
+		}
+	}
+	endB, cB := run(&batchProgram{accs: accs})
+	endF, cF := run(fixedProgram(accs))
+	if endB != endF || cB != cF {
+		t.Fatalf("batched run ended at %d with %+v, one-at-a-time at %d with %+v", endB, cB, endF, cF)
+	}
+	if cB.Accesses != uint64(len(accs)) {
+		t.Fatalf("accesses = %d, want %d", cB.Accesses, len(accs))
 	}
 }

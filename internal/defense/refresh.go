@@ -1,7 +1,7 @@
 package defense
 
 import (
-	"sort"
+	"slices"
 
 	"hammertime/internal/addr"
 	"hammertime/internal/core"
@@ -130,6 +130,9 @@ func (d *ANVIL) ObserveCores(cores []*cpu.Core) {
 type anvilDaemon struct {
 	defense *ANVIL
 	machine *core.Machine
+	// hot is the period's scratch: the sampled lines, then their
+	// (bank, row) keys. It is kept across periods.
+	hot []uint64
 }
 
 // Done implements core.Agent.
@@ -141,41 +144,31 @@ func (a *anvilDaemon) Step(now uint64) (uint64, bool, error) {
 	m := a.machine
 	geom := m.Mapper.Geometry()
 	radius := m.Spec.Profile.BlastRadius
-	// Most sampling periods are quiet (no PEBS samples at all on an idle
-	// or cache-friendly machine); allocate the aggregation map and key
-	// slice only once a sample actually shows up.
-	var hot map[[2]int]int
+	hot := a.hot[:0]
 	for _, c := range d.cores {
-		for _, line := range c.Samples() {
-			if hot == nil {
-				hot = make(map[[2]int]int)
-			}
-			dd := m.Mapper.Map(line)
-			hot[[2]int{dd.Bank, dd.Row}]++
-		}
+		hot = c.AppendSamples(hot)
 	}
 	// The refresh loads below advance the bank clocks, so the order the
-	// hot rows are serviced in is simulation-visible: iterate them in a
-	// fixed (bank, row) order, not randomized map order.
-	var keys [][2]int
-	if len(hot) > 0 {
-		keys = make([][2]int, 0, len(hot))
+	// hot rows are serviced in is simulation-visible: sort the samples'
+	// keys into (bank, row) order and service each run of equal keys.
+	for i, line := range hot {
+		dd := m.Mapper.Map(line)
+		hot[i] = uint64(dd.Bank)<<32 | uint64(dd.Row)
 	}
-	for key := range hot {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
+	slices.Sort(hot)
+	a.hot = hot
 	t := now
-	for _, key := range keys {
-		if hot[key] < d.HotSamples {
+	for i := 0; i < len(hot); {
+		key := hot[i]
+		n := 1
+		for i+n < len(hot) && hot[i+n] == key {
+			n++
+		}
+		i += n
+		if n < d.HotSamples {
 			continue
 		}
-		bank, row := key[0], key[1]
+		bank, row := int(key>>32), int(key&(1<<32-1))
 		for dist := 1; dist <= radius; dist++ {
 			for _, victim := range [2]int{row - dist, row + dist} {
 				if !geom.ValidRow(victim) || !geom.SameSubarray(row, victim) {

@@ -20,7 +20,7 @@ type Device struct {
 	ID     int
 	Domain int
 
-	prog cpu.Program
+	feed cpu.Feed
 	mc   *memctrl.Controller
 
 	accesses uint64
@@ -35,7 +35,7 @@ func NewDevice(id, domain int, prog cpu.Program, mc *memctrl.Controller) (*Devic
 	if mc == nil {
 		return nil, fmt.Errorf("dma: device %d needs a memory controller", id)
 	}
-	return &Device{ID: id, Domain: domain, prog: prog, mc: mc}, nil
+	return &Device{ID: id, Domain: domain, feed: cpu.NewFeed(prog), mc: mc}, nil
 }
 
 // Done reports whether the device's program has finished.
@@ -50,8 +50,8 @@ func (d *Device) Step(now uint64) (next uint64, ok bool, err error) {
 	if d.done {
 		return now, false, nil
 	}
-	acc, more := d.prog.Next()
-	if !more {
+	acc := d.feed.Take()
+	if acc == nil {
 		d.done = true
 		return now, false, nil
 	}

@@ -526,7 +526,7 @@ func (c *Controller) RefreshInstruction(line uint64, autoPrecharge bool, domain 
 		c.now = completion
 	}
 	c.stats.Inc("mc.refresh_instr")
-	return ServiceResult{Start: start, Completion: completion, Activated: true}, nil
+	return ServiceResult{Start: start, Completion: completion, Outcome: Outcome{Activated: true}}, nil
 }
 
 // UncoreMove implements the §4.2 proposed uncore move instruction: the
@@ -552,7 +552,7 @@ func (c *Controller) UncoreMove(src, dst uint64, domain int, now uint64) (Servic
 		completion = wr.Completion
 	}
 	c.stats.Inc("mc.uncore_moves")
-	return ServiceResult{Start: now, Completion: completion, Activated: rd.Activated || wr.Activated}, nil
+	return ServiceResult{Start: now, Completion: completion, Outcome: Outcome{Activated: rd.Activated || wr.Activated}}, nil
 }
 
 // RefreshNeighborsCmd issues the optional REF_NEIGHBORS DDR command

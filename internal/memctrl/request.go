@@ -64,18 +64,27 @@ type Request struct {
 	Source Source
 }
 
-// ServiceResult reports how one request was served.
+// ServiceResult reports how one request was served. It keeps to four
+// fields and 32 bytes, its flags grouped in the embedded Outcome, so that
+// it is returned and used in registers: the compiler spills a wider
+// struct field by field and copies it back whole, and that copy stalls
+// the caller on every request.
 type ServiceResult struct {
 	// Start is the cycle service began (after queuing and throttling).
 	Start uint64
 	// Completion is the cycle data transfer finished.
 	Completion uint64
+	// ThrottleDelay is the extra delay imposed by admission control.
+	ThrottleDelay uint64
+	Outcome
+}
+
+// Outcome is what serving a request did: the ServiceResult flags.
+type Outcome struct {
 	// RowHit is true when the request hit the open row buffer.
 	RowHit bool
 	// Activated is true when service required an ACT command.
 	Activated bool
-	// ThrottleDelay is the extra delay imposed by admission control.
-	ThrottleDelay uint64
 	// Violation is true when domain enforcement flagged the request as
 	// touching a subarray group not owned by the request's domain.
 	Violation bool

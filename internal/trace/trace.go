@@ -51,16 +51,16 @@ func (w *Writer) Write(ev Event) error {
 func (w *Writer) Count() uint64 { return w.seq }
 
 // Record wraps a program so every access it yields is also written to w.
+// It takes one access from p per call, so only accesses the consumer
+// asks for are written.
 func Record(p cpu.Program, w *Writer) cpu.Program {
 	failed := false
+	var one [1]cpu.Access
 	return cpu.ProgramFunc(func() (cpu.Access, bool) {
-		if failed {
+		if failed || p.Fill(one[:]) == 0 {
 			return cpu.Access{}, false
 		}
-		acc, ok := p.Next()
-		if !ok {
-			return cpu.Access{}, false
-		}
+		acc := one[0]
 		if err := w.Write(Event{Line: acc.Line, Write: acc.Write, Flush: acc.Flush, Think: acc.Think}); err != nil {
 			// A broken trace sink ends the program rather than silently
 			// recording a partial stream.
@@ -109,16 +109,18 @@ func Read(r io.Reader) ([]Event, error) {
 }
 
 // Replay turns a recorded trace back into a program.
-func Replay(events []Event) cpu.Program {
-	i := 0
-	return cpu.ProgramFunc(func() (cpu.Access, bool) {
-		if i >= len(events) {
-			return cpu.Access{}, false
-		}
-		ev := events[i]
-		i++
-		return cpu.Access{Line: ev.Line, Write: ev.Write, Flush: ev.Flush, Think: ev.Think}, true
-	})
+func Replay(events []Event) cpu.Program { return &replay{events: events} }
+
+type replay struct{ events []Event }
+
+// Fill implements cpu.Program.
+func (r *replay) Fill(buf []cpu.Access) int {
+	n := min(len(buf), len(r.events))
+	for i, ev := range r.events[:n] {
+		buf[i] = cpu.Access{Line: ev.Line, Write: ev.Write, Flush: ev.Flush, Think: ev.Think}
+	}
+	r.events = r.events[n:]
+	return n
 }
 
 // RowStats summarizes a trace against an address mapping: accesses per

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -23,6 +24,15 @@ func progFromAccesses(accs []cpu.Access) cpu.Program {
 	})
 }
 
+// next takes one access from p.
+func next(p cpu.Program) (cpu.Access, bool) {
+	var one [1]cpu.Access
+	if p.Fill(one[:]) == 0 {
+		return cpu.Access{}, false
+	}
+	return one[0], true
+}
+
 // TestRecordReplayRoundTrip is the core property: for any access stream,
 // record-then-replay reproduces the stream exactly.
 func TestRecordReplayRoundTrip(t *testing.T) {
@@ -40,7 +50,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 		w := NewWriter(&buf)
 		rec := Record(progFromAccesses(accs), w)
 		for {
-			if _, ok := rec.Next(); !ok {
+			if _, ok := next(rec); !ok {
 				break
 			}
 		}
@@ -51,15 +61,14 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		// Replay fills in batches; any batch size yields the stream.
 		rep := Replay(events)
-		for _, want := range accs {
-			got, ok := rep.Next()
-			if !ok || got != want {
-				return false
-			}
+		batch := make([]cpu.Access, 1+len(lines)%5)
+		var got []cpu.Access
+		for n := rep.Fill(batch); n > 0; n = rep.Fill(batch) {
+			got = append(got, batch[:n]...)
 		}
-		_, ok := rep.Next()
-		return !ok
+		return slices.Equal(got, accs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -129,9 +138,39 @@ func TestSummarizeHottestFirst(t *testing.T) {
 func TestRecordSinkFailureEndsProgram(t *testing.T) {
 	w := NewWriter(failingWriter{})
 	rec := Record(progFromAccesses([]cpu.Access{{Line: 1}, {Line: 2}}), w)
-	if _, ok := rec.Next(); ok {
+	if _, ok := next(rec); ok {
 		t.Fatal("program continued past a failing trace sink")
 	}
+}
+
+// TestRecordWritesOnlyConsumed checks that Record asks its program for
+// one access per access consumed, even when the consumer offers a large
+// buffer, so the trace ends where the consumer stopped.
+func TestRecordWritesOnlyConsumed(t *testing.T) {
+	accs := make([]cpu.Access, 100)
+	for i := range accs {
+		accs[i].Line = uint64(i)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	rec := Record(Replay(eventsOf(accs)), w)
+	var batch [cpu.BatchLen]cpu.Access
+	for i := 0; i < 5; i++ {
+		if n := rec.Fill(batch[:]); n != 1 || batch[0].Line != uint64(i) {
+			t.Fatalf("fill %d: %d accesses, line %d", i, n, batch[0].Line)
+		}
+	}
+	if w.Count() != 5 {
+		t.Fatalf("recorded %d events after consuming 5", w.Count())
+	}
+}
+
+func eventsOf(accs []cpu.Access) []Event {
+	evs := make([]Event, len(accs))
+	for i, a := range accs {
+		evs[i] = Event{Seq: uint64(i), Line: a.Line, Write: a.Write, Flush: a.Flush, Think: a.Think}
+	}
+	return evs
 }
 
 type failingWriter struct{}

@@ -10,13 +10,20 @@ import (
 
 func drain(t *testing.T, p cpu.Program, max int) []cpu.Access {
 	t.Helper()
+	return drainBy(t, p, max, cpu.BatchLen)
+}
+
+// drainBy collects a program's accesses filling batch at a time.
+func drainBy(t *testing.T, p cpu.Program, max, batch int) []cpu.Access {
+	t.Helper()
 	var out []cpu.Access
-	for i := 0; i < max; i++ {
-		a, ok := p.Next()
-		if !ok {
+	buf := make([]cpu.Access, batch)
+	for len(out) <= max {
+		n := p.Fill(buf)
+		if n == 0 {
 			return out
 		}
-		out = append(out, a)
+		out = append(out, buf[:n]...)
 	}
 	t.Fatalf("program did not finish within %d accesses", max)
 	return nil
@@ -137,11 +144,7 @@ func TestZipfianSkewConcentratesHead(t *testing.T) {
 	}
 	headHits := 0
 	total := 0
-	for {
-		a, ok := p.Next()
-		if !ok {
-			break
-		}
+	for _, a := range drain(t, p, 20000) {
 		total++
 		if a.Line < 100 { // hottest 10% of the working set
 			headHits++
